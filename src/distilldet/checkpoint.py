@@ -7,6 +7,7 @@ float64 buffer, so files round-trip bit-exactly and hash reproducibly.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -34,13 +35,18 @@ def load_checkpoint(path):
         if not head.startswith(_MAGIC):
             raise ValueError(f"{path} is not a checkpoint file")
         meta = json.loads(head[len(_MAGIC):].decode())
-        while True:
+        for entry in itertools.count():
             header = fh.readline()
             if not header:
                 break
-            parts = header.decode().split()
-            name, ndim = parts[0], int(parts[1])
-            shape = tuple(int(d) for d in parts[2 : 2 + ndim])
+            try:
+                parts = header.decode().split()
+                name, ndim = parts[0], int(parts[1])
+                shape = tuple(int(d) for d in parts[2:])
+            except (IndexError, ValueError):
+                raise ValueError(f"{path}: entry {entry}: malformed tensor header {header!r}") from None
+            if len(shape) != ndim or any(d <= 0 for d in shape):
+                raise ValueError(f"{path}: entry {entry}: bad shape in tensor header {header!r}")
             count = int(np.prod(shape)) if shape else 1
             buf = fh.read(count * 8)
             if len(buf) != count * 8:

@@ -114,6 +114,10 @@ def _draw_figure(img: np.ndarray, x1: int, y1: int, w: int, h: int,
 
 
 def _place_box(rng, placed, w, h, fw, fh, tries: int = 40):
+    """A free (x1, y1, x2, y2) at least one pixel inside the image, or None
+    when the box is too big for the image or every try overlaps."""
+    if fw > w - 3 or fh > h - 3:
+        return None
     for _ in range(tries):
         x1 = int(rng.integers(1, w - fw - 1))
         y1 = int(rng.integers(1, h - fh - 1))

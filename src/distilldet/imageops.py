@@ -1,15 +1,21 @@
 """Spatial tensor ops: convolution, pooling, upsampling, bilinear sampling.
 
-Convolution is cross-correlation over [N,C,H,W] inputs, implemented by
-im2col + matmul with a column-scatter backward. The brute-force loop
-implementations in the test suite are the ground truth these are checked
-against.
+Convolution is cross-correlation over [N,C,H,W] inputs as one matmul. A
+pointwise kernel (1x1, stride 1, no padding) multiplies the input viewed as
+[N, C, H*W] directly and reshapes the column gradient back. Other kernels
+copy the input into a zero-padded buffer, gather im2col columns with kh*kw
+strided slice copies, and scatter the column gradient back in a fixed
+(i, j) order. Max pooling is the max of the four strided quarter views of
+each 2x2 window.
+
+Forward outputs and gradients are bit-for-bit those of the plain im2col and
+argmax implementations kept in the test suite as references; the
+brute-force loop implementations there are the ground truth for values.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import ShapeError, Tensor, _accumulate
 
@@ -37,14 +43,24 @@ def conv2d(x: Tensor, w: Tensor, b, stride: int = 1, pad: int = 0) -> Tensor:
     if ho <= 0 or wo <= 0:
         raise ShapeError("conv2d output would be empty")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    # [N,C,H',W',kh,kw] -> [N, C*kh*kw, H'*W']
-    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * kh * kw, ho * wo)
+    pointwise = kh == 1 and kw == 1 and stride == 1 and pad == 0
+    if pointwise:
+        cols = x.data.reshape(n, c, h * ww)
+    else:
+        if pad:
+            xp = np.zeros((n, c, h + 2 * pad, ww + 2 * pad))
+            xp[:, :, pad : pad + h, pad : pad + ww] = x.data
+        else:
+            xp = x.data
+        cols6 = np.empty((n, c, kh, kw, ho, wo))
+        for i in range(kh):
+            for j in range(kw):
+                cols6[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+        cols = cols6.reshape(n, c * kh * kw, ho * wo)
     wm = w.data.reshape(k, c * kh * kw)
     out_data = np.matmul(wm, cols)
     if b is not None:
-        out_data = out_data + b.data[:, None]
+        out_data += b.data[:, None]
     out_data = out_data.reshape(n, k, ho, wo)
 
     parents = (x, w) if b is None else (x, w, b)
@@ -55,14 +71,20 @@ def conv2d(x: Tensor, w: Tensor, b, stride: int = 1, pad: int = 0) -> Tensor:
         if b is not None:
             _accumulate(b, gm.sum(axis=(0, 2)))
         _accumulate(w, np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape))
-        if x.requires_grad:
-            gcols = np.matmul(wm.T, gm)  # [N, C*kh*kw, L]
-            gcols = gcols.reshape(n, c, kh, kw, ho, wo)
-            gxp = np.zeros((n, c, h + 2 * pad, ww + 2 * pad))
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[:, :, i, j]
-            _accumulate(x, gxp[:, :, pad : pad + h, pad : pad + ww] if pad else gxp)
+        if not x.requires_grad:
+            return
+        gcols = np.matmul(wm.T, gm)  # [N, C*kh*kw, L]
+        if pointwise:
+            _accumulate(x, gcols.reshape(n, c, h, ww))
+            return
+        # Overlapping windows add into the same cells; this (i, j) order fixes
+        # the rounding, and changing it changes the gradient bits.
+        gcols = gcols.reshape(n, c, kh, kw, ho, wo)
+        gxp = np.zeros((n, c, h + 2 * pad, ww + 2 * pad))
+        for i in range(kh):
+            for j in range(kw):
+                gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[:, :, i, j]
+        _accumulate(x, gxp[:, :, pad : pad + h, pad : pad + ww] if pad else gxp)
 
     out._backward = bk if out.requires_grad else None
     return out
@@ -70,22 +92,32 @@ def conv2d(x: Tensor, w: Tensor, b, stride: int = 1, pad: int = 0) -> Tensor:
 
 def maxpool2x2(x: Tensor) -> Tensor:
     """2x2 max pooling, stride 2. Ties give the gradient to the first
-    maximal element in row-major order within the window."""
+    maximal element in row-major order within the window.
+
+    The forward is the elementwise max of the four strided quarter views
+    q0..q3 (window positions (0,0), (0,1), (1,0), (1,1)). ``np.maximum``
+    returns its second operand on ties, so the nesting
+    ``max(max(q3, q2), max(q1, q0))`` makes the output the first maximal
+    element itself; that matters where -0.0 and 0.0 tie. The backward
+    rebuilds the first-maximum masks from ``q_k == out``.
+    """
     if x.data.ndim != 4:
         raise ShapeError("maxpool2x2 expects [N,C,H,W]")
     n, c, h, w = x.data.shape
     if h % 2 or w % 2:
         raise ShapeError("maxpool2x2 needs even spatial sizes")
-    h2, w2 = h // 2, w // 2
-    blocks = x.data.reshape(n, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h2, w2, 4)
-    idx = blocks.argmax(axis=-1)
-    out_data = np.take_along_axis(blocks, idx[..., None], axis=-1)[..., 0]
+    quarters = [x.data[:, :, di::2, dj::2] for di in (0, 1) for dj in (0, 1)]
+    q0, q1, q2, q3 = quarters
+    out_data = np.maximum(np.maximum(q3, q2), np.maximum(q1, q0))
     out = Tensor._from_op(out_data, (x,), None)
 
     def bk(g):
-        gb = np.zeros((n, c, h2, w2, 4))
-        np.put_along_axis(gb, idx[..., None], g[..., None], axis=-1)
-        gx = gb.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+        gx = np.empty((n, c, h, w))
+        taken = np.zeros(out_data.shape, dtype=bool)
+        for k, q in enumerate(quarters):
+            first = ~taken if k == 3 else (q == out_data) & ~taken
+            gx[:, :, k // 2 :: 2, k % 2 :: 2] = np.where(first, g, 0.0)
+            taken |= first
         _accumulate(x, gx)
 
     out._backward = bk if out.requires_grad else None

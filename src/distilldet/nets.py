@@ -8,6 +8,7 @@ feature-matching losses need no adaptation layers.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -217,10 +218,18 @@ def rpn_forward(pyr: FeaturePyramid, cfg: NetConfig, params: dict):
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _anchor_grid(level: int, hi: int, wi: int, base_size: float, aspect: float) -> np.ndarray:
+    """level_anchors, built once per grid; read-only since callers share it."""
+    grid = level_anchors(level, hi, wi, base_size=base_size, aspect=aspect)
+    grid.flags.writeable = False
+    return grid
+
+
 def pyramid_anchors(pyr: FeaturePyramid, cfg: NetConfig) -> list[np.ndarray]:
+    """One anchor grid per pyramid level, shared (read-only) across calls."""
     return [
-        level_anchors(lvl, level.data.shape[-2], level.data.shape[-1],
-                      base_size=cfg.anchor_base, aspect=cfg.anchor_aspect)
+        _anchor_grid(lvl, level.data.shape[-2], level.data.shape[-1], cfg.anchor_base, cfg.anchor_aspect)
         for lvl, level in zip((2, 3, 4, 5), pyr.levels())
     ]
 

@@ -2,12 +2,15 @@
 
 Everything here is deliberately written as plain scalar loops or one-line
 formulas, sharing no code with the library, so the two sides of every
-equivalence test fail independently.
+equivalence test fail independently. The exceptions are conv2d_im2col and
+maxpool2x2_argmax: the library's earlier vectorized conv and pooling, kept
+in plain numpy as bit-for-bit references for the current kernels.
 """
 
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def conv2d_loops(x, w, b, stride=1, pad=0):
@@ -177,3 +180,48 @@ def log_avg_mr_script(points):
     if all(s == 0.0 for s in samples):
         return 0.0
     return math.exp(sum(math.log(max(s, 1e-10)) for s in samples) / len(samples))
+
+
+def conv2d_im2col(x, w, b, g, stride=1, pad=0):
+    """The original im2col conv2d: one padded copy, a sliding-window view
+    transposed into columns, one matmul; the backward scatters columns back
+    in (i, j) order. Returns (out, gx, gw, gb) for upstream gradient g, each
+    gradient as the op hands it to accumulation (gb is None without bias)."""
+    n, c, h, ww = x.shape
+    k, _, kh, kw = w.shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (ww + 2 * pad - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * kh * kw, ho * wo)
+    wm = w.reshape(k, c * kh * kw)
+    out = np.matmul(wm, cols)
+    if b is not None:
+        out = out + b[:, None]
+    out = out.reshape(n, k, ho, wo)
+
+    gm = g.reshape(n, k, ho * wo)
+    gb = gm.sum(axis=(0, 2)) if b is not None else None
+    gw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    gcols = np.matmul(wm.T, gm).reshape(n, c, kh, kw, ho, wo)
+    gxp = np.zeros((n, c, h + 2 * pad, ww + 2 * pad))
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[:, :, i, j]
+    gx = gxp[:, :, pad : pad + h, pad : pad + ww] if pad else gxp
+    return out, gx, gw, gb
+
+
+def maxpool2x2_argmax(x, g):
+    """The original 2x2/stride-2 max pool: argmax over each window reshaped
+    to 4 row-major entries, gradient scattered to the first maximum.
+    Returns (out, gx) for upstream gradient g."""
+    n, c, h, w = x.shape
+    h2, w2 = h // 2, w // 2
+    blocks = x.reshape(n, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h2, w2, 4)
+    idx = blocks.argmax(axis=-1)
+    out = np.take_along_axis(blocks, idx[..., None], axis=-1)[..., 0]
+    gb = np.zeros((n, c, h2, w2, 4))
+    np.put_along_axis(gb, idx[..., None], g[..., None], axis=-1)
+    gx = gb.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+    return out, gx

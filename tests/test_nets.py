@@ -1,6 +1,7 @@
 """Detector networks: shapes, configs, proposals, and supervised losses."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -137,6 +138,24 @@ class TestRpn:
             h, w = level.data.shape[2:]
             assert obj.shape == (1, h, w)
             assert box.shape == (4, h, w)
+
+
+class TestPyramidAnchors:
+    def test_grids_are_cached_equal_to_fresh_and_read_only(self, tiny_student_cfg, rng):
+        cfg = tiny_student_cfg
+        pyr = nets.forward_pyramid(Tensor(rng.uniform(0, 1, size=(1, 3, 64, 96))), cfg,
+                                   nets.init_params(cfg, 3))
+        first = nets.pyramid_anchors(pyr, cfg)
+        again = nets.pyramid_anchors(pyr, cfg)
+        for lvl, level, a, b in zip((2, 3, 4, 5), pyr.levels(), first, again):
+            assert a is b
+            h, w = level.data.shape[-2:]
+            fresh = level_anchors(lvl, h, w, base_size=cfg.anchor_base, aspect=cfg.anchor_aspect)
+            assert a.tobytes() == fresh.tobytes()
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+        wider = nets.pyramid_anchors(pyr, replace(cfg, anchor_base=2 * cfg.anchor_base))
+        assert not np.array_equal(wider[0], first[0])
 
 
 class TestProposals:
