@@ -3,8 +3,8 @@ matching: a from-scratch autodiff tensor core, an FPN two-stage detector,
 all-level region cropping, three feature-matching losses, and miss-rate/FPPI
 scoring."""
 
-from .autodiff import GradError, ShapeError, Tape, TapeError, Tensor, backward, sgd_step
-from .boxes import Detection, RoI
+from .autodiff import ShapeError, Tape, TapeError, Tensor, backward
+from .boxes import Detection
 from .config import ConfigError, RunConfig, load_config, parse_config, save_config
 from .data import SceneParams, SyntheticScene, generate_dataset
 from .distill import (
@@ -36,13 +36,13 @@ from .nets import (
     detection_loss,
     fpn_forward,
     generate_proposals,
-    head_forward,
+    head_forward_batch,
     init_params,
     parameter_count,
     rpn_forward,
     rpn_loss,
 )
-from .roi import assign_level, pyramid_roi_align, roi_align
+from .roi import assign_level, extract_region_batch, roi_align_batch
 from .train import (
     DivergenceError,
     SGD,

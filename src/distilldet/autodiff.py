@@ -25,10 +25,6 @@ class TapeError(RuntimeError):
     """Backward invoked on a graph that was already differentiated."""
 
 
-class GradError(RuntimeError):
-    """A parameter update was requested without a populated gradient."""
-
-
 class Tensor:
     """Dense float64 array plus the bookkeeping needed for backprop.
 
@@ -136,9 +132,6 @@ class Tensor:
     def transpose(self, *axes):
         return transpose(self, axes[0] if len(axes) == 1 and isinstance(axes[0], (tuple, list)) else axes)
 
-    def flatten(self):
-        return reshape(self, (self.data.size,))
-
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, requires_grad={self.requires_grad})"
 
@@ -213,21 +206,6 @@ def backward(loss: Tensor):
         if node._backward is not None:
             node._backward(node.grad)
             node._consumed = True
-
-
-def sgd_step(params, lr: float):
-    """Vanilla SGD update: p <- p - lr * grad, then clear grads."""
-    params = list(params)
-    for p in params:
-        if p.grad is None:
-            raise GradError("sgd_step on a parameter with no gradient")
-    for p in params:
-        p.data -= lr * p.grad
-        p.grad = None
-
-
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _coerce_pair(a, b):
@@ -415,20 +393,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor):
 # ---- losses and probability ops ------------------------------------------
 
 
-def softmax(a: Tensor, axis: int = -1):
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor._from_op(s, (a,), None)
-
-    def bk(g):
-        dot = (g * s).sum(axis=axis, keepdims=True)
-        _accumulate(a, s * (g - dot))
-
-    out._backward = bk if out.requires_grad else None
-    return out
-
-
 def softmax_cross_entropy(logits: Tensor, labels):
     """Mean cross-entropy over rows of [N,K] logits; fused for stability."""
     lab = np.asarray(labels, dtype=np.intp)
@@ -467,23 +431,6 @@ def bce_with_logits(logits: Tensor, targets):
         e = np.exp(-np.abs(z))
         sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         _accumulate(logits, float(g) * (sig - t) / n)
-
-    out._backward = bk if out.requires_grad else None
-    return out
-
-
-def mse(a: Tensor, b: Tensor):
-    """Mean of elementwise squared differences."""
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"mse shapes {a.shape} vs {b.shape}")
-    d = a.data - b.data
-    out = Tensor._from_op(np.asarray((d * d).mean()), (a, b), None)
-    n = d.size
-
-    def bk(g):
-        scaled = (2.0 * float(g) / n) * d
-        _accumulate(a, scaled)
-        _accumulate(b, -scaled)
 
     out._backward = bk if out.requires_grad else None
     return out

@@ -1,7 +1,10 @@
 """Axis-aligned box utilities shared by the proposal and evaluation stages.
 
-Boxes are (x1, y1, x2, y2) in continuous image-pixel coordinates with
-x2 > x1 and y2 > y1; areas carry no +1 correction.
+Boxes are float64 [N,4] arrays of (x1, y1, x2, y2) rows in continuous
+image-pixel coordinates with x2 > x1 and y2 > y1; areas carry no +1
+correction. Proposals and RoIs stay in this form from the proposal stage to
+the head. ``Detection`` is the one record type: the output of ``detect`` and
+the input of the evaluator.
 """
 
 from __future__ import annotations
@@ -9,26 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass
-class RoI:
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-    score: float = 0.0
-
-    @property
-    def width(self) -> float:
-        return self.x2 - self.x1
-
-    @property
-    def height(self) -> float:
-        return self.y2 - self.y1
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.y1, self.x2, self.y2])
 
 
 @dataclass
@@ -57,10 +40,6 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
     union = area_a[:, None] + area_b[None, :] - inter
     return np.where(union > 0.0, inter / np.maximum(union, 1e-300), 0.0)
-
-
-def box_iou(a, b) -> float:
-    return float(iou_matrix(np.asarray(a).reshape(1, 4), np.asarray(b).reshape(1, 4))[0, 0])
 
 
 def nms(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float) -> list[int]:

@@ -10,10 +10,8 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import experiments, nets
-from .checkpoint import checkpoint_hash
+from .checkpoint import checkpoint_hash, load_checkpoint
 from .config import ConfigError, RunConfig, load_config, save_config
 from .data import annotations_by_image
 from .evalmr import (
@@ -81,13 +79,15 @@ def cmd_train_teacher(args) -> int:
 
 def cmd_distill(args) -> int:
     cfg = _load(args)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    train, test = experiments.build_dataset(cfg)
     teacher_ckpt = args.teacher or experiments.teacher_ckpt_path(cfg.out_dir)
     if not os.path.exists(teacher_ckpt):
         print(f"error: teacher checkpoint {teacher_ckpt} not found "
               f"(run train-teacher first)", file=sys.stderr)
         return 2
+    # Read the teacher before generating any scene, so a bad file fails fast.
+    _, t_params = load_checkpoint(teacher_ckpt)
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    train, test = experiments.build_dataset(cfg)
     tag = experiments.row_tag(
         (cfg.train.distill.enable_pd, cfg.train.distill.enable_rd,
          cfg.train.distill.enable_ld, cfg.train.distill.pyramid_roi_align)
@@ -95,9 +95,6 @@ def cmd_distill(args) -> int:
     ckpt, params, records, student_cfg = experiments.run_student_variant(
         cfg, cfg.train.distill, teacher_ckpt, tag, train
     )
-    from .checkpoint import load_checkpoint
-
-    t_meta, t_params = load_checkpoint(teacher_ckpt)
     ratio = nets.compression_ratio(t_params, params)
     print(f"teacher parameters: {nets.parameter_count(t_params)}")
     print(f"student parameters: {nets.parameter_count(params)}")

@@ -39,9 +39,6 @@ class RunConfig:
     def with_out_dir(self, out_dir: str) -> "RunConfig":
         return replace(self, out_dir=str(out_dir))
 
-    def with_distill(self, dcfg: DistillConfig) -> "RunConfig":
-        return replace(self, train=replace(self.train, distill=dcfg))
-
 
 def _parse_bool(s: str) -> bool:
     low = s.lower()

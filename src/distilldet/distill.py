@@ -2,8 +2,8 @@
 
 Three hierarchy levels are matched, each as a mean of squared differences
 over its own element count: whole pyramid maps (dense, low weight), cropped
-region features at the student's boxes, and the per-box activations feeding
-the final classifier. Gradients flow into the student side only; teacher
+region features at the student's proposals, and the per-box activations
+feeding the final classifier. Gradients flow into the student side only; teacher
 operands are detached on entry.
 """
 
@@ -21,7 +21,8 @@ class DistillConfig:
 
     ``pyramid_roi_align`` selects the student's region cropper (all-level
     concat vs. single level), which also decides where region matching
-    happens. A disabled term contributes exactly zero and builds no graph.
+    happens. Region and logit matching always run on the student's
+    proposals. A disabled term contributes exactly zero and builds no graph.
     """
 
     lambda_pd: float = 0.5
@@ -31,14 +32,11 @@ class DistillConfig:
     enable_rd: bool = True
     enable_ld: bool = True
     pyramid_roi_align: bool = True
-    roi_source: str = "proposals"  # which student boxes get matched
 
     def __post_init__(self):
         for name in ("lambda_pd", "lambda_rd", "lambda_ld"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.roi_source not in ("proposals", "sampled"):
-            raise ValueError("roi_source must be 'proposals' or 'sampled'")
 
     @property
     def any_enabled(self) -> bool:
@@ -76,45 +74,17 @@ def pyramid_distill_loss(student_pyr, teacher_pyr) -> Tensor:
     return total * (1.0 / count)
 
 
-def region_distill_loss(student_regions, teacher_regions) -> Tensor:
-    """Squared differences over all cropped regions, divided by the total
-    element count. Accepts [R,C,S,S] batch tensors or lists of [C,S,S]
-    crops; both sides come from the same (student) boxes, and an empty box
-    list contributes zero."""
-    if isinstance(student_regions, Tensor) and isinstance(teacher_regions, Tensor):
-        return _sq_diff_sum(student_regions, teacher_regions) * (1.0 / student_regions.data.size)
-    if len(student_regions) != len(teacher_regions):
-        raise ShapeError(
-            f"region count mismatch: {len(student_regions)} vs {len(teacher_regions)}"
-        )
-    if not student_regions:
-        return Tensor(0.0)
-    total = None
-    count = 0
-    for s, t in zip(student_regions, teacher_regions):
-        term = _sq_diff_sum(s, t)
-        count += s.data.size
-        total = term if total is None else ad.add(total, term)
-    return total * (1.0 / count)
+def region_distill_loss(student_regions: Tensor, teacher_regions: Tensor) -> Tensor:
+    """Squared differences over all cropped regions [R,C,S,S], divided by the
+    total element count; both sides come from the same (student) boxes."""
+    return _sq_diff_sum(student_regions, teacher_regions) * (1.0 / student_regions.data.size)
 
 
 def logit_distill_loss(student_logits: Tensor, teacher_logits: Tensor) -> Tensor:
-    """Per-box mean of squared activation differences, averaged over boxes.
-
-    Accepts [N,L] stacks (or a list of [L] vectors). Normalizing by N*L keeps
-    the value independent of the head width.
+    """Per-box mean of squared activation differences over [N,L] stacks,
+    averaged over boxes. Normalizing by N*L keeps the value independent of
+    the head width.
     """
-    if isinstance(student_logits, (list, tuple)):
-        if len(student_logits) != len(teacher_logits):
-            raise ShapeError("logit count mismatch")
-        if not student_logits:
-            return Tensor(0.0)
-        student_logits = ad.concat([t.reshape((1, t.data.size)) for t in student_logits], axis=0)
-        teacher_logits = ad.concat([t.reshape((1, t.data.size)) for t in teacher_logits], axis=0)
-    if student_logits.data.shape != teacher_logits.data.shape:
-        raise ShapeError(
-            f"logit shapes differ: {student_logits.shape} vs {teacher_logits.shape}"
-        )
     return _sq_diff_sum(student_logits, teacher_logits) * (1.0 / student_logits.data.size)
 
 

@@ -38,9 +38,6 @@ class GTBox:
     def height(self) -> float:
         return self.y2 - self.y1
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.y1, self.x2, self.y2])
-
 
 @dataclass
 class EvalCurve:

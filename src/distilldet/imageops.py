@@ -1,4 +1,4 @@
-"""Spatial tensor ops: convolution, pooling, upsampling, bilinear sampling.
+"""Spatial tensor ops: convolution, pooling and upsampling.
 
 Convolution is cross-correlation over [N,C,H,W] inputs as one matmul. A
 pointwise kernel (1x1, stride 1, no padding) multiplies the input viewed as
@@ -134,51 +134,6 @@ def upsample2x(x: Tensor) -> Tensor:
 
     def bk(g):
         _accumulate(x, g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)))
-
-    out._backward = bk if out.requires_grad else None
-    return out
-
-
-def _corner_weights(coord: float, limit: int):
-    """Clamped bilinear support along one axis: (i0, i1, weight_on_i1)."""
-    c = min(max(float(coord), 0.0), float(limit - 1))
-    i0 = int(np.floor(c))
-    if i0 > limit - 2:
-        i0 = max(limit - 2, 0)
-    i1 = min(i0 + 1, limit - 1)
-    return i0, i1, c - i0
-
-
-def bilinear_sample(feature: Tensor, x: float, y: float) -> Tensor:
-    """Bilinear interpolation of feature[C,H,W] at continuous (x, y).
-
-    Coordinates outside [0,W-1] x [0,H-1] clamp to the border. Differentiable
-    with respect to the feature values only.
-    """
-    if feature.data.ndim != 3:
-        raise ShapeError("bilinear_sample expects [C,H,W]")
-    _, h, w = feature.data.shape
-    x0, x1, wx = _corner_weights(x, w)
-    y0, y1, wy = _corner_weights(y, h)
-    f = feature.data
-    out_data = (
-        (1 - wy) * (1 - wx) * f[:, y0, x0]
-        + (1 - wy) * wx * f[:, y0, x1]
-        + wy * (1 - wx) * f[:, y1, x0]
-        + wy * wx * f[:, y1, x1]
-    )
-    out = Tensor._from_op(out_data, (feature,), None)
-
-    def bk(g):
-        if not feature.requires_grad:
-            return
-        if feature.grad is None:
-            feature.grad = np.zeros_like(feature.data)
-        fg = feature.grad
-        fg[:, y0, x0] += (1 - wy) * (1 - wx) * g
-        fg[:, y0, x1] += (1 - wy) * wx * g
-        fg[:, y1, x0] += wy * (1 - wx) * g
-        fg[:, y1, x1] += wy * wx * g
 
     out._backward = bk if out.requires_grad else None
     return out

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -19,7 +19,6 @@ from . import autodiff as ad
 from . import roi as roi_ops
 from .autodiff import ShapeError, Tensor
 from .boxes import (
-    RoI,
     Detection,
     clip_boxes,
     decode_deltas,
@@ -95,10 +94,6 @@ class FeaturePyramid:
 
     def levels(self):
         return (self.p2, self.p3, self.p4, self.p5)
-
-    @property
-    def strides(self):
-        return roi_ops.PYRAMID_STRIDES
 
 
 # ---- parameters -----------------------------------------------------------
@@ -235,8 +230,12 @@ def pyramid_anchors(pyr: FeaturePyramid, cfg: NetConfig) -> list[np.ndarray]:
 
 
 def generate_proposals(rpn_out, anchors, pre_nms_k: int, post_nms_k: int,
-                       nms_iou: float, img_w: float, img_h: float) -> list[RoI]:
-    """Decode deltas onto anchors, clip, rank, and greedily deduplicate."""
+                       nms_iou: float, img_w: float, img_h: float) -> np.ndarray:
+    """Decode deltas onto anchors, clip, rank, and greedily deduplicate.
+
+    Returns the kept boxes as a [K,4] array in descending score order;
+    K is 0 when every decoded box is degenerate.
+    """
     all_boxes = []
     all_scores = []
     for (obj, box), anc in zip(rpn_out, anchors):
@@ -249,11 +248,11 @@ def generate_proposals(rpn_out, anchors, pre_nms_k: int, post_nms_k: int,
     valid = (boxes[:, 2] - boxes[:, 0] > 1e-3) & (boxes[:, 3] - boxes[:, 1] > 1e-3)
     boxes, scores = boxes[valid], scores[valid]
     if len(scores) == 0:
-        return []
+        return np.zeros((0, 4))
     order = np.argsort(-scores, kind="stable")[:pre_nms_k]
     boxes, scores = boxes[order], scores[order]
     keep = nms(boxes, scores, nms_iou)[:post_nms_k]
-    return [RoI(*(float(v) for v in boxes[i]), score=float(scores[i])) for i in keep]
+    return boxes[keep]
 
 
 # ---- RPN training targets -------------------------------------------------
@@ -323,23 +322,24 @@ def rpn_loss(rpn_out, anchors, gt_boxes: np.ndarray, rng: np.random.Generator,
 # ---- second stage ---------------------------------------------------------
 
 
-def sample_rois(proposals: list[RoI], gt_boxes: np.ndarray, rng: np.random.Generator,
+def sample_rois(proposals: np.ndarray, gt_boxes: np.ndarray, rng: np.random.Generator,
                 batch: int = 32, pos_frac: float = 0.25, pos_iou: float = 0.5,
                 include_gt: bool = True):
     """Pick the second-stage training batch at a 1:3 positive:negative ratio.
 
-    Ground-truth boxes join the candidate pool (standard practice; it keeps
-    early training supplied with positives). Returns (rois, labels, targets);
-    target rows are meaningful only where the label is 1.
+    Ground-truth boxes join the candidate pool after the proposals (standard
+    practice; it keeps early training supplied with positives). Returns
+    (rois [R,4], labels [R], targets [R,4]); target rows are meaningful only
+    where the label is 1.
     """
     gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
-    cand = [RoI(*(float(v) for v in b)) for b in gt_boxes] if include_gt else []
-    cand = proposals + cand
-    if not cand:
-        return [], np.zeros(0, dtype=np.int64), np.zeros((0, 4))
-    boxes = np.array([[r.x1, r.y1, r.x2, r.y2] for r in cand])
+    cand = np.asarray(proposals, dtype=np.float64).reshape(-1, 4)
+    if include_gt:
+        cand = np.concatenate([cand, gt_boxes])
+    if len(cand) == 0:
+        return np.zeros((0, 4)), np.zeros(0, dtype=np.int64), np.zeros((0, 4))
     if gt_boxes.size:
-        ious = iou_matrix(boxes, gt_boxes)
+        ious = iou_matrix(cand, gt_boxes)
         best = ious.max(axis=1)
         arg = ious.argmax(axis=1)
     else:
@@ -355,31 +355,24 @@ def sample_rois(proposals: list[RoI], gt_boxes: np.ndarray, rng: np.random.Gener
         neg_idx = np.sort(rng.choice(neg_idx, size=n_neg, replace=False))
     picks = np.concatenate([pos_idx, neg_idx]).astype(np.intp)
 
-    rois = [cand[i] for i in picks]
+    rois = cand[picks]
     labels = (best[picks] >= pos_iou).astype(np.int64)
     targets = np.zeros((len(picks), 4))
     if gt_boxes.size and labels.any():
         pos_mask = labels == 1
-        targets[pos_mask] = encode_deltas(boxes[picks][pos_mask], gt_boxes[arg[picks][pos_mask]])
+        targets[pos_mask] = encode_deltas(rois[pos_mask], gt_boxes[arg[picks][pos_mask]])
     return rois, labels, targets
 
 
-def head_forward_batch(regions, cfg: NetConfig, params: dict):
-    """Run the two FC layers and siblings on region features, either a
-    batch tensor [R,C,S,S] or a list of [C,S,S] crops.
+def head_forward_batch(regions: Tensor, cfg: NetConfig, params: dict):
+    """Run the two FC layers and siblings on region features [R,C,S,S].
 
     Returns (logits [R,L], class_scores [R,2], box_deltas [R,4]); the logit
     rows are the activations of the second FC layer, the tensors the
     matching loss operates on.
     """
-    if isinstance(regions, Tensor):
-        r = regions.data.shape[0]
-        x = regions.reshape((r, regions.data.size // r))
-    else:
-        if not regions:
-            raise ShapeError("head_forward_batch on an empty region list")
-        rows = [r.reshape((1, r.data.size)) for r in regions]
-        x = rows[0] if len(rows) == 1 else ad.concat(rows, axis=0)
+    r = regions.data.shape[0]
+    x = regions.reshape((r, regions.data.size // r))
     if x.data.shape[1] != cfg.head_input_width:
         raise ShapeError(
             f"region width {x.data.shape[1]} does not match head input {cfg.head_input_width}"
@@ -389,12 +382,6 @@ def head_forward_batch(regions, cfg: NetConfig, params: dict):
     cls = ad.linear(logit, params["head.cls.w"], params["head.cls.b"])
     box = ad.linear(logit, params["head.box.w"], params["head.box.b"])
     return logit, cls, box
-
-
-def head_forward(region: Tensor, cfg: NetConfig, params: dict):
-    """Single-region head: (logit [L], class_scores [2], box_deltas [4])."""
-    logit, cls, box = head_forward_batch([region], cfg, params)
-    return logit.flatten(), cls.flatten(), box.flatten()
 
 
 def detection_loss(class_scores: Tensor, box_deltas: Tensor, roi_labels,
@@ -427,7 +414,7 @@ def detect(image: Tensor, cfg: NetConfig, params: dict,
     proposals = generate_proposals(
         rpn_out, pyramid_anchors(pyr, cfg), cfg.pre_nms_k, cfg.post_nms_k, cfg.nms_iou, w, h
     )
-    if not proposals:
+    if len(proposals) == 0:
         return []
     regions = roi_ops.extract_region_batch(
         pyr, proposals, cfg.pyramid_roi, out_size=cfg.roi_size, samples=cfg.roi_samples
@@ -437,9 +424,7 @@ def detect(image: Tensor, cfg: NetConfig, params: dict,
     probs = np.exp(z - z.max(axis=1, keepdims=True))
     probs /= probs.sum(axis=1, keepdims=True)
     scores = probs[:, 1]
-    boxes = clip_boxes(
-        decode_deltas(np.array([[r.x1, r.y1, r.x2, r.y2] for r in proposals]), box.data), w, h
-    )
+    boxes = clip_boxes(decode_deltas(proposals, box.data), w, h)
     ok = (scores > score_thresh) & (boxes[:, 2] - boxes[:, 0] > 1e-3) & (boxes[:, 3] - boxes[:, 1] > 1e-3)
     boxes, scores = boxes[ok], scores[ok]
     if len(scores) == 0:

@@ -1,10 +1,11 @@
-"""Fixed-size region cropping from pyramid features.
+"""Fixed-size region cropping from pyramid features, batched over boxes.
 
-Two croppers are provided: the classic single-level path, where a box is
-first mapped to one pyramid level by its area and cropped there, and the
-hierarchical path that crops the same box from every level and stacks the
-results along the channel axis, so a region carries fine detail and coarse
-context at once.
+Boxes arrive as one float64 [R,4] array. ``roi_align_batch`` crops every box
+from one level at once; ``extract_region_batch`` applies it in the two crop
+modes: the classic single-level path, where each box is first mapped to one
+pyramid level by its area and cropped there, and the hierarchical path that
+crops the same box from every level and stacks the results along the channel
+axis, so a region carries fine detail and coarse context at once.
 """
 
 from __future__ import annotations
@@ -24,15 +25,17 @@ CANONICAL_SIZE = 56.0
 _MIN_EXTENT = 1e-6
 
 
-def assign_level(roi, canonical: float = CANONICAL_SIZE, k0: int = 4) -> int:
-    """Map a box to the pyramid level matching its scale.
+def assign_level(box, canonical: float = CANONICAL_SIZE, k0: int = 4) -> int:
+    """Map one (x1, y1, x2, y2) box to the pyramid level matching its scale.
 
-    level = floor(k0 + log2(sqrt(w*h)/canonical)), clamped to [2, 5].
+    level = floor(k0 + log2(sqrt(w*h)/canonical)), clamped to [2, 5]. Scalar
+    math keeps the floor exact where sqrt(w*h)/canonical is a power of two.
     """
-    w = roi.x2 - roi.x1
-    h = roi.y2 - roi.y1
+    x1, y1, x2, y2 = (float(v) for v in box)
+    w = x2 - x1
+    h = y2 - y1
     if w <= 0 or h <= 0:
-        raise ValueError(f"degenerate RoI ({roi.x1},{roi.y1},{roi.x2},{roi.y2})")
+        raise ValueError(f"degenerate box ({x1},{y1},{x2},{y2})")
     k = math.floor(k0 + math.log2(math.sqrt(w * h) / canonical))
     return int(min(max(k, 2), 5))
 
@@ -40,18 +43,11 @@ def assign_level(roi, canonical: float = CANONICAL_SIZE, k0: int = 4) -> int:
 def _as_chw(feature: Tensor) -> Tensor:
     if feature.data.ndim == 4:
         if feature.data.shape[0] != 1:
-            raise ShapeError("roi_align expects a single-image feature map")
+            raise ShapeError("roi_align_batch expects a single-image feature map")
         return feature.reshape(feature.data.shape[1:])
     if feature.data.ndim != 3:
-        raise ShapeError("roi_align expects [C,H,W] or [1,C,H,W]")
+        raise ShapeError("roi_align_batch expects [C,H,W] or [1,C,H,W]")
     return feature
-
-
-def _axis_samples(lo: float, size: float, bins: int, samples: int) -> np.ndarray:
-    """Sub-grid sample coordinates: `samples` evenly placed points per bin."""
-    bin_size = size / bins
-    offs = (np.arange(bins)[:, None] + (np.arange(samples)[None, :] + 0.5) / samples)
-    return (lo + offs * bin_size).reshape(-1)
 
 
 def _clamped_corners(coords: np.ndarray, limit: int):
@@ -60,62 +56,6 @@ def _clamped_corners(coords: np.ndarray, limit: int):
     np.clip(i0, 0, max(limit - 2, 0), out=i0)
     i1 = np.minimum(i0 + 1, limit - 1)
     return i0, i1, c - i0
-
-
-def roi_align(feature: Tensor, roi, stride: float, out_size: int = 7, samples: int = 2) -> Tensor:
-    """Average-of-bilinear-samples crop of one pyramid level.
-
-    The box is mapped to feature coordinates by dividing by ``stride``
-    (no rounding, no half-pixel shift); each of the out_size^2 bins averages
-    samples^2 bilinear lookups on a regular sub-grid. Degenerate boxes are
-    clamped to a minimum extent. Output is [C, out_size, out_size].
-    """
-    f = _as_chw(feature)
-    c, h, w = f.data.shape
-    fx1, fy1 = roi.x1 / stride, roi.y1 / stride
-    fw = max((roi.x2 - roi.x1) / stride, _MIN_EXTENT)
-    fh = max((roi.y2 - roi.y1) / stride, _MIN_EXTENT)
-
-    xs = _axis_samples(fx1, fw, out_size, samples)
-    ys = _axis_samples(fy1, fh, out_size, samples)
-    x0, x1, wx = _clamped_corners(xs, w)
-    y0, y1, wy = _clamped_corners(ys, h)
-
-    fd = f.data
-    # separable corner gathers: [C, Sn, Sn] each
-    v00 = fd[:, y0[:, None], x0[None, :]]
-    v01 = fd[:, y0[:, None], x1[None, :]]
-    v10 = fd[:, y1[:, None], x0[None, :]]
-    v11 = fd[:, y1[:, None], x1[None, :]]
-    wy_ = wy[:, None]
-    wx_ = wx[None, :]
-    vals = (
-        (1 - wy_) * (1 - wx_) * v00
-        + (1 - wy_) * wx_ * v01
-        + wy_ * (1 - wx_) * v10
-        + wy_ * wx_ * v11
-    )
-    sn = out_size * samples
-    out_data = vals.reshape(c, out_size, samples, out_size, samples).mean(axis=(2, 4))
-
-    out = Tensor._from_op(out_data, (f,), None)
-
-    def bk(g):
-        if not f.requires_grad:
-            return
-        if f.grad is None:
-            f.grad = np.zeros_like(f.data)
-        gs = np.broadcast_to(
-            g[:, :, None, :, None] / (samples * samples), (c, out_size, samples, out_size, samples)
-        ).reshape(c, sn, sn)
-        ch = np.arange(c)[:, None, None]
-        np.add.at(f.grad, (ch, y0[None, :, None], x0[None, None, :]), (1 - wy_) * (1 - wx_) * gs)
-        np.add.at(f.grad, (ch, y0[None, :, None], x1[None, None, :]), (1 - wy_) * wx_ * gs)
-        np.add.at(f.grad, (ch, y1[None, :, None], x0[None, None, :]), wy_ * (1 - wx_) * gs)
-        np.add.at(f.grad, (ch, y1[None, :, None], x1[None, None, :]), wy_ * wx_ * gs)
-
-    out._backward = bk if out.requires_grad else None
-    return out
 
 
 def _interp_matrix(lo: np.ndarray, size: np.ndarray, limit: int,
@@ -139,19 +79,22 @@ def _interp_matrix(lo: np.ndarray, size: np.ndarray, limit: int,
 
 def roi_align_batch(feature: Tensor, rois, stride: float, out_size: int = 7,
                     samples: int = 2) -> Tensor:
-    """roi_align over a whole box list at once; output [R, C, S, S].
+    """Average-of-bilinear-samples crop of every box in ``rois`` [R,4] from
+    one pyramid level; output [R, C, S, S].
 
-    Bilinear sampling plus bin averaging is separable, so each crop is
-    Ay @ F @ Ax^T with per-box interpolation matrices; both directions are
-    then batched matmuls. Agrees with stacked per-box roi_align calls to
-    float round-off.
+    Boxes map to feature coordinates by dividing by ``stride`` (no rounding,
+    no half-pixel shift); each of the S^2 bins averages samples^2 bilinear
+    lookups on a regular sub-grid, clamped to the map border. Degenerate
+    boxes are clamped to a minimum extent. Bilinear sampling plus bin
+    averaging is separable, so each crop is Ay @ F @ Ax^T with per-box
+    interpolation matrices; both directions are then batched matmuls.
     """
     f = _as_chw(feature)
     c, h, w = f.data.shape
-    boxes = np.array([[r.x1, r.y1, r.x2, r.y2] for r in rois], dtype=np.float64)
+    boxes = np.asarray(rois, np.float64).reshape(-1, 4)
     n_roi = boxes.shape[0]
     if n_roi == 0:
-        raise ShapeError("roi_align_batch on an empty box list")
+        raise ShapeError("roi_align_batch on an empty box array")
     fw = np.maximum((boxes[:, 2] - boxes[:, 0]) / stride, _MIN_EXTENT)
     fh = np.maximum((boxes[:, 3] - boxes[:, 1]) / stride, _MIN_EXTENT)
     ay = _interp_matrix(boxes[:, 1] / stride, fh, h, out_size, samples)  # [R,S,H]
@@ -172,37 +115,17 @@ def roi_align_batch(feature: Tensor, rois, stride: float, out_size: int = 7,
     return out
 
 
-def pyramid_roi_align(pyramid, roi, out_size: int = 7, samples: int = 2) -> Tensor:
-    """Crop one box from every pyramid level and concatenate along channels.
-
-    Level order is P2..P5, so channel block [i*d, (i+1)*d) holds the crop of
-    level 2+i. Output is [4d, out_size, out_size].
-    """
-    crops = [
-        roi_align(level, roi, stride, out_size=out_size, samples=samples)
-        for level, stride in zip(pyramid.levels(), PYRAMID_STRIDES)
-    ]
-    return concat(crops, axis=0)
-
-
-def single_level_roi_align(pyramid, roi, out_size: int = 7, samples: int = 2,
-                           canonical: float = CANONICAL_SIZE) -> Tensor:
-    """Crop one box from the level chosen by assign_level. Output [d,S,S]."""
-    level = assign_level(roi, canonical=canonical)
-    idx = level - 2
-    feature = list(pyramid.levels())[idx]
-    return roi_align(feature, roi, PYRAMID_STRIDES[idx], out_size=out_size, samples=samples)
-
-
 def extract_region_batch(pyramid, rois, use_pyramid: bool, out_size: int = 7,
                          samples: int = 2, canonical: float = CANONICAL_SIZE) -> Tensor:
-    """Region features for a box list in the configured crop mode.
+    """Region features for a box array [R,4] in the configured crop mode.
 
-    Returns [R, 4d, S, S] (all-level concat) or [R, d, S, S] (per-box level
-    assignment), rows ordered like ``rois``.
+    Returns [R, 4d, S, S] (all-level concat; channel block [i*d, (i+1)*d)
+    holds the crop of level 2+i) or [R, d, S, S] (per-box level assignment),
+    rows ordered like ``rois``.
     """
-    if not rois:
-        raise ShapeError("extract_region_batch on an empty box list")
+    rois = np.asarray(rois, np.float64).reshape(-1, 4)
+    if len(rois) == 0:
+        raise ShapeError("extract_region_batch on an empty box array")
     if use_pyramid:
         crops = [
             roi_align_batch(level, rois, stride, out_size=out_size, samples=samples)
@@ -218,8 +141,7 @@ def extract_region_batch(pyramid, rois, use_pyramid: bool, out_size: int = 7,
         if not idx:
             continue
         pieces.append(
-            roi_align_batch(feature, [rois[i] for i in idx], stride,
-                            out_size=out_size, samples=samples)
+            roi_align_batch(feature, rois[idx], stride, out_size=out_size, samples=samples)
         )
         order.extend(idx)
     stacked = pieces[0] if len(pieces) == 1 else concat(pieces, axis=0)

@@ -5,6 +5,10 @@ freezes the teacher and trains the student on the same supervised losses plus
 the weighted feature-matching terms; the teacher contributes activations
 only, never gradients. With every matching term disabled the student phase
 reduces exactly (bitwise) to plain supervised training.
+
+Each step keeps its boxes as [N,4] arrays: the student's proposals feed the
+second-stage sampler, and region and logit matching crop those same
+proposals from the student and teacher pyramids.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nets, roi
-from .autodiff import GradError, Tensor, backward
+from .autodiff import Tensor, backward
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import SyntheticScene
 from .distill import (
@@ -154,7 +158,8 @@ def train_detector(scenes: list[SyntheticScene], net_cfg: NetConfig, tcfg: Train
                    teacher: _TeacherContext | None = None,
                    log_fh=None) -> tuple[dict, list[StepRecord]]:
     """Core seeded loop shared by both phases. ``teacher`` enables the
-    matching losses configured in ``tcfg.distill``."""
+    matching losses configured in ``tcfg.distill``; it raises ValueError
+    when the teacher's pyramid or logit width differs from the student's."""
     dcfg = tcfg.distill
     distilling = teacher is not None and dcfg.any_enabled
     if distilling:
@@ -194,14 +199,12 @@ def train_detector(scenes: list[SyntheticScene], net_cfg: NetConfig, tcfg: Train
             )
             rois, labels, targets = nets.sample_rois(proposals, gt_arr, rng)
 
-            logits = None
-            regions = None
-            if rois:
+            if len(rois):
                 regions = roi.extract_region_batch(
                     pyr, rois, net_cfg.pyramid_roi,
                     out_size=net_cfg.roi_size, samples=net_cfg.roi_samples,
                 )
-                logits, cls, box = nets.head_forward_batch(regions, net_cfg, params)
+                _, cls, box = nets.head_forward_batch(regions, net_cfg, params)
                 loss_det = nets.detection_loss(cls, box, labels, targets)
                 total = ad.add(loss_det, loss_rpn)
             else:
@@ -214,35 +217,26 @@ def train_detector(scenes: list[SyntheticScene], net_cfg: NetConfig, tcfg: Train
                 pd = pyramid_distill_loss(pyr, t_pyr) if dcfg.enable_pd else None
                 rd = Tensor(0.0) if dcfg.enable_rd else None
                 ld = Tensor(0.0) if dcfg.enable_ld else None
-                droi = proposals if dcfg.roi_source == "proposals" else rois
-                if droi and (dcfg.enable_rd or dcfg.enable_ld):
-                    if droi is rois:
-                        s_reg = regions
-                        s_logits = logits
-                    else:
-                        s_reg = roi.extract_region_batch(
-                            pyr, droi, dcfg.pyramid_roi_align,
-                            out_size=net_cfg.roi_size, samples=net_cfg.roi_samples,
-                        )
-                        s_logits = None
+                if len(proposals) and (dcfg.enable_rd or dcfg.enable_ld):
+                    s_reg = roi.extract_region_batch(
+                        pyr, proposals, dcfg.pyramid_roi_align,
+                        out_size=net_cfg.roi_size, samples=net_cfg.roi_samples,
+                    )
                     t_reg = None
                     if dcfg.enable_rd:
                         t_reg = roi.extract_region_batch(
-                            t_pyr, droi, dcfg.pyramid_roi_align,
+                            t_pyr, proposals, dcfg.pyramid_roi_align,
                             out_size=net_cfg.roi_size, samples=net_cfg.roi_samples,
                         )
                         rd = region_distill_loss(s_reg, t_reg)
                     if dcfg.enable_ld:
-                        if s_logits is None:
-                            s_logits, _, _ = nets.head_forward_batch(s_reg, net_cfg, params)
-                        if t_reg is not None and teacher.cfg.pyramid_roi == dcfg.pyramid_roi_align:
-                            t_reg_head = t_reg
-                        else:
-                            t_reg_head = roi.extract_region_batch(
-                                t_pyr, droi, teacher.cfg.pyramid_roi,
+                        s_logits, _, _ = nets.head_forward_batch(s_reg, net_cfg, params)
+                        if t_reg is None or teacher.cfg.pyramid_roi != dcfg.pyramid_roi_align:
+                            t_reg = roi.extract_region_batch(
+                                t_pyr, proposals, teacher.cfg.pyramid_roi,
                                 out_size=teacher.cfg.roi_size, samples=teacher.cfg.roi_samples,
                             )
-                        t_logits, _, _ = nets.head_forward_batch(t_reg_head, teacher.cfg, teacher.params)
+                        t_logits, _, _ = nets.head_forward_batch(t_reg, teacher.cfg, teacher.params)
                         ld = logit_distill_loss(s_logits, t_logits)
                 loss_dist, report = total_distill_loss(dcfg, pd, rd, ld)
                 total = ad.add(total, loss_dist)
@@ -301,6 +295,8 @@ def distill_student(scenes, teacher_ckpt, tcfg: TrainConfig, ckpt_path,
 
     The student's region cropper follows the matching configuration
     (``tcfg.distill.pyramid_roi_align``), which fixes its head input width.
+    Raises ValueError when matching is on and the teacher's pyramid or logit
+    width differs from the student's.
     """
     if not scenes:
         raise ValueError("empty training set")
@@ -309,12 +305,6 @@ def distill_student(scenes, teacher_ckpt, tcfg: TrainConfig, ckpt_path,
     if student_cfg is None:
         student_cfg = nets.default_student_config()
     student_cfg = replace(student_cfg, pyramid_roi=tcfg.distill.pyramid_roi_align)
-    if tcfg.distill.any_enabled:
-        if teacher_cfg.pyramid_width != student_cfg.pyramid_width:
-            raise ValueError("teacher/student pyramid widths differ")
-        if teacher_cfg.logit_width != student_cfg.logit_width:
-            raise ValueError("teacher/student logit widths differ")
-
     teacher = _TeacherContext(teacher_cfg, t_params, cache=tcfg.cache_teacher)
     log_fh = open(log_path, "w") if log_path else None
     try:

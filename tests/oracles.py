@@ -4,13 +4,16 @@ Everything here is deliberately written as plain scalar loops or one-line
 formulas, sharing no code with the library, so the two sides of every
 equivalence test fail independently. The exceptions are conv2d_im2col and
 maxpool2x2_argmax: the library's earlier vectorized conv and pooling, kept
-in plain numpy as bit-for-bit references for the current kernels.
+in plain numpy as bit-for-bit references for the current kernels; and mse,
+a test loss composed from library ops, which the detector never runs.
 """
 
 import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+import distilldet.autodiff as ad
 
 
 def conv2d_loops(x, w, b, stride=1, pad=0):
@@ -225,3 +228,10 @@ def maxpool2x2_argmax(x, g):
     np.put_along_axis(gb, idx[..., None], g[..., None], axis=-1)
     gx = gb.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
     return out, gx
+
+
+def mse(a, b):
+    """Mean of elementwise squared differences of two tensors, as a graph
+    of library ops (sub, mul, tmean)."""
+    d = ad.sub(a, b)
+    return ad.tmean(ad.mul(d, d))

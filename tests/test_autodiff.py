@@ -1,10 +1,13 @@
 """Tensor core semantics: construction, backward bookkeeping, optimizer."""
 
+import math
+
 import numpy as np
 import pytest
 
 import distilldet.autodiff as ad
-from distilldet import GradError, ShapeError, Tape, TapeError, Tensor, backward, sgd_step
+from distilldet import SGD, ShapeError, Tape, TapeError, Tensor, backward
+from oracles import mse
 
 
 class TestTensorBasics:
@@ -49,7 +52,7 @@ class TestBackward:
         # mean of squares: grad = 2x / len(x)
         vals = np.array([1.0, -2.0, 0.5, 3.0])
         x = Tensor(vals, requires_grad=True)
-        backward(ad.mse(x, Tensor(np.zeros(4))))
+        backward(mse(x, Tensor(np.zeros(4))))
         assert np.allclose(x.grad, 2 * vals / 4, atol=1e-15)
 
     def test_non_scalar_loss_rejected(self):
@@ -91,7 +94,7 @@ class TestBackward:
 
         def losses(x):
             y = ad.linear(x, Tensor(w), Tensor(np.zeros(2)))
-            return ad.mse(y, Tensor(np.zeros((4, 2)))), ad.relu(y).sum()
+            return mse(y, Tensor(np.zeros((4, 2)))), ad.relu(y).sum()
 
         x1 = Tensor(base, requires_grad=True)
         l1, l2 = losses(x1)
@@ -129,7 +132,7 @@ class TestDeterminism:
             r = np.random.default_rng(seed)
             x = Tensor(r.normal(size=(3, 5)), requires_grad=True)
             w = Tensor(r.normal(size=(5, 4)), requires_grad=True)
-            loss = ad.mse(ad.relu(ad.linear(x, w, Tensor(np.zeros(4)))), Tensor(np.zeros((3, 4))))
+            loss = mse(ad.relu(ad.linear(x, w, Tensor(np.zeros(4)))), Tensor(np.zeros((3, 4))))
             backward(loss)
             return loss.item(), x.grad.copy(), w.grad.copy()
 
@@ -141,31 +144,37 @@ class TestDeterminism:
 
 
 class TestSgdStep:
+    """train.SGD without momentum is plain p <- p - lr * grad."""
+
     def test_basic_arithmetic(self):
         p = Tensor([1.0], requires_grad=True)
         p.grad = np.array([0.5])
-        sgd_step([p], lr=0.002)
+        SGD({"p": p}, momentum=0.0).step(lr=0.002)
         assert np.allclose(p.data, [0.999])
         assert p.grad is None
 
     def test_zero_lr_keeps_params(self):
         p = Tensor([3.0, -1.0], requires_grad=True)
         p.grad = np.array([10.0, 10.0])
-        sgd_step([p], lr=0.0)
+        SGD({"p": p}, momentum=0.0).step(lr=0.0)
         assert np.array_equal(p.data, [3.0, -1.0])
 
-    def test_missing_grad_errors(self):
+    def test_missing_grad_leaves_param_untouched(self):
         p = Tensor([1.0], requires_grad=True)
-        with pytest.raises(GradError):
-            sgd_step([p], lr=0.1)
+        q = Tensor([2.0], requires_grad=True)
+        q.grad = np.array([1.0])
+        SGD({"p": p, "q": q}, momentum=0.0).step(lr=0.1)
+        assert np.array_equal(p.data, [1.0])
+        assert np.allclose(q.data, [1.9])
 
     def test_quadratic_convergence(self):
         # minimize (x-3)^2 with lr 0.1
         x = Tensor([0.0], requires_grad=True)
+        opt = SGD({"x": x}, momentum=0.0)
         for _ in range(100):
             d = ad.sub(x, 3.0)
             backward((d * d).sum())
-            sgd_step([x], lr=0.1)
+            opt.step(lr=0.1)
         assert abs(x.item() - 3.0) < 1e-6
 
 
@@ -179,8 +188,11 @@ class TestOpExamples:
         assert np.allclose(v.data, [1.5])
 
     def test_softmax_rows_sum_to_one(self, rng):
-        s = ad.softmax(Tensor(rng.normal(size=(4, 6))), axis=-1)
-        assert np.allclose(s.data.sum(axis=1), 1.0)
+        # exp(-CE(z, k)) is softmax(z)[k], the probability the fused op uses
+        for row in rng.normal(size=(4, 6)):
+            probs = [math.exp(-ad.softmax_cross_entropy(Tensor(row[None]), [k]).item())
+                     for k in range(6)]
+            assert abs(sum(probs) - 1.0) < 1e-12
 
     def test_cross_entropy_perfect_prediction(self):
         logits = Tensor(np.array([[20.0, -20.0], [-20.0, 20.0]]))

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import distilldet.autodiff as ad
 from distilldet import Tensor, backward, nets
 from distilldet.distill import (
     DistillConfig,
@@ -53,24 +52,16 @@ class TestLogitLoss:
         a = rng.normal(size=(5, 8))
         assert logit_distill_loss(Tensor(a, requires_grad=True), Tensor(a.copy())).item() == 0.0
 
-    def test_empty_list_zero(self):
-        assert logit_distill_loss([], []).item() == 0.0
-
     def test_count_mismatch_rejected(self, rng):
         with pytest.raises(Exception):
-            logit_distill_loss([Tensor(rng.normal(size=4))], [])
+            logit_distill_loss(Tensor(rng.normal(size=(3, 4)), requires_grad=True),
+                               Tensor(rng.normal(size=(2, 4))))
 
 
 class TestRegionLoss:
-    def test_empty_roi_list_returns_zero(self):
-        loss = region_distill_loss([], [])
-        assert loss.item() == 0.0
-        assert not loss.requires_grad
-
     def test_identical_regions_zero(self, rng):
-        a = [rng.normal(size=(2, 3, 3)) for _ in range(4)]
-        loss = region_distill_loss([Tensor(x, requires_grad=True) for x in a],
-                                   [Tensor(x.copy()) for x in a])
+        a = rng.normal(size=(4, 2, 3, 3))
+        loss = region_distill_loss(Tensor(a, requires_grad=True), Tensor(a.copy()))
         assert loss.item() == 0.0
 
 

@@ -2,11 +2,9 @@
 the end-to-end detection-loss gradient check."""
 
 import numpy as np
-import pytest
 
 import distilldet.autodiff as ad
 from distilldet import Tensor, backward, nets, roi
-from distilldet.boxes import RoI
 from distilldet.gradcheck import check_gradients, numeric_grad, op_checks, rel_error
 
 
@@ -39,24 +37,25 @@ def test_conv2d_gradcheck_strided_padded(rng):
 
 def test_roi_align_gradcheck(rng):
     f = rng.normal(size=(3, 8, 10))
-    box = RoI(2.3, 1.1, 8.7, 7.2)
-    worst = check_gradients(lambda ft: roi.roi_align(ft, box, stride=1.0, out_size=3), [f])
+    box = np.array([[2.3, 1.1, 8.7, 7.2]])
+    worst = check_gradients(lambda ft: roi.roi_align_batch(ft, box, stride=1.0, out_size=3), [f])
     assert worst < 1e-4
 
 
 def test_roi_align_batch_gradcheck(rng):
     f = rng.normal(size=(2, 8, 10))
-    boxes = [RoI(2.3, 1.1, 8.7, 7.2), RoI(0.0, 0.0, 9.9, 7.9)]
+    boxes = np.array([[2.3, 1.1, 8.7, 7.2], [0.0, 0.0, 9.9, 7.9]])
     worst = check_gradients(lambda ft: roi.roi_align_batch(ft, boxes, 1.0, out_size=3), [f])
     assert worst < 1e-4
 
 
 def test_pyramid_roi_align_gradcheck(rng):
+    """All-level crops: every level's gradient matches finite differences."""
     levels = [Tensor(rng.normal(size=(2, 16 // s, 24 // s)), requires_grad=True)
               for s in (1, 2, 4, 8)]
     pyr = nets.FeaturePyramid(*levels)
-    box = RoI(10.0, 8.0, 50.0, 60.0)
-    out = roi.pyramid_roi_align(pyr, box, out_size=3)
+    box = np.array([[10.0, 8.0, 50.0, 60.0]])
+    out = roi.extract_region_batch(pyr, box, True, out_size=3)
     proj = np.random.default_rng(0).normal(size=out.data.shape)
     backward(ad.tsum(ad.mul(out, Tensor(proj))))
     for i, lvl in enumerate(levels):
@@ -64,7 +63,7 @@ def test_pyramid_roi_align_gradcheck(rng):
 
         def fn(*arrays):
             pr = nets.FeaturePyramid(*[Tensor(a) for a in arrays])
-            return float((roi.pyramid_roi_align(pr, box, out_size=3).data * proj).sum())
+            return float((roi.extract_region_batch(pr, box, True, out_size=3).data * proj).sum())
 
         num = numeric_grad(fn, [l.data for l in levels], i)
         assert rel_error(ana, num) < 1e-4
@@ -76,7 +75,7 @@ def test_end_to_end_detection_loss_gradient(tiny_student_cfg, rng):
     cfg = tiny_student_cfg
     params = nets.init_params(cfg, seed=3)
     image = Tensor(rng.uniform(0.0, 1.0, size=(1, 3, 64, 64)))
-    rois = [RoI(4.0, 6.0, 20.0, 40.0), RoI(30.0, 10.0, 44.0, 58.0), RoI(2.0, 2.0, 60.0, 60.0)]
+    rois = np.array([[4.0, 6.0, 20.0, 40.0], [30.0, 10.0, 44.0, 58.0], [2.0, 2.0, 60.0, 60.0]])
     labels = np.array([1, 0, 1])
     targets = np.array([[0.1, -0.05, 0.2, 0.0], [0, 0, 0, 0], [-0.1, 0.02, 0.0, 0.1]])
 

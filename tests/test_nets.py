@@ -6,9 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import distilldet.autodiff as ad
 from distilldet import Tensor, backward, nets
-from distilldet.boxes import RoI, decode_deltas, encode_deltas, iou_matrix, level_anchors
+from distilldet.boxes import decode_deltas, encode_deltas, iou_matrix, level_anchors
 from oracles import iou_scalar
 
 
@@ -172,25 +171,29 @@ class TestProposals:
     def test_zero_deltas_reproduce_clipped_anchors(self, tiny_student_cfg):
         rpn_out, anchors = self._pyr_and_out(tiny_student_cfg, 1.0, 0.0)
         props = nets.generate_proposals(rpn_out, anchors, 500, 500, 0.99, img_w=48, img_h=32)
-        assert props
+        assert props.ndim == 2 and props.shape[1] == 4 and len(props)
         expect = np.clip(np.concatenate(anchors), [0, 0, 0, 0], [48, 32, 48, 32])
         for p in props:
-            dists = np.abs(expect - np.array([p.x1, p.y1, p.x2, p.y2])).max(axis=1)
+            dists = np.abs(expect - p).max(axis=1)
             assert dists.min() < 1e-9  # identity decode up to round-off
 
     def test_identical_boxes_nms_keeps_higher_score(self):
-        rpn_out = [(Tensor(np.array([[[2.0, 1.0]]])), Tensor(np.zeros((4, 1, 2))))]
+        # two identical anchors; the second scores higher and is nudged 0.1 px
+        # right by its deltas, so the surviving box shows which one NMS kept
+        deltas = np.zeros((4, 1, 2))
+        deltas[0, 0, 1] = 0.01
+        rpn_out = [(Tensor(np.array([[[1.0, 2.0]]])), Tensor(deltas))]
         anchors = [np.array([[0.0, 0.0, 10.0, 10.0], [0.0, 0.0, 10.0, 10.0]])]
         props = nets.generate_proposals(rpn_out, anchors, 10, 10, 0.5, 20, 20)
-        assert len(props) == 1
-        assert props[0].score == pytest.approx(1 / (1 + math.exp(-2.0)))
+        assert props.shape == (1, 4)
+        assert np.allclose(props[0], [0.1, 0.0, 10.1, 10.0], atol=1e-12)
 
     def test_empty_result_is_legal(self):
         # deltas push every box fully outside the image
         rpn_out = [(Tensor(np.zeros((1, 2, 2))), Tensor(np.full((4, 2, 2), 50.0)))]
         anchors = [level_anchors(2, 2, 2)]
         props = nets.generate_proposals(rpn_out, anchors, 10, 10, 0.5, 8, 8)
-        assert props == []
+        assert props.shape == (0, 4) and props.dtype == np.float64
 
     def test_proposals_inside_bounds_and_positive_area(self, tiny_student_cfg, rng):
         cfg = tiny_student_cfg
@@ -200,10 +203,34 @@ class TestProposals:
         out = nets.rpn_forward(pyr, cfg, params)
         props = nets.generate_proposals(out, nets.pyramid_anchors(pyr, cfg),
                                         cfg.pre_nms_k, cfg.post_nms_k, cfg.nms_iou, 96, 64)
-        assert props
-        for p in props:
-            assert 0.0 <= p.x1 < p.x2 <= 96.0
-            assert 0.0 <= p.y1 < p.y2 <= 64.0
+        assert len(props)
+        for x1, y1, x2, y2 in props:
+            assert 0.0 <= x1 < x2 <= 96.0
+            assert 0.0 <= y1 < y2 <= 64.0
+
+
+class TestSampleRois:
+    def test_empty_proposals_without_gt_give_empty_batch(self):
+        rois, labels, targets = nets.sample_rois(np.zeros((0, 4)), np.zeros((0, 4)),
+                                                 np.random.default_rng(0))
+        assert rois.shape == (0, 4)
+        assert labels.shape == (0,)
+        assert targets.shape == (0, 4)
+
+    def test_empty_proposals_with_gt_sample_the_gt_boxes(self):
+        gt = np.array([[5.0, 5.0, 25.0, 60.0], [40.0, 2.0, 52.0, 30.0]])
+        rois, labels, targets = nets.sample_rois(np.zeros((0, 4)), gt, np.random.default_rng(0))
+        assert np.array_equal(rois, gt)
+        assert np.array_equal(labels, [1, 1])
+        assert np.allclose(targets, 0.0, atol=1e-12)
+
+    def test_candidates_are_proposals_then_gt(self):
+        props = np.array([[0.0, 0.0, 8.0, 8.0], [60.0, 60.0, 70.0, 80.0]])
+        gt = np.array([[5.0, 5.0, 25.0, 60.0]])
+        rois, labels, _ = nets.sample_rois(props, gt, np.random.default_rng(0))
+        # one positive (the GT itself) first, then the two negatives in order
+        assert np.array_equal(rois, np.concatenate([gt, props]))
+        assert np.array_equal(labels, [1, 0, 0])
 
 
 class TestRpnLoss:
@@ -246,33 +273,36 @@ class TestRpnLoss:
 
 
 class TestHead:
+    """head_forward_batch on [R,C,S,S] region tensors."""
+
     def test_zero_region_zero_bias_uniform_softmax(self, tiny_student_cfg):
         cfg = tiny_student_cfg
         params = _zero_params(cfg)
-        region = Tensor(np.zeros((4 * cfg.pyramid_width, cfg.roi_size, cfg.roi_size)))
-        logit, cls, box = nets.head_forward(region, cfg, params)
+        regions = Tensor(np.zeros((2, 4 * cfg.pyramid_width, cfg.roi_size, cfg.roi_size)))
+        logit, cls, box = nets.head_forward_batch(regions, cfg, params)
+        assert logit.shape == (2, cfg.logit_width)
         assert np.all(logit.data == 0.0)
-        probs = ad.softmax(cls.reshape((1, 2))).data
+        probs = np.exp(cls.data) / np.exp(cls.data).sum(axis=1, keepdims=True)
         assert np.allclose(probs, 0.5)
 
     def test_width_mismatch_rejected(self, tiny_student_cfg, rng):
         cfg = tiny_student_cfg
         params = nets.init_params(cfg, 0)
-        bad = Tensor(rng.normal(size=(3, cfg.roi_size, cfg.roi_size)))
+        bad = Tensor(rng.normal(size=(1, 3, cfg.roi_size, cfg.roi_size)))
         with pytest.raises(Exception):
-            nets.head_forward(bad, cfg, params)
+            nets.head_forward_batch(bad, cfg, params)
 
     def test_matches_linear_relu_composition(self, tiny_student_cfg, rng):
         cfg = tiny_student_cfg
         params = nets.init_params(cfg, 5)
-        region = rng.normal(size=(4 * cfg.pyramid_width, cfg.roi_size, cfg.roi_size))
-        logit, cls, box = nets.head_forward(Tensor(region), cfg, params)
-        x = region.reshape(1, -1)
+        regions = rng.normal(size=(3, 4 * cfg.pyramid_width, cfg.roi_size, cfg.roi_size))
+        logit, cls, box = nets.head_forward_batch(Tensor(regions), cfg, params)
+        x = regions.reshape(3, -1)
         h1 = np.maximum(x @ params["head.fc1.w"].data + params["head.fc1.b"].data, 0)
         h2 = np.maximum(h1 @ params["head.fc2.w"].data + params["head.fc2.b"].data, 0)
-        assert np.allclose(logit.data, h2[0], atol=1e-12)
-        assert np.allclose(cls.data, (h2 @ params["head.cls.w"].data + params["head.cls.b"].data)[0], atol=1e-12)
-        assert np.allclose(box.data, (h2 @ params["head.box.w"].data + params["head.box.b"].data)[0], atol=1e-12)
+        assert np.allclose(logit.data, h2, atol=1e-12)
+        assert np.allclose(cls.data, h2 @ params["head.cls.w"].data + params["head.cls.b"].data, atol=1e-12)
+        assert np.allclose(box.data, h2 @ params["head.box.w"].data + params["head.box.b"].data, atol=1e-12)
 
 
 class TestDetectionLoss:

@@ -6,17 +6,16 @@ share no code with the library.
 """
 
 import numpy as np
-import pytest
 
 import distilldet.autodiff as ad
 from distilldet import Tensor, nets, roi
-from distilldet.boxes import RoI, nms
+from distilldet.boxes import nms
 from distilldet.distill import (
     logit_distill_loss,
     pyramid_distill_loss,
     region_distill_loss,
 )
-from distilldet.imageops import bilinear_sample, conv2d
+from distilldet.imageops import conv2d
 from oracles import (
     bilinear_formula,
     conv2d_loops,
@@ -27,6 +26,13 @@ from oracles import (
 )
 
 N_INSTANCES = 50
+
+
+def bilinear_sample(f, x, y):
+    """One bilinear lookup at (x, y) through roi_align_batch: a unit box
+    centred there, cropped to one bin with one sample."""
+    box = np.array([[x - 0.5, y - 0.5, x + 0.5, y + 0.5]])
+    return roi.roi_align_batch(Tensor(f), box, 1.0, out_size=1, samples=1).data[0, :, 0, 0]
 
 
 def test_conv2d_trivial_all_ones():
@@ -98,13 +104,13 @@ def test_bilinear_at_grid_points(rng):
     f = rng.normal(size=(3, 4, 5))
     for i in range(4):
         for j in range(5):
-            got = bilinear_sample(Tensor(f), float(j), float(i)).data
+            got = bilinear_sample(f, float(j), float(i))
             assert np.allclose(got, f[:, i, j], atol=1e-15)
 
 
 def test_bilinear_center_of_2x2_is_mean(rng):
     f = rng.normal(size=(2, 2, 2))
-    got = bilinear_sample(Tensor(f), 0.5, 0.5).data
+    got = bilinear_sample(f, 0.5, 0.5)
     assert np.allclose(got, f.mean(axis=(1, 2)), atol=1e-14)
 
 
@@ -113,7 +119,7 @@ def test_bilinear_random_coords_vs_formula(rng):
     for _ in range(100):
         x = float(rng.uniform(-1.0, 7.5))
         y = float(rng.uniform(-1.0, 6.5))
-        got = bilinear_sample(Tensor(f), x, y).data
+        got = bilinear_sample(f, x, y)
         want = bilinear_formula(f, x, y)
         assert np.allclose(got, want, rtol=0, atol=1e-12)
 
@@ -127,22 +133,22 @@ def test_roi_align_random_vs_loop_oracle(rng):
         stride = float(rng.choice([1.0, 2.0, 4.0]))
         x1 = float(rng.uniform(0, w * stride * 0.5))
         y1 = float(rng.uniform(0, h * stride * 0.5))
-        box = RoI(x1, y1, x1 + float(rng.uniform(1, w * stride * 0.5)),
-                  y1 + float(rng.uniform(1, h * stride * 0.5)))
+        box = (x1, y1, x1 + float(rng.uniform(1, w * stride * 0.5)),
+               y1 + float(rng.uniform(1, h * stride * 0.5)))
         s = int(rng.choice([2, 3]))
         samples = int(rng.choice([1, 2]))
-        got = roi.roi_align(Tensor(f), box, stride, out_size=s, samples=samples).data
-        want = roi_align_loops(f, (box.x1, box.y1, box.x2, box.y2), stride, s, samples)
+        got = roi.roi_align_batch(Tensor(f), np.array([box]), stride, out_size=s, samples=samples).data[0]
+        want = roi_align_loops(f, box, stride, s, samples)
         assert np.allclose(got, want, rtol=0, atol=1e-12), f"instance {i}"
 
 
 def test_roi_align_batch_matches_oracle(rng):
     f = rng.normal(size=(3, 8, 12))
-    boxes = [RoI(float(rng.uniform(0, 20)), float(rng.uniform(0, 12)),
-                 float(rng.uniform(24, 46)), float(rng.uniform(16, 30))) for _ in range(8)]
+    boxes = np.column_stack([rng.uniform(0, 20, 8), rng.uniform(0, 12, 8),
+                             rng.uniform(24, 46, 8), rng.uniform(16, 30, 8)])
     got = roi.roi_align_batch(Tensor(f), boxes, 4.0, out_size=5, samples=2).data
     for i, b in enumerate(boxes):
-        want = roi_align_loops(f, (b.x1, b.y1, b.x2, b.y2), 4.0, 5, 2)
+        want = roi_align_loops(f, b, 4.0, 5, 2)
         assert np.allclose(got[i], want, rtol=0, atol=1e-12)
 
 
@@ -178,11 +184,10 @@ def test_distill_losses_random_vs_loop_oracle(rng):
         assert abs(got - want) < 1e-12
 
         n = int(rng.integers(1, 5))
-        sr = [rng.normal(size=(3, 4, 4)) for _ in range(n)]
-        tr = [rng.normal(size=(3, 4, 4)) for _ in range(n)]
-        got = region_distill_loss([Tensor(a, requires_grad=True) for a in sr],
-                                  [Tensor(a) for a in tr]).item()
-        want = sq_mean_loops(list(zip(sr, tr)))
+        sr = rng.normal(size=(n, 3, 4, 4))
+        tr = rng.normal(size=(n, 3, 4, 4))
+        got = region_distill_loss(Tensor(sr, requires_grad=True), Tensor(tr)).item()
+        want = sq_mean_loops([(sr, tr)])
         assert abs(got - want) < 1e-12
 
         sl = rng.normal(size=(n, 6))
@@ -193,8 +198,9 @@ def test_distill_losses_random_vs_loop_oracle(rng):
 
 
 def test_region_batch_tensor_matches_list_form(rng):
+    """The [R,C,S,S] loss equals the loop oracle summed region by region."""
     sr = rng.normal(size=(4, 3, 2, 2))
     tr = rng.normal(size=(4, 3, 2, 2))
     batch = region_distill_loss(Tensor(sr), Tensor(tr)).item()
-    lists = region_distill_loss([Tensor(a) for a in sr], [Tensor(a) for a in tr]).item()
+    lists = sq_mean_loops(list(zip(sr, tr)))
     assert abs(batch - lists) < 1e-12

@@ -1,11 +1,11 @@
-"""Region cropping: level assignment, single-level and all-level paths."""
+"""Region cropping: level assignment, and the batched croppers on [R,4] box
+arrays in single-level and all-level mode."""
 
 import numpy as np
 import pytest
 
-import distilldet.autodiff as ad
-from distilldet import Tensor, backward, nets, roi
-from distilldet.boxes import RoI
+from distilldet import ShapeError, Tensor, backward, nets, roi
+from oracles import roi_align_loops
 
 
 def _pyramid(rng, d=4, h=32, w=48, requires_grad=False):
@@ -16,84 +16,93 @@ def _pyramid(rng, d=4, h=32, w=48, requires_grad=False):
     return nets.FeaturePyramid(*levels)
 
 
+def _boxes(*rows):
+    return np.array(rows, dtype=np.float64).reshape(-1, 4)
+
+
 class TestAssignLevel:
     def test_canonical_area_goes_to_level_four(self):
-        assert roi.assign_level(RoI(0, 0, 56, 56)) == 4
+        assert roi.assign_level((0, 0, 56, 56)) == 4
 
     def test_sixteenth_canonical_area_two_levels_down(self):
         # area 56^2/16 -> sqrt is 14 -> log2(14/56) = -2
-        assert roi.assign_level(RoI(0, 0, 14, 14)) == 2
+        assert roi.assign_level(_boxes((0, 0, 14, 14))[0]) == 2
 
     def test_random_rois_always_clamped(self, rng):
         for _ in range(1000):
             x1, y1 = rng.uniform(0, 50, size=2)
-            box = RoI(x1, y1, x1 + rng.uniform(0.5, 400), y1 + rng.uniform(0.5, 400))
+            box = (x1, y1, x1 + rng.uniform(0.5, 400), y1 + rng.uniform(0.5, 400))
             assert 2 <= roi.assign_level(box) <= 5
 
     def test_degenerate_roi_rejected(self):
         with pytest.raises(ValueError):
-            roi.assign_level(RoI(5, 5, 5, 9))
+            roi.assign_level((5, 5, 5, 9))
 
 
 class TestRoiAlign:
+    """roi_align_batch on one-row box arrays."""
+
     def test_constant_map_yields_constant(self):
         f = Tensor(np.full((3, 8, 8), 2.5))
-        out = roi.roi_align(f, RoI(1.3, 2.7, 6.1, 7.9), stride=1.0)
+        out = roi.roi_align_batch(f, _boxes((1.3, 2.7, 6.1, 7.9)), stride=1.0)
+        assert out.shape == (1, 3, 7, 7)
         assert np.allclose(out.data, 2.5, atol=1e-12)
 
     def test_aligned_integer_box_single_sample_reads_centers(self, rng):
         f = Tensor(rng.normal(size=(2, 8, 8)))
         # box [1,1]..[5,5] over a 2x2 grid with one center sample per bin:
         # samples land at 2.0/4.0 exactly
-        out = roi.roi_align(f, RoI(1.0, 1.0, 5.0, 5.0), stride=1.0, out_size=2, samples=1)
+        out = roi.roi_align_batch(f, _boxes((1.0, 1.0, 5.0, 5.0)), stride=1.0, out_size=2, samples=1)
         expect = f.data[:, 2::2, 2::2][:, :2, :2]
-        assert np.allclose(out.data, expect, atol=1e-12)
+        assert np.allclose(out.data[0], expect, atol=1e-12)
 
     def test_degenerate_box_clamps_to_min_extent(self):
         f = Tensor(np.arange(32.0).reshape(2, 4, 4))
-        out = roi.roi_align(f, RoI(2.0, 2.0, 2.0 + 1e-9, 3.0), stride=1.0, out_size=2)
+        out = roi.roi_align_batch(f, _boxes((2.0, 2.0, 2.0 + 1e-9, 3.0)), stride=1.0, out_size=2)
         assert np.isfinite(out.data).all()
 
     def test_stride_maps_image_coords(self, rng):
         f = rng.normal(size=(1, 8, 8))
-        a = roi.roi_align(Tensor(f), RoI(8.0, 8.0, 24.0, 24.0), stride=4.0, out_size=2)
-        b = roi.roi_align(Tensor(f), RoI(2.0, 2.0, 6.0, 6.0), stride=1.0, out_size=2)
+        a = roi.roi_align_batch(Tensor(f), _boxes((8.0, 8.0, 24.0, 24.0)), stride=4.0, out_size=2)
+        b = roi.roi_align_batch(Tensor(f), _boxes((2.0, 2.0, 6.0, 6.0)), stride=1.0, out_size=2)
         assert np.allclose(a.data, b.data, atol=1e-14)
 
 
 class TestPyramidRoiAlign:
+    """extract_region_batch in all-level mode on one box."""
+
     def test_single_nonzero_level_fills_its_channel_block(self, rng):
         d = 3
         levels = [Tensor(np.zeros((d, 16 // f, 16 // f))) for f in (1, 2, 4, 8)]
         levels[1] = Tensor(np.abs(rng.normal(size=(d, 8, 8))) + 1.0)  # P3
         pyr = nets.FeaturePyramid(*levels)
-        out = roi.pyramid_roi_align(pyr, RoI(4.0, 4.0, 40.0, 40.0), out_size=3)
-        assert out.shape == (4 * d, 3, 3)
-        assert np.all(out.data[:d] == 0)
-        assert np.all(out.data[d : 2 * d] > 0)
-        assert np.all(out.data[2 * d :] == 0)
+        out = roi.extract_region_batch(pyr, _boxes((4.0, 4.0, 40.0, 40.0)), True, out_size=3)
+        assert out.shape == (1, 4 * d, 3, 3)
+        assert np.all(out.data[0, :d] == 0)
+        assert np.all(out.data[0, d : 2 * d] > 0)
+        assert np.all(out.data[0, 2 * d :] == 0)
 
     def test_constant_pyramid_stays_constant(self):
         levels = [Tensor(np.full((2, 16 // f, 16 // f), 1.25)) for f in (1, 2, 4, 8)]
-        out = roi.pyramid_roi_align(nets.FeaturePyramid(*levels), RoI(1.0, 1.0, 30.0, 30.0))
+        out = roi.extract_region_batch(nets.FeaturePyramid(*levels), _boxes((1.0, 1.0, 30.0, 30.0)), True)
         assert np.allclose(out.data, 1.25, atol=1e-12)
 
     def test_matches_stacked_single_level_calls(self, rng):
         pyr = _pyramid(rng)
-        box = RoI(3.0, 5.0, 30.0, 28.0)
-        out = roi.pyramid_roi_align(pyr, box, out_size=4)
+        box = _boxes((3.0, 5.0, 30.0, 28.0))
+        out = roi.extract_region_batch(pyr, box, True, out_size=4)
         for i, (level, stride) in enumerate(zip(pyr.levels(), roi.PYRAMID_STRIDES)):
-            single = roi.roi_align(level, box, stride, out_size=4)
-            assert np.allclose(out.data[i * 4 : (i + 1) * 4], single.data, rtol=0, atol=1e-12)
+            single = roi.roi_align_batch(level, box, stride, out_size=4)
+            assert np.allclose(out.data[0, i * 4 : (i + 1) * 4], single.data[0], rtol=0, atol=1e-12)
 
     def test_channel_block_isolation_under_perturbation(self, rng):
-        box = RoI(2.0, 2.0, 28.0, 30.0)
+        box = _boxes((2.0, 2.0, 28.0, 30.0))
         base = _pyramid(rng)
-        out0 = roi.pyramid_roi_align(base, box, out_size=3).data
+        out0 = roi.extract_region_batch(base, box, True, out_size=3).data
         for k in range(4):
             bumped = list(base.levels())
             bumped[k] = Tensor(bumped[k].data + rng.normal(size=bumped[k].shape))
-            out1 = roi.pyramid_roi_align(nets.FeaturePyramid(*bumped), box, out_size=3).data
+            out1 = roi.extract_region_batch(nets.FeaturePyramid(*bumped), box, True, out_size=3).data
             d = 4
             changed = np.abs(out1 - out0).reshape(4, d, 3, 3).sum(axis=(1, 2, 3))
             assert changed[k] > 0
@@ -103,42 +112,50 @@ class TestPyramidRoiAlign:
 
     def test_single_level_path_consistent_with_pyramid_block(self, rng):
         pyr = _pyramid(rng)
-        box = RoI(4.0, 6.0, 18.0, 19.0)  # sqrt area ~ 13 -> level 2
-        level = roi.assign_level(box)
-        single = roi.single_level_roi_align(pyr, box, out_size=5)
-        full = roi.pyramid_roi_align(pyr, box, out_size=5)
+        box = _boxes((4.0, 6.0, 18.0, 19.0))  # sqrt area ~ 13 -> level 2
+        level = roi.assign_level(box[0])
+        single = roi.extract_region_batch(pyr, box, False, out_size=5)
+        full = roi.extract_region_batch(pyr, box, True, out_size=5)
         i = level - 2
-        assert np.allclose(full.data[i * 4 : (i + 1) * 4], single.data, rtol=0, atol=1e-12)
+        assert np.allclose(full.data[0, i * 4 : (i + 1) * 4], single.data[0], rtol=0, atol=1e-12)
 
 
 class TestExtractRegionBatch:
     def test_pyramid_mode_matches_per_roi(self, rng):
         pyr = _pyramid(rng)
-        boxes = [RoI(1.0, 2.0, 20.0, 30.0), RoI(5.0, 5.0, 45.0, 31.0)]
+        boxes = _boxes((1.0, 2.0, 20.0, 30.0), (5.0, 5.0, 45.0, 31.0))
         batch = roi.extract_region_batch(pyr, boxes, True, out_size=4)
         for i, b in enumerate(boxes):
-            single = roi.pyramid_roi_align(pyr, b, out_size=4)
-            assert np.allclose(batch.data[i], single.data, rtol=0, atol=1e-12)
+            for k, (level, stride) in enumerate(zip(pyr.levels(), roi.PYRAMID_STRIDES)):
+                want = roi_align_loops(level.data, b, stride, 4, 2)
+                assert np.allclose(batch.data[i, k * 4 : (k + 1) * 4], want, rtol=0, atol=1e-12)
 
     def test_single_mode_restores_input_order(self, rng):
         pyr = _pyramid(rng)
-        boxes = [
-            RoI(0.0, 0.0, 100.0, 90.0),   # level 4
-            RoI(2.0, 2.0, 16.0, 15.0),    # level 2
-            RoI(1.0, 1.0, 99.0, 88.0),    # level 4
-            RoI(3.0, 4.0, 17.0, 18.0),    # level 2
-        ]
+        boxes = _boxes(
+            (0.0, 0.0, 100.0, 90.0),   # level 4
+            (2.0, 2.0, 16.0, 15.0),    # level 2
+            (1.0, 1.0, 99.0, 88.0),    # level 4
+            (3.0, 4.0, 17.0, 18.0),    # level 2
+        )
         batch = roi.extract_region_batch(pyr, boxes, False, out_size=3)
+        levels = list(pyr.levels())
         for i, b in enumerate(boxes):
-            single = roi.single_level_roi_align(pyr, b, out_size=3)
-            assert np.allclose(batch.data[i], single.data, rtol=0, atol=1e-12)
+            k = roi.assign_level(b) - 2
+            want = roi_align_loops(levels[k].data, b, roi.PYRAMID_STRIDES[k], 3, 2)
+            assert np.allclose(batch.data[i], want, rtol=0, atol=1e-12)
 
     def test_gradient_reaches_only_assigned_level_in_single_mode(self, rng):
         pyr = _pyramid(rng, requires_grad=True)
-        boxes = [RoI(2.0, 2.0, 16.0, 15.0)]  # level 2
+        boxes = _boxes((2.0, 2.0, 16.0, 15.0))  # level 2
         out = roi.extract_region_batch(pyr, boxes, False, out_size=3)
         backward(out.sum())
         levels = list(pyr.levels())
         assert levels[0].grad is not None and np.abs(levels[0].grad).sum() > 0
         for lvl in levels[1:]:
             assert lvl.grad is None
+
+    @pytest.mark.parametrize("use_pyramid", [True, False])
+    def test_empty_box_array_rejected(self, rng, use_pyramid):
+        with pytest.raises(ShapeError):
+            roi.extract_region_batch(_pyramid(rng), np.zeros((0, 4)), use_pyramid)
