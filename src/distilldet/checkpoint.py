@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
 
 import numpy as np
 
@@ -18,13 +19,21 @@ _MAGIC = b"distilldet-ckpt v1 "
 
 
 def save_checkpoint(path, params: dict, meta: dict | None = None):
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC + json.dumps(meta or {}, sort_keys=True).encode() + b"\n")
-        for name in sorted(params):
-            arr = np.ascontiguousarray(params[name].data, dtype="<f8")
-            dims = " ".join(str(d) for d in arr.shape)
-            fh.write(f"{name} {arr.ndim} {dims}".rstrip().encode() + b"\n")
-            fh.write(arr.tobytes())
+    """Writes a temporary file beside ``path``, then renames it over ``path``,
+    so a save that fails part way leaves an earlier file there as it was."""
+    tmp = f"{os.fspath(path)}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC + json.dumps(meta or {}, sort_keys=True).encode() + b"\n")
+            for name in sorted(params):
+                arr = np.ascontiguousarray(params[name].data, dtype="<f8")
+                dims = " ".join(str(d) for d in arr.shape)
+                fh.write(f"{name} {arr.ndim} {dims}".rstrip().encode() + b"\n")
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path):

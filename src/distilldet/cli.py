@@ -88,13 +88,9 @@ def cmd_distill(args) -> int:
     _, t_params = load_checkpoint(teacher_ckpt)
     os.makedirs(cfg.out_dir, exist_ok=True)
     train, test = experiments.build_dataset(cfg)
-    tag = experiments.row_tag(
-        (cfg.train.distill.enable_pd, cfg.train.distill.enable_rd,
-         cfg.train.distill.enable_ld, cfg.train.distill.pyramid_roi_align)
-    )
-    ckpt, params, records, student_cfg = experiments.run_student_variant(
-        cfg, cfg.train.distill, teacher_ckpt, tag, train
-    )
+    dcfg = cfg.train.distill
+    tag = experiments.row_tag((dcfg.enable_pd, dcfg.enable_rd, dcfg.enable_ld, cfg.student.pyramid_roi))
+    ckpt, params, records, student_cfg = experiments.run_student_variant(cfg, teacher_ckpt, tag, train)
     ratio = nets.compression_ratio(t_params, params)
     print(f"teacher parameters: {nets.parameter_count(t_params)}")
     print(f"student parameters: {nets.parameter_count(params)}")

@@ -19,10 +19,9 @@ from .autodiff import ShapeError, Tensor
 class DistillConfig:
     """Loss weights and on/off switches for the matching terms.
 
-    ``pyramid_roi_align`` selects the student's region cropper (all-level
-    concat vs. single level), which also decides where region matching
-    happens. Region and logit matching always run on the student's
-    proposals. A disabled term contributes exactly zero and builds no graph.
+    Region and logit matching always run on the student's proposals, cropped
+    in the student's own crop mode (``NetConfig.pyramid_roi``). A disabled
+    term contributes exactly zero and builds no graph.
     """
 
     lambda_pd: float = 0.5
@@ -31,7 +30,6 @@ class DistillConfig:
     enable_pd: bool = True
     enable_rd: bool = True
     enable_ld: bool = True
-    pyramid_roi_align: bool = True
 
     def __post_init__(self):
         for name in ("lambda_pd", "lambda_rd", "lambda_ld"):

@@ -32,8 +32,9 @@ ABLATION_ROWS: tuple = (
 
 
 def distill_config_for_row(base: DistillConfig, row) -> DistillConfig:
-    pd, rd, ld, py = row
-    return replace(base, enable_pd=pd, enable_rd=rd, enable_ld=ld, pyramid_roi_align=py)
+    """Matching switches of a row; its PyRoIAlign column is the student's crop mode."""
+    pd, rd, ld, _ = row
+    return replace(base, enable_pd=pd, enable_rd=rd, enable_ld=ld)
 
 
 def row_tag(row) -> str:
@@ -78,14 +79,13 @@ def ensure_teacher(cfg: RunConfig, train_scenes, log: bool = True):
     return path
 
 
-def run_student_variant(cfg: RunConfig, dcfg: DistillConfig, teacher_ckpt, tag: str,
-                        train_scenes, log: bool = True):
-    """Train one student under the given matching configuration."""
+def run_student_variant(cfg: RunConfig, teacher_ckpt, tag: str, train_scenes, log: bool = True):
+    """Train one student: ``cfg.student`` sets its crop mode and
+    ``cfg.train.distill`` its matching terms."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     ckpt = os.path.join(cfg.out_dir, f"student_{tag}.ckpt")
-    tcfg = replace(cfg.train, distill=dcfg)
     params, records, student_cfg = distill_student(
-        train_scenes, teacher_ckpt, tcfg, ckpt,
+        train_scenes, teacher_ckpt, cfg.train, ckpt,
         student_cfg=cfg.student,
         log_path=os.path.join(cfg.out_dir, f"student_{tag}_log.jsonl") if log else None,
     )
@@ -99,12 +99,13 @@ def run_ablation(cfg: RunConfig, progress=None):
     teacher_ckpt = ensure_teacher(cfg, train_scenes)
     rows = []
     for row in ABLATION_ROWS:
-        dcfg = distill_config_for_row(cfg.train.distill, row)
         tag = row_tag(row)
         if progress:
             progress(f"training student variant {tag} "
                      f"(PD={row[0]} RD={row[1]} LD={row[2]} PyRoIAlign={row[3]})")
-        ckpt, params, _, student_cfg = run_student_variant(cfg, dcfg, teacher_ckpt, tag, train_scenes)
+        row_cfg = replace(cfg, student=replace(cfg.student, pyramid_roi=row[3]),
+                          train=replace(cfg.train, distill=distill_config_for_row(cfg.train.distill, row)))
+        _, params, _, student_cfg = run_student_variant(row_cfg, teacher_ckpt, tag, train_scenes)
         mrs, _, _ = evaluate_params(student_cfg, params, test_scenes)
         rows.append((row, mrs["reasonable"], mrs["small"]))
     return rows

@@ -364,6 +364,14 @@ def sample_rois(proposals: np.ndarray, gt_boxes: np.ndarray, rng: np.random.Gene
     return rois, labels, targets
 
 
+def crop_regions(pyr: FeaturePyramid, boxes: np.ndarray, cfg: NetConfig) -> Tensor:
+    """Region features of ``boxes`` [R,4] in the crop mode, output size and
+    sampling of ``cfg``: the input its head expects."""
+    return roi_ops.extract_region_batch(
+        pyr, boxes, cfg.pyramid_roi, out_size=cfg.roi_size, samples=cfg.roi_samples
+    )
+
+
 def head_forward_batch(regions: Tensor, cfg: NetConfig, params: dict):
     """Run the two FC layers and siblings on region features [R,C,S,S].
 
@@ -416,10 +424,7 @@ def detect(image: Tensor, cfg: NetConfig, params: dict,
     )
     if len(proposals) == 0:
         return []
-    regions = roi_ops.extract_region_batch(
-        pyr, proposals, cfg.pyramid_roi, out_size=cfg.roi_size, samples=cfg.roi_samples
-    )
-    _, cls, box = head_forward_batch(regions, cfg, params)
+    _, cls, box = head_forward_batch(crop_regions(pyr, proposals, cfg), cfg, params)
     z = cls.data
     probs = np.exp(z - z.max(axis=1, keepdims=True))
     probs /= probs.sum(axis=1, keepdims=True)

@@ -3,23 +3,25 @@
 Phase one trains the teacher on detection + proposal losses alone. Phase two
 freezes the teacher and trains the student on the same supervised losses plus
 the weighted feature-matching terms; the teacher contributes activations
-only, never gradients. With every matching term disabled the student phase
-reduces exactly (bitwise) to plain supervised training.
+only, never gradients.
 
-Each step keeps its boxes as [N,4] arrays: the student's proposals feed the
-second-stage sampler, and region and logit matching crop those same
-proposals from the student and teacher pyramids.
+A step runs named stages in order: ``supervised_step``, then in phase two the
+teacher matcher's ``match`` (PD on the pyramids, RD and LD on crops of the
+student's [N,4] proposals), then backward and SGD. The matcher exists only
+when some matching term is on, so with every term off the student phase is
+plain supervised training, bit for bit.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from . import nets, roi
+from . import nets
 from .autodiff import Tensor, backward
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import SyntheticScene
@@ -134,13 +136,24 @@ class SGD:
 
 
 class _TeacherContext:
-    """Frozen teacher plus a pyramid cache keyed by (scene, flipped)."""
+    """Teacher matcher: the frozen teacher, its pyramid cache keyed by
+    (scene, flipped), and the PD/RD/LD terms against one student config."""
 
-    def __init__(self, cfg: NetConfig, params: dict, cache: bool = True):
+    def __init__(self, cfg: NetConfig, params: dict, student_cfg: NetConfig,
+                 dcfg: DistillConfig, cache: bool = True):
+        if cfg.pyramid_width != student_cfg.pyramid_width:
+            raise ValueError("teacher/student pyramid widths differ; matching losses need equal widths")
+        if cfg.logit_width != student_cfg.logit_width:
+            raise ValueError("teacher/student logit widths differ")
         self.cfg = cfg
         self.params = {k: v.detach() for k, v in params.items()}
+        self.student_cfg = student_cfg
+        self.dcfg = dcfg
         self.cache_enabled = cache
         self._cache: dict = {}
+        # LD may reuse RD's teacher crop only when it is the crop the teacher's head takes.
+        self._ld_reuses_rd_crop = (cfg.pyramid_roi, cfg.roi_size, cfg.roi_samples) == (
+            student_cfg.pyramid_roi, student_cfg.roi_size, student_cfg.roi_samples)
 
     def pyramid(self, scene_index: int, flipped: bool, image: Tensor) -> nets.FeaturePyramid:
         key = (scene_index, flipped)
@@ -153,23 +166,51 @@ class _TeacherContext:
                 self._cache[key] = arrs
         return nets.FeaturePyramid(*(Tensor(a) for a in arrs))
 
+    def match(self, scene_index: int, flipped: bool, image4: Tensor,
+              pyr: nets.FeaturePyramid, proposals: np.ndarray, params: dict):
+        """(loss, DistillReport) of the enabled matching terms for one step."""
+        dcfg = self.dcfg
+        t_pyr = self.pyramid(scene_index, flipped, image4)
+        pd = pyramid_distill_loss(pyr, t_pyr) if dcfg.enable_pd else None
+        rd = ld = None
+        if len(proposals) and (dcfg.enable_rd or dcfg.enable_ld):
+            s_reg = nets.crop_regions(pyr, proposals, self.student_cfg)
+            if dcfg.enable_rd:
+                t_reg = nets.crop_regions(t_pyr, proposals, self.student_cfg)
+                rd = region_distill_loss(s_reg, t_reg)
+            if dcfg.enable_ld:
+                s_logits, _, _ = nets.head_forward_batch(s_reg, self.student_cfg, params)
+                if not (dcfg.enable_rd and self._ld_reuses_rd_crop):
+                    t_reg = nets.crop_regions(t_pyr, proposals, self.cfg)
+                t_logits, _, _ = nets.head_forward_batch(t_reg, self.cfg, self.params)
+                ld = logit_distill_loss(s_logits, t_logits)
+        return total_distill_loss(dcfg, pd, rd, ld)
+
+
+def supervised_step(image4: Tensor, gt_arr: np.ndarray, cfg: NetConfig, params: dict,
+                    rng: np.random.Generator):
+    """(pyramid, proposals, loss_det, loss_rpn, total) of one [1,3,H,W] image
+    against its [G,4] ground truth; ``rpn_loss``, then ``sample_rois``, draw from ``rng``."""
+    h, w = image4.data.shape[-2:]
+    pyr = nets.forward_pyramid(image4, cfg, params)
+    rpn_out = nets.rpn_forward(pyr, cfg, params)
+    anchors = nets.pyramid_anchors(pyr, cfg)
+    loss_rpn = nets.rpn_loss(rpn_out, anchors, gt_arr, rng)
+    proposals = nets.generate_proposals(
+        rpn_out, anchors, cfg.pre_nms_k, cfg.post_nms_k, cfg.nms_iou, w, h
+    )
+    rois, labels, targets = nets.sample_rois(proposals, gt_arr, rng)
+    if not len(rois):
+        return pyr, proposals, Tensor(0.0), loss_rpn, loss_rpn
+    _, cls, box = nets.head_forward_batch(nets.crop_regions(pyr, rois, cfg), cfg, params)
+    loss_det = nets.detection_loss(cls, box, labels, targets)
+    return pyr, proposals, loss_det, loss_rpn, ad.add(loss_det, loss_rpn)
+
 
 def train_detector(scenes: list[SyntheticScene], net_cfg: NetConfig, tcfg: TrainConfig,
                    teacher: _TeacherContext | None = None,
                    log_fh=None) -> tuple[dict, list[StepRecord]]:
-    """Core seeded loop shared by both phases. ``teacher`` enables the
-    matching losses configured in ``tcfg.distill``; it raises ValueError
-    when the teacher's pyramid or logit width differs from the student's."""
-    dcfg = tcfg.distill
-    distilling = teacher is not None and dcfg.any_enabled
-    if distilling:
-        if teacher.cfg.pyramid_width != net_cfg.pyramid_width:
-            raise ValueError("teacher/student pyramid widths differ; matching losses need equal widths")
-        if teacher.cfg.logit_width != net_cfg.logit_width:
-            raise ValueError("teacher/student logit widths differ")
-        if net_cfg.pyramid_roi != dcfg.pyramid_roi_align:
-            raise ValueError("student crop mode must match the matching configuration")
-
+    """Core seeded loop shared by both phases; ``teacher`` is the matcher."""
     params = nets.init_params(net_cfg, seed=tcfg.seed)
     opt = SGD(params, momentum=tcfg.momentum, clip_grad_norm=tcfg.clip_grad_norm)
     rng = np.random.default_rng([int(tcfg.seed), 104729])
@@ -186,59 +227,13 @@ def train_detector(scenes: list[SyntheticScene], net_cfg: NetConfig, tcfg: Train
                 image, gts = horizontal_flip(scene.image, scene.gts)
             else:
                 image, gts = scene.image, scene.gts
-            h, w = image.data.shape[-2:]
-            image4 = image.reshape((1, 3, h, w))
+            image4 = image.reshape((1, *image.data.shape))
             gt_arr = np.array([[g.x1, g.y1, g.x2, g.y2] for g in gts]).reshape(-1, 4)
 
-            pyr = nets.forward_pyramid(image4, net_cfg, params)
-            rpn_out = nets.rpn_forward(pyr, net_cfg, params)
-            anchors = nets.pyramid_anchors(pyr, net_cfg)
-            loss_rpn = nets.rpn_loss(rpn_out, anchors, gt_arr, rng)
-            proposals = nets.generate_proposals(
-                rpn_out, anchors, net_cfg.pre_nms_k, net_cfg.post_nms_k, net_cfg.nms_iou, w, h
-            )
-            rois, labels, targets = nets.sample_rois(proposals, gt_arr, rng)
-
-            if len(rois):
-                regions = roi.extract_region_batch(
-                    pyr, rois, net_cfg.pyramid_roi,
-                    out_size=net_cfg.roi_size, samples=net_cfg.roi_samples,
-                )
-                _, cls, box = nets.head_forward_batch(regions, net_cfg, params)
-                loss_det = nets.detection_loss(cls, box, labels, targets)
-                total = ad.add(loss_det, loss_rpn)
-            else:
-                loss_det = Tensor(0.0)
-                total = loss_rpn
-
+            pyr, proposals, loss_det, loss_rpn, total = supervised_step(image4, gt_arr, net_cfg, params, rng)
             report = DistillReport()
-            if distilling:
-                t_pyr = teacher.pyramid(scene.index, flipped, image4)
-                pd = pyramid_distill_loss(pyr, t_pyr) if dcfg.enable_pd else None
-                rd = Tensor(0.0) if dcfg.enable_rd else None
-                ld = Tensor(0.0) if dcfg.enable_ld else None
-                if len(proposals) and (dcfg.enable_rd or dcfg.enable_ld):
-                    s_reg = roi.extract_region_batch(
-                        pyr, proposals, dcfg.pyramid_roi_align,
-                        out_size=net_cfg.roi_size, samples=net_cfg.roi_samples,
-                    )
-                    t_reg = None
-                    if dcfg.enable_rd:
-                        t_reg = roi.extract_region_batch(
-                            t_pyr, proposals, dcfg.pyramid_roi_align,
-                            out_size=net_cfg.roi_size, samples=net_cfg.roi_samples,
-                        )
-                        rd = region_distill_loss(s_reg, t_reg)
-                    if dcfg.enable_ld:
-                        s_logits, _, _ = nets.head_forward_batch(s_reg, net_cfg, params)
-                        if t_reg is None or teacher.cfg.pyramid_roi != dcfg.pyramid_roi_align:
-                            t_reg = roi.extract_region_batch(
-                                t_pyr, proposals, teacher.cfg.pyramid_roi,
-                                out_size=teacher.cfg.roi_size, samples=teacher.cfg.roi_samples,
-                            )
-                        t_logits, _, _ = nets.head_forward_batch(t_reg, teacher.cfg, teacher.params)
-                        ld = logit_distill_loss(s_logits, t_logits)
-                loss_dist, report = total_distill_loss(dcfg, pd, rd, ld)
+            if teacher is not None:
+                loss_dist, report = teacher.match(scene.index, flipped, image4, pyr, proposals, params)
                 total = ad.add(total, loss_dist)
 
             if not np.isfinite(total.data).all():
@@ -274,17 +269,17 @@ def _cfg_from_meta(meta: dict) -> NetConfig:
     return NetConfig(**fields)
 
 
+def _train_logged(scenes, net_cfg: NetConfig, tcfg: TrainConfig, teacher, log_path):
+    with open(log_path, "w") if log_path else contextlib.nullcontext() as log_fh:
+        return train_detector(scenes, net_cfg, tcfg, teacher=teacher, log_fh=log_fh)
+
+
 def train_teacher(scenes, teacher_cfg: NetConfig, tcfg: TrainConfig, ckpt_path,
                   log_path=None):
     """Phase one: supervised training of the teacher, persisted to disk."""
     if not scenes:
         raise ValueError("empty training set")
-    log_fh = open(log_path, "w") if log_path else None
-    try:
-        params, records = train_detector(scenes, teacher_cfg, tcfg, teacher=None, log_fh=log_fh)
-    finally:
-        if log_fh:
-            log_fh.close()
+    params, records = _train_logged(scenes, teacher_cfg, tcfg, None, log_path)
     save_checkpoint(ckpt_path, params, meta=_cfg_meta(teacher_cfg))
     return params, records
 
@@ -293,24 +288,20 @@ def distill_student(scenes, teacher_ckpt, tcfg: TrainConfig, ckpt_path,
                     student_cfg: NetConfig | None = None, log_path=None):
     """Phase two: train the student against the frozen teacher checkpoint.
 
-    The student's region cropper follows the matching configuration
-    (``tcfg.distill.pyramid_roi_align``), which fixes its head input width.
-    Raises ValueError when matching is on and the teacher's pyramid or logit
-    width differs from the student's.
+    The student's crop mode is ``student_cfg.pyramid_roi``. The teacher
+    matcher is built, before the log is opened, only when some matching term
+    is on; it raises ValueError when the teacher's pyramid or logit width
+    differs from the student's.
     """
     if not scenes:
         raise ValueError("empty training set")
     meta, t_params = load_checkpoint(teacher_ckpt)
-    teacher_cfg = _cfg_from_meta(meta)
     if student_cfg is None:
         student_cfg = nets.default_student_config()
-    student_cfg = replace(student_cfg, pyramid_roi=tcfg.distill.pyramid_roi_align)
-    teacher = _TeacherContext(teacher_cfg, t_params, cache=tcfg.cache_teacher)
-    log_fh = open(log_path, "w") if log_path else None
-    try:
-        params, records = train_detector(scenes, student_cfg, tcfg, teacher=teacher, log_fh=log_fh)
-    finally:
-        if log_fh:
-            log_fh.close()
+    teacher = None
+    if tcfg.distill.any_enabled:
+        teacher = _TeacherContext(_cfg_from_meta(meta), t_params, student_cfg, tcfg.distill,
+                                  cache=tcfg.cache_teacher)
+    params, records = _train_logged(scenes, student_cfg, tcfg, teacher, log_path)
     save_checkpoint(ckpt_path, params, meta=_cfg_meta(student_cfg))
     return params, records, student_cfg

@@ -1,4 +1,7 @@
-"""Checkpoint round trips and clean failures on malformed files."""
+"""Checkpoint round trips, the on-disk layout, atomic saves and clean
+failures on malformed files."""
+
+import os
 
 import numpy as np
 import pytest
@@ -17,6 +20,31 @@ def test_round_trip_is_bit_exact(tmp_path, rng):
     assert sorted(loaded) == sorted(params)
     for name, t in params.items():
         assert loaded[name].data.tobytes() == t.data.tobytes()
+
+
+def test_save_writes_the_documented_layout(tmp_path):
+    w = np.arange(6.0).reshape(2, 3)
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(path, {"w": Tensor(w), "b": Tensor(np.array([-0.0]))}, meta={"k": 1})
+    assert path.read_bytes() == (_MAGIC + b'{"k": 1}\n' + b"b 1 1\n" + np.array([-0.0]).tobytes()
+                                 + b"w 2 2 3\n" + w.astype("<f8").tobytes())
+
+
+class _UnreadableTensor:
+    @property
+    def data(self):
+        raise OSError("disk full")
+
+
+def test_failed_save_keeps_the_earlier_checkpoint_and_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(path, {"w": Tensor(np.ones((2, 2)))}, meta={"run": 1})
+    before = path.read_bytes()
+    # "a" is written before "b" fails, so the save stops half way.
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, {"a": Tensor(np.zeros(3)), "b": _UnreadableTensor()}, meta={"run": 2})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["p.ckpt"]
 
 
 def _with_header(tmp_path, header: bytes):

@@ -1,11 +1,84 @@
 """Run-configuration parsing."""
 
-import pytest
+from dataclasses import fields
 
-from distilldet.config import ConfigError, parse_config
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from distilldet.checkpoint import load_checkpoint
+from distilldet.config import ConfigError, RunConfig, dump_config, parse_config
+from distilldet.data import SceneParams
+from distilldet.distill import DistillConfig
+from distilldet.nets import NetConfig
+from distilldet.train import TrainConfig, _cfg_from_meta, distill_student
 
 
 def test_removed_roi_source_key_is_unknown():
     # region and logit matching always run on proposals; the old switch is gone
     with pytest.raises(ConfigError, match="unknown key 'distill.roi_source'"):
         parse_config("distill.roi_source = proposals\n")
+
+
+def test_removed_pyramid_roi_align_key_is_unknown():
+    # the student's crop mode is student.pyramid_roi alone
+    with pytest.raises(ConfigError, match="unknown key 'distill.pyramid_roi_align'"):
+        parse_config("distill.pyramid_roi_align = false\n")
+
+
+def test_student_pyramid_roi_false_trains_a_single_level_student(tmp_path, tiny_scenes,
+                                                                 tiny_teacher_cfg, save_teacher):
+    cfg = parse_config(
+        "student.widths = 4,8,8,16\nstudent.pyramid_width = 8\nstudent.head_hidden = 16\n"
+        "student.logit_width = 16\nstudent.pre_nms_k = 60\nstudent.post_nms_k = 12\n"
+        "student.pyramid_roi = false\ntrain.epochs = 1\ntrain.lr_decay_epochs =\n"
+    )
+    ckpt = tmp_path / "student.ckpt"
+    distill_student(tiny_scenes[0], save_teacher(tiny_teacher_cfg), cfg.train, ckpt,
+                    student_cfg=cfg.student)
+    meta, params = load_checkpoint(ckpt)
+    single_level = 8 * 7 * 7  # one level of pyramid_width channels at roi_size 7
+    assert _cfg_from_meta(meta).head_input_width == single_level
+    assert params["head.fc1.w"].data.shape[0] == single_level
+
+
+_BY_TYPE = {
+    "int": st.integers(-10**9, 10**9),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "bool": st.booleans(),
+    "tuple": st.lists(st.integers(-10**6, 10**6), max_size=5).map(tuple),
+}
+
+
+@st.composite
+def run_configs(draw):
+    """Any RunConfig the dataclasses accept; the fields their checks
+    constrain are drawn inside those bounds, every other one freely."""
+    def section(cls, **fixed):
+        free = {f.name: draw(_BY_TYPE[f.type]) for f in fields(cls) if f.name not in fixed}
+        return cls(**free, **fixed)
+
+    stage = st.tuples(*[st.integers(1, 10**6)] * 4)
+    nonneg = st.floats(min_value=0.0, allow_infinity=False)
+    min_figures = draw(st.integers(1, 10))
+    epochs = draw(st.integers(1, 100))
+    dataset = section(SceneParams, image_height=32 * draw(st.integers(1, 64)),
+                      image_width=32 * draw(st.integers(1, 64)), min_figures=min_figures,
+                      max_figures=draw(st.integers(min_figures, 20)),
+                      occlusion_rate=draw(st.floats(0.0, 1.0)))
+    distill = section(DistillConfig, lambda_pd=draw(nonneg), lambda_rd=draw(nonneg),
+                      lambda_ld=draw(nonneg))
+    train = section(TrainConfig, epochs=epochs, distill=distill,
+                    lr_decay_epochs=tuple(sorted(draw(st.lists(st.integers(-5, epochs), max_size=4)))))
+    teacher, student = (section(NetConfig, role=role, widths=draw(stage), blocks=draw(stage))
+                        for role in ("teacher", "student"))
+    # '#' starts a comment, line breaks end the line and the value is stripped.
+    out_dir = draw(st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"),
+                                         blacklist_characters="#"), max_size=30).map(str.strip))
+    return RunConfig(dataset=dataset, teacher=teacher, student=student, train=train, out_dir=out_dir)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(run_configs())
+def test_parse_of_dump_reproduces_the_config(cfg):
+    assert parse_config(dump_config(cfg)) == cfg

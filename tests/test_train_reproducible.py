@@ -1,23 +1,30 @@
-"""Same-behaviour gate: a fixed tiny teacher -> row-8 student run gives the
-same checkpoint bytes every time, so a refactor or kernel rewrite can be
-proven behaviour-preserving by comparing this run's sha256 before and after.
+"""Same-behaviour gate: a fixed tiny teacher and all eight ablation-row
+students give the same checkpoint bytes every time, so a refactor or kernel
+rewrite can be proven behaviour-preserving by comparing these runs' sha256
+before and after.
 """
 
-from distilldet.checkpoint import checkpoint_hash
+from dataclasses import replace
+
+from distilldet.checkpoint import checkpoint_hash, load_checkpoint
+from distilldet.experiments import ABLATION_ROWS, distill_config_for_row, row_tag
 from distilldet.train import TrainConfig, distill_student, train_teacher
 
 
-def test_row8_student_checkpoint_sha256_repeats(tmp_path, tiny_scenes, tiny_teacher_cfg,
-                                                tiny_student_cfg):
+def test_every_ablation_row_checkpoint_sha256_repeats(tmp_path, tiny_scenes, tiny_teacher_cfg,
+                                                      tiny_student_cfg):
     train_scenes, _ = tiny_scenes
-    tcfg = TrainConfig(epochs=1, lr_decay_epochs=(), seed=11)
-    assert tcfg.distill.enable_pd and tcfg.distill.enable_rd and tcfg.distill.enable_ld
-    assert tcfg.distill.pyramid_roi_align
+    base = TrainConfig(epochs=1, lr_decay_epochs=(), seed=11)
     teacher = tmp_path / "teacher.ckpt"
-    train_teacher(train_scenes, tiny_teacher_cfg, tcfg, teacher)
-    digests = []
-    for run in ("a", "b"):
-        ckpt = tmp_path / f"student_{run}.ckpt"
-        distill_student(train_scenes, teacher, tcfg, ckpt, student_cfg=tiny_student_cfg)
-        digests.append(checkpoint_hash(ckpt))
-    assert digests[0] == digests[1]
+    train_teacher(train_scenes, tiny_teacher_cfg, base, teacher)
+    for row in ABLATION_ROWS:
+        tcfg = replace(base, distill=distill_config_for_row(base.distill, row))
+        student_cfg = replace(tiny_student_cfg, pyramid_roi=row[3])
+        digests = []
+        for run in ("a", "b"):
+            ckpt = tmp_path / f"student_{row_tag(row)}_{run}.ckpt"
+            distill_student(train_scenes, teacher, tcfg, ckpt, student_cfg=student_cfg)
+            digests.append(checkpoint_hash(ckpt))
+        assert digests[0] == digests[1], row_tag(row)
+        meta, _ = load_checkpoint(ckpt)
+        assert meta["pyramid_roi"] == row[3], row_tag(row)
