@@ -1,4 +1,10 @@
-"""Reverse-mode automatic differentiation on dense float64 tensors.
+"""Reverse-mode automatic differentiation on dense float32 or float64 tensors.
+
+The detector computes in ``COMPUTE_DTYPE`` (float32): its parameters, scene
+images and loaded checkpoints are made in it, and every op allocates in its
+operands' dtype, so a float32 graph stays float32 end to end. Float64
+tensors work the same way and stay float64; the finite-difference gradient
+checks and the test oracles run in float64.
 
 Every differentiable operation stores its parent tensors and a gradient rule
 on the output; ``backward`` replays the rules in reverse topological order.
@@ -16,6 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# The one dtype the detector trains and detects in.
+COMPUTE_DTYPE = np.float32
+
 
 class ShapeError(ValueError):
     """Operand shapes violate an operation's contract."""
@@ -26,17 +35,23 @@ class TapeError(RuntimeError):
 
 
 class Tensor:
-    """Dense float64 array plus the bookkeeping needed for backprop.
+    """Dense float32 or float64 array plus the bookkeeping needed for backprop.
 
-    ``grad`` is ``None`` until a backward pass reaches this tensor. Tensors
-    created by operations carry ``_parents`` and a ``_backward`` closure; leaf
-    tensors carry neither and survive across optimization steps.
+    Float32 and float64 data keep their dtype; any other input (Python
+    numbers, integer or boolean arrays) becomes float64. ``grad`` is
+    ``None`` until a backward pass reaches this tensor, then an array of the
+    data's dtype. Tensors created by operations carry ``_parents`` and a
+    ``_backward`` closure; leaf tensors carry neither and survive across
+    optimization steps.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_consumed")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
+        arr = np.asarray(data)
+        if arr.dtype != np.float32 and arr.dtype != np.float64:
+            arr = arr.astype(np.float64)
+        arr = np.ascontiguousarray(arr)
         if arr.size == 0:
             raise ShapeError("tensors must have positive dimension sizes")
         if not np.isfinite(arr).all():
@@ -277,8 +292,10 @@ def neg(a: Tensor):
 
 
 def relu(a: Tensor):
+    """max(x, 0). A NaN input passes through as NaN; the training loop's
+    finite-loss check then stops the step."""
     mask = a.data > 0.0
-    out = Tensor._from_op(np.where(mask, a.data, 0.0), (a,), None)
+    out = Tensor._from_op(np.maximum(a.data, 0.0), (a,), None)
     out._backward = (lambda g: _accumulate(a, g * mask)) if out.requires_grad else None
     return out
 
@@ -418,8 +435,8 @@ def softmax_cross_entropy(logits: Tensor, labels):
 
 def bce_with_logits(logits: Tensor, targets):
     """Mean binary cross-entropy on raw logits; fused for stability."""
-    t = np.asarray(targets, dtype=np.float64)
     z = logits.data
+    t = np.asarray(targets, dtype=z.dtype)
     if z.shape != t.shape:
         raise ShapeError(f"bce shapes {z.shape} vs {t.shape}")
     losses = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))

@@ -39,30 +39,40 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
     area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
     union = area_a[:, None] + area_b[None, :] - inter
-    return np.where(union > 0.0, inter / np.maximum(union, 1e-300), 0.0)
+    # Where union <= 0 the boxes are degenerate and inter is 0, so the IoU is 0.
+    return inter / np.maximum(union, 1e-300)
 
 
-def nms(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float) -> list[int]:
+_NMS_BLOCK = 32
+
+
+def nms(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float,
+        max_keep: int | None = None) -> list[int]:
     """Greedy non-maximum suppression.
 
     Boxes are visited in descending score order (ties keep input order via a
     stable sort); a box is suppressed when its IoU with an already-kept box
-    exceeds ``iou_thresh``. Returns kept indices in visit order.
+    exceeds ``iou_thresh``. Returns kept indices in visit order, stopping
+    once ``max_keep`` are kept, so the result equals the first ``max_keep``
+    of an unlimited run.
     """
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     order = np.argsort(-scores, kind="stable")
+    ranked = boxes[order]
     keep: list[int] = []
-    if len(order) == 0:
-        return keep
-    ious = iou_matrix(boxes, boxes)
     suppressed = np.zeros(len(order), dtype=bool)
-    for i in order:
-        if suppressed[i]:
-            continue
-        keep.append(int(i))
-        suppressed |= ious[i] > iou_thresh
-        suppressed[i] = True
+    # IoU rows are computed a block of ranked boxes at a time, so a run
+    # that stops at max_keep skips the rows of boxes it never reaches.
+    for lo in range(0, len(order), _NMS_BLOCK):
+        ious = iou_matrix(ranked[lo : lo + _NMS_BLOCK], ranked)
+        for r, row in enumerate(ious):
+            if suppressed[lo + r]:
+                continue
+            if len(keep) == max_keep:
+                return keep
+            keep.append(int(order[lo + r]))
+            suppressed |= row > iou_thresh
     return keep
 
 
@@ -128,7 +138,9 @@ def level_anchors(level: int, hi: int, wi: int, base_size: float = 16.0, aspect:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
+    """Logistic function in float64, whatever the dtype of ``z``."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     e = np.exp(z[~pos])

@@ -1,7 +1,11 @@
 """Flat binary checkpoints: a JSON meta line followed by named tensors.
 
 Each entry is a text header `name ndim d0 d1 ...` and the raw little-endian
-float64 buffer, so files round-trip bit-exactly and hash reproducibly.
+float64 buffer. Tensors load in ``COMPUTE_DTYPE`` (float32): float32 params
+widen to float64 exactly, so they round-trip bit for bit and hash
+reproducibly, and a file written from float64 params still loads, each
+value rounded to the nearest float32 (``-0.0`` stays ``-0.0``; a value
+beyond the float32 range raises ValueError).
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import os
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import COMPUTE_DTYPE, Tensor
 
 _MAGIC = b"distilldet-ckpt v1 "
 
@@ -37,7 +41,8 @@ def save_checkpoint(path, params: dict, meta: dict | None = None):
 
 
 def load_checkpoint(path):
-    """Returns (meta, params) with freshly allocated no-grad tensors."""
+    """Returns (meta, params) with freshly allocated no-grad
+    ``COMPUTE_DTYPE`` tensors."""
     params: dict[str, Tensor] = {}
     with open(path, "rb") as fh:
         head = fh.readline()
@@ -60,8 +65,12 @@ def load_checkpoint(path):
             buf = fh.read(count * 8)
             if len(buf) != count * 8:
                 raise ValueError(f"{path}: truncated tensor {name!r}")
-            arr = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-            params[name] = Tensor(arr)
+            with np.errstate(over="ignore"):  # out-of-range values become inf, rejected below
+                arr = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(COMPUTE_DTYPE)
+            try:
+                params[name] = Tensor(arr)
+            except ValueError:
+                raise ValueError(f"{path}: tensor {name!r} is not finite in float32") from None
     return meta, params
 
 

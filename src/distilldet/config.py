@@ -29,6 +29,13 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     out_dir: str = "runs/default"
 
+    def __post_init__(self):
+        # The text format strips values, cuts them at '#' and ends them at a line break.
+        d = self.out_dir
+        if "#" in d or d != d.strip() or (d and d.splitlines() != [d]):
+            raise ValueError(f"out_dir {d!r} has a '#', a line break or surrounding "
+                             "whitespace, which a config file cannot hold")
+
     @property
     def seed(self) -> int:
         return self.train.seed
@@ -117,12 +124,12 @@ def parse_config(text: str) -> RunConfig:
         student = replace(default_student_config(), **values["student"])
         distill = DistillConfig(**values["distill"])
         train = TrainConfig(**{**values["train"], "distill": distill})
+        return RunConfig(
+            dataset=dataset, teacher=teacher, student=student, train=train,
+            out_dir=top.get("out_dir", "runs/default"),
+        )
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-    return RunConfig(
-        dataset=dataset, teacher=teacher, student=student, train=train,
-        out_dir=top.get("out_dir", "runs/default"),
-    )
 
 
 def load_config(path) -> RunConfig:

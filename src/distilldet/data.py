@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import COMPUTE_DTYPE, Tensor
 from .evalmr import GTBox
 
 
@@ -50,7 +50,7 @@ class SceneParams:
 @dataclass
 class SyntheticScene:
     index: int
-    image: Tensor  # [3,H,W] in [0,1]
+    image: Tensor  # [3,H,W] in [0,1], COMPUTE_DTYPE; drawn in float64, then cast
     gts: list
 
 
@@ -186,7 +186,7 @@ def generate_scene(params: SceneParams, rng: np.random.Generator, index: int = 0
     if params.noise_sigma > 0:
         img += rng.normal(0.0, params.noise_sigma, size=img.shape)
     np.clip(img, 0.0, 1.0, out=img)
-    return SyntheticScene(index=index, image=Tensor(img), gts=gts)
+    return SyntheticScene(index=index, image=Tensor(img.astype(COMPUTE_DTYPE)), gts=gts)
 
 
 def generate_dataset(params: SceneParams, seed: int):

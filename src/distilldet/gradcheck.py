@@ -2,8 +2,10 @@
 
 Each check builds a scalar probe loss sum(op(inputs) * R) with a fixed random
 projection R, differentiates it analytically, then perturbs every input
-element by +/- eps and compares. Kinked ops (relu, maxpool, smooth-L1) are
-sampled away from their kinks so the numeric derivative is well defined.
+element by +/- eps and compares. Both sides run in float64, whatever the
+detector's compute dtype, so eps-sized steps are resolved. Kinked ops (relu,
+maxpool, smooth-L1) are sampled away from their kinks so the numeric
+derivative is well defined.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ def check_gradients(build, arrays, eps: float = 1e-5, tol: float = 1e-4, seed: i
     tensors made out of ``arrays``. Returns the worst relative error across
     all inputs; raises AssertionError past ``tol``.
     """
-    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    tensors = [Tensor(np.asarray(a, dtype=np.float64), requires_grad=True) for a in arrays]
     out = build(*tensors)
     rng = np.random.default_rng(seed)
     proj = rng.normal(size=out.data.shape)

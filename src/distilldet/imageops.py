@@ -8,9 +8,11 @@ strided slice copies, and scatter the column gradient back in a fixed
 (i, j) order. Max pooling is the max of the four strided quarter views of
 each 2x2 window.
 
-Forward outputs and gradients are bit-for-bit those of the plain im2col and
-argmax implementations kept in the test suite as references; the
-brute-force loop implementations there are the ground truth for values.
+Every buffer is allocated in the input's dtype, so float32 maps stay
+float32 through the forward and the backward. In float64, forward outputs
+and gradients are bit-for-bit those of the plain im2col and argmax
+implementations kept in the test suite as references; the brute-force loop
+implementations there are the ground truth for values.
 """
 
 from __future__ import annotations
@@ -48,11 +50,11 @@ def conv2d(x: Tensor, w: Tensor, b, stride: int = 1, pad: int = 0) -> Tensor:
         cols = x.data.reshape(n, c, h * ww)
     else:
         if pad:
-            xp = np.zeros((n, c, h + 2 * pad, ww + 2 * pad))
+            xp = np.zeros((n, c, h + 2 * pad, ww + 2 * pad), dtype=x.data.dtype)
             xp[:, :, pad : pad + h, pad : pad + ww] = x.data
         else:
             xp = x.data
-        cols6 = np.empty((n, c, kh, kw, ho, wo))
+        cols6 = np.empty((n, c, kh, kw, ho, wo), dtype=x.data.dtype)
         for i in range(kh):
             for j in range(kw):
                 cols6[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
@@ -80,7 +82,7 @@ def conv2d(x: Tensor, w: Tensor, b, stride: int = 1, pad: int = 0) -> Tensor:
         # Overlapping windows add into the same cells; this (i, j) order fixes
         # the rounding, and changing it changes the gradient bits.
         gcols = gcols.reshape(n, c, kh, kw, ho, wo)
-        gxp = np.zeros((n, c, h + 2 * pad, ww + 2 * pad))
+        gxp = np.zeros((n, c, h + 2 * pad, ww + 2 * pad), dtype=x.data.dtype)
         for i in range(kh):
             for j in range(kw):
                 gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[:, :, i, j]
@@ -112,11 +114,12 @@ def maxpool2x2(x: Tensor) -> Tensor:
     out = Tensor._from_op(out_data, (x,), None)
 
     def bk(g):
-        gx = np.empty((n, c, h, w))
+        gx = np.empty((n, c, h, w), dtype=x.data.dtype)
         taken = np.zeros(out_data.shape, dtype=bool)
         for k, q in enumerate(quarters):
             first = ~taken if k == 3 else (q == out_data) & ~taken
-            gx[:, :, k // 2 :: 2, k % 2 :: 2] = np.where(first, g, 0.0)
+            # g * False may be -0.0; _accumulate's 0.0 + g makes it +0.0.
+            np.multiply(g, first, out=gx[:, :, k // 2 :: 2, k % 2 :: 2])
             taken |= first
         _accumulate(x, gx)
 

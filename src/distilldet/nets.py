@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import roi as roi_ops
-from .autodiff import ShapeError, Tensor
+from .autodiff import COMPUTE_DTYPE, ShapeError, Tensor
 from .boxes import (
     Detection,
     clip_boxes,
@@ -111,21 +111,24 @@ def _conv_param(params, name, k, c, kh, kw, seed, std=None):
     rng = _name_rng(seed, name)
     if std is None:
         std = np.sqrt(2.0 / (c * kh * kw))
-    params[name + ".w"] = Tensor(rng.normal(0.0, std, size=(k, c, kh, kw)), requires_grad=True)
-    params[name + ".b"] = Tensor(np.zeros(k), requires_grad=True)
+    params[name + ".w"] = Tensor(rng.normal(0.0, std, size=(k, c, kh, kw)).astype(COMPUTE_DTYPE),
+                                 requires_grad=True)
+    params[name + ".b"] = Tensor(np.zeros(k, dtype=COMPUTE_DTYPE), requires_grad=True)
 
 
 def _fc_param(params, name, d_in, d_out, seed, std=None):
     rng = _name_rng(seed, name)
     if std is None:
         std = np.sqrt(2.0 / d_in)
-    params[name + ".w"] = Tensor(rng.normal(0.0, std, size=(d_in, d_out)), requires_grad=True)
-    params[name + ".b"] = Tensor(np.zeros(d_out), requires_grad=True)
+    params[name + ".w"] = Tensor(rng.normal(0.0, std, size=(d_in, d_out)).astype(COMPUTE_DTYPE),
+                                 requires_grad=True)
+    params[name + ".b"] = Tensor(np.zeros(d_out, dtype=COMPUTE_DTYPE), requires_grad=True)
 
 
 def init_params(cfg: NetConfig, seed: int) -> dict:
-    """Fresh parameter dict. Tensors sharing a name and shape across configs
-    receive identical values, which keeps ablation variants comparable."""
+    """Fresh ``COMPUTE_DTYPE`` parameter dict. Tensors sharing a name and
+    shape across configs receive identical values, which keeps ablation
+    variants comparable."""
     p: dict[str, Tensor] = {}
     w = cfg.widths
     _conv_param(p, "bb.stem", w[0], 3, 3, 3, seed)
@@ -251,7 +254,7 @@ def generate_proposals(rpn_out, anchors, pre_nms_k: int, post_nms_k: int,
         return np.zeros((0, 4))
     order = np.argsort(-scores, kind="stable")[:pre_nms_k]
     boxes, scores = boxes[order], scores[order]
-    keep = nms(boxes, scores, nms_iou)[:post_nms_k]
+    keep = nms(boxes, scores, nms_iou, max_keep=post_nms_k)
     return boxes[keep]
 
 
@@ -313,8 +316,8 @@ def rpn_loss(rpn_out, anchors, gt_boxes: np.ndarray, rng: np.random.Generator,
         )
         pred = ad.take_rows(delta_rows, pos_idx)
         gt = np.asarray(gt_boxes).reshape(-1, 4)[matched[pos_idx]]
-        target = encode_deltas(anchors_all[pos_idx], gt)
-        reg = ad.tsum(ad.smooth_l1(pred, Tensor(target))) * (1.0 / len(pos_idx))
+        target = Tensor(encode_deltas(anchors_all[pos_idx], gt).astype(pred.data.dtype))
+        reg = ad.tsum(ad.smooth_l1(pred, target)) * (1.0 / len(pos_idx))
         loss = ad.add(loss, reg)
     return loss
 
@@ -401,7 +404,7 @@ def detection_loss(class_scores: Tensor, box_deltas: Tensor, roi_labels,
     pos = np.where(labels == 1)[0]
     if len(pos):
         pred = ad.take_rows(box_deltas, pos)
-        target = Tensor(np.asarray(roi_targets, dtype=np.float64)[pos])
+        target = Tensor(np.asarray(roi_targets, dtype=pred.data.dtype)[pos])
         loss = ad.add(loss, ad.tsum(ad.smooth_l1(pred, target)) * (1.0 / len(pos)))
     return loss
 
@@ -425,7 +428,7 @@ def detect(image: Tensor, cfg: NetConfig, params: dict,
     if len(proposals) == 0:
         return []
     _, cls, box = head_forward_batch(crop_regions(pyr, proposals, cfg), cfg, params)
-    z = cls.data
+    z = cls.data.astype(np.float64)  # scores, like boxes, are scored in float64
     probs = np.exp(z - z.max(axis=1, keepdims=True))
     probs /= probs.sum(axis=1, keepdims=True)
     scores = probs[:, 1]

@@ -5,7 +5,8 @@ from one level at once; ``extract_region_batch`` applies it in the two crop
 modes: the classic single-level path, where each box is first mapped to one
 pyramid level by its area and cropped there, and the hierarchical path that
 crops the same box from every level and stacks the results along the channel
-axis, so a region carries fine detail and coarse context at once.
+axis, so a region carries fine detail and coarse context at once. Crops come
+out in the feature maps' dtype.
 """
 
 from __future__ import annotations
@@ -59,11 +60,13 @@ def _clamped_corners(coords: np.ndarray, limit: int):
 
 
 def _interp_matrix(lo: np.ndarray, size: np.ndarray, limit: int,
-                   out_size: int, samples: int) -> np.ndarray:
-    """Per-box 1-D crop operators [R, out_size, limit].
+                   out_size: int, samples: int, dtype) -> np.ndarray:
+    """Per-box 1-D crop operators [R, out_size, limit] in ``dtype``.
 
     Row (r, i) averages the clamped two-point interpolation weights of that
     bin's sample coordinates, so a crop along one axis is a plain matmul.
+    The weights are computed in float64 and then cast, so a float32 feature
+    map is cropped by float32 operators instead of being upcast.
     """
     n_roi = lo.shape[0]
     offs = (np.arange(out_size)[:, None] + (np.arange(samples)[None, :] + 0.5) / samples).reshape(-1)
@@ -74,7 +77,7 @@ def _interp_matrix(lo: np.ndarray, size: np.ndarray, limit: int,
     pp = np.arange(out_size * samples)[None, :]
     rows[rr, pp, i0] += 1.0 - frac
     rows[rr, pp, i1] += frac
-    return rows.reshape(n_roi, out_size, samples, limit).mean(axis=2)
+    return rows.reshape(n_roi, out_size, samples, limit).mean(axis=2).astype(dtype, copy=False)
 
 
 def roi_align_batch(feature: Tensor, rois, stride: float, out_size: int = 7,
@@ -97,8 +100,8 @@ def roi_align_batch(feature: Tensor, rois, stride: float, out_size: int = 7,
         raise ShapeError("roi_align_batch on an empty box array")
     fw = np.maximum((boxes[:, 2] - boxes[:, 0]) / stride, _MIN_EXTENT)
     fh = np.maximum((boxes[:, 3] - boxes[:, 1]) / stride, _MIN_EXTENT)
-    ay = _interp_matrix(boxes[:, 1] / stride, fh, h, out_size, samples)  # [R,S,H]
-    ax = _interp_matrix(boxes[:, 0] / stride, fw, w, out_size, samples)  # [R,S,W]
+    ay = _interp_matrix(boxes[:, 1] / stride, fh, h, out_size, samples, f.data.dtype)  # [R,S,H]
+    ax = _interp_matrix(boxes[:, 0] / stride, fw, w, out_size, samples, f.data.dtype)  # [R,S,W]
 
     # out[r,c,i,j] = sum_hw ay[r,i,h] f[c,h,w] ax[r,j,w]
     t1 = np.tensordot(ay, f.data, axes=(2, 1))            # [R,S,C,W]

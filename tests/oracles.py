@@ -4,8 +4,11 @@ Everything here is deliberately written as plain scalar loops or one-line
 formulas, sharing no code with the library, so the two sides of every
 equivalence test fail independently. The exceptions are conv2d_im2col and
 maxpool2x2_argmax: the library's earlier vectorized conv and pooling, kept
-in plain numpy as bit-for-bit references for the current kernels; and mse,
-a test loss composed from library ops, which the detector never runs.
+in plain numpy as bit-for-bit references for the current kernels; relu_where,
+iou_where and maxpool2x2_backward_where, the earlier np.where forms of three
+elementwise steps, kept as bit-for-bit references in float32 and float64;
+and mse, a test loss composed from library ops, which the detector never
+runs.
 """
 
 import math
@@ -228,6 +231,38 @@ def maxpool2x2_argmax(x, g):
     np.put_along_axis(gb, idx[..., None], g[..., None], axis=-1)
     gx = gb.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
     return out, gx
+
+
+def relu_where(x):
+    """The earlier relu forward: x where x > 0, else 0.0."""
+    return np.where(x > 0.0, x, 0.0)
+
+
+def iou_where(a, b):
+    """The earlier iou_matrix: 0.0 wherever the union is not positive."""
+    x1 = np.maximum(a[:, None, 0], b[None, :, 0])
+    y1 = np.maximum(a[:, None, 1], b[None, :, 1])
+    x2 = np.minimum(a[:, None, 2], b[None, :, 2])
+    y2 = np.minimum(a[:, None, 3], b[None, :, 3])
+    inter = np.clip(x2 - x1, 0.0, None) * np.clip(y2 - y1, 0.0, None)
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    union = area_a[:, None] + area_b[None, :] - inter
+    return np.where(union > 0.0, inter / np.maximum(union, 1e-300), 0.0)
+
+
+def maxpool2x2_backward_where(x, g):
+    """The earlier maxpool2x2 input gradient, in x's dtype: g at the first
+    maximum of each window (row-major), 0.0 elsewhere."""
+    quarters = [x[:, :, di::2, dj::2] for di in (0, 1) for dj in (0, 1)]
+    out = np.maximum(np.maximum(quarters[3], quarters[2]), np.maximum(quarters[1], quarters[0]))
+    gx = np.empty_like(x)
+    taken = np.zeros(out.shape, dtype=bool)
+    for k, q in enumerate(quarters):
+        first = ~taken if k == 3 else (q == out) & ~taken
+        gx[:, :, k // 2 :: 2, k % 2 :: 2] = np.where(first, g, 0.0)
+        taken |= first
+    return gx
 
 
 def mse(a, b):

@@ -12,7 +12,9 @@ from distilldet.cli import main
 
 
 def test_round_trip_is_bit_exact(tmp_path, rng):
-    params = {"a.w": Tensor(rng.normal(size=(2, 3, 1, 5))), "b": Tensor(np.array(-0.0))}
+    # float32 params, which are what the library trains and saves
+    params = {"a.w": Tensor(rng.normal(size=(2, 3, 1, 5)).astype(np.float32)),
+              "b": Tensor(np.array(-0.0, dtype=np.float32))}
     path = tmp_path / "p.ckpt"
     save_checkpoint(path, params, meta={"k": 1})
     meta, loaded = load_checkpoint(path)
@@ -20,6 +22,30 @@ def test_round_trip_is_bit_exact(tmp_path, rng):
     assert sorted(loaded) == sorted(params)
     for name, t in params.items():
         assert loaded[name].data.tobytes() == t.data.tobytes()
+
+
+def test_float64_file_loads_rounded_to_nearest_float32(tmp_path):
+    # 1/3 and 1 + 2**-30 lie between float32 neighbours; -0.0 keeps its sign
+    values = np.array([1.0 / 3.0, 1.0 + 2.0 ** -30, -0.0, -1e30])
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(path, {"w": Tensor(values)})
+    assert path.read_bytes().endswith(values.astype("<f8").tobytes())
+    _, loaded = load_checkpoint(path)
+    w = loaded["w"].data
+    assert w.dtype == np.float32
+    assert float(w[0]) != values[0] and w[1] == 1.0
+    for v, got in zip(values, w):
+        below = np.nextafter(got, np.float32(-np.inf))
+        above = np.nextafter(got, np.float32(np.inf))
+        assert abs(float(got) - v) <= min(abs(float(below) - v), abs(float(above) - v))
+    assert w[2] == 0.0 and np.signbit(w[2])
+
+
+def test_value_beyond_float32_range_raises_value_error(tmp_path):
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(path, {"w": Tensor(np.array([1.0, 1e300]))})
+    with pytest.raises(ValueError, match="'w' is not finite in float32"):
+        load_checkpoint(path)
 
 
 def test_save_writes_the_documented_layout(tmp_path):

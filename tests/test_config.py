@@ -72,13 +72,35 @@ def run_configs(draw):
                     lr_decay_epochs=tuple(sorted(draw(st.lists(st.integers(-5, epochs), max_size=4)))))
     teacher, student = (section(NetConfig, role=role, widths=draw(stage), blocks=draw(stage))
                         for role in ("teacher", "student"))
-    # '#' starts a comment, line breaks end the line and the value is stripped.
-    out_dir = draw(st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"),
-                                         blacklist_characters="#"), max_size=30).map(str.strip))
-    return RunConfig(dataset=dataset, teacher=teacher, student=student, train=train, out_dir=out_dir)
+    return RunConfig(dataset=dataset, teacher=teacher, student=student, train=train)
+
+
+# Any text; half the draws take the characters the file format treats
+# specially often.
+out_dirs = st.one_of(
+    st.text(max_size=30),
+    st.text(st.one_of(st.characters(), st.sampled_from("# \t\n\r\x0b\x0c\x1c\x85\u2028")), max_size=30),
+)
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
-@given(run_configs())
-def test_parse_of_dump_reproduces_the_config(cfg):
+@given(run_configs(), out_dirs)
+def test_parse_of_dump_reproduces_the_config(cfg, out_dir):
+    """Either the out_dir round-trips exactly, or RunConfig rejects it and
+    the config text could not have held it."""
+    try:
+        cfg = cfg.with_out_dir(out_dir)
+    except ValueError:
+        try:
+            parsed = parse_config(f"out_dir = {out_dir}\n").out_dir
+        except ConfigError:
+            parsed = None
+        assert parsed != out_dir
+        return
     assert parse_config(dump_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("out_dir", ["runs/a#b", " runs", "runs\t", "runs\nx", "a\u2028b"])
+def test_out_dir_a_config_file_cannot_hold_is_rejected(out_dir):
+    with pytest.raises(ValueError, match="out_dir"):
+        RunConfig(out_dir=out_dir)

@@ -71,10 +71,14 @@ def test_pyramid_roi_align_gradcheck(rng):
 
 def test_end_to_end_detection_loss_gradient(tiny_student_cfg, rng):
     """Backbone-weight gradients through pyramid, region cropping and the
-    head match finite differences on a 64x64 input (fixed boxes/labels)."""
+    head match finite differences on a 64x64 input (fixed boxes/labels).
+    Params and image are float64, so the 1e-5 steps and the finite
+    differences are taken in float64."""
     cfg = tiny_student_cfg
-    params = nets.init_params(cfg, seed=3)
+    params = {k: Tensor(v.data.astype(np.float64), requires_grad=True)
+              for k, v in nets.init_params(cfg, seed=3).items()}
     image = Tensor(rng.uniform(0.0, 1.0, size=(1, 3, 64, 64)))
+    assert image.data.dtype == np.float64
     rois = np.array([[4.0, 6.0, 20.0, 40.0], [30.0, 10.0, 44.0, 58.0], [2.0, 2.0, 60.0, 60.0]])
     labels = np.array([1, 0, 1])
     targets = np.array([[0.1, -0.05, 0.2, 0.0], [0, 0, 0, 0], [-0.1, 0.02, 0.0, 0.1]])
@@ -87,6 +91,7 @@ def test_end_to_end_detection_loss_gradient(tiny_student_cfg, rng):
         return nets.detection_loss(cls, box, labels, targets)
 
     backward(loss_tensor())
+    assert all(p.grad.dtype == np.float64 for p in params.values() if p.grad is not None)
 
     picked = [("bb.stem.w", (0, 0, 1, 1)), ("bb.s1.c0.w", (1, 0, 0, 2)),
               ("bb.s3.c0.w", (2, 1, 1, 0)), ("bb.s4.c0.w", (0, 3, 2, 2)),

@@ -172,6 +172,20 @@ def test_nms_random_vs_quadratic_oracle(rng):
         assert got == want, f"instance {i}"
 
 
+def test_nms_max_keep_is_a_prefix_of_the_unlimited_run(rng):
+    for i in range(12):
+        n = int(rng.integers(1, 81))
+        x1 = rng.uniform(0, 80, size=n)
+        y1 = rng.uniform(0, 80, size=n)
+        boxes = np.stack([x1, y1, x1 + rng.uniform(2, 40, size=n),
+                          y1 + rng.uniform(2, 40, size=n)], axis=1)
+        scores = rng.integers(0, 6, size=n) / 5.0  # many tied scores
+        thresh = float(rng.choice([0.3, 0.5, 0.7]))
+        full = nms(boxes, scores, thresh)
+        for k in range(1, n + 1):
+            assert nms(boxes, scores, thresh, max_keep=k) == full[:k], f"instance {i}, k={k}"
+
+
 def test_distill_losses_random_vs_loop_oracle(rng):
     for _ in range(N_INSTANCES):
         shapes = [(2, int(rng.integers(2, 5)), int(rng.integers(2, 5))) for _ in range(4)]
