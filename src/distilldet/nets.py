@@ -58,6 +58,9 @@ class NetConfig:
             raise ValueError("stage widths and block counts must be positive")
         if self.role not in ("teacher", "student"):
             raise ValueError(f"unknown role {self.role!r}")
+        for name in ("pre_nms_k", "post_nms_k", "roi_size", "roi_samples"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
     @property
     def head_input_width(self) -> int:

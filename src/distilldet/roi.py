@@ -7,6 +7,12 @@ pyramid level by its area and cropped there, and the hierarchical path that
 crops the same box from every level and stacks the results along the channel
 axis, so a region carries fine detail and coarse context at once. Crops come
 out in the feature maps' dtype.
+
+Each crop is separable, Ay @ F @ Ax^T per box, and runs as GEMMs whose
+count does not grow with the channels: one GEMM applies every box's Ay to
+the level, then one GEMM per box its Ax over all channels at once. float32
+crops match the earlier per-channel crop (kept in tests/oracles.py) to
+rounding, not bit for bit; the interpolation operators are byte-equal.
 """
 
 from __future__ import annotations
@@ -51,33 +57,40 @@ def _as_chw(feature: Tensor) -> Tensor:
     return feature
 
 
-def _clamped_corners(coords: np.ndarray, limit: int):
-    c = np.clip(coords, 0.0, limit - 1.0)
-    i0 = np.floor(c).astype(np.intp)
-    np.clip(i0, 0, max(limit - 2, 0), out=i0)
-    i1 = np.minimum(i0 + 1, limit - 1)
-    return i0, i1, c - i0
+def _interp_operators(boxes: np.ndarray, stride: float, h: int, w: int, out_size: int,
+                      samples: int, dtype):
+    """Per-box 1-D crop operators (ay [R,S,H], ax [R,S,W]) in ``dtype``.
 
-
-def _interp_matrix(lo: np.ndarray, size: np.ndarray, limit: int,
-                   out_size: int, samples: int, dtype) -> np.ndarray:
-    """Per-box 1-D crop operators [R, out_size, limit] in ``dtype``.
-
-    Row (r, i) averages the clamped two-point interpolation weights of that
-    bin's sample coordinates, so a crop along one axis is a plain matmul.
-    The weights are computed in float64 and then cast, so a float32 feature
-    map is cropped by float32 operators instead of being upcast.
+    Row (r, i) of each holds the bin's clamped two-point interpolation
+    weights averaged over its ``samples`` sample coordinates, so a crop along
+    one axis is a plain matmul. Both are built in float64 by one
+    ``bincount`` whose input lists each row's contributions sample by
+    sample, so each weight is its samples' contributions added in order and
+    then divided by ``samples``; the result is cast once, so a float32
+    feature map is cropped by float32 operators instead of being upcast.
     """
-    n_roi = lo.shape[0]
-    offs = (np.arange(out_size)[:, None] + (np.arange(samples)[None, :] + 0.5) / samples).reshape(-1)
-    coords = lo[:, None] + offs[None, :] * (size / out_size)[:, None]  # [R, Sn]
-    i0, i1, frac = _clamped_corners(coords, limit)
-    rows = np.zeros((n_roi, out_size * samples, limit))
-    rr = np.arange(n_roi)[:, None]
-    pp = np.arange(out_size * samples)[None, :]
-    rows[rr, pp, i0] += 1.0 - frac
-    rows[rr, pp, i1] += frac
-    return rows.reshape(n_roi, out_size, samples, limit).mean(axis=2).astype(dtype, copy=False)
+    n_roi = boxes.shape[0]
+    corners = boxes.T[[1, 0, 3, 2]]                                             # y1,x1,y2,x2 [4,R]
+    lo = corners[:2] / stride
+    size = np.maximum((corners[2:] - corners[:2]) / stride, _MIN_EXTENT)
+    offs = np.arange(out_size)[:, None] + (np.arange(samples)[None, :] + 0.5) / samples  # [S,n]
+    coords = lo[:, :, None, None] + offs * (size / out_size)[:, :, None, None]  # [2,R,S,n]
+    limit = np.array((h, w)).reshape(2, 1, 1, 1)
+    c = np.minimum(np.maximum(coords, 0.0), limit - 1.0)
+    i0 = c.astype(np.intp)  # truncation is floor on c >= 0
+    np.minimum(i0, np.maximum(limit - 2, 0), out=i0)
+    i1 = np.minimum(i0 + 1, limit - 1)
+    frac = c - i0
+    # Row (axis, r, i) starts at (r*S + i) * limit, the W-wide ax rows after all H-wide ay rows.
+    rows = np.arange(n_roi * out_size).reshape(1, n_roi, out_size, 1)
+    start = rows * limit + np.array((0, n_roi * out_size * h)).reshape(2, 1, 1, 1)
+    idx = np.stack((i0, i1), axis=-1) + start[..., None]                        # [2,R,S,n,2]
+    weights = np.stack((1.0 - frac, frac), axis=-1)
+    ops = np.bincount(idx.reshape(-1), weights.reshape(-1), minlength=n_roi * out_size * (h + w))
+    ops /= samples
+    ops = ops.astype(dtype, copy=False)
+    split = n_roi * out_size * h
+    return ops[:split].reshape(n_roi, out_size, h), ops[split:].reshape(n_roi, out_size, w)
 
 
 def roi_align_batch(feature: Tensor, rois, stride: float, out_size: int = 7,
@@ -90,29 +103,41 @@ def roi_align_batch(feature: Tensor, rois, stride: float, out_size: int = 7,
     lookups on a regular sub-grid, clamped to the map border. Degenerate
     boxes are clamped to a minimum extent. Bilinear sampling plus bin
     averaging is separable, so each crop is Ay @ F @ Ax^T with per-box
-    interpolation matrices; both directions are then batched matmuls.
+    interpolation matrices Ay [S,H] and Ax [S,W].
+
+    GEMM layout: one [R*S, H] x [H, C*W] GEMM applies every Ay at once, then
+    one [S*C, W] x [W, S] GEMM per box applies its Ax^T, and one transposed
+    copy gives [R, C, S, S]. The backward mirrors it: one [S*C, S] x [S, W]
+    GEMM per box, then one [H, R*S] x [R*S, C*W] GEMM. float64 crops match
+    the per-channel reference in tests/oracles.py to ~1e-16; float32 crops
+    match it to rounding, not bit for bit, since a different GEMM shape
+    sums in a different order.
     """
+    if out_size < 1 or samples < 1:
+        raise ShapeError(f"roi_align_batch needs out_size and samples >= 1, got {out_size}, {samples}")
     f = _as_chw(feature)
     c, h, w = f.data.shape
     boxes = np.asarray(rois, np.float64).reshape(-1, 4)
     n_roi = boxes.shape[0]
     if n_roi == 0:
         raise ShapeError("roi_align_batch on an empty box array")
-    fw = np.maximum((boxes[:, 2] - boxes[:, 0]) / stride, _MIN_EXTENT)
-    fh = np.maximum((boxes[:, 3] - boxes[:, 1]) / stride, _MIN_EXTENT)
-    ay = _interp_matrix(boxes[:, 1] / stride, fh, h, out_size, samples, f.data.dtype)  # [R,S,H]
-    ax = _interp_matrix(boxes[:, 0] / stride, fw, w, out_size, samples, f.data.dtype)  # [R,S,W]
+    s = out_size
+    ay, ax = _interp_operators(boxes, stride, h, w, s, samples, f.data.dtype)
+    ay2 = ay.reshape(n_roi * s, h)
 
-    # out[r,c,i,j] = sum_hw ay[r,i,h] f[c,h,w] ax[r,j,w]
-    t1 = np.tensordot(ay, f.data, axes=(2, 1))            # [R,S,C,W]
-    out_data = np.matmul(t1.transpose(0, 2, 1, 3), ax.transpose(0, 2, 1)[:, None])  # [R,C,S,S]
-    out = Tensor._from_op(np.ascontiguousarray(out_data), (f,), None)
+    # t1[(r,i),(c,w)] = sum_h ay[r,i,h] f[c,h,w]; then out[r,c,i,j] = sum_w t1[r,i,c,w] ax[r,j,w].
+    t1 = ay2 @ f.data.transpose(1, 0, 2).reshape(h, c * w)                      # [R*S, C*W]
+    ax_t = np.ascontiguousarray(ax.transpose(0, 2, 1))  # stacked matmul is far slower on a view
+    t3 = np.matmul(t1.reshape(n_roi, s * c, w), ax_t)                           # [R, S*C, S]
+    out_data = np.ascontiguousarray(t3.reshape(n_roi, s, c, s).transpose(0, 2, 1, 3))
+    out = Tensor._from_op(out_data, (f,), None)
 
     def bk(g):
         if not f.requires_grad:
             return
-        t2 = np.matmul(g, ax[:, None])                    # [R,C,S,W]
-        _accumulate(f, np.tensordot(ay, t2, axes=([0, 1], [0, 2])).transpose(1, 0, 2))
+        gt = np.ascontiguousarray(g.transpose(0, 2, 1, 3)).reshape(n_roi, s * c, s)
+        t2 = np.matmul(gt, ax).reshape(n_roi * s, c * w)                        # [R*S, C*W]
+        _accumulate(f, (ay2.T @ t2).reshape(h, c, w).transpose(1, 0, 2))
 
     out._backward = bk if out.requires_grad else None
     return out

@@ -289,17 +289,19 @@ def distill_student(scenes, teacher_ckpt, tcfg: TrainConfig, ckpt_path,
     """Phase two: train the student against the frozen teacher checkpoint.
 
     The student's crop mode is ``student_cfg.pyramid_roi``. The teacher
-    matcher is built, before the log is opened, only when some matching term
-    is on; it raises ValueError when the teacher's pyramid or logit width
-    differs from the student's.
+    checkpoint is read, and the teacher matcher built before the log is
+    opened, only when some matching term is on: with every term off no
+    teacher tensor is used, so ``teacher_ckpt`` is not opened. The matcher
+    raises ValueError when the teacher's pyramid or logit width differs from
+    the student's.
     """
     if not scenes:
         raise ValueError("empty training set")
-    meta, t_params = load_checkpoint(teacher_ckpt)
     if student_cfg is None:
         student_cfg = nets.default_student_config()
     teacher = None
     if tcfg.distill.any_enabled:
+        meta, t_params = load_checkpoint(teacher_ckpt)
         teacher = _TeacherContext(_cfg_from_meta(meta), t_params, student_cfg, tcfg.distill,
                                   cache=tcfg.cache_teacher)
     params, records = _train_logged(scenes, student_cfg, tcfg, teacher, log_path)

@@ -4,7 +4,10 @@ Everything here is deliberately written as plain scalar loops or one-line
 formulas, sharing no code with the library, so the two sides of every
 equivalence test fail independently. The exceptions are conv2d_im2col and
 maxpool2x2_argmax: the library's earlier vectorized conv and pooling, kept
-in plain numpy as bit-for-bit references for the current kernels; relu_where,
+in plain numpy as bit-for-bit references for the current kernels;
+interp_matrix_mean and roi_align_per_channel, the earlier RoI crop operators
+and per-box, per-channel crop, kept as references for the box-wise GEMM crop
+(its operators byte-equal, its crops equal to rounding); relu_where,
 iou_where and maxpool2x2_backward_where, the earlier np.where forms of three
 elementwise steps, kept as bit-for-bit references in float32 and float64;
 and mse, a test loss composed from library ops, which the detector never
@@ -231,6 +234,45 @@ def maxpool2x2_argmax(x, g):
     np.put_along_axis(gb, idx[..., None], g[..., None], axis=-1)
     gx = gb.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
     return out, gx
+
+
+def interp_matrix_mean(lo, size, limit, out_size, samples, dtype):
+    """The earlier 1-D crop operators [R, out_size, limit]: each sample's
+    clamped two-point weights scattered into its own row in float64, the
+    rows averaged over the samples axis with ``mean``, then cast."""
+    n_roi = lo.shape[0]
+    offs = (np.arange(out_size)[:, None] + (np.arange(samples)[None, :] + 0.5) / samples).reshape(-1)
+    coords = lo[:, None] + offs[None, :] * (size / out_size)[:, None]
+    c = np.clip(coords, 0.0, limit - 1.0)
+    i0 = np.floor(c).astype(np.intp)
+    np.clip(i0, 0, max(limit - 2, 0), out=i0)
+    i1 = np.minimum(i0 + 1, limit - 1)
+    frac = c - i0
+    rows = np.zeros((n_roi, out_size * samples, limit))
+    rr = np.arange(n_roi)[:, None]
+    pp = np.arange(out_size * samples)[None, :]
+    rows[rr, pp, i0] += 1.0 - frac
+    rows[rr, pp, i1] += frac
+    return rows.reshape(n_roi, out_size, samples, limit).mean(axis=2).astype(dtype, copy=False)
+
+
+def roi_align_per_channel(f, boxes, stride, out_size, samples, g=None):
+    """The earlier roi_align_batch on a [C,H,W] array: one tensordot applies
+    every box's row operator, then one small matmul per box and channel its
+    column operator. Returns (out [R,C,S,S], gf) for upstream gradient g
+    (gf is None without g), all in f's dtype."""
+    _, h, w = f.shape
+    boxes = np.asarray(boxes, np.float64).reshape(-1, 4)
+    fw = np.maximum((boxes[:, 2] - boxes[:, 0]) / stride, 1e-6)
+    fh = np.maximum((boxes[:, 3] - boxes[:, 1]) / stride, 1e-6)
+    ay = interp_matrix_mean(boxes[:, 1] / stride, fh, h, out_size, samples, f.dtype)
+    ax = interp_matrix_mean(boxes[:, 0] / stride, fw, w, out_size, samples, f.dtype)
+    t1 = np.tensordot(ay, f, axes=(2, 1))
+    out = np.ascontiguousarray(np.matmul(t1.transpose(0, 2, 1, 3), ax.transpose(0, 2, 1)[:, None]))
+    if g is None:
+        return out, None
+    t2 = np.matmul(g, ax[:, None])
+    return out, np.tensordot(ay, t2, axes=([0, 1], [0, 2])).transpose(1, 0, 2)
 
 
 def relu_where(x):

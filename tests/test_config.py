@@ -70,7 +70,10 @@ def run_configs(draw):
                       lambda_ld=draw(nonneg))
     train = section(TrainConfig, epochs=epochs, distill=distill,
                     lr_decay_epochs=tuple(sorted(draw(st.lists(st.integers(-5, epochs), max_size=4)))))
-    teacher, student = (section(NetConfig, role=role, widths=draw(stage), blocks=draw(stage))
+    positive = st.integers(1, 10**9)
+    teacher, student = (section(NetConfig, role=role, widths=draw(stage), blocks=draw(stage),
+                                **{name: draw(positive) for name in
+                                   ("pre_nms_k", "post_nms_k", "roi_size", "roi_samples")})
                         for role in ("teacher", "student"))
     return RunConfig(dataset=dataset, teacher=teacher, student=student, train=train)
 
@@ -98,6 +101,13 @@ def test_parse_of_dump_reproduces_the_config(cfg, out_dir):
         assert parsed != out_dir
         return
     assert parse_config(dump_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("line", ["student.roi_size = 0", "teacher.roi_samples = 0",
+                                  "student.pre_nms_k = -1", "teacher.post_nms_k = 0"])
+def test_net_count_below_one_is_a_config_error(line):
+    with pytest.raises(ConfigError, match="at least 1"):
+        parse_config(line + "\n")
 
 
 @pytest.mark.parametrize("out_dir", ["runs/a#b", " runs", "runs\t", "runs\nx", "a\u2028b"])

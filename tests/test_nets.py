@@ -43,6 +43,13 @@ class TestConfigs:
         with pytest.raises(ValueError):
             nets.NetConfig(role="oracle")
 
+    @pytest.mark.parametrize("name", ["pre_nms_k", "post_nms_k", "roi_size", "roi_samples"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_count_below_one_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            nets.NetConfig(**{name: value})
+        assert getattr(nets.NetConfig(**{name: 1}), name) == 1
+
 
 class TestBackbone:
     def test_stride_arithmetic_96x64(self, tiny_student_cfg):

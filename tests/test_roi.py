@@ -1,11 +1,13 @@
-"""Region cropping: level assignment, and the batched croppers on [R,4] box
-arrays in single-level and all-level mode."""
+"""Region cropping: level assignment, the batched croppers on [R,4] box
+arrays in single-level and all-level mode, and the box-wise GEMM crop
+against the earlier per-channel crop."""
 
 import numpy as np
 import pytest
 
 from distilldet import ShapeError, Tensor, backward, nets, roi
-from oracles import roi_align_loops
+from distilldet.autodiff import mul, tsum
+from oracles import interp_matrix_mean, roi_align_loops, roi_align_per_channel
 
 
 def _pyramid(rng, d=4, h=32, w=48, requires_grad=False):
@@ -60,6 +62,12 @@ class TestRoiAlign:
         f = Tensor(np.arange(32.0).reshape(2, 4, 4))
         out = roi.roi_align_batch(f, _boxes((2.0, 2.0, 2.0 + 1e-9, 3.0)), stride=1.0, out_size=2)
         assert np.isfinite(out.data).all()
+
+    @pytest.mark.parametrize("out_size, samples", [(0, 2), (7, 0), (-1, 2), (7, -3)])
+    def test_out_size_or_samples_below_one_rejected(self, out_size, samples):
+        f = Tensor(np.ones((2, 8, 8)))
+        with pytest.raises(ShapeError):
+            roi.roi_align_batch(f, _boxes((1.0, 1.0, 5.0, 5.0)), 1.0, out_size=out_size, samples=samples)
 
     def test_stride_maps_image_coords(self, rng):
         f = rng.normal(size=(1, 8, 8))
@@ -159,3 +167,90 @@ class TestExtractRegionBatch:
     def test_empty_box_array_rejected(self, rng, use_pyramid):
         with pytest.raises(ShapeError):
             roi.extract_region_batch(_pyramid(rng), np.zeros((0, 4)), use_pyramid)
+
+
+def _random_case(rng):
+    """A random level, box array and crop shape: R in 1-64, stride 1-32,
+    out_size 1-7, samples 1-3, maps down to 1 pixel wide, and boxes that
+    may be degenerate, inverted or partly or wholly outside the map."""
+    n_roi = int(rng.integers(1, 65))
+    c, h, w = int(rng.integers(1, 9)), int(rng.integers(1, 30)), int(rng.integers(1, 30))
+    stride = float(rng.choice([1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 3.5]))
+    xy = rng.uniform(-6.0, max(h, w) + 3.0, size=(n_roi, 2)) * stride
+    wh = rng.uniform(-1.0, 20.0, size=(n_roi, 2)) * stride  # about 1 in 20 inverted
+    boxes = np.concatenate([xy, xy + wh], axis=1)
+    out_size, samples = int(rng.integers(1, 8)), int(rng.integers(1, 4))
+    return rng.normal(size=(c, h, w)) * 3.0, boxes, stride, out_size, samples
+
+
+def _crop_and_grad(f, boxes, stride, out_size, samples, g):
+    ft = Tensor(f, requires_grad=True)
+    out = roi.roi_align_batch(ft, boxes, stride, out_size=out_size, samples=samples)
+    backward(tsum(mul(out, Tensor(g))))  # hands the crop exactly g
+    return out.data, ft.grad
+
+
+class TestAgainstPerChannelReference:
+    """The box-wise GEMM crop against the earlier per-box, per-channel one
+    (oracles.roi_align_per_channel): the same operators byte for byte, and
+    the same crops and input gradients up to the order of summation."""
+
+    def test_interp_operators_byte_equal(self, rng):
+        for _ in range(200):
+            f, boxes, stride, out_size, samples = _random_case(rng)
+            _, h, w = f.shape
+            fw = np.maximum((boxes[:, 2] - boxes[:, 0]) / stride, 1e-6)
+            fh = np.maximum((boxes[:, 3] - boxes[:, 1]) / stride, 1e-6)
+            for dtype in (np.float64, np.float32):
+                ay, ax = roi._interp_operators(boxes, stride, h, w, out_size, samples, dtype)
+                want_y = interp_matrix_mean(boxes[:, 1] / stride, fh, h, out_size, samples, dtype)
+                want_x = interp_matrix_mean(boxes[:, 0] / stride, fw, w, out_size, samples, dtype)
+                assert ay.dtype == ax.dtype == dtype
+                assert ay.tobytes() == want_y.tobytes()
+                assert ax.tobytes() == want_x.tobytes()
+
+    def test_float64_crop_and_gradient_within_1e_12(self, rng):
+        for _ in range(100):
+            f, boxes, stride, out_size, samples = _random_case(rng)
+            g = rng.normal(size=(len(boxes), f.shape[0], out_size, out_size))
+            out, grad = _crop_and_grad(f, boxes, stride, out_size, samples, g)
+            want, want_grad = roi_align_per_channel(f, boxes, stride, out_size, samples, g)
+            np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12)
+
+    def test_float32_crop_and_gradient_within_a_few_ulps(self, rng):
+        """Each float32 value lies within 4 float32 ulps, taken at the size of
+        the sum of absolute terms behind it, of the reference's float32 value."""
+        for _ in range(100):
+            f64, boxes, stride, out_size, samples = _random_case(rng)
+            g64 = rng.normal(size=(len(boxes), f64.shape[0], out_size, out_size))
+            f, g = f64.astype(np.float32), g64.astype(np.float32)
+            out, grad = _crop_and_grad(f, boxes, stride, out_size, samples, g)
+            assert out.dtype == grad.dtype == np.float32
+            want, want_grad = roi_align_per_channel(f, boxes, stride, out_size, samples, g)
+            # The operators are non-negative, so |f| and |g| give each sum's scale.
+            scale, _ = roi_align_per_channel(np.abs(f64), boxes, stride, out_size, samples)
+            _, grad_scale = roi_align_per_channel(np.abs(f64), boxes, stride, out_size, samples,
+                                                  np.abs(g64))
+            ulp = np.spacing(scale.astype(np.float32))
+            grad_ulp = np.spacing(grad_scale.astype(np.float32))
+            assert np.all(np.abs(out.astype(np.float64) - want) <= 4 * ulp)
+            assert np.all(np.abs(grad.astype(np.float64) - want_grad) <= 4 * grad_ulp)
+
+    def test_degenerate_and_outside_boxes_match(self, rng):
+        f = rng.normal(size=(3, 6, 9))
+        boxes = _boxes(
+            (2.0, 2.0, 2.0, 2.0),          # a point
+            (4.0, 1.0, 4.0, 5.0),          # zero width
+            (6.0, 3.0, 1.0, 2.0),          # inverted
+            (-40.0, -30.0, -10.0, -5.0),   # wholly above and left
+            (50.0, 40.0, 90.0, 70.0),      # wholly below and right
+            (-5.0, -5.0, 50.0, 50.0),      # covers the map and more
+            (8.0, 0.0, 8.5, 6.0),          # on the last column
+        )
+        g = rng.normal(size=(len(boxes), 3, 4, 4))
+        out, grad = _crop_and_grad(f, boxes, 1.0, 4, 3, g)
+        want, want_grad = roi_align_per_channel(f, boxes, 1.0, 4, 3, g)
+        assert np.isfinite(out).all()
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12)

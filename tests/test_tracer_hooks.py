@@ -45,5 +45,6 @@ def test_traced_row8_student_records_every_matching_and_backward_span(tmp_path, 
         patcher.restore()
     metrics = tracer.metrics()
     for name in ("distill.pd_ms", "distill.rd_ms", "distill.ld_ms", "train.teacher_forward_ms",
-                 "roi.extract_ms", "autodiff.backward_ms"):
+                 "roi.extract_ms", "roi.roi_align_batch.fwd_ms", "roi.roi_align_batch.bwd_ms",
+                 "autodiff.backward_ms"):
         assert metrics[name] > 0, name

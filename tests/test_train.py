@@ -40,6 +40,22 @@ def test_matching_off_is_plain_supervised_training(tmp_path, tiny_scenes, tiny_t
     assert all(distilled[k].data.tobytes() == plain[k].data.tobytes() for k in plain)
 
 
+def test_matching_off_row_never_reads_the_teacher(tmp_path, tiny_scenes, tiny_teacher_cfg,
+                                                  tiny_student_cfg, save_teacher):
+    """Row 0000 writes the same checkpoint bytes with a missing teacher file
+    as with a real one."""
+    row = ABLATION_ROWS[0]
+    train_scenes, _ = tiny_scenes
+    student_cfg = replace(tiny_student_cfg, pyramid_roi=row[3])
+    tcfg = TrainConfig(epochs=1, lr_decay_epochs=(), seed=11,
+                       distill=distill_config_for_row(DistillConfig(), row))
+    real, missing = tmp_path / "real.ckpt", tmp_path / "missing.ckpt"
+    distill_student(train_scenes, save_teacher(tiny_teacher_cfg), tcfg, real, student_cfg=student_cfg)
+    distill_student(train_scenes, tmp_path / "no_such_teacher.ckpt", tcfg, missing,
+                    student_cfg=student_cfg)
+    assert missing.read_bytes() == real.read_bytes()
+
+
 # Teachers whose head takes another crop than the student's: RD still
 # compares crops made like the student's, LD must feed the teacher's head
 # the crop it was built for.
