@@ -2,6 +2,8 @@
 
 Commands: gradcheck, gen-data, train-teacher, distill, eval, ablate. Every
 command accepts --config/--out/--seed; outputs land under the run directory.
+`distill` writes its test detections to `dets_<tag>.txt` there, in the
+format `eval` reads.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .evalmr import (
     read_detections,
     read_ground_truth,
     write_curve,
+    write_detections,
     write_ground_truth,
 )
 from .gradcheck import run_suite
@@ -101,7 +104,8 @@ def cmd_distill(args) -> int:
             f"rpn {epoch_mean(records, e, 'rpn_loss'):.4f} "
             f"dist {epoch_mean(records, e, 'dist_total'):.4f}"
         )
-    mrs, curves, _ = experiments.evaluate_params(student_cfg, params, test)
+    mrs, curves, dets = experiments.evaluate_params(student_cfg, params, test)
+    write_detections(os.path.join(cfg.out_dir, f"dets_{tag}.txt"), dets)
     for s in SUBSETS:
         print(f"MR-{s}: {mrs[s]:.4f}")
         write_curve(os.path.join(cfg.out_dir, f"curve_{tag}_{s}.tsv"), curves[s])

@@ -14,6 +14,7 @@ geometric mean.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -218,14 +219,30 @@ def _data_lines(path):
             yield ln, line.split()
 
 
+def _box_line(path, ln, parts) -> tuple[int, list[float]]:
+    """Image id and the five numbers of a 6-field box line; the numbers
+    must be finite and the box must have x2 > x1 and y2 > y1."""
+    if len(parts) != 6:
+        raise EvalError(f"{path}:{ln}: expected 6 fields, got {len(parts)}")
+    try:
+        img = int(parts[0])
+        vals = [float(v) for v in parts[1:]]
+    except ValueError:
+        raise EvalError(f"{path}:{ln}: not a number in {' '.join(parts)!r}") from None
+    if not all(math.isfinite(v) for v in vals):
+        raise EvalError(f"{path}:{ln}: non-finite field in {' '.join(parts)!r}")
+    x1, y1, x2, y2 = vals[:4]
+    if x2 <= x1 or y2 <= y1:
+        raise EvalError(f"{path}:{ln}: box needs x2 > x1 and y2 > y1, got {x1} {y1} {x2} {y2}")
+    return img, vals
+
+
 def read_detections(path) -> dict[int, list[Detection]]:
     """Lines of `image_id x1 y1 x2 y2 score`."""
     out: dict[int, list[Detection]] = {}
     for ln, parts in _data_lines(path):
-        if len(parts) != 6:
-            raise EvalError(f"{path}:{ln}: expected 6 fields, got {len(parts)}")
-        img = int(parts[0])
-        out.setdefault(img, []).append(Detection(*(float(v) for v in parts[1:])))
+        img, vals = _box_line(path, ln, parts)
+        out.setdefault(img, []).append(Detection(*vals))
     return out
 
 
@@ -241,12 +258,8 @@ def read_ground_truth(path) -> dict[int, list[GTBox]]:
     """Lines of `image_id x1 y1 x2 y2 visibility`."""
     out: dict[int, list[GTBox]] = {}
     for ln, parts in _data_lines(path):
-        if len(parts) != 6:
-            raise EvalError(f"{path}:{ln}: expected 6 fields, got {len(parts)}")
-        img = int(parts[0])
-        out.setdefault(img, []).append(
-            GTBox(*(float(v) for v in parts[1:5]), visibility=float(parts[5]))
-        )
+        img, vals = _box_line(path, ln, parts)
+        out.setdefault(img, []).append(GTBox(*vals[:4], visibility=vals[4]))
     return out
 
 

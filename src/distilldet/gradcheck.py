@@ -143,7 +143,7 @@ def op_checks(instances: int = 20, tol: float = 1e-4, seed: int = 1234):
         lo = rng.uniform(-0.5, [w, h], size=(2, 2)) * stride
         boxes = np.hstack([lo, lo + rng.uniform(0.5, [w, h], size=(2, 2)) * stride])
         return check_gradients(
-            lambda f: roi.roi_align_batch(f, boxes, stride, out_size=3),
+            lambda f: roi.roi_align_batch([f], boxes, [stride], out_size=3),
             [rng.normal(size=(c, h, w))], seed=i,
         )
 

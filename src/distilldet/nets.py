@@ -239,18 +239,15 @@ def generate_proposals(rpn_out, anchors, pre_nms_k: int, post_nms_k: int,
                        nms_iou: float, img_w: float, img_h: float) -> np.ndarray:
     """Decode deltas onto anchors, clip, rank, and greedily deduplicate.
 
+    The levels' logits, deltas and anchors are joined in level order first,
+    so one sigmoid, one decode and one clip run over all of them; each is
+    elementwise, so the boxes and scores are the per-level ones bit for bit.
     Returns the kept boxes as a [K,4] array in descending score order;
     K is 0 when every decoded box is degenerate.
     """
-    all_boxes = []
-    all_scores = []
-    for (obj, box), anc in zip(rpn_out, anchors):
-        scores = sigmoid(obj.data.reshape(-1))
-        deltas = box.data.reshape(4, -1).T
-        all_boxes.append(decode_deltas(anc, deltas))
-        all_scores.append(scores)
-    boxes = clip_boxes(np.concatenate(all_boxes), img_w, img_h)
-    scores = np.concatenate(all_scores)
+    scores = sigmoid(np.concatenate([obj.data.reshape(-1) for obj, _ in rpn_out]))
+    deltas = np.concatenate([box.data.reshape(4, -1) for _, box in rpn_out], axis=1).T
+    boxes = clip_boxes(decode_deltas(np.concatenate(anchors), deltas), img_w, img_h)
     valid = (boxes[:, 2] - boxes[:, 0] > 1e-3) & (boxes[:, 3] - boxes[:, 1] > 1e-3)
     boxes, scores = boxes[valid], scores[valid]
     if len(scores) == 0:

@@ -1,18 +1,22 @@
 """Fixed-size region cropping from pyramid features, batched over boxes.
 
 Boxes arrive as one float64 [R,4] array. ``roi_align_batch`` crops every box
-from one level at once; ``extract_region_batch`` applies it in the two crop
-modes: the classic single-level path, where each box is first mapped to one
-pyramid level by its area and cropped there, and the hierarchical path that
-crops the same box from every level and stacks the results along the channel
-axis, so a region carries fine detail and coarse context at once. Crops come
-out in the feature maps' dtype.
+from a list of levels in one call; ``extract_region_batch`` applies it in the
+two crop modes: the classic single-level path, where each box is first
+mapped to one pyramid level by its area and cropped there (one call per
+non-empty level group), and the hierarchical path that crops the same box
+from every level in one call and stacks the results along the channel axis,
+so a region carries fine detail and coarse context at once. Crops come out
+in the feature maps' dtype.
 
-Each crop is separable, Ay @ F @ Ax^T per box, and runs as GEMMs whose
-count does not grow with the channels: one GEMM applies every box's Ay to
-the level, then one GEMM per box its Ax over all channels at once. float32
-crops match the earlier per-channel crop (kept in tests/oracles.py) to
-rounding, not bit for bit; the interpolation operators are byte-equal.
+Each crop is separable, Ay @ F @ Ax^T per box. The operators of all levels
+are built at once, then each level runs as GEMMs whose count does not grow
+with the channels: one GEMM applies every box's Ay to the level, then one
+GEMM per box its Ax over all channels at once, written straight into the
+level's channel block. That per-level GEMM layout fixes the bits: crops are
+byte-equal to per-level crops joined by ``concat``. float32 crops match the
+earlier per-channel crop (kept in tests/oracles.py) to rounding, not bit
+for bit; the interpolation operators are byte-equal.
 """
 
 from __future__ import annotations
@@ -57,87 +61,107 @@ def _as_chw(feature: Tensor) -> Tensor:
     return feature
 
 
-def _interp_operators(boxes: np.ndarray, stride: float, h: int, w: int, out_size: int,
-                      samples: int, dtype):
-    """Per-box 1-D crop operators (ay [R,S,H], ax [R,S,W]) in ``dtype``.
+def _interp_operators(boxes: np.ndarray, strides, shapes, out_size: int, samples: int, dtype):
+    """Per-level 1-D crop operators: one (ay [R,S,H], ax [R,S,W]) pair in
+    ``dtype`` for each level's stride and (H, W) map shape.
 
     Row (r, i) of each holds the bin's clamped two-point interpolation
     weights averaged over its ``samples`` sample coordinates, so a crop along
-    one axis is a plain matmul. Both are built in float64 by one
-    ``bincount`` whose input lists each row's contributions sample by
+    one axis is a plain matmul. Every level's operators are built in float64
+    by one ``bincount`` whose input lists each row's contributions sample by
     sample, so each weight is its samples' contributions added in order and
     then divided by ``samples``; the result is cast once, so a float32
     feature map is cropped by float32 operators instead of being upcast.
+    Each level's pair is byte-equal to the pair built for that level alone.
     """
-    n_roi = boxes.shape[0]
+    n_roi, n_lvl = boxes.shape[0], len(strides)
     corners = boxes.T[[1, 0, 3, 2]]                                             # y1,x1,y2,x2 [4,R]
-    lo = corners[:2] / stride
+    stride = np.asarray(strides, np.float64).reshape(n_lvl, 1, 1)
+    lo = corners[:2] / stride                                                   # [L,2,R]
     size = np.maximum((corners[2:] - corners[:2]) / stride, _MIN_EXTENT)
     offs = np.arange(out_size)[:, None] + (np.arange(samples)[None, :] + 0.5) / samples  # [S,n]
-    coords = lo[:, :, None, None] + offs * (size / out_size)[:, :, None, None]  # [2,R,S,n]
-    limit = np.array((h, w)).reshape(2, 1, 1, 1)
+    coords = lo[..., None, None] + offs * (size / out_size)[..., None, None]    # [L,2,R,S,n]
+    limit = np.asarray(shapes, np.intp).reshape(n_lvl, 2, 1, 1, 1)              # (H, W) per level
     c = np.minimum(np.maximum(coords, 0.0), limit - 1.0)
     i0 = c.astype(np.intp)  # truncation is floor on c >= 0
     np.minimum(i0, np.maximum(limit - 2, 0), out=i0)
     i1 = np.minimum(i0 + 1, limit - 1)
     frac = c - i0
-    # Row (axis, r, i) starts at (r*S + i) * limit, the W-wide ax rows after all H-wide ay rows.
-    rows = np.arange(n_roi * out_size).reshape(1, n_roi, out_size, 1)
-    start = rows * limit + np.array((0, n_roi * out_size * h)).reshape(2, 1, 1, 1)
-    idx = np.stack((i0, i1), axis=-1) + start[..., None]                        # [2,R,S,n,2]
+    # Block (level, axis) holds R*S rows of its map's height or width, in
+    # level order and ay before ax; row (r, i) starts at (r*S + i) * limit.
+    block = n_roi * out_size * limit
+    block_start = np.cumsum(block) - block.reshape(-1)
+    rows = np.arange(n_roi * out_size).reshape(1, 1, n_roi, out_size, 1)
+    start = rows * limit + block_start.reshape(n_lvl, 2, 1, 1, 1)
+    idx = np.stack((i0, i1), axis=-1) + start[..., None]                        # [L,2,R,S,n,2]
     weights = np.stack((1.0 - frac, frac), axis=-1)
-    ops = np.bincount(idx.reshape(-1), weights.reshape(-1), minlength=n_roi * out_size * (h + w))
+    ops = np.bincount(idx.reshape(-1), weights.reshape(-1), minlength=int(block.sum()))
     ops /= samples
     ops = ops.astype(dtype, copy=False)
-    split = n_roi * out_size * h
-    return ops[:split].reshape(n_roi, out_size, h), ops[split:].reshape(n_roi, out_size, w)
+    return [
+        (ops[y0:y0 + n_roi * out_size * h].reshape(n_roi, out_size, h),
+         ops[x0:x0 + n_roi * out_size * w].reshape(n_roi, out_size, w))
+        for (h, w), (y0, x0) in zip(shapes, block_start.reshape(n_lvl, 2))
+    ]
 
 
-def roi_align_batch(feature: Tensor, rois, stride: float, out_size: int = 7,
-                    samples: int = 2) -> Tensor:
+def roi_align_batch(features, rois, strides, out_size: int = 7, samples: int = 2) -> Tensor:
     """Average-of-bilinear-samples crop of every box in ``rois`` [R,4] from
-    one pyramid level; output [R, C, S, S].
+    every level in ``features`` (one stride each); output [R, sum C, S, S],
+    level i's crop in the i-th channel block.
 
-    Boxes map to feature coordinates by dividing by ``stride`` (no rounding,
-    no half-pixel shift); each of the S^2 bins averages samples^2 bilinear
-    lookups on a regular sub-grid, clamped to the map border. Degenerate
-    boxes are clamped to a minimum extent. Bilinear sampling plus bin
-    averaging is separable, so each crop is Ay @ F @ Ax^T with per-box
+    Boxes map to feature coordinates by dividing by the level's stride (no
+    rounding, no half-pixel shift); each of the S^2 bins averages samples^2
+    bilinear lookups on a regular sub-grid, clamped to the map border.
+    Degenerate boxes are clamped to a minimum extent. Bilinear sampling plus
+    bin averaging is separable, so each crop is Ay @ F @ Ax^T with per-box
     interpolation matrices Ay [S,H] and Ax [S,W].
 
-    GEMM layout: one [R*S, H] x [H, C*W] GEMM applies every Ay at once, then
-    one [S*C, W] x [W, S] GEMM per box applies its Ax^T, and one transposed
-    copy gives [R, C, S, S]. The backward mirrors it: one [S*C, S] x [S, W]
-    GEMM per box, then one [H, R*S] x [R*S, C*W] GEMM. float64 crops match
-    the per-channel reference in tests/oracles.py to ~1e-16; float32 crops
-    match it to rounding, not bit for bit, since a different GEMM shape
-    sums in a different order.
+    One call per box set: the operators of all levels come from one
+    ``bincount``, and the call is one graph node. The GEMM layout per level
+    is the per-level kernel's: one [R*S, H] x [H, C*W] GEMM applies every
+    Ay at once, then one [S*C, W] x [W, S] GEMM per box applies its Ax^T,
+    and the transposed result is written straight into the level's channel
+    block. The backward mirrors it per level: one [S*C, S] x [S, W] GEMM
+    per box, then one [H, R*S] x [R*S, C*W] GEMM. So crops and gradients
+    are byte-equal to per-level crops joined by ``concat`` (kept in
+    tests/oracles.py). float64 crops match the per-channel reference there
+    to ~1e-16; float32 crops match it to rounding, not bit for bit, since a
+    different GEMM shape sums in a different order.
     """
     if out_size < 1 or samples < 1:
         raise ShapeError(f"roi_align_batch needs out_size and samples >= 1, got {out_size}, {samples}")
-    f = _as_chw(feature)
-    c, h, w = f.data.shape
+    levels = [_as_chw(f) for f in features]
+    if not levels or len(levels) != len(strides):
+        raise ShapeError(f"roi_align_batch needs one stride per level, got {len(levels)} levels "
+                         f"and {len(strides)} strides")
     boxes = np.asarray(rois, np.float64).reshape(-1, 4)
     n_roi = boxes.shape[0]
     if n_roi == 0:
         raise ShapeError("roi_align_batch on an empty box array")
     s = out_size
-    ay, ax = _interp_operators(boxes, stride, h, w, s, samples, f.data.dtype)
-    ay2 = ay.reshape(n_roi * s, h)
+    dtype = np.result_type(*(f.data for f in levels))
+    ops = _interp_operators(boxes, strides, [f.data.shape[1:] for f in levels], s, samples, dtype)
+    offsets = np.cumsum([0] + [f.data.shape[0] for f in levels])
+    out_data = np.empty((n_roi, offsets[-1], s, s), dtype)
 
     # t1[(r,i),(c,w)] = sum_h ay[r,i,h] f[c,h,w]; then out[r,c,i,j] = sum_w t1[r,i,c,w] ax[r,j,w].
-    t1 = ay2 @ f.data.transpose(1, 0, 2).reshape(h, c * w)                      # [R*S, C*W]
-    ax_t = np.ascontiguousarray(ax.transpose(0, 2, 1))  # stacked matmul is far slower on a view
-    t3 = np.matmul(t1.reshape(n_roi, s * c, w), ax_t)                           # [R, S*C, S]
-    out_data = np.ascontiguousarray(t3.reshape(n_roi, s, c, s).transpose(0, 2, 1, 3))
-    out = Tensor._from_op(out_data, (f,), None)
+    for f, (ay, ax), c0 in zip(levels, ops, offsets):
+        c, h, w = f.data.shape
+        t1 = ay.reshape(n_roi * s, h) @ f.data.transpose(1, 0, 2).reshape(h, c * w)  # [R*S, C*W]
+        ax_t = np.ascontiguousarray(ax.transpose(0, 2, 1))  # stacked matmul is far slower on a view
+        t3 = np.matmul(t1.reshape(n_roi, s * c, w), ax_t)                           # [R, S*C, S]
+        out_data[:, c0:c0 + c] = t3.reshape(n_roi, s, c, s).transpose(0, 2, 1, 3)
+    out = Tensor._from_op(out_data, tuple(levels), None)
 
     def bk(g):
-        if not f.requires_grad:
-            return
-        gt = np.ascontiguousarray(g.transpose(0, 2, 1, 3)).reshape(n_roi, s * c, s)
-        t2 = np.matmul(gt, ax).reshape(n_roi * s, c * w)                        # [R*S, C*W]
-        _accumulate(f, (ay2.T @ t2).reshape(h, c, w).transpose(1, 0, 2))
+        for f, (ay, ax), c0 in zip(levels, ops, offsets):
+            if not f.requires_grad:
+                continue
+            c, h, w = f.data.shape
+            gt = np.ascontiguousarray(g[:, c0:c0 + c].transpose(0, 2, 1, 3)).reshape(n_roi, s * c, s)
+            t2 = np.matmul(gt, ax).reshape(n_roi * s, c * w)                        # [R*S, C*W]
+            _accumulate(f, (ay.reshape(n_roi * s, h).T @ t2).reshape(h, c, w).transpose(1, 0, 2))
 
     out._backward = bk if out.requires_grad else None
     return out
@@ -147,7 +171,7 @@ def extract_region_batch(pyramid, rois, use_pyramid: bool, out_size: int = 7,
                          samples: int = 2, canonical: float = CANONICAL_SIZE) -> Tensor:
     """Region features for a box array [R,4] in the configured crop mode.
 
-    Returns [R, 4d, S, S] (all-level concat; channel block [i*d, (i+1)*d)
+    Returns [R, 4d, S, S] (all levels in one call; channel block [i*d, (i+1)*d)
     holds the crop of level 2+i) or [R, d, S, S] (per-box level assignment),
     rows ordered like ``rois``.
     """
@@ -155,11 +179,8 @@ def extract_region_batch(pyramid, rois, use_pyramid: bool, out_size: int = 7,
     if len(rois) == 0:
         raise ShapeError("extract_region_batch on an empty box array")
     if use_pyramid:
-        crops = [
-            roi_align_batch(level, rois, stride, out_size=out_size, samples=samples)
-            for level, stride in zip(pyramid.levels(), PYRAMID_STRIDES)
-        ]
-        return concat(crops, axis=1)
+        return roi_align_batch(pyramid.levels(), rois, PYRAMID_STRIDES, out_size=out_size,
+                               samples=samples)
 
     levels = [assign_level(r, canonical=canonical) for r in rois]
     pieces = []
@@ -169,7 +190,7 @@ def extract_region_batch(pyramid, rois, use_pyramid: bool, out_size: int = 7,
         if not idx:
             continue
         pieces.append(
-            roi_align_batch(feature, rois[idx], stride, out_size=out_size, samples=samples)
+            roi_align_batch([feature], rois[idx], [stride], out_size=out_size, samples=samples)
         )
         order.extend(idx)
     stacked = pieces[0] if len(pieces) == 1 else concat(pieces, axis=0)

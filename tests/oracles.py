@@ -7,7 +7,13 @@ maxpool2x2_argmax: the library's earlier vectorized conv and pooling, kept
 in plain numpy as bit-for-bit references for the current kernels;
 interp_matrix_mean and roi_align_per_channel, the earlier RoI crop operators
 and per-box, per-channel crop, kept as references for the box-wise GEMM crop
-(its operators byte-equal, its crops equal to rounding); relu_where,
+(its operators byte-equal, its crops equal to rounding);
+interp_operators_level, roi_align_levels_concat and
+generate_proposals_per_level, the earlier one-pass-per-level crop
+operators, all-level crop and proposal stage, kept as bit-for-bit
+references for the one-call crop and the one-pass proposals (the last uses
+the library's box helpers, since only its per-level batching is under
+test); relu_where,
 iou_where and maxpool2x2_backward_where, the earlier np.where forms of three
 elementwise steps, kept as bit-for-bit references in float32 and float64;
 and mse, a test loss composed from library ops, which the detector never
@@ -273,6 +279,78 @@ def roi_align_per_channel(f, boxes, stride, out_size, samples, g=None):
         return out, None
     t2 = np.matmul(g, ax[:, None])
     return out, np.tensordot(ay, t2, axes=([0, 1], [0, 2])).transpose(1, 0, 2)
+
+
+def interp_operators_level(boxes, stride, h, w, out_size, samples, dtype):
+    """The earlier per-level crop operators (ay [R,S,H], ax [R,S,W]): both
+    axes of one level from one float64 bincount, divided by ``samples``,
+    then cast."""
+    n_roi = boxes.shape[0]
+    corners = boxes.T[[1, 0, 3, 2]]
+    lo = corners[:2] / stride
+    size = np.maximum((corners[2:] - corners[:2]) / stride, 1e-6)
+    offs = np.arange(out_size)[:, None] + (np.arange(samples)[None, :] + 0.5) / samples
+    coords = lo[:, :, None, None] + offs * (size / out_size)[:, :, None, None]
+    limit = np.array((h, w)).reshape(2, 1, 1, 1)
+    c = np.minimum(np.maximum(coords, 0.0), limit - 1.0)
+    i0 = c.astype(np.intp)
+    np.minimum(i0, np.maximum(limit - 2, 0), out=i0)
+    i1 = np.minimum(i0 + 1, limit - 1)
+    frac = c - i0
+    rows = np.arange(n_roi * out_size).reshape(1, n_roi, out_size, 1)
+    start = rows * limit + np.array((0, n_roi * out_size * h)).reshape(2, 1, 1, 1)
+    idx = np.stack((i0, i1), axis=-1) + start[..., None]
+    weights = np.stack((1.0 - frac, frac), axis=-1)
+    ops = np.bincount(idx.reshape(-1), weights.reshape(-1), minlength=n_roi * out_size * (h + w))
+    ops /= samples
+    ops = ops.astype(dtype, copy=False)
+    split = n_roi * out_size * h
+    return ops[:split].reshape(n_roi, out_size, h), ops[split:].reshape(n_roi, out_size, w)
+
+
+def roi_align_levels_concat(levels, boxes, strides, out_size, samples, g=None):
+    """The earlier all-level crop: one box-wise GEMM crop per [C,H,W] level,
+    each copied out transposed, then joined along channels by
+    ``np.concatenate``. Returns (out [R, sum C, S, S], grads) for upstream
+    gradient g, grads being one input gradient per level (None without g)."""
+    boxes = np.asarray(boxes, np.float64).reshape(-1, 4)
+    n_roi, s = boxes.shape[0], out_size
+    crops, grads, c0 = [], [], 0
+    for f, stride in zip(levels, strides):
+        c, h, w = f.shape
+        ay, ax = interp_operators_level(boxes, stride, h, w, s, samples, f.dtype)
+        ay2 = ay.reshape(n_roi * s, h)
+        t1 = ay2 @ f.transpose(1, 0, 2).reshape(h, c * w)
+        ax_t = np.ascontiguousarray(ax.transpose(0, 2, 1))
+        t3 = np.matmul(t1.reshape(n_roi, s * c, w), ax_t)
+        crops.append(np.ascontiguousarray(t3.reshape(n_roi, s, c, s).transpose(0, 2, 1, 3)))
+        if g is not None:
+            gt = np.ascontiguousarray(g[:, c0:c0 + c].transpose(0, 2, 1, 3)).reshape(n_roi, s * c, s)
+            t2 = np.matmul(gt, ax).reshape(n_roi * s, c * w)
+            grads.append((ay2.T @ t2).reshape(h, c, w).transpose(1, 0, 2))
+        c0 += c
+    return np.concatenate(crops, axis=1), (grads if g is not None else None)
+
+
+def generate_proposals_per_level(rpn_out, anchors, pre_nms_k, post_nms_k, nms_iou, img_w, img_h):
+    """The earlier proposal stage: each level scored and decoded in its own
+    pass, the boxes joined and clipped, then ranked and deduplicated with
+    the library's box helpers."""
+    from distilldet.boxes import clip_boxes, decode_deltas, nms, sigmoid
+
+    all_boxes, all_scores = [], []
+    for (obj, box), anc in zip(rpn_out, anchors):
+        all_scores.append(sigmoid(obj.data.reshape(-1)))
+        all_boxes.append(decode_deltas(anc, box.data.reshape(4, -1).T))
+    boxes = clip_boxes(np.concatenate(all_boxes), img_w, img_h)
+    scores = np.concatenate(all_scores)
+    valid = (boxes[:, 2] - boxes[:, 0] > 1e-3) & (boxes[:, 3] - boxes[:, 1] > 1e-3)
+    boxes, scores = boxes[valid], scores[valid]
+    if len(scores) == 0:
+        return np.zeros((0, 4))
+    order = np.argsort(-scores, kind="stable")[:pre_nms_k]
+    boxes, scores = boxes[order], scores[order]
+    return boxes[nms(boxes, scores, nms_iou, max_keep=post_nms_k)]
 
 
 def relu_where(x):

@@ -268,6 +268,32 @@ class TestFileFormats:
         with pytest.raises(EvalError):
             read_detections(p)
 
+    @pytest.mark.parametrize("line", [
+        "0 1.0 2.0 10.0 30.0 nan",      # nan score
+        "0 1.0 2.0 10.0 30.0 inf",      # inf score
+        "0 1.0 2.0 10.0 -inf 0.5",      # inf coordinate
+        "0 10.0 2.0 1.0 30.0 0.5",      # x2 < x1
+        "0 1.0 30.0 10.0 30.0 0.5",     # y2 == y1
+        "0 1.0 2.0 ten 30.0 0.5",       # not a number
+    ])
+    def test_bad_detection_line_names_path_and_line(self, tmp_path, line):
+        p = tmp_path / "dets.txt"
+        p.write_text("# image_id x1 y1 x2 y2 score\n0 1.0 2.0 10.0 30.0 0.9\n" + line + "\n")
+        with pytest.raises(EvalError, match=f"{p}:3"):
+            read_detections(p)
+
+    @pytest.mark.parametrize("line", [
+        "0 1.0 2.0 10.0 30.0 nan",      # nan visibility
+        "0 1.0 2.0 inf 30.0 1.0",       # inf coordinate
+        "0 10.0 2.0 1.0 30.0 1.0",      # x2 < x1
+        "0 1.0 30.0 10.0 2.0 1.0",      # y2 < y1
+    ])
+    def test_bad_ground_truth_line_names_path_and_line(self, tmp_path, line):
+        p = tmp_path / "gt.txt"
+        p.write_text("0 1.0 2.0 10.0 30.0 1.0\n" + line + "\n")
+        with pytest.raises(EvalError, match=f"{p}:2"):
+            read_ground_truth(p)
+
     def test_evaluate_gt_as_detections_gives_zero_mr(self, rng):
         gts = {}
         for img in range(4):

@@ -38,14 +38,14 @@ def test_conv2d_gradcheck_strided_padded(rng):
 def test_roi_align_gradcheck(rng):
     f = rng.normal(size=(3, 8, 10))
     box = np.array([[2.3, 1.1, 8.7, 7.2]])
-    worst = check_gradients(lambda ft: roi.roi_align_batch(ft, box, stride=1.0, out_size=3), [f])
+    worst = check_gradients(lambda ft: roi.roi_align_batch([ft], box, [1.0], out_size=3), [f])
     assert worst < 1e-4
 
 
 def test_roi_align_batch_gradcheck(rng):
     f = rng.normal(size=(2, 8, 10))
     boxes = np.array([[2.3, 1.1, 8.7, 7.2], [0.0, 0.0, 9.9, 7.9]])
-    worst = check_gradients(lambda ft: roi.roi_align_batch(ft, boxes, 1.0, out_size=3), [f])
+    worst = check_gradients(lambda ft: roi.roi_align_batch([ft], boxes, [1.0], out_size=3), [f])
     assert worst < 1e-4
 
 

@@ -32,7 +32,7 @@ def bilinear_sample(f, x, y):
     """One bilinear lookup at (x, y) through roi_align_batch: a unit box
     centred there, cropped to one bin with one sample."""
     box = np.array([[x - 0.5, y - 0.5, x + 0.5, y + 0.5]])
-    return roi.roi_align_batch(Tensor(f), box, 1.0, out_size=1, samples=1).data[0, :, 0, 0]
+    return roi.roi_align_batch([Tensor(f)], box, [1.0], out_size=1, samples=1).data[0, :, 0, 0]
 
 
 def test_conv2d_trivial_all_ones():
@@ -137,7 +137,7 @@ def test_roi_align_random_vs_loop_oracle(rng):
                y1 + float(rng.uniform(1, h * stride * 0.5)))
         s = int(rng.choice([2, 3]))
         samples = int(rng.choice([1, 2]))
-        got = roi.roi_align_batch(Tensor(f), np.array([box]), stride, out_size=s, samples=samples).data[0]
+        got = roi.roi_align_batch([Tensor(f)], np.array([box]), [stride], out_size=s, samples=samples).data[0]
         want = roi_align_loops(f, box, stride, s, samples)
         assert np.allclose(got, want, rtol=0, atol=1e-12), f"instance {i}"
 
@@ -146,7 +146,7 @@ def test_roi_align_batch_matches_oracle(rng):
     f = rng.normal(size=(3, 8, 12))
     boxes = np.column_stack([rng.uniform(0, 20, 8), rng.uniform(0, 12, 8),
                              rng.uniform(24, 46, 8), rng.uniform(16, 30, 8)])
-    got = roi.roi_align_batch(Tensor(f), boxes, 4.0, out_size=5, samples=2).data
+    got = roi.roi_align_batch([Tensor(f)], boxes, [4.0], out_size=5, samples=2).data
     for i, b in enumerate(boxes):
         want = roi_align_loops(f, b, 4.0, 5, 2)
         assert np.allclose(got[i], want, rtol=0, atol=1e-12)

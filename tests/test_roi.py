@@ -46,7 +46,7 @@ class TestRoiAlign:
 
     def test_constant_map_yields_constant(self):
         f = Tensor(np.full((3, 8, 8), 2.5))
-        out = roi.roi_align_batch(f, _boxes((1.3, 2.7, 6.1, 7.9)), stride=1.0)
+        out = roi.roi_align_batch([f], _boxes((1.3, 2.7, 6.1, 7.9)), [1.0])
         assert out.shape == (1, 3, 7, 7)
         assert np.allclose(out.data, 2.5, atol=1e-12)
 
@@ -54,25 +54,31 @@ class TestRoiAlign:
         f = Tensor(rng.normal(size=(2, 8, 8)))
         # box [1,1]..[5,5] over a 2x2 grid with one center sample per bin:
         # samples land at 2.0/4.0 exactly
-        out = roi.roi_align_batch(f, _boxes((1.0, 1.0, 5.0, 5.0)), stride=1.0, out_size=2, samples=1)
+        out = roi.roi_align_batch([f], _boxes((1.0, 1.0, 5.0, 5.0)), [1.0], out_size=2, samples=1)
         expect = f.data[:, 2::2, 2::2][:, :2, :2]
         assert np.allclose(out.data[0], expect, atol=1e-12)
 
     def test_degenerate_box_clamps_to_min_extent(self):
         f = Tensor(np.arange(32.0).reshape(2, 4, 4))
-        out = roi.roi_align_batch(f, _boxes((2.0, 2.0, 2.0 + 1e-9, 3.0)), stride=1.0, out_size=2)
+        out = roi.roi_align_batch([f], _boxes((2.0, 2.0, 2.0 + 1e-9, 3.0)), [1.0], out_size=2)
         assert np.isfinite(out.data).all()
 
     @pytest.mark.parametrize("out_size, samples", [(0, 2), (7, 0), (-1, 2), (7, -3)])
     def test_out_size_or_samples_below_one_rejected(self, out_size, samples):
         f = Tensor(np.ones((2, 8, 8)))
         with pytest.raises(ShapeError):
-            roi.roi_align_batch(f, _boxes((1.0, 1.0, 5.0, 5.0)), 1.0, out_size=out_size, samples=samples)
+            roi.roi_align_batch([f], _boxes((1.0, 1.0, 5.0, 5.0)), [1.0], out_size=out_size, samples=samples)
+
+    @pytest.mark.parametrize("n_levels, strides", [(1, []), (1, [1.0, 2.0]), (2, [1.0]), (0, [])])
+    def test_one_stride_per_level_required(self, n_levels, strides):
+        levels = [Tensor(np.ones((2, 8, 8)))] * n_levels
+        with pytest.raises(ShapeError):
+            roi.roi_align_batch(levels, _boxes((1.0, 1.0, 5.0, 5.0)), strides)
 
     def test_stride_maps_image_coords(self, rng):
         f = rng.normal(size=(1, 8, 8))
-        a = roi.roi_align_batch(Tensor(f), _boxes((8.0, 8.0, 24.0, 24.0)), stride=4.0, out_size=2)
-        b = roi.roi_align_batch(Tensor(f), _boxes((2.0, 2.0, 6.0, 6.0)), stride=1.0, out_size=2)
+        a = roi.roi_align_batch([Tensor(f)], _boxes((8.0, 8.0, 24.0, 24.0)), [4.0], out_size=2)
+        b = roi.roi_align_batch([Tensor(f)], _boxes((2.0, 2.0, 6.0, 6.0)), [1.0], out_size=2)
         assert np.allclose(a.data, b.data, atol=1e-14)
 
 
@@ -100,7 +106,7 @@ class TestPyramidRoiAlign:
         box = _boxes((3.0, 5.0, 30.0, 28.0))
         out = roi.extract_region_batch(pyr, box, True, out_size=4)
         for i, (level, stride) in enumerate(zip(pyr.levels(), roi.PYRAMID_STRIDES)):
-            single = roi.roi_align_batch(level, box, stride, out_size=4)
+            single = roi.roi_align_batch([level], box, [stride], out_size=4)
             assert np.allclose(out.data[0, i * 4 : (i + 1) * 4], single.data[0], rtol=0, atol=1e-12)
 
     def test_channel_block_isolation_under_perturbation(self, rng):
@@ -185,7 +191,7 @@ def _random_case(rng):
 
 def _crop_and_grad(f, boxes, stride, out_size, samples, g):
     ft = Tensor(f, requires_grad=True)
-    out = roi.roi_align_batch(ft, boxes, stride, out_size=out_size, samples=samples)
+    out = roi.roi_align_batch([ft], boxes, [stride], out_size=out_size, samples=samples)
     backward(tsum(mul(out, Tensor(g))))  # hands the crop exactly g
     return out.data, ft.grad
 
@@ -202,7 +208,7 @@ class TestAgainstPerChannelReference:
             fw = np.maximum((boxes[:, 2] - boxes[:, 0]) / stride, 1e-6)
             fh = np.maximum((boxes[:, 3] - boxes[:, 1]) / stride, 1e-6)
             for dtype in (np.float64, np.float32):
-                ay, ax = roi._interp_operators(boxes, stride, h, w, out_size, samples, dtype)
+                (ay, ax), = roi._interp_operators(boxes, [stride], [(h, w)], out_size, samples, dtype)
                 want_y = interp_matrix_mean(boxes[:, 1] / stride, fh, h, out_size, samples, dtype)
                 want_x = interp_matrix_mean(boxes[:, 0] / stride, fw, w, out_size, samples, dtype)
                 assert ay.dtype == ax.dtype == dtype
