@@ -6,8 +6,10 @@ operands' dtype, so a float32 graph stays float32 end to end. Float64
 tensors work the same way and stay float64; the finite-difference gradient
 checks and the test oracles run in float64.
 
-Every differentiable operation stores its parent tensors and a gradient rule
-on the output; ``backward`` replays the rules in reverse topological order.
+Every differentiable operation hands its output data, parent tensors and
+gradient rule to ``Tensor._from_op``, which records the parents and the rule
+on the output only when some parent requires a gradient; ``backward``
+replays the rules in reverse topological order.
 The recorded graph is single-use: differentiating through an already-consumed
 operation raises ``TapeError``, so each optimization step must rebuild its
 forward graph.
@@ -64,7 +66,15 @@ class Tensor:
         self._consumed = False
 
     @classmethod
-    def _from_op(cls, data, parents, backward_fn):
+    def _from_op(cls, data, parents, rule):
+        """Output of an operation on ``parents``; ``rule(g)`` adds the
+        parents' gradients given the output's gradient ``g``.
+
+        Every op hands its rule here and this alone decides whether to
+        record it: only when some parent requires a gradient does the
+        output keep its parents and the rule; otherwise it is a constant
+        with neither, and the rule is dropped unrun.
+        """
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
@@ -72,7 +82,7 @@ class Tensor:
         if any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
-            out._backward = backward_fn
+            out._backward = rule
         else:
             out.requires_grad = False
             out._parents = ()
@@ -238,38 +248,31 @@ def _coerce_pair(a, b):
 def add(a: Tensor, b):
     if isinstance(b, Tensor):
         a, b = _coerce_pair(a, b)
-        out = Tensor._from_op(a.data + b.data, (a, b), None)
 
         def bk(g):
             _accumulate(a, g if a.data.shape == g.shape else g.sum())
             _accumulate(b, g if b.data.shape == g.shape else g.sum())
 
-        out._backward = bk if out.requires_grad else None
-        return out
+        return Tensor._from_op(a.data + b.data, (a, b), bk)
     c = float(b)
-    out = Tensor._from_op(a.data + c, (a,), None)
-    out._backward = (lambda g: _accumulate(a, g)) if out.requires_grad else None
-    return out
+    return Tensor._from_op(a.data + c, (a,), lambda g: _accumulate(a, g))
 
 
 def sub(a: Tensor, b):
     if isinstance(b, Tensor):
         a, b = _coerce_pair(a, b)
-        out = Tensor._from_op(a.data - b.data, (a, b), None)
 
         def bk(g):
             _accumulate(a, g if a.data.shape == g.shape else g.sum())
             _accumulate(b, -g if b.data.shape == g.shape else -g.sum())
 
-        out._backward = bk if out.requires_grad else None
-        return out
+        return Tensor._from_op(a.data - b.data, (a, b), bk)
     return add(a, -float(b))
 
 
 def mul(a: Tensor, b):
     if isinstance(b, Tensor):
         a, b = _coerce_pair(a, b)
-        out = Tensor._from_op(a.data * b.data, (a, b), None)
 
         def bk(g):
             ga = g * b.data
@@ -277,78 +280,63 @@ def mul(a: Tensor, b):
             _accumulate(a, ga if a.data.shape == ga.shape else ga.sum())
             _accumulate(b, gb if b.data.shape == gb.shape else gb.sum())
 
-        out._backward = bk if out.requires_grad else None
-        return out
+        return Tensor._from_op(a.data * b.data, (a, b), bk)
     c = float(b)
-    out = Tensor._from_op(a.data * c, (a,), None)
-    out._backward = (lambda g: _accumulate(a, g * c)) if out.requires_grad else None
-    return out
+    return Tensor._from_op(a.data * c, (a,), lambda g: _accumulate(a, g * c))
 
 
 def neg(a: Tensor):
-    out = Tensor._from_op(-a.data, (a,), None)
-    out._backward = (lambda g: _accumulate(a, -g)) if out.requires_grad else None
-    return out
+    return Tensor._from_op(-a.data, (a,), lambda g: _accumulate(a, -g))
 
 
 def relu(a: Tensor):
     """max(x, 0). A NaN input passes through as NaN; the training loop's
     finite-loss check then stops the step."""
     mask = a.data > 0.0
-    out = Tensor._from_op(np.maximum(a.data, 0.0), (a,), None)
-    out._backward = (lambda g: _accumulate(a, g * mask)) if out.requires_grad else None
-    return out
+    return Tensor._from_op(np.maximum(a.data, 0.0), (a,), lambda g: _accumulate(a, g * mask))
 
 
 # ---- reductions and reshapes ---------------------------------------------
 
 
 def tsum(a: Tensor):
-    out = Tensor._from_op(np.asarray(a.data.sum()), (a,), None)
-    out._backward = (lambda g: _accumulate(a, np.full_like(a.data, float(g)))) if out.requires_grad else None
-    return out
+    return Tensor._from_op(np.asarray(a.data.sum()), (a,),
+                           lambda g: _accumulate(a, np.full_like(a.data, float(g))))
 
 
 def tmean(a: Tensor):
     n = a.data.size
-    out = Tensor._from_op(np.asarray(a.data.mean()), (a,), None)
-    out._backward = (lambda g: _accumulate(a, np.full_like(a.data, float(g) / n))) if out.requires_grad else None
-    return out
+    return Tensor._from_op(np.asarray(a.data.mean()), (a,),
+                           lambda g: _accumulate(a, np.full_like(a.data, float(g) / n)))
 
 
 def reshape(a: Tensor, shape):
     shape = tuple(int(s) for s in shape)
-    data = a.data.reshape(shape)
-    out = Tensor._from_op(data, (a,), None)
-    out._backward = (lambda g: _accumulate(a, g.reshape(a.data.shape))) if out.requires_grad else None
-    return out
+    return Tensor._from_op(a.data.reshape(shape), (a,),
+                           lambda g: _accumulate(a, g.reshape(a.data.shape)))
 
 
 def transpose(a: Tensor, axes):
     axes = tuple(int(x) for x in axes)
-    inv = tuple(np.argsort(axes))
-    out = Tensor._from_op(a.data.transpose(axes), (a,), None)
-    out._backward = (lambda g: _accumulate(a, g.transpose(inv))) if out.requires_grad else None
-    return out
+    return Tensor._from_op(a.data.transpose(axes), (a,),
+                           lambda g: _accumulate(a, g.transpose(tuple(np.argsort(axes)))))
 
 
 def concat(tensors, axis: int = 0):
     tensors = list(tensors)
     if not tensors:
         raise ShapeError("concat of zero tensors")
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-    out = Tensor._from_op(data, tuple(tensors), None)
 
     def bk(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+        lo = 0
+        for t in tensors:
+            hi = lo + t.data.shape[axis]
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(lo, hi)
             _accumulate(t, g[tuple(sl)])
+            lo = hi
 
-    out._backward = bk if out.requires_grad else None
-    return out
+    return Tensor._from_op(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bk)
 
 
 def take_rows(a: Tensor, indices):
@@ -356,33 +344,25 @@ def take_rows(a: Tensor, indices):
     idx = np.asarray(indices, dtype=np.intp)
     if a.data.ndim != 2:
         raise ShapeError("take_rows expects a 2-D tensor")
-    out = Tensor._from_op(a.data[idx], (a,), None)
 
     def bk(g):
-        if not a.requires_grad:
-            return
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
         np.add.at(a.grad, idx, g)
 
-    out._backward = bk if out.requires_grad else None
-    return out
+    return Tensor._from_op(a.data[idx], (a,), bk)
 
 
 def gather(a: Tensor, flat_indices):
     """Pick elements of the row-major flattened tensor."""
     idx = np.asarray(flat_indices, dtype=np.intp)
-    out = Tensor._from_op(a.data.reshape(-1)[idx], (a,), None)
 
     def bk(g):
-        if not a.requires_grad:
-            return
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
         np.add.at(a.grad.reshape(-1), idx, g)
 
-    out._backward = bk if out.requires_grad else None
-    return out
+    return Tensor._from_op(a.data.reshape(-1)[idx], (a,), bk)
 
 
 # ---- linear algebra -------------------------------------------------------
@@ -396,15 +376,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor):
         raise ShapeError(
             f"linear shape mismatch: x{x.shape} w{w.shape} b{b.shape}"
         )
-    out = Tensor._from_op(x.data @ w.data + b.data, (x, w, b), None)
 
     def bk(g):
         _accumulate(x, g @ w.data.T)
         _accumulate(w, x.data.T @ g)
         _accumulate(b, g.sum(axis=0))
 
-    out._backward = bk if out.requires_grad else None
-    return out
+    return Tensor._from_op(x.data @ w.data + b.data, (x, w, b), bk)
 
 
 # ---- losses and probability ops ------------------------------------------
@@ -422,15 +400,13 @@ def softmax_cross_entropy(logits: Tensor, labels):
     m = z.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
     losses = lse - z[np.arange(n), lab]
-    out = Tensor._from_op(np.asarray(losses.mean()), (logits,), None)
 
     def bk(g):
         p = np.exp(z - lse[:, None])
         p[np.arange(n), lab] -= 1.0
         _accumulate(logits, float(g) * p / n)
 
-    out._backward = bk if out.requires_grad else None
-    return out
+    return Tensor._from_op(np.asarray(losses.mean()), (logits,), bk)
 
 
 def bce_with_logits(logits: Tensor, targets):
@@ -440,7 +416,6 @@ def bce_with_logits(logits: Tensor, targets):
     if z.shape != t.shape:
         raise ShapeError(f"bce shapes {z.shape} vs {t.shape}")
     losses = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
-    out = Tensor._from_op(np.asarray(losses.mean()), (logits,), None)
     n = z.size
 
     def bk(g):
@@ -449,8 +424,7 @@ def bce_with_logits(logits: Tensor, targets):
         sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         _accumulate(logits, float(g) * (sig - t) / n)
 
-    out._backward = bk if out.requires_grad else None
-    return out
+    return Tensor._from_op(np.asarray(losses.mean()), (logits,), bk)
 
 
 def smooth_l1(pred: Tensor, target: Tensor):
@@ -461,12 +435,10 @@ def smooth_l1(pred: Tensor, target: Tensor):
     a = np.abs(d)
     inside = a < 1.0
     vals = np.where(inside, 0.5 * d * d, a - 0.5)
-    out = Tensor._from_op(vals, (pred, target), None)
 
     def bk(g):
         dd = np.where(inside, d, np.sign(d)) * g
         _accumulate(pred, dd)
         _accumulate(target, -dd)
 
-    out._backward = bk if out.requires_grad else None
-    return out
+    return Tensor._from_op(vals, (pred, target), bk)

@@ -45,41 +45,40 @@ def build_dataset(cfg: RunConfig):
     return generate_dataset(cfg.dataset, cfg.seed)
 
 
-def evaluate_params(net_cfg, params, test_scenes, subsets=SUBSETS):
-    """Detect on every test scene, then score each requested subset."""
+def evaluate_params(net_cfg, params, test_scenes):
+    """Detect on every test scene, then score each subset."""
     dets = {}
     for scene in test_scenes:
         h, w = scene.image.data.shape[-2:]
         image4 = scene.image.reshape((1, 3, h, w))
         dets[scene.index] = nets.detect(image4, net_cfg, params)
     gts = annotations_by_image(test_scenes)
-    curves = {s: evaluate(dets, gts, s) for s in subsets}
+    curves = {s: evaluate(dets, gts, s) for s in SUBSETS}
     return {s: c.log_avg_mr for s, c in curves.items()}, curves, dets
 
 
-def evaluate_checkpoint(ckpt_path, test_scenes, subsets=SUBSETS):
+def evaluate_checkpoint(ckpt_path, test_scenes):
     meta, params = load_checkpoint(ckpt_path)
-    net_cfg = _cfg_from_meta(meta)
-    return evaluate_params(net_cfg, params, test_scenes, subsets)
+    return evaluate_params(_cfg_from_meta(meta), params, test_scenes)
 
 
 def teacher_ckpt_path(out_dir) -> str:
     return os.path.join(out_dir, "teacher.ckpt")
 
 
-def ensure_teacher(cfg: RunConfig, train_scenes, log: bool = True):
+def ensure_teacher(cfg: RunConfig, train_scenes):
     """Train the teacher once per output directory; reuse if present."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = teacher_ckpt_path(cfg.out_dir)
     if not os.path.exists(path):
         train_teacher(
             train_scenes, cfg.teacher, cfg.train, path,
-            log_path=os.path.join(cfg.out_dir, "teacher_log.jsonl") if log else None,
+            log_path=os.path.join(cfg.out_dir, "teacher_log.jsonl"),
         )
     return path
 
 
-def run_student_variant(cfg: RunConfig, teacher_ckpt, tag: str, train_scenes, log: bool = True):
+def run_student_variant(cfg: RunConfig, teacher_ckpt, tag: str, train_scenes):
     """Train one student: ``cfg.student`` sets its crop mode and
     ``cfg.train.distill`` its matching terms."""
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -87,7 +86,7 @@ def run_student_variant(cfg: RunConfig, teacher_ckpt, tag: str, train_scenes, lo
     params, records, student_cfg = distill_student(
         train_scenes, teacher_ckpt, cfg.train, ckpt,
         student_cfg=cfg.student,
-        log_path=os.path.join(cfg.out_dir, f"student_{tag}_log.jsonl") if log else None,
+        log_path=os.path.join(cfg.out_dir, f"student_{tag}_log.jsonl"),
     )
     return ckpt, params, records, student_cfg
 

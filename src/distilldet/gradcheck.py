@@ -96,9 +96,9 @@ def _distinct(rng, shape):
 def op_checks(instances: int = 20, tol: float = 1e-4, seed: int = 1234):
     """Yield (name, worst_rel_err) for every differentiable op, failing fast.
 
-    Covers conv2d, linear, roi_align_batch, relu, maxpool2x2, concat,
-    cross-entropy, bce, smooth-L1, upsample, reshape/transpose and the
-    scatter ops.
+    Covers conv2d, linear, roi_align_batch in both crop modes, relu,
+    maxpool2x2, concat, cross-entropy, bce, smooth-L1, upsample,
+    reshape/transpose and the scatter ops.
     """
     rng = np.random.default_rng(seed)
     results = []
@@ -221,6 +221,18 @@ def op_checks(instances: int = 20, tol: float = 1e-4, seed: int = 1234):
     ))
 
     run("mean", lambda i: check_gradients(ad.tmean, [rng.normal(size=(4, 5))], seed=i))
+
+    def roi_align_single_level_case(i):
+        c, h, w = int(rng.integers(1, 4)), int(rng.integers(4, 8)), int(rng.integers(4, 8))
+        lo = rng.uniform(-0.5, [w, h], size=(3, 2))
+        boxes = np.hstack([lo, lo + rng.uniform(0.5, [w, h], size=(3, 2))])
+        box_levels = rng.integers(0, 3, size=3)  # a level may have no box
+        return check_gradients(
+            lambda *fs: roi.roi_align_batch(fs, boxes, [1.0, 2.0, 4.0], out_size=3, box_levels=box_levels),
+            [rng.normal(size=(c, h // k, w // k)) for k in (1, 2, 4)], seed=i,
+        )
+
+    run("roi_align_batch_single_level", roi_align_single_level_case)
 
     return results
 

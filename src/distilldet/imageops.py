@@ -65,9 +65,6 @@ def conv2d(x: Tensor, w: Tensor, b, stride: int = 1, pad: int = 0) -> Tensor:
         out_data += b.data[:, None]
     out_data = out_data.reshape(n, k, ho, wo)
 
-    parents = (x, w) if b is None else (x, w, b)
-    out = Tensor._from_op(out_data, parents, None)
-
     def bk(g):
         gm = g.reshape(n, k, ho * wo)
         if b is not None:
@@ -88,8 +85,7 @@ def conv2d(x: Tensor, w: Tensor, b, stride: int = 1, pad: int = 0) -> Tensor:
                 gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[:, :, i, j]
         _accumulate(x, gxp[:, :, pad : pad + h, pad : pad + ww] if pad else gxp)
 
-    out._backward = bk if out.requires_grad else None
-    return out
+    return Tensor._from_op(out_data, (x, w) if b is None else (x, w, b), bk)
 
 
 def maxpool2x2(x: Tensor) -> Tensor:
@@ -111,7 +107,6 @@ def maxpool2x2(x: Tensor) -> Tensor:
     quarters = [x.data[:, :, di::2, dj::2] for di in (0, 1) for dj in (0, 1)]
     q0, q1, q2, q3 = quarters
     out_data = np.maximum(np.maximum(q3, q2), np.maximum(q1, q0))
-    out = Tensor._from_op(out_data, (x,), None)
 
     def bk(g):
         gx = np.empty((n, c, h, w), dtype=x.data.dtype)
@@ -123,8 +118,7 @@ def maxpool2x2(x: Tensor) -> Tensor:
             taken |= first
         _accumulate(x, gx)
 
-    out._backward = bk if out.requires_grad else None
-    return out
+    return Tensor._from_op(out_data, (x,), bk)
 
 
 def upsample2x(x: Tensor) -> Tensor:
@@ -132,11 +126,8 @@ def upsample2x(x: Tensor) -> Tensor:
     if x.data.ndim != 4:
         raise ShapeError("upsample2x expects [N,C,H,W]")
     n, c, h, w = x.data.shape
-    out_data = x.data.repeat(2, axis=2).repeat(2, axis=3)
-    out = Tensor._from_op(out_data, (x,), None)
 
     def bk(g):
         _accumulate(x, g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)))
 
-    out._backward = bk if out.requires_grad else None
-    return out
+    return Tensor._from_op(x.data.repeat(2, axis=2).repeat(2, axis=3), (x,), bk)

@@ -30,6 +30,17 @@ from .boxes import (
 )
 from .imageops import conv2d, maxpool2x2, upsample2x
 
+# Sampling and inference constants of the two detection stages.
+RPN_BATCH = 64          # anchors sampled per image for the proposal loss,
+RPN_POS_FRAC = 0.5      # at most this share of them positive
+RPN_POS_IOU = 0.7       # an anchor is positive at or above this IoU with a GT box,
+RPN_NEG_IOU = 0.3       # negative at or below this one
+ROI_BATCH = 32          # second-stage boxes sampled per image,
+ROI_POS_FRAC = 0.25     # at most this share of them positive
+ROI_POS_IOU = 0.5       # a box is positive at or above this IoU with a GT box
+DET_SCORE_THRESH = 0.0  # detections keep scores above this
+DET_NMS_IOU = 0.5       # and are deduplicated at this IoU
+
 
 @dataclass(frozen=True)
 class NetConfig:
@@ -61,6 +72,9 @@ class NetConfig:
         for name in ("pre_nms_k", "post_nms_k", "roi_size", "roi_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("anchor_base", "anchor_aspect", "canonical"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
     @property
     def head_input_width(self) -> int:
@@ -207,47 +221,54 @@ def fpn_forward(feats: BackboneFeatures, cfg: NetConfig, params: dict) -> Featur
 
 
 def rpn_forward(pyr: FeaturePyramid, cfg: NetConfig, params: dict):
-    """Shared proposal head on every level: per-location objectness logit
-    plus 4 box deltas (one anchor per location)."""
-    out = []
+    """Shared proposal head on every level: per location one objectness
+    logit and 4 box deltas (one anchor per location).
+
+    Returns (logits [A], deltas [A,4]) over the A locations of all levels,
+    joined once here: level by level, each level's locations in row-major
+    order, the layout of ``pyramid_anchors``.
+    """
+    logits, deltas = [], []
     for level in pyr.levels():
         t = ad.relu(conv2d(level, params["rpn.conv.w"], params["rpn.conv.b"], pad=1))
         obj = conv2d(t, params["rpn.obj.w"], params["rpn.obj.b"])
         box = conv2d(t, params["rpn.box.w"], params["rpn.box.b"])
-        hw = obj.data.shape[2:]
-        out.append((obj.reshape((1, *hw)), box.reshape((4, *hw))))
-    return out
+        logits.append(obj.reshape((obj.data.size,)))
+        deltas.append(box.reshape((4, box.data.size // 4)))
+    return ad.concat(logits), ad.transpose(ad.concat(deltas, axis=1), (1, 0))
 
 
 @functools.lru_cache(maxsize=64)
-def _anchor_grid(level: int, hi: int, wi: int, base_size: float, aspect: float) -> np.ndarray:
-    """level_anchors, built once per grid; read-only since callers share it."""
-    grid = level_anchors(level, hi, wi, base_size=base_size, aspect=aspect)
+def _anchor_grid(shapes: tuple, base_size: float, aspect: float) -> np.ndarray:
+    """level_anchors of every level joined in level order, built once per
+    set of map shapes; read-only since callers share it."""
+    grid = np.concatenate([level_anchors(lvl, hi, wi, base_size=base_size, aspect=aspect)
+                           for lvl, (hi, wi) in zip(roi_ops.PYRAMID_LEVELS, shapes)])
     grid.flags.writeable = False
     return grid
 
 
-def pyramid_anchors(pyr: FeaturePyramid, cfg: NetConfig) -> list[np.ndarray]:
-    """One anchor grid per pyramid level, shared (read-only) across calls."""
-    return [
-        _anchor_grid(lvl, level.data.shape[-2], level.data.shape[-1], cfg.anchor_base, cfg.anchor_aspect)
-        for lvl, level in zip((2, 3, 4, 5), pyr.levels())
-    ]
+def pyramid_anchors(pyr: FeaturePyramid, cfg: NetConfig) -> np.ndarray:
+    """The [A,4] anchors of every pyramid level in ``rpn_forward``'s
+    layout, shared (read-only) across calls."""
+    shapes = tuple(level.data.shape[-2:] for level in pyr.levels())
+    return _anchor_grid(shapes, cfg.anchor_base, cfg.anchor_aspect)
 
 
 def generate_proposals(rpn_out, anchors, pre_nms_k: int, post_nms_k: int,
                        nms_iou: float, img_w: float, img_h: float) -> np.ndarray:
     """Decode deltas onto anchors, clip, rank, and greedily deduplicate.
 
-    The levels' logits, deltas and anchors are joined in level order first,
-    so one sigmoid, one decode and one clip run over all of them; each is
-    elementwise, so the boxes and scores are the per-level ones bit for bit.
+    ``rpn_out`` is ``rpn_forward``'s (logits [A], deltas [A,4]) and
+    ``anchors`` the matching [A,4] array, so one sigmoid, one decode and
+    one clip run over all levels at once; each is elementwise, so the boxes
+    and scores are the per-level ones bit for bit.
     Returns the kept boxes as a [K,4] array in descending score order;
     K is 0 when every decoded box is degenerate.
     """
-    scores = sigmoid(np.concatenate([obj.data.reshape(-1) for obj, _ in rpn_out]))
-    deltas = np.concatenate([box.data.reshape(4, -1) for _, box in rpn_out], axis=1).T
-    boxes = clip_boxes(decode_deltas(np.concatenate(anchors), deltas), img_w, img_h)
+    logits, deltas = rpn_out
+    scores = sigmoid(logits.data)
+    boxes = clip_boxes(decode_deltas(anchors, deltas.data), img_w, img_h)
     valid = (boxes[:, 2] - boxes[:, 0] > 1e-3) & (boxes[:, 3] - boxes[:, 1] > 1e-3)
     boxes, scores = boxes[valid], scores[valid]
     if len(scores) == 0:
@@ -261,12 +282,11 @@ def generate_proposals(rpn_out, anchors, pre_nms_k: int, post_nms_k: int,
 # ---- RPN training targets -------------------------------------------------
 
 
-def assign_rpn_anchors(anchors: np.ndarray, gt_boxes: np.ndarray,
-                       pos_iou: float = 0.7, neg_iou: float = 0.3):
+def assign_rpn_anchors(anchors: np.ndarray, gt_boxes: np.ndarray):
     """Anchor labels (1 pos / 0 neg / -1 ignore) and matched-GT indices.
 
-    Positive: IoU >= pos_iou with any GT, or best anchor for a GT (ties all
-    count). Negative: max IoU <= neg_iou. Everything else is ignored.
+    Positive: IoU >= RPN_POS_IOU with any GT, or best anchor for a GT (ties
+    all count). Negative: max IoU <= RPN_NEG_IOU. Everything else is ignored.
     """
     m = anchors.shape[0]
     labels = np.full(m, -1, dtype=np.int64)
@@ -277,8 +297,8 @@ def assign_rpn_anchors(anchors: np.ndarray, gt_boxes: np.ndarray,
     ious = iou_matrix(anchors, gt_boxes)
     best = ious.max(axis=1)
     matched = ious.argmax(axis=1)
-    labels[best <= neg_iou] = 0
-    labels[best >= pos_iou] = 1
+    labels[best <= RPN_NEG_IOU] = 0
+    labels[best >= RPN_POS_IOU] = 1
     col_best = ious.max(axis=0)
     for g in range(gt_boxes.shape[0]):
         if col_best[g] > 0.0:
@@ -288,35 +308,34 @@ def assign_rpn_anchors(anchors: np.ndarray, gt_boxes: np.ndarray,
     return labels, matched
 
 
-def rpn_loss(rpn_out, anchors, gt_boxes: np.ndarray, rng: np.random.Generator,
-             batch: int = 64, pos_frac: float = 0.5) -> Tensor:
+def rpn_loss(rpn_out, anchors, gt_boxes: np.ndarray, rng: np.random.Generator) -> Tensor:
     """Binary cross-entropy on a sampled anchor batch plus smooth-L1 on the
-    positives' deltas (per-anchor coordinate sum, averaged over positives)."""
-    anchors_all = np.concatenate(anchors)
-    labels, matched = assign_rpn_anchors(anchors_all, np.asarray(gt_boxes).reshape(-1, 4))
+    positives' deltas (per-anchor coordinate sum, averaged over positives).
+
+    ``rpn_out`` is ``rpn_forward``'s (logits [A], deltas [A,4]) and
+    ``anchors`` the matching [A,4] array; the loss picks its anchors' rows
+    from them directly.
+    """
+    labels, matched = assign_rpn_anchors(anchors, np.asarray(gt_boxes).reshape(-1, 4))
 
     pos_idx = np.where(labels == 1)[0]
     neg_idx = np.where(labels == 0)[0]
-    n_pos = min(len(pos_idx), int(batch * pos_frac))
+    n_pos = min(len(pos_idx), int(RPN_BATCH * RPN_POS_FRAC))
     if len(pos_idx) > n_pos:
         pos_idx = np.sort(rng.choice(pos_idx, size=n_pos, replace=False))
-    n_neg = min(len(neg_idx), batch - n_pos)
+    n_neg = min(len(neg_idx), RPN_BATCH - n_pos)
     if len(neg_idx) > n_neg:
         neg_idx = np.sort(rng.choice(neg_idx, size=n_neg, replace=False))
 
-    flat_logits = ad.concat([obj.reshape((obj.data.size,)) for obj, _ in rpn_out], axis=0)
+    logits, deltas = rpn_out
     sample_idx = np.concatenate([pos_idx, neg_idx]).astype(np.intp)
     sample_targets = np.concatenate([np.ones(len(pos_idx)), np.zeros(len(neg_idx))])
-    loss = ad.bce_with_logits(ad.gather(flat_logits, sample_idx), sample_targets)
+    loss = ad.bce_with_logits(ad.gather(logits, sample_idx), sample_targets)
 
     if len(pos_idx):
-        delta_rows = ad.concat(
-            [box.reshape((4, box.data.size // 4)).transpose((1, 0)) for _, box in rpn_out],
-            axis=0,
-        )
-        pred = ad.take_rows(delta_rows, pos_idx)
+        pred = ad.take_rows(deltas, pos_idx)
         gt = np.asarray(gt_boxes).reshape(-1, 4)[matched[pos_idx]]
-        target = Tensor(encode_deltas(anchors_all[pos_idx], gt).astype(pred.data.dtype))
+        target = Tensor(encode_deltas(anchors[pos_idx], gt).astype(pred.data.dtype))
         reg = ad.tsum(ad.smooth_l1(pred, target)) * (1.0 / len(pos_idx))
         loss = ad.add(loss, reg)
     return loss
@@ -325,9 +344,7 @@ def rpn_loss(rpn_out, anchors, gt_boxes: np.ndarray, rng: np.random.Generator,
 # ---- second stage ---------------------------------------------------------
 
 
-def sample_rois(proposals: np.ndarray, gt_boxes: np.ndarray, rng: np.random.Generator,
-                batch: int = 32, pos_frac: float = 0.25, pos_iou: float = 0.5,
-                include_gt: bool = True):
+def sample_rois(proposals: np.ndarray, gt_boxes: np.ndarray, rng: np.random.Generator):
     """Pick the second-stage training batch at a 1:3 positive:negative ratio.
 
     Ground-truth boxes join the candidate pool after the proposals (standard
@@ -336,9 +353,7 @@ def sample_rois(proposals: np.ndarray, gt_boxes: np.ndarray, rng: np.random.Gene
     where the label is 1.
     """
     gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
-    cand = np.asarray(proposals, dtype=np.float64).reshape(-1, 4)
-    if include_gt:
-        cand = np.concatenate([cand, gt_boxes])
+    cand = np.concatenate([np.asarray(proposals, dtype=np.float64).reshape(-1, 4), gt_boxes])
     if len(cand) == 0:
         return np.zeros((0, 4)), np.zeros(0, dtype=np.int64), np.zeros((0, 4))
     if gt_boxes.size:
@@ -348,18 +363,18 @@ def sample_rois(proposals: np.ndarray, gt_boxes: np.ndarray, rng: np.random.Gene
     else:
         best = np.zeros(len(cand))
         arg = np.zeros(len(cand), dtype=np.int64)
-    pos_idx = np.where(best >= pos_iou)[0]
-    neg_idx = np.where(best < pos_iou)[0]
-    n_pos = min(len(pos_idx), int(batch * pos_frac))
+    pos_idx = np.where(best >= ROI_POS_IOU)[0]
+    neg_idx = np.where(best < ROI_POS_IOU)[0]
+    n_pos = min(len(pos_idx), int(ROI_BATCH * ROI_POS_FRAC))
     if len(pos_idx) > n_pos:
         pos_idx = np.sort(rng.choice(pos_idx, size=n_pos, replace=False))
-    n_neg = min(len(neg_idx), batch - len(pos_idx))
+    n_neg = min(len(neg_idx), ROI_BATCH - len(pos_idx))
     if len(neg_idx) > n_neg:
         neg_idx = np.sort(rng.choice(neg_idx, size=n_neg, replace=False))
     picks = np.concatenate([pos_idx, neg_idx]).astype(np.intp)
 
     rois = cand[picks]
-    labels = (best[picks] >= pos_iou).astype(np.int64)
+    labels = (best[picks] >= ROI_POS_IOU).astype(np.int64)
     targets = np.zeros((len(picks), 4))
     if gt_boxes.size and labels.any():
         pos_mask = labels == 1
@@ -368,10 +383,12 @@ def sample_rois(proposals: np.ndarray, gt_boxes: np.ndarray, rng: np.random.Gene
 
 
 def crop_regions(pyr: FeaturePyramid, boxes: np.ndarray, cfg: NetConfig) -> Tensor:
-    """Region features of ``boxes`` [R,4] in the crop mode, output size and
-    sampling of ``cfg``: the input its head expects."""
+    """Region features of ``boxes`` [R,4] in the crop mode, output size,
+    sampling and level-assignment scale of ``cfg``: the input its head
+    expects."""
     return roi_ops.extract_region_batch(
-        pyr, boxes, cfg.pyramid_roi, out_size=cfg.roi_size, samples=cfg.roi_samples
+        pyr, boxes, cfg.pyramid_roi, out_size=cfg.roi_size, samples=cfg.roi_samples,
+        canonical=cfg.canonical,
     )
 
 
@@ -416,8 +433,7 @@ def forward_pyramid(image: Tensor, cfg: NetConfig, params: dict) -> FeaturePyram
     return fpn_forward(backbone_forward(image, cfg, params), cfg, params)
 
 
-def detect(image: Tensor, cfg: NetConfig, params: dict,
-           score_thresh: float = 0.0, det_nms_iou: float = 0.5) -> list[Detection]:
+def detect(image: Tensor, cfg: NetConfig, params: dict) -> list[Detection]:
     """Full two-stage inference on one [1,3,H,W] image."""
     h, w = image.data.shape[2:]
     pyr = forward_pyramid(image, cfg, params)
@@ -433,9 +449,9 @@ def detect(image: Tensor, cfg: NetConfig, params: dict,
     probs /= probs.sum(axis=1, keepdims=True)
     scores = probs[:, 1]
     boxes = clip_boxes(decode_deltas(proposals, box.data), w, h)
-    ok = (scores > score_thresh) & (boxes[:, 2] - boxes[:, 0] > 1e-3) & (boxes[:, 3] - boxes[:, 1] > 1e-3)
+    ok = (scores > DET_SCORE_THRESH) & (boxes[:, 2] - boxes[:, 0] > 1e-3) & (boxes[:, 3] - boxes[:, 1] > 1e-3)
     boxes, scores = boxes[ok], scores[ok]
     if len(scores) == 0:
         return []
-    keep = nms(boxes, scores, det_nms_iou)
+    keep = nms(boxes, scores, DET_NMS_IOU)
     return [Detection(*(float(v) for v in boxes[i]), score=float(scores[i])) for i in keep]

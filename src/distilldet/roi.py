@@ -1,22 +1,22 @@
 """Fixed-size region cropping from pyramid features, batched over boxes.
 
-Boxes arrive as one float64 [R,4] array. ``roi_align_batch`` crops every box
-from a list of levels in one call; ``extract_region_batch`` applies it in the
-two crop modes: the classic single-level path, where each box is first
-mapped to one pyramid level by its area and cropped there (one call per
-non-empty level group), and the hierarchical path that crops the same box
-from every level in one call and stacks the results along the channel axis,
-so a region carries fine detail and coarse context at once. Crops come out
-in the feature maps' dtype.
+Boxes arrive as one float64 [R,4] array. ``roi_align_batch`` crops them in
+one call and records one graph node, in either of two modes that
+``extract_region_batch`` selects: the hierarchical crop takes every box from
+every level and stacks the results along the channel axis, so a region
+carries fine detail and coarse context at once; the classic single-level
+crop first maps each box to one pyramid level by its area and takes it from
+that level only. Crops come out in the feature maps' dtype.
 
-Each crop is separable, Ay @ F @ Ax^T per box. The operators of all levels
-are built at once, then each level runs as GEMMs whose count does not grow
-with the channels: one GEMM applies every box's Ay to the level, then one
-GEMM per box its Ax over all channels at once, written straight into the
-level's channel block. That per-level GEMM layout fixes the bits: crops are
-byte-equal to per-level crops joined by ``concat``. float32 crops match the
-earlier per-channel crop (kept in tests/oracles.py) to rounding, not bit
-for bit; the interpolation operators are byte-equal.
+Each crop is separable, Ay @ F @ Ax^T per box. The operators are built per
+level, then each level runs as GEMMs whose count does not grow with the
+channels: one GEMM applies Ay of every box cropped there, then one GEMM per
+box its Ax over all channels at once, written straight into the box's rows
+and the level's channel block. That per-level GEMM layout fixes the bits:
+crops are byte-equal to per-level crops joined by ``concat`` (all levels)
+or put back in box order (single level). float32 crops match the earlier
+per-channel crop (kept in tests/oracles.py) to rounding, not bit for bit;
+the interpolation operators are byte-equal.
 """
 
 from __future__ import annotations
@@ -25,33 +25,38 @@ import math
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, _accumulate, concat, take_rows
+from .autodiff import ShapeError, Tensor, _accumulate
 
 PYRAMID_LEVELS = (2, 3, 4, 5)
 PYRAMID_STRIDES = (4, 8, 16, 32)
 
-# Boxes whose sqrt-area equals this many image pixels land on level 4;
-# sized for scenes in the ~100-pixel class.
+# Boxes whose sqrt-area equals CANONICAL_SIZE image pixels land on level
+# CANONICAL_LEVEL; sized for scenes in the ~100-pixel class.
 CANONICAL_SIZE = 56.0
+CANONICAL_LEVEL = 4
 _MIN_EXTENT = 1e-6
 
 
-def assign_level(box, canonical: float = CANONICAL_SIZE, k0: int = 4) -> int:
+def assign_level(box, canonical: float = CANONICAL_SIZE) -> int:
     """Map one (x1, y1, x2, y2) box to the pyramid level matching its scale.
 
-    level = floor(k0 + log2(sqrt(w*h)/canonical)), clamped to [2, 5]. Scalar
-    math keeps the floor exact where sqrt(w*h)/canonical is a power of two.
+    level = floor(CANONICAL_LEVEL + log2(sqrt(w*h)/canonical)), clamped to
+    [2, 5]. Scalar math keeps the floor exact where sqrt(w*h)/canonical is a
+    power of two.
     """
     x1, y1, x2, y2 = (float(v) for v in box)
     w = x2 - x1
     h = y2 - y1
     if w <= 0 or h <= 0:
         raise ValueError(f"degenerate box ({x1},{y1},{x2},{y2})")
-    k = math.floor(k0 + math.log2(math.sqrt(w * h) / canonical))
+    k = math.floor(CANONICAL_LEVEL + math.log2(math.sqrt(w * h) / canonical))
     return int(min(max(k, 2), 5))
 
 
 def _as_chw(feature: Tensor) -> Tensor:
+    # A [1,C,H,W] map enters the crop through its own reshape node. Folding
+    # that reshape into the crop's rule moves the map's gradient sum into a
+    # different order and changes the trained bits.
     if feature.data.ndim == 4:
         if feature.data.shape[0] != 1:
             raise ShapeError("roi_align_batch expects a single-image feature map")
@@ -105,10 +110,17 @@ def _interp_operators(boxes: np.ndarray, strides, shapes, out_size: int, samples
     ]
 
 
-def roi_align_batch(features, rois, strides, out_size: int = 7, samples: int = 2) -> Tensor:
-    """Average-of-bilinear-samples crop of every box in ``rois`` [R,4] from
-    every level in ``features`` (one stride each); output [R, sum C, S, S],
-    level i's crop in the i-th channel block.
+def roi_align_batch(features, rois, strides, out_size: int = 7, samples: int = 2,
+                    box_levels=None) -> Tensor:
+    """Average-of-bilinear-samples crop of the boxes ``rois`` [R,4] from the
+    levels in ``features`` (one stride each), in one graph node.
+
+    Without ``box_levels`` every box is cropped from every level: the output
+    is [R, sum C, S, S], level i's crop in the i-th channel block. With
+    ``box_levels``, an integer [R] array naming one level index per box
+    (levels of equal width C), each box is cropped from its level only: the
+    output is [R, C, S, S]. Rows are ordered like ``rois`` in both modes. A
+    level that no box names is not a parent of the output.
 
     Boxes map to feature coordinates by dividing by the level's stride (no
     rounding, no half-pixel shift); each of the S^2 bins averages samples^2
@@ -117,15 +129,16 @@ def roi_align_batch(features, rois, strides, out_size: int = 7, samples: int = 2
     bin averaging is separable, so each crop is Ay @ F @ Ax^T with per-box
     interpolation matrices Ay [S,H] and Ax [S,W].
 
-    One call per box set: the operators of all levels come from one
-    ``bincount``, and the call is one graph node. The GEMM layout per level
-    is the per-level kernel's: one [R*S, H] x [H, C*W] GEMM applies every
-    Ay at once, then one [S*C, W] x [W, S] GEMM per box applies its Ax^T,
-    and the transposed result is written straight into the level's channel
+    Every level crops its own boxes, in ascending row order, with the same
+    GEMMs: one [n*S, H] x [H, C*W] GEMM applies every Ay at once, then one
+    [S*C, W] x [W, S] GEMM per box applies its Ax^T, and the transposed
+    result is written straight into the boxes' rows of the level's channel
     block. The backward mirrors it per level: one [S*C, S] x [S, W] GEMM
-    per box, then one [H, R*S] x [R*S, C*W] GEMM. So crops and gradients
-    are byte-equal to per-level crops joined by ``concat`` (kept in
-    tests/oracles.py). float64 crops match the per-channel reference there
+    per box, then one [H, n*S] x [n*S, C*W] GEMM. The all-level operators
+    come from one ``bincount``; single-level operators from one per level
+    that has boxes. So crops and gradients are byte-equal to cropping each
+    level's boxes alone (tests/oracles.py keeps that crop, with the levels
+    joined by ``concat``). float64 crops match the per-channel reference there
     to ~1e-16; float32 crops match it to rounding, not bit for bit, since a
     different GEMM shape sums in a different order.
     """
@@ -141,62 +154,65 @@ def roi_align_batch(features, rois, strides, out_size: int = 7, samples: int = 2
         raise ShapeError("roi_align_batch on an empty box array")
     s = out_size
     dtype = np.result_type(*(f.data for f in levels))
-    ops = _interp_operators(boxes, strides, [f.data.shape[1:] for f in levels], s, samples, dtype)
-    offsets = np.cumsum([0] + [f.data.shape[0] for f in levels])
-    out_data = np.empty((n_roi, offsets[-1], s, s), dtype)
+    shapes = [f.data.shape[1:] for f in levels]
+    # One (level, (ay, ax), rows of its boxes, first output channel) per crop.
+    if box_levels is None:
+        offsets = np.cumsum([0] + [f.data.shape[0] for f in levels])
+        ops = _interp_operators(boxes, strides, shapes, s, samples, dtype)
+        crops = [(f, op, slice(None), c0) for f, op, c0 in zip(levels, ops, offsets)]
+        width = offsets[-1]
+    else:
+        box_levels = np.asarray(box_levels, np.intp)
+        width = levels[0].data.shape[0]
+        if box_levels.shape != (n_roi,) or box_levels.min() < 0 or box_levels.max() >= len(levels):
+            raise ShapeError(f"box_levels must name one of {len(levels)} levels for each of {n_roi} boxes")
+        if any(f.data.shape[0] != width for f in levels):
+            raise ShapeError("a single-level crop needs levels of equal width")
+        crops = []
+        for k, (f, stride, shape) in enumerate(zip(levels, strides, shapes)):
+            rows = np.flatnonzero(box_levels == k)
+            if len(rows):
+                if len(rows) == n_roi:  # every box on this level: slices, no row copies
+                    rows = slice(None)
+                op = _interp_operators(boxes[rows], [stride], [shape], s, samples, dtype)[0]
+                crops.append((f, op, rows, 0))
+    out_data = np.empty((n_roi, width, s, s), dtype)
 
     # t1[(r,i),(c,w)] = sum_h ay[r,i,h] f[c,h,w]; then out[r,c,i,j] = sum_w t1[r,i,c,w] ax[r,j,w].
-    for f, (ay, ax), c0 in zip(levels, ops, offsets):
+    for f, (ay, ax), rows, c0 in crops:
+        n = ay.shape[0]
         c, h, w = f.data.shape
-        t1 = ay.reshape(n_roi * s, h) @ f.data.transpose(1, 0, 2).reshape(h, c * w)  # [R*S, C*W]
+        t1 = ay.reshape(n * s, h) @ f.data.transpose(1, 0, 2).reshape(h, c * w)  # [n*S, C*W]
         ax_t = np.ascontiguousarray(ax.transpose(0, 2, 1))  # stacked matmul is far slower on a view
-        t3 = np.matmul(t1.reshape(n_roi, s * c, w), ax_t)                           # [R, S*C, S]
-        out_data[:, c0:c0 + c] = t3.reshape(n_roi, s, c, s).transpose(0, 2, 1, 3)
-    out = Tensor._from_op(out_data, tuple(levels), None)
+        t3 = np.matmul(t1.reshape(n, s * c, w), ax_t)                          # [n, S*C, S]
+        out_data[rows, c0:c0 + c] = t3.reshape(n, s, c, s).transpose(0, 2, 1, 3)
 
     def bk(g):
-        for f, (ay, ax), c0 in zip(levels, ops, offsets):
+        for f, (ay, ax), rows, c0 in crops:
             if not f.requires_grad:
                 continue
+            n = ay.shape[0]
             c, h, w = f.data.shape
-            gt = np.ascontiguousarray(g[:, c0:c0 + c].transpose(0, 2, 1, 3)).reshape(n_roi, s * c, s)
-            t2 = np.matmul(gt, ax).reshape(n_roi * s, c * w)                        # [R*S, C*W]
-            _accumulate(f, (ay.reshape(n_roi * s, h).T @ t2).reshape(h, c, w).transpose(1, 0, 2))
+            gt = np.ascontiguousarray(g[rows, c0:c0 + c].transpose(0, 2, 1, 3)).reshape(n, s * c, s)
+            t2 = np.matmul(gt, ax).reshape(n * s, c * w)                           # [n*S, C*W]
+            _accumulate(f, (ay.reshape(n * s, h).T @ t2).reshape(h, c, w).transpose(1, 0, 2))
 
-    out._backward = bk if out.requires_grad else None
-    return out
+    return Tensor._from_op(out_data, tuple(f for f, *_ in crops), bk)
 
 
 def extract_region_batch(pyramid, rois, use_pyramid: bool, out_size: int = 7,
                          samples: int = 2, canonical: float = CANONICAL_SIZE) -> Tensor:
-    """Region features for a box array [R,4] in the configured crop mode.
+    """Region features for a box array [R,4] in the configured crop mode,
+    from one ``roi_align_batch`` call; rows ordered like ``rois``.
 
-    Returns [R, 4d, S, S] (all levels in one call; channel block [i*d, (i+1)*d)
-    holds the crop of level 2+i) or [R, d, S, S] (per-box level assignment),
-    rows ordered like ``rois``.
+    All-level mode (``use_pyramid``) returns [R, 4d, S, S]: channel block
+    [i*d, (i+1)*d) holds the crop of level 2+i. Single-level mode maps each
+    box to one level by its area (``assign_level`` with ``canonical``) and
+    returns [R, d, S, S].
     """
     rois = np.asarray(rois, np.float64).reshape(-1, 4)
     if len(rois) == 0:
         raise ShapeError("extract_region_batch on an empty box array")
-    if use_pyramid:
-        return roi_align_batch(pyramid.levels(), rois, PYRAMID_STRIDES, out_size=out_size,
-                               samples=samples)
-
-    levels = [assign_level(r, canonical=canonical) for r in rois]
-    pieces = []
-    order: list[int] = []
-    for lvl, feature, stride in zip(PYRAMID_LEVELS, pyramid.levels(), PYRAMID_STRIDES):
-        idx = [i for i, l in enumerate(levels) if l == lvl]
-        if not idx:
-            continue
-        pieces.append(
-            roi_align_batch([feature], rois[idx], [stride], out_size=out_size, samples=samples)
-        )
-        order.extend(idx)
-    stacked = pieces[0] if len(pieces) == 1 else concat(pieces, axis=0)
-    if order == sorted(order):
-        return stacked
-    inv = np.argsort(np.asarray(order))
-    r, c = stacked.data.shape[:2]
-    flat = stacked.reshape((r, c * out_size * out_size))
-    return take_rows(flat, inv).reshape((r, c, out_size, out_size))
+    box_levels = None if use_pyramid else [assign_level(r, canonical) - PYRAMID_LEVELS[0] for r in rois]
+    return roi_align_batch(pyramid.levels(), rois, PYRAMID_STRIDES, out_size=out_size,
+                           samples=samples, box_levels=box_levels)

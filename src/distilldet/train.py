@@ -152,8 +152,8 @@ class _TeacherContext:
         self.cache_enabled = cache
         self._cache: dict = {}
         # LD may reuse RD's teacher crop only when it is the crop the teacher's head takes.
-        self._ld_reuses_rd_crop = (cfg.pyramid_roi, cfg.roi_size, cfg.roi_samples) == (
-            student_cfg.pyramid_roi, student_cfg.roi_size, student_cfg.roi_samples)
+        self._ld_reuses_rd_crop = all(getattr(cfg, name) == getattr(student_cfg, name) for name in
+                                      ("pyramid_roi", "roi_size", "roi_samples", "canonical"))
 
     def pyramid(self, scene_index: int, flipped: bool, image: Tensor) -> nets.FeaturePyramid:
         key = (scene_index, flipped)

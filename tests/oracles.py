@@ -13,7 +13,8 @@ generate_proposals_per_level, the earlier one-pass-per-level crop
 operators, all-level crop and proposal stage, kept as bit-for-bit
 references for the one-call crop and the one-pass proposals (the last uses
 the library's box helpers, since only its per-level batching is under
-test); relu_where,
+test), with join_rpn_levels, which lays per-level RPN outputs and anchors
+out as the library joins them; relu_where,
 iou_where and maxpool2x2_backward_where, the earlier np.where forms of three
 elementwise steps, kept as bit-for-bit references in float32 and float64;
 and mse, a test loss composed from library ops, which the detector never
@@ -351,6 +352,16 @@ def generate_proposals_per_level(rpn_out, anchors, pre_nms_k, post_nms_k, nms_io
     order = np.argsort(-scores, kind="stable")[:pre_nms_k]
     boxes, scores = boxes[order], scores[order]
     return boxes[nms(boxes, scores, nms_iou, max_keep=post_nms_k)]
+
+
+def join_rpn_levels(rpn_out, anchors):
+    """Per-level (obj [1,h,w], box [4,h,w]) tensor pairs and [h*w,4] anchor
+    grids joined as rpn_forward and pyramid_anchors return them:
+    ((logits [A], deltas [A,4]), anchors [A,4]), the deltas a transposed
+    view of the levels joined along locations."""
+    logits = ad.concat([obj.reshape((obj.data.size,)) for obj, _ in rpn_out])
+    deltas = ad.concat([box.reshape((4, box.data.size // 4)) for _, box in rpn_out], axis=1)
+    return (logits, ad.transpose(deltas, (1, 0))), np.concatenate(anchors)
 
 
 def relu_where(x):

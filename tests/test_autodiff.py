@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import distilldet.autodiff as ad
-from distilldet import SGD, ShapeError, Tape, TapeError, Tensor, backward
+from distilldet import SGD, ShapeError, Tape, TapeError, Tensor, backward, imageops, roi
 from oracles import mse
 
 
@@ -217,3 +217,72 @@ class TestOpExamples:
         assert np.array_equal(g.data, [0.0, 0.0, 5.0])
         backward(g.sum())
         assert np.array_equal(t.grad, [2.0, 0, 0, 0, 0, 1.0])
+
+
+def _leaf(shape, needs_grad, seed=0):
+    return Tensor(np.random.default_rng(seed).normal(size=shape), requires_grad=needs_grad)
+
+
+# Every op that records a gradient rule, on fresh inputs that need (True)
+# or do not need (False) a gradient.
+_OPS = {
+    "add": lambda rg: ad.add(_leaf((2, 3), rg), _leaf((2, 3), rg, 1)),
+    "add_scalar": lambda rg: ad.add(_leaf((2, 3), rg), 1.5),
+    "sub": lambda rg: ad.sub(_leaf((2, 3), rg), _leaf((2, 3), rg, 1)),
+    "mul": lambda rg: ad.mul(_leaf((2, 3), rg), _leaf((2, 3), rg, 1)),
+    "mul_scalar": lambda rg: ad.mul(_leaf((2, 3), rg), 1.5),
+    "neg": lambda rg: ad.neg(_leaf((2, 3), rg)),
+    "relu": lambda rg: ad.relu(_leaf((2, 3), rg)),
+    "tsum": lambda rg: ad.tsum(_leaf((2, 3), rg)),
+    "tmean": lambda rg: ad.tmean(_leaf((2, 3), rg)),
+    "reshape": lambda rg: ad.reshape(_leaf((2, 3), rg), (3, 2)),
+    "transpose": lambda rg: ad.transpose(_leaf((2, 3), rg), (1, 0)),
+    "concat": lambda rg: ad.concat([_leaf((2, 3), rg), _leaf((1, 3), rg, 1)]),
+    "take_rows": lambda rg: ad.take_rows(_leaf((4, 3), rg), [2, 0]),
+    "gather": lambda rg: ad.gather(_leaf((2, 3), rg), [5, 0, 5]),
+    "linear": lambda rg: ad.linear(_leaf((2, 3), rg), _leaf((3, 4), rg, 1), _leaf((4,), rg, 2)),
+    "softmax_cross_entropy": lambda rg: ad.softmax_cross_entropy(_leaf((2, 3), rg), [0, 2]),
+    "bce_with_logits": lambda rg: ad.bce_with_logits(_leaf((2, 3), rg), np.ones((2, 3))),
+    "smooth_l1": lambda rg: ad.smooth_l1(_leaf((2, 3), rg), _leaf((2, 3), rg, 1)),
+    "conv2d": lambda rg: imageops.conv2d(_leaf((1, 2, 4, 4), rg), _leaf((3, 2, 3, 3), rg, 1),
+                                         _leaf((3,), rg, 2), pad=1),
+    "maxpool2x2": lambda rg: imageops.maxpool2x2(_leaf((1, 2, 4, 4), rg)),
+    "upsample2x": lambda rg: imageops.upsample2x(_leaf((1, 2, 2, 2), rg)),
+    "roi_align_batch": lambda rg: roi.roi_align_batch([_leaf((2, 8, 8), rg), _leaf((2, 4, 4), rg, 1)],
+                                                      [[1.0, 1.0, 20.0, 24.0]], [4, 8], out_size=2),
+    "roi_align_batch_single_level": lambda rg: roi.roi_align_batch(
+        [_leaf((2, 8, 8), rg), _leaf((2, 4, 4), rg, 1)], [[1.0, 1.0, 20.0, 24.0], [0.0, 0.0, 9.0, 9.0]],
+        [4, 8], out_size=2, box_levels=[1, 0]),
+}
+
+
+@pytest.fixture
+def offered_rules(monkeypatch):
+    """The rule each op hands ``Tensor._from_op``, in call order."""
+    rules = []
+    real = Tensor._from_op.__func__
+
+    def spy(cls, data, parents, rule):
+        rules.append(rule)
+        return real(cls, data, parents, rule)
+
+    monkeypatch.setattr(Tensor, "_from_op", classmethod(spy))
+    return rules
+
+
+class TestRulesRecordedByFromOp:
+    """Ops hand their gradient rule to ``_from_op``, which alone decides
+    whether the output records it."""
+
+    @pytest.mark.parametrize("name", sorted(_OPS))
+    def test_op_on_inputs_needing_a_gradient_records_its_rule(self, name, offered_rules):
+        out = _OPS[name](True)
+        assert callable(offered_rules[-1])
+        assert out.requires_grad and out._backward is offered_rules[-1]
+
+    @pytest.mark.parametrize("name", sorted(_OPS))
+    def test_op_on_inputs_needing_no_gradient_records_no_rule(self, name, offered_rules):
+        out = _OPS[name](False)
+        assert callable(offered_rules[-1])  # offered, then dropped unrun
+        assert not out.requires_grad and out._backward is None and out._parents == ()
+        assert len(Tape(out)) == 0

@@ -71,9 +71,12 @@ def run_configs(draw):
     train = section(TrainConfig, epochs=epochs, distill=distill,
                     lr_decay_epochs=tuple(sorted(draw(st.lists(st.integers(-5, epochs), max_size=4)))))
     positive = st.integers(1, 10**9)
+    positive_float = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
     teacher, student = (section(NetConfig, role=role, widths=draw(stage), blocks=draw(stage),
                                 **{name: draw(positive) for name in
-                                   ("pre_nms_k", "post_nms_k", "roi_size", "roi_samples")})
+                                   ("pre_nms_k", "post_nms_k", "roi_size", "roi_samples")},
+                                **{name: draw(positive_float) for name in
+                                   ("anchor_base", "anchor_aspect", "canonical")})
                         for role in ("teacher", "student"))
     return RunConfig(dataset=dataset, teacher=teacher, student=student, train=train)
 
@@ -107,6 +110,13 @@ def test_parse_of_dump_reproduces_the_config(cfg, out_dir):
                                   "student.pre_nms_k = -1", "teacher.post_nms_k = 0"])
 def test_net_count_below_one_is_a_config_error(line):
     with pytest.raises(ConfigError, match="at least 1"):
+        parse_config(line + "\n")
+
+
+@pytest.mark.parametrize("line", ["student.canonical = 0", "teacher.anchor_base = -16",
+                                  "student.anchor_aspect = 0"])
+def test_net_scale_not_positive_is_a_config_error(line):
+    with pytest.raises(ConfigError, match="must be positive"):
         parse_config(line + "\n")
 
 

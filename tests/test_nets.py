@@ -6,9 +6,27 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from distilldet import Tensor, backward, nets
+import distilldet.autodiff as ad
+from distilldet import Tensor, backward, nets, roi
 from distilldet.boxes import decode_deltas, encode_deltas, iou_matrix, level_anchors
-from oracles import iou_scalar
+from distilldet.imageops import conv2d
+from oracles import iou_scalar, join_rpn_levels
+
+
+def _per_level(rpn_out, pyr):
+    """rpn_forward's joined (logits [A], deltas [A,4]) split back into one
+    (obj [1,h,w], box [4,h,w]) pair per level of ``pyr``."""
+    logits, deltas = rpn_out
+    assert logits.shape == (deltas.shape[0],) and deltas.shape[1] == 4
+    out, start = [], 0
+    for level in pyr.levels():
+        h, w = level.data.shape[-2:]
+        stop = start + h * w
+        out.append((Tensor(logits.data[start:stop].reshape(1, h, w)),
+                    Tensor(deltas.data[start:stop].T.reshape(4, h, w))))
+        start = stop
+    assert stop == logits.shape[0]
+    return out
 
 
 def _zero_params(cfg, seed=0):
@@ -36,6 +54,12 @@ class TestConfigs:
         py = nets.default_student_config(pyramid_roi=True)
         single = nets.default_student_config(pyramid_roi=False)
         assert py.head_input_width == 4 * single.head_input_width
+
+    @pytest.mark.parametrize("name", ["canonical", "anchor_base", "anchor_aspect"])
+    @pytest.mark.parametrize("value", [0.0, -14.0, float("nan")])
+    def test_scale_not_positive_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            nets.NetConfig(**{name: value})
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
@@ -120,7 +144,7 @@ class TestRpn:
         params = _zero_params(cfg)
         pyr = nets.FeaturePyramid(*[Tensor(np.zeros((1, cfg.pyramid_width, 8 // f, 8 // f)))
                                     for f in (1, 2, 4, 8)])
-        out = nets.rpn_forward(pyr, cfg, params)
+        out = _per_level(nets.rpn_forward(pyr, cfg, params), pyr)
         for obj, _ in out:
             assert np.all(obj.data == 0.0)
 
@@ -131,7 +155,7 @@ class TestRpn:
         pyr = nets.FeaturePyramid(Tensor(same), Tensor(same.copy()),
                                   Tensor(np.zeros((1, cfg.pyramid_width, 4, 4))),
                                   Tensor(np.zeros((1, cfg.pyramid_width, 4, 4))))
-        out = nets.rpn_forward(pyr, cfg, params)
+        out = _per_level(nets.rpn_forward(pyr, cfg, params), pyr)
         assert np.array_equal(out[0][0].data, out[1][0].data)
         assert np.array_equal(out[0][1].data, out[1][1].data)
 
@@ -140,10 +164,43 @@ class TestRpn:
         params = nets.init_params(cfg, 2)
         pyr = nets.FeaturePyramid(*[Tensor(rng.normal(size=(1, cfg.pyramid_width, 8 // f, 12 // f)))
                                     for f in (1, 2, 4, 8)])
-        for (obj, box), level in zip(nets.rpn_forward(pyr, cfg, params), pyr.levels()):
+        for (obj, box), level in zip(_per_level(nets.rpn_forward(pyr, cfg, params), pyr), pyr.levels()):
             h, w = level.data.shape[2:]
             assert obj.shape == (1, h, w)
             assert box.shape == (4, h, w)
+
+    def test_outputs_join_the_levels_in_anchor_order(self, tiny_student_cfg, rng):
+        cfg = tiny_student_cfg
+        params = nets.init_params(cfg, 2)
+        pyr = nets.FeaturePyramid(*[Tensor(rng.normal(size=(1, cfg.pyramid_width, 8 // f, 12 // f)))
+                                    for f in (1, 2, 4, 8)])
+        per_level, anchors = [], []
+        for lvl, level in zip((2, 3, 4, 5), pyr.levels()):
+            t = ad.relu(conv2d(level, params["rpn.conv.w"], params["rpn.conv.b"], pad=1))
+            h, w = level.data.shape[2:]
+            per_level.append((conv2d(t, params["rpn.obj.w"], params["rpn.obj.b"]).reshape((1, h, w)),
+                              conv2d(t, params["rpn.box.w"], params["rpn.box.b"]).reshape((4, h, w))))
+            anchors.append(level_anchors(lvl, h, w, base_size=cfg.anchor_base, aspect=cfg.anchor_aspect))
+        (want_logits, want_deltas), want_anchors = join_rpn_levels(per_level, anchors)
+        logits, deltas = nets.rpn_forward(pyr, cfg, params)
+        assert logits.data.tobytes() == want_logits.data.tobytes()
+        assert deltas.shape == want_deltas.shape and deltas.data.tobytes() == want_deltas.data.tobytes()
+        assert nets.pyramid_anchors(pyr, cfg).tobytes() == want_anchors.tobytes()
+
+
+class TestCropRegions:
+    @pytest.mark.parametrize("canonical, level", [(roi.CANONICAL_SIZE, 4), (14.0, 5), (28.0, 5),
+                                                  (112.0, 3)])
+    def test_canonical_sets_the_single_level_assignment(self, tiny_student_cfg, rng, canonical, level):
+        cfg = replace(tiny_student_cfg, pyramid_roi=False, canonical=canonical)
+        pyr = nets.FeaturePyramid(*[Tensor(rng.normal(size=(1, cfg.pyramid_width, 64 // s, 96 // s)))
+                                    for s in roi.PYRAMID_STRIDES])
+        box = np.array([[8.0, 4.0, 64.0, 60.0]])  # a 56-px box
+        got = nets.crop_regions(pyr, box, cfg)
+        k = level - 2
+        want = roi.roi_align_batch([pyr.levels()[k]], box, [roi.PYRAMID_STRIDES[k]],
+                                   out_size=cfg.roi_size, samples=cfg.roi_samples)
+        assert got.data.tobytes() == want.data.tobytes()
 
 
 class TestPyramidAnchors:
@@ -153,8 +210,10 @@ class TestPyramidAnchors:
                                    nets.init_params(cfg, 3))
         first = nets.pyramid_anchors(pyr, cfg)
         again = nets.pyramid_anchors(pyr, cfg)
-        for lvl, level, a, b in zip((2, 3, 4, 5), pyr.levels(), first, again):
-            assert a is b
+        assert first is again
+        sizes = [level.data.shape[-2] * level.data.shape[-1] for level in pyr.levels()]
+        assert first.shape == (sum(sizes), 4)
+        for lvl, level, a in zip((2, 3, 4, 5), pyr.levels(), np.split(first, np.cumsum(sizes)[:-1])):
             h, w = level.data.shape[-2:]
             fresh = level_anchors(lvl, h, w, base_size=cfg.anchor_base, aspect=cfg.anchor_aspect)
             assert a.tobytes() == fresh.tobytes()
@@ -177,7 +236,8 @@ class TestProposals:
 
     def test_zero_deltas_reproduce_clipped_anchors(self, tiny_student_cfg):
         rpn_out, anchors = self._pyr_and_out(tiny_student_cfg, 1.0, 0.0)
-        props = nets.generate_proposals(rpn_out, anchors, 500, 500, 0.99, img_w=48, img_h=32)
+        props = nets.generate_proposals(*join_rpn_levels(rpn_out, anchors), 500, 500, 0.99,
+                                        img_w=48, img_h=32)
         assert props.ndim == 2 and props.shape[1] == 4 and len(props)
         expect = np.clip(np.concatenate(anchors), [0, 0, 0, 0], [48, 32, 48, 32])
         for p in props:
@@ -187,18 +247,18 @@ class TestProposals:
     def test_identical_boxes_nms_keeps_higher_score(self):
         # two identical anchors; the second scores higher and is nudged 0.1 px
         # right by its deltas, so the surviving box shows which one NMS kept
-        deltas = np.zeros((4, 1, 2))
-        deltas[0, 0, 1] = 0.01
-        rpn_out = [(Tensor(np.array([[[1.0, 2.0]]])), Tensor(deltas))]
-        anchors = [np.array([[0.0, 0.0, 10.0, 10.0], [0.0, 0.0, 10.0, 10.0]])]
+        deltas = np.zeros((2, 4))
+        deltas[1, 0] = 0.01
+        rpn_out = (Tensor(np.array([1.0, 2.0])), Tensor(deltas))
+        anchors = np.array([[0.0, 0.0, 10.0, 10.0], [0.0, 0.0, 10.0, 10.0]])
         props = nets.generate_proposals(rpn_out, anchors, 10, 10, 0.5, 20, 20)
         assert props.shape == (1, 4)
         assert np.allclose(props[0], [0.1, 0.0, 10.1, 10.0], atol=1e-12)
 
     def test_empty_result_is_legal(self):
         # deltas push every box fully outside the image
-        rpn_out = [(Tensor(np.zeros((1, 2, 2))), Tensor(np.full((4, 2, 2), 50.0)))]
-        anchors = [level_anchors(2, 2, 2)]
+        rpn_out = (Tensor(np.zeros(4)), Tensor(np.full((4, 4), 50.0)))
+        anchors = level_anchors(2, 2, 2)
         props = nets.generate_proposals(rpn_out, anchors, 10, 10, 0.5, 8, 8)
         assert props.shape == (0, 4) and props.dtype == np.float64
 
@@ -244,16 +304,16 @@ class TestRpnLoss:
     def test_perfect_predictions_near_zero(self, rng):
         anchors = np.array([[0, 0, 10, 24.0], [30, 30, 40, 54.0]])
         gt = anchors[:1].copy()
-        obj = Tensor(np.array([[[20.0, -20.0]]]))
-        box = Tensor(np.zeros((4, 1, 2)))
-        loss = nets.rpn_loss([(obj, box)], [anchors], gt, np.random.default_rng(0))
+        obj = Tensor(np.array([20.0, -20.0]))
+        box = Tensor(np.zeros((2, 4)))
+        loss = nets.rpn_loss((obj, box), anchors, gt, np.random.default_rng(0))
         assert loss.item() < 1e-6
 
     def test_no_gt_all_negative_logits(self):
         anchors = np.array([[0, 0, 10, 24.0], [30, 30, 40, 54.0]])
-        obj = Tensor(np.array([[[-20.0, -20.0]]]))
-        box = Tensor(np.zeros((4, 1, 2)))
-        loss = nets.rpn_loss([(obj, box)], [anchors], np.zeros((0, 4)), np.random.default_rng(0))
+        obj = Tensor(np.array([-20.0, -20.0]))
+        box = Tensor(np.zeros((2, 4)))
+        loss = nets.rpn_loss((obj, box), anchors, np.zeros((0, 4)), np.random.default_rng(0))
         assert loss.item() < 1e-6
 
     def test_two_anchor_hand_computed_case(self):
@@ -261,19 +321,19 @@ class TestRpnLoss:
         gt = anchors[:1].copy()  # IoU 1 with anchor 0, 0 with anchor 1
         z0, z1 = 2.0, -1.0
         pred_deltas = np.array([0.1, -0.2, 0.05, 0.0])
-        obj = Tensor(np.array([[[z0, z1]]]))
-        box_data = np.zeros((4, 1, 2))
-        box_data[:, 0, 0] = pred_deltas
-        loss = nets.rpn_loss([(obj, Tensor(box_data))], [anchors], gt, np.random.default_rng(0))
+        obj = Tensor(np.array([z0, z1]))
+        box_data = np.zeros((2, 4))
+        box_data[0, :] = pred_deltas
+        loss = nets.rpn_loss((obj, Tensor(box_data)), anchors, gt, np.random.default_rng(0))
         bce = (math.log1p(math.exp(-z0)) + math.log1p(math.exp(z1))) / 2
         sl1 = 0.5 * float((pred_deltas ** 2).sum())  # targets are zero, |d|<1
         assert abs(loss.item() - (bce + sl1)) < 1e-8
 
     def test_gradients_flow_to_rpn_inputs(self, rng):
         anchors = np.array([[0, 0, 10, 24.0], [30, 30, 40, 54.0]])
-        obj = Tensor(rng.normal(size=(1, 1, 2)), requires_grad=True)
-        box = Tensor(rng.normal(size=(4, 1, 2)), requires_grad=True)
-        loss = nets.rpn_loss([(obj, box)], [anchors], anchors[:1].copy(), np.random.default_rng(0))
+        obj = Tensor(rng.normal(size=(2,)), requires_grad=True)
+        box = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+        loss = nets.rpn_loss((obj, box), anchors, anchors[:1].copy(), np.random.default_rng(0))
         backward(loss)
         assert obj.grad is not None
         assert box.grad is not None

@@ -12,7 +12,8 @@ import pytest
 from distilldet import Tensor, backward, nets, roi
 from distilldet.autodiff import mul, tsum
 from distilldet.boxes import level_anchors
-from oracles import generate_proposals_per_level, interp_operators_level, roi_align_levels_concat
+from oracles import (generate_proposals_per_level, interp_operators_level, join_rpn_levels,
+                     roi_align_levels_concat)
 
 IMG_H, IMG_W = 96, 160
 MAP_SIZES = ((24, 40), (12, 20), (6, 10), (3, 5))
@@ -65,6 +66,25 @@ class TestOneCallCrop:
                 # The tape accumulates a fresh gradient onto zeros.
                 assert grad.tobytes() == (np.zeros_like(f) + want_grad).tobytes(), n_roi
 
+    def test_single_level_crop_and_input_gradients_byte_equal(self, rng, dtype):
+        for n_roi in BOX_COUNTS:
+            levels = _levels(rng, dtype)
+            boxes = _boxes(rng, n_roi)
+            box_levels = rng.integers(0, 4, size=n_roi)
+            g = rng.normal(size=(n_roi, 32, 7, 7)).astype(dtype)
+            tensors = [Tensor(f, requires_grad=True) for f in levels]
+            out = roi.roi_align_batch(tensors, boxes, roi.PYRAMID_STRIDES, box_levels=box_levels)
+            backward(tsum(mul(out, Tensor(g))))
+            assert out.data.dtype == dtype and out.shape == (n_roi, 32, 7, 7)
+            for k, (f, t, stride) in enumerate(zip(levels, tensors, roi.PYRAMID_STRIDES)):
+                idx = np.flatnonzero(box_levels == k)
+                if not len(idx):
+                    assert t.grad is None
+                    continue
+                want, (want_grad,) = roi_align_levels_concat([f], boxes[idx], [stride], 7, 2, g[idx])
+                assert out.data[idx].tobytes() == want.tobytes(), n_roi
+                assert t.grad.tobytes() == (np.zeros_like(f) + want_grad).tobytes(), n_roi
+
     def test_other_crop_shapes_byte_equal(self, rng, dtype):
         for out_size, samples in ((1, 1), (3, 3), (5, 1)):
             levels = _levels(rng, dtype, channels=5)
@@ -112,7 +132,8 @@ class TestOnePassProposals:
     def test_proposals_byte_equal_on_random_rpn_outputs(self, rng, dtype, pre_k, post_k, iou):
         for delta_scale in (0.1, 0.5, 2.0, 6.0):  # large deltas give clipped and degenerate boxes
             rpn_out, anchors = _rpn_out(rng, dtype, delta_scale)
-            got = nets.generate_proposals(rpn_out, anchors, pre_k, post_k, iou, IMG_W, IMG_H)
+            got = nets.generate_proposals(*join_rpn_levels(rpn_out, anchors), pre_k, post_k, iou,
+                                          IMG_W, IMG_H)
             want = generate_proposals_per_level(rpn_out, anchors, pre_k, post_k, iou, IMG_W, IMG_H)
             assert got.dtype == want.dtype == np.float64
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -121,6 +142,6 @@ class TestOnePassProposals:
         rpn_out, anchors = _rpn_out(rng, dtype)
         for _, box in rpn_out:
             box.data[...] = 50.0  # every box lands far outside the image
-        got = nets.generate_proposals(rpn_out, anchors, 200, 32, 0.7, IMG_W, IMG_H)
+        got = nets.generate_proposals(*join_rpn_levels(rpn_out, anchors), 200, 32, 0.7, IMG_W, IMG_H)
         want = generate_proposals_per_level(rpn_out, anchors, 200, 32, 0.7, IMG_W, IMG_H)
         assert got.shape == want.shape == (0, 4) and got.tobytes() == want.tobytes()

@@ -5,7 +5,7 @@ against the earlier per-channel crop."""
 import numpy as np
 import pytest
 
-from distilldet import ShapeError, Tensor, backward, nets, roi
+from distilldet import ShapeError, Tape, Tensor, backward, nets, roi
 from distilldet.autodiff import mul, tsum
 from oracles import interp_matrix_mean, roi_align_loops, roi_align_per_channel
 
@@ -169,10 +169,41 @@ class TestExtractRegionBatch:
         for lvl in levels[1:]:
             assert lvl.grad is None
 
+    def test_single_mode_over_two_levels_is_one_graph_op(self, rng):
+        pyr = _pyramid(rng, requires_grad=True)
+        boxes = _boxes((0.0, 0.0, 100.0, 90.0), (2.0, 2.0, 16.0, 15.0), (1.0, 1.0, 99.0, 88.0))
+        assert [roi.assign_level(b) for b in boxes] == [4, 2, 4]
+        out = roi.extract_region_batch(pyr, boxes, False, out_size=3)
+        assert len(Tape(out)) == 1
+        assert out._parents == (pyr.p2, pyr.p4)  # a level no box names is no parent
+
+    def test_single_mode_on_batched_maps_leaves_levels_without_boxes_alone(self, rng):
+        pyr = nets.FeaturePyramid(*(Tensor(level.data[None], requires_grad=True)
+                                    for level in _pyramid(rng).levels()))
+        boxes = _boxes((0.0, 0.0, 100.0, 90.0), (2.0, 2.0, 16.0, 15.0))  # levels 4 and 2
+        backward(roi.extract_region_batch(pyr, boxes, False, out_size=3).sum())
+        assert np.abs(pyr.p2.grad).sum() > 0 and np.abs(pyr.p4.grad).sum() > 0
+        assert pyr.p3.grad is None and pyr.p5.grad is None
+
     @pytest.mark.parametrize("use_pyramid", [True, False])
     def test_empty_box_array_rejected(self, rng, use_pyramid):
         with pytest.raises(ShapeError):
             roi.extract_region_batch(_pyramid(rng), np.zeros((0, 4)), use_pyramid)
+
+
+class TestBoxLevels:
+    """roi_align_batch's single-level mode takes one level index per box."""
+
+    @pytest.mark.parametrize("bad", [[0], [0, 1, 2], [0, 4], [-1, 0], [[0, 1]]])
+    def test_box_levels_must_name_one_level_per_box(self, rng, bad):
+        with pytest.raises(ShapeError, match="box_levels"):
+            roi.roi_align_batch(_pyramid(rng).levels(), _boxes((1, 1, 9, 9), (2, 2, 12, 12)),
+                                roi.PYRAMID_STRIDES, box_levels=bad)
+
+    def test_levels_of_unequal_width_rejected(self, rng):
+        levels = [Tensor(rng.normal(size=(c, 8, 8))) for c in (4, 5)]
+        with pytest.raises(ShapeError, match="equal width"):
+            roi.roi_align_batch(levels, _boxes((1, 1, 9, 9), (2, 2, 12, 12)), [4, 8], box_levels=[0, 1])
 
 
 def _random_case(rng):

@@ -94,6 +94,14 @@ def test_ld_target_is_the_teacher_head_on_its_own_crop(monkeypatch, tiny_scenes,
         assert not np.array_equal(other.data, own.data)
 
 
+def test_ld_target_is_the_single_level_teacher_head_on_its_own_canonical(
+        monkeypatch, tiny_scenes, tiny_teacher_cfg, tiny_student_cfg):
+    # canonical sets the level of a single-level crop, so it is part of the crop
+    test_ld_target_is_the_teacher_head_on_its_own_crop(
+        monkeypatch, tiny_scenes, replace(tiny_teacher_cfg, pyramid_roi=False),
+        replace(tiny_student_cfg, pyramid_roi=False), "canonical", 14.0)
+
+
 @pytest.mark.parametrize("field, value", OWN_CROP)
 def test_full_matching_trains_against_a_teacher_with_its_own_crop(tmp_path, tiny_scenes,
                                                                   tiny_teacher_cfg, tiny_student_cfg,

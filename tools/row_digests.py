@@ -1,0 +1,63 @@
+"""Print the sha256 of the teacher checkpoint and of each ablation row's
+student checkpoint after one epoch on four default-size scenes.
+
+The run is fixed: 96x160 scenes from ``generate_dataset(SceneParams(n_train=4,
+n_test=1), seed=0)``, ``TrainConfig(epochs=1, lr_decay_epochs=(), seed=0)``,
+the default teacher and student, the default ``DistillConfig`` with each
+row's switches from ``distill_config_for_row``, and each row's crop mode. A
+change that must keep behaviour bit for bit prints the same nine lines before
+and after. Unlike the tiny test fixtures, the default scene size reaches the
+full-size feature maps (P2 is 24x40), where rounding can differ that the
+small maps never show.
+
+Usage (from the repository root, takes under a minute)::
+
+    PYTHONPATH=src python tools/row_digests.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+import tempfile
+from dataclasses import replace
+
+from distilldet.data import SceneParams, generate_dataset
+from distilldet.distill import DistillConfig
+from distilldet.experiments import ABLATION_ROWS, distill_config_for_row, row_tag
+from distilldet.nets import default_student_config, default_teacher_config
+from distilldet.train import TrainConfig, distill_student, train_teacher
+
+
+def _sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def row_digests(work_dir) -> list[tuple[str, str]]:
+    """(name, sha256) of the teacher, then of every ablation row in order."""
+    train_scenes, _ = generate_dataset(SceneParams(n_train=4, n_test=1), seed=0)
+    tcfg = TrainConfig(epochs=1, lr_decay_epochs=(), seed=0)
+    teacher_ckpt = os.path.join(work_dir, "teacher.ckpt")
+    train_teacher(train_scenes, default_teacher_config(), tcfg, teacher_ckpt)
+    digests = [("teacher", _sha256(teacher_ckpt))]
+    for row in ABLATION_ROWS:
+        tag = row_tag(row)
+        ckpt = os.path.join(work_dir, f"student_{tag}.ckpt")
+        distill_student(train_scenes, teacher_ckpt,
+                        replace(tcfg, distill=distill_config_for_row(DistillConfig(), row)), ckpt,
+                        student_cfg=replace(default_student_config(), pyramid_roi=row[3]))
+        digests.append((tag, _sha256(ckpt)))
+    return digests
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as work_dir:
+        for name, digest in row_digests(work_dir):
+            print(f"{name} {digest}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
