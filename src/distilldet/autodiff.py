@@ -233,13 +233,11 @@ def backward(loss: Tensor):
             node._consumed = True
 
 
-def _coerce_pair(a, b):
-    """Promote a scalar operand to a same-shape constant array."""
-    if isinstance(b, Tensor):
-        if a.data.shape != b.data.shape and a.data.size != 1 and b.data.size != 1:
-            raise ShapeError(f"elementwise op on shapes {a.shape} vs {b.shape}")
-        return a, b
-    return a, None
+def _check_pair(a: Tensor, b: Tensor):
+    """Reject two Tensor operands of an elementwise op whose shapes differ,
+    unless one of them holds a single element."""
+    if a.data.shape != b.data.shape and a.data.size != 1 and b.data.size != 1:
+        raise ShapeError(f"elementwise op on shapes {a.shape} vs {b.shape}")
 
 
 # ---- elementwise ops ------------------------------------------------------
@@ -247,7 +245,7 @@ def _coerce_pair(a, b):
 
 def add(a: Tensor, b):
     if isinstance(b, Tensor):
-        a, b = _coerce_pair(a, b)
+        _check_pair(a, b)
 
         def bk(g):
             _accumulate(a, g if a.data.shape == g.shape else g.sum())
@@ -260,7 +258,7 @@ def add(a: Tensor, b):
 
 def sub(a: Tensor, b):
     if isinstance(b, Tensor):
-        a, b = _coerce_pair(a, b)
+        _check_pair(a, b)
 
         def bk(g):
             _accumulate(a, g if a.data.shape == g.shape else g.sum())
@@ -272,7 +270,7 @@ def sub(a: Tensor, b):
 
 def mul(a: Tensor, b):
     if isinstance(b, Tensor):
-        a, b = _coerce_pair(a, b)
+        _check_pair(a, b)
 
         def bk(g):
             ga = g * b.data

@@ -92,7 +92,8 @@ def cmd_distill(args) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     train, test = experiments.build_dataset(cfg)
     dcfg = cfg.train.distill
-    tag = experiments.row_tag((dcfg.enable_pd, dcfg.enable_rd, dcfg.enable_ld, cfg.student.pyramid_roi))
+    tag = experiments.row_tag((dcfg.lambda_pd > 0, dcfg.lambda_rd > 0, dcfg.lambda_ld > 0,
+                               cfg.student.pyramid_roi))
     ckpt, params, records, student_cfg = experiments.run_student_variant(cfg, teacher_ckpt, tag, train)
     ratio = nets.compression_ratio(t_params, params)
     print(f"teacher parameters: {nets.parameter_count(t_params)}")

@@ -10,8 +10,10 @@ partially covered by a horizontal occluder bar; visibility is the exact
 uncovered area fraction of the box, computed from the occluder geometry
 rather than from pixels.
 
-Figure heights are drawn from two bands so that, at the default occlusion
-rate, both evaluation subsets stay well populated.
+Figure heights are drawn from two bands so that, at the fixed occlusion
+rate, both evaluation subsets stay well populated. Everything about a scene
+but its size is a module constant; ``SceneParams`` holds only the set sizes
+and the image size.
 """
 
 from __future__ import annotations
@@ -26,25 +28,20 @@ from .evalmr import GTBox
 
 @dataclass(frozen=True)
 class SceneParams:
+    """How many train and test scenes to draw, and their size in pixels."""
+
     n_train: int = 200
     n_test: int = 80
     image_height: int = 96
     image_width: int = 160
-    min_figures: int = 1
-    max_figures: int = 3
-    occlusion_rate: float = 0.5
-    distractors: int = 3
-    noise_sigma: float = 0.03
-    figure_aspect: float = 0.41  # width : height
-    small_band_frac: float = 0.45
 
     def __post_init__(self):
-        if self.image_height % 32 or self.image_width % 32:
-            raise ValueError("image sides must be divisible by 32")
-        if not (0 < self.min_figures <= self.max_figures):
-            raise ValueError("need 1 <= min_figures <= max_figures")
-        if not 0.0 <= self.occlusion_rate <= 1.0:
-            raise ValueError("occlusion_rate must lie in [0,1]")
+        for name in ("n_train", "n_test"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        h, w = self.image_height, self.image_width
+        if min(h, w) < 32 or h % 32 or w % 32:
+            raise ValueError(f"image sides must be positive multiples of 32, got {h}x{w}")
 
 
 @dataclass
@@ -58,6 +55,12 @@ class SyntheticScene:
 # subset height window, the upper band above it.
 _SMALL_BAND = (13, 18)
 _TALL_BAND = (19, 72)
+_SMALL_BAND_FRAC = 0.45
+_MIN_FIGURES, _MAX_FIGURES = 1, 3
+_FIGURE_ASPECT = 0.41  # width : height
+_OCCLUSION_RATE = 0.5
+_DISTRACTORS = 3  # at most this many vehicle-like slabs per scene
+_NOISE_SIGMA = 0.03
 
 
 def _smooth_field(rng: np.random.Generator, h: int, w: int, cells: int = 8,
@@ -133,7 +136,7 @@ def generate_scene(params: SceneParams, rng: np.random.Generator, index: int = 0
     placed: list[tuple] = []
 
     # wide low-contrast slabs (vehicle-like)
-    for _ in range(int(rng.integers(0, params.distractors + 1))):
+    for _ in range(int(rng.integers(0, _DISTRACTORS + 1))):
         dh = int(rng.integers(5, 14))
         dw = min(int(rng.integers(2 * dh, 4 * dh)), w - 3)
         box = _place_box(rng, placed, w, h, dw, dh, tries=15)
@@ -156,22 +159,22 @@ def generate_scene(params: SceneParams, rng: np.random.Generator, index: int = 0
         img[:, box[1] : box[3], box[0] : box[2]] = _contrast_color(rng)[:, None, None]
         placed.append(box)
 
-    n_figs = int(rng.integers(params.min_figures, params.max_figures + 1))
+    n_figs = int(rng.integers(_MIN_FIGURES, _MAX_FIGURES + 1))
     gts: list[GTBox] = []
     for _ in range(n_figs):
-        small_band = rng.random() < params.small_band_frac
+        small_band = rng.random() < _SMALL_BAND_FRAC
         lo, hi = _SMALL_BAND if small_band else _TALL_BAND
         fh = int(rng.integers(lo, hi + 1))
-        fw = max(2, int(round(params.figure_aspect * fh)))
+        fw = max(2, int(round(_FIGURE_ASPECT * fh)))
         box = _place_box(rng, placed, w, h, fw, fh)
         if box is None:
             continue
         placed.append(box)
         _draw_figure(img, box[0], box[1], fw, fh, rng)
 
-        occ_prob = params.occlusion_rate * (1.6 if small_band else 0.8)
+        occ_prob = _OCCLUSION_RATE * (1.6 if small_band else 0.8)
         visibility = 1.0
-        if rng.random() < min(occ_prob, 1.0):
+        if rng.random() < occ_prob:
             target_vis = rng.uniform(0.35, 0.62) if small_band else rng.uniform(0.45, 0.95)
             bar_px = int(round((1.0 - target_vis) * fh))
             bar_px = min(max(bar_px, 1), fh - 1)
@@ -183,8 +186,7 @@ def generate_scene(params: SceneParams, rng: np.random.Generator, index: int = 0
         gts.append(GTBox(float(box[0]), float(box[1]), float(box[2]), float(box[3]),
                          visibility=float(visibility)))
 
-    if params.noise_sigma > 0:
-        img += rng.normal(0.0, params.noise_sigma, size=img.shape)
+    img += rng.normal(0.0, _NOISE_SIGMA, size=img.shape)
     np.clip(img, 0.0, 1.0, out=img)
     return SyntheticScene(index=index, image=Tensor(img.astype(COMPUTE_DTYPE)), gts=gts)
 

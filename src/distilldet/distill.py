@@ -9,6 +9,7 @@ operands are detached on entry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import autodiff as ad
@@ -17,28 +18,27 @@ from .autodiff import ShapeError, Tensor
 
 @dataclass(frozen=True)
 class DistillConfig:
-    """Loss weights and on/off switches for the matching terms.
+    """Loss weights of the matching terms; a term is on exactly when its
+    weight is positive.
 
     Region and logit matching always run on the student's proposals, cropped
-    in the student's own crop mode (``NetConfig.pyramid_roi``). A disabled
-    term contributes exactly zero and builds no graph.
+    in the student's own crop mode (``NetConfig.pyramid_roi``). A term of
+    weight 0 contributes exactly zero and builds no graph.
     """
 
     lambda_pd: float = 0.5
     lambda_rd: float = 30.0
     lambda_ld: float = 30.0
-    enable_pd: bool = True
-    enable_rd: bool = True
-    enable_ld: bool = True
 
     def __post_init__(self):
         for name in ("lambda_pd", "lambda_rd", "lambda_ld"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
     @property
     def any_enabled(self) -> bool:
-        return self.enable_pd or self.enable_rd or self.enable_ld
+        return self.lambda_pd > 0 or self.lambda_rd > 0 or self.lambda_ld > 0
 
 
 @dataclass
@@ -88,17 +88,14 @@ def logit_distill_loss(student_logits: Tensor, teacher_logits: Tensor) -> Tensor
 
 def total_distill_loss(cfg: DistillConfig, pd: Tensor | None, rd: Tensor | None,
                        ld: Tensor | None):
-    """Weighted sum of the enabled terms plus a value report."""
+    """Weighted sum of the terms given whose weight is positive, added in
+    PD, RD, LD order, plus a value report; the other terms report 0."""
     report = DistillReport()
     total = Tensor(0.0)
-    if cfg.enable_pd and pd is not None:
-        report.pd = pd.item()
-        total = ad.add(total, pd * cfg.lambda_pd)
-    if cfg.enable_rd and rd is not None:
-        report.rd = rd.item()
-        total = ad.add(total, rd * cfg.lambda_rd)
-    if cfg.enable_ld and ld is not None:
-        report.ld = ld.item()
-        total = ad.add(total, ld * cfg.lambda_ld)
+    for name, term, weight in (("pd", pd, cfg.lambda_pd), ("rd", rd, cfg.lambda_rd),
+                               ("ld", ld, cfg.lambda_ld)):
+        if weight > 0 and term is not None:
+            setattr(report, name, term.item())
+            total = ad.add(total, term * weight)
     report.total = total.item()
     return total, report

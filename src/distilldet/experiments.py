@@ -32,9 +32,13 @@ ABLATION_ROWS: tuple = (
 
 
 def distill_config_for_row(base: DistillConfig, row) -> DistillConfig:
-    """Matching switches of a row; its PyRoIAlign column is the student's crop mode."""
+    """Matching weights of a row: ``base``'s weight for each term the row
+    turns on, 0.0 for the others. Its PyRoIAlign column is the student's
+    crop mode, not part of this config."""
     pd, rd, ld, _ = row
-    return replace(base, enable_pd=pd, enable_rd=rd, enable_ld=ld)
+    return DistillConfig(lambda_pd=base.lambda_pd if pd else 0.0,
+                         lambda_rd=base.lambda_rd if rd else 0.0,
+                         lambda_ld=base.lambda_ld if ld else 0.0)
 
 
 def row_tag(row) -> str:

@@ -69,12 +69,15 @@ class NetConfig:
             raise ValueError("stage widths and block counts must be positive")
         if self.role not in ("teacher", "student"):
             raise ValueError(f"unknown role {self.role!r}")
-        for name in ("pre_nms_k", "post_nms_k", "roi_size", "roi_samples"):
+        for name in ("pyramid_width", "head_hidden", "logit_width",
+                     "pre_nms_k", "post_nms_k", "roi_size", "roi_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         for name in ("anchor_base", "anchor_aspect", "canonical"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0 <= self.nms_iou <= 1:
+            raise ValueError(f"nms_iou must lie in [0, 1], got {self.nms_iou}")
 
     @property
     def head_input_width(self) -> int:

@@ -120,7 +120,7 @@ def roi_align_batch(features, rois, strides, out_size: int = 7, samples: int = 2
     ``box_levels``, an integer [R] array naming one level index per box
     (levels of equal width C), each box is cropped from its level only: the
     output is [R, C, S, S]. Rows are ordered like ``rois`` in both modes. A
-    level that no box names is not a parent of the output.
+    level that no box names is not read and not a parent of the output.
 
     Boxes map to feature coordinates by dividing by the level's stride (no
     rounding, no half-pixel shift); each of the S^2 bins averages samples^2
@@ -144,38 +144,41 @@ def roi_align_batch(features, rois, strides, out_size: int = 7, samples: int = 2
     """
     if out_size < 1 or samples < 1:
         raise ShapeError(f"roi_align_batch needs out_size and samples >= 1, got {out_size}, {samples}")
-    levels = [_as_chw(f) for f in features]
-    if not levels or len(levels) != len(strides):
-        raise ShapeError(f"roi_align_batch needs one stride per level, got {len(levels)} levels "
+    n_lvl = len(features)
+    if not n_lvl or n_lvl != len(strides):
+        raise ShapeError(f"roi_align_batch needs one stride per level, got {n_lvl} levels "
                          f"and {len(strides)} strides")
     boxes = np.asarray(rois, np.float64).reshape(-1, 4)
     n_roi = boxes.shape[0]
     if n_roi == 0:
         raise ShapeError("roi_align_batch on an empty box array")
     s = out_size
-    dtype = np.result_type(*(f.data for f in levels))
-    shapes = [f.data.shape[1:] for f in levels]
     # One (level, (ay, ax), rows of its boxes, first output channel) per crop.
     if box_levels is None:
+        levels = [_as_chw(f) for f in features]
+        dtype = np.result_type(*(f.data for f in levels))
         offsets = np.cumsum([0] + [f.data.shape[0] for f in levels])
-        ops = _interp_operators(boxes, strides, shapes, s, samples, dtype)
+        ops = _interp_operators(boxes, strides, [f.data.shape[1:] for f in levels], s, samples, dtype)
         crops = [(f, op, slice(None), c0) for f, op, c0 in zip(levels, ops, offsets)]
         width = offsets[-1]
     else:
         box_levels = np.asarray(box_levels, np.intp)
+        counts = (np.bincount(box_levels, minlength=n_lvl)
+                  if box_levels.shape == (n_roi,) and box_levels.min() >= 0 else ())
+        if len(counts) != n_lvl:
+            raise ShapeError(f"box_levels must name one of {n_lvl} levels for each of {n_roi} boxes")
+        named = np.flatnonzero(counts)
+        levels = [_as_chw(features[k]) for k in named]  # a level no box names is never read
         width = levels[0].data.shape[0]
-        if box_levels.shape != (n_roi,) or box_levels.min() < 0 or box_levels.max() >= len(levels):
-            raise ShapeError(f"box_levels must name one of {len(levels)} levels for each of {n_roi} boxes")
         if any(f.data.shape[0] != width for f in levels):
             raise ShapeError("a single-level crop needs levels of equal width")
+        dtype = np.result_type(*(f.data for f in levels))
         crops = []
-        for k, (f, stride, shape) in enumerate(zip(levels, strides, shapes)):
-            rows = np.flatnonzero(box_levels == k)
-            if len(rows):
-                if len(rows) == n_roi:  # every box on this level: slices, no row copies
-                    rows = slice(None)
-                op = _interp_operators(boxes[rows], [stride], [shape], s, samples, dtype)[0]
-                crops.append((f, op, rows, 0))
+        for k, f in zip(named, levels):
+            # every box on one level: slices, no row copies
+            rows = slice(None) if len(named) == 1 else np.flatnonzero(box_levels == k)
+            op = _interp_operators(boxes[rows], [strides[k]], [f.data.shape[1:]], s, samples, dtype)[0]
+            crops.append((f, op, rows, 0))
     out_data = np.empty((n_roi, width, s, s), dtype)
 
     # t1[(r,i),(c,w)] = sum_h ay[r,i,h] f[c,h,w]; then out[r,c,i,j] = sum_w t1[r,i,c,w] ax[r,j,w].

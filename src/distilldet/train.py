@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -41,13 +42,21 @@ class DivergenceError(RuntimeError):
     """Training hit a non-finite loss."""
 
 
+# Each scene is mirrored with this probability when drawn for a step.
+FLIP_PROB = 0.5
+# The learning rate is multiplied by this at each of ``lr_decay_epochs``.
+LR_DECAY_FACTOR = 0.1
+
+
 @dataclass(frozen=True)
 class TrainConfig:
+    """The schedule and optimiser of one training phase; the flip rate and
+    the learning-rate decay factor are the constants ``FLIP_PROB`` and
+    ``LR_DECAY_FACTOR``."""
+
     epochs: int = 6
     base_lr: float = 0.002
     lr_decay_epochs: tuple = (4, 6)
-    lr_decay_factor: float = 0.1
-    flip_prob: float = 0.5
     momentum: float = 0.9
     clip_grad_norm: float = 10.0  # 0 disables clipping
     seed: int = 0
@@ -61,6 +70,12 @@ class TrainConfig:
             raise ValueError("lr_decay_epochs must not exceed epochs")
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
+        if not (math.isfinite(self.base_lr) and self.base_lr > 0):
+            raise ValueError(f"base_lr must be finite and positive, got {self.base_lr}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if not (math.isfinite(self.clip_grad_norm) and self.clip_grad_norm >= 0):
+            raise ValueError(f"clip_grad_norm must be finite and nonnegative, got {self.clip_grad_norm}")
 
 
 @dataclass
@@ -81,11 +96,11 @@ class StepRecord:
 
 
 def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
-    """base_lr scaled by the decay factor once per decay epoch reached."""
+    """base_lr scaled by ``LR_DECAY_FACTOR`` once per decay epoch reached."""
     if not 1 <= epoch <= cfg.epochs:
         raise ValueError(f"epoch {epoch} outside [1, {cfg.epochs}]")
     hits = sum(1 for e in cfg.lr_decay_epochs if e <= epoch)
-    return cfg.base_lr * cfg.lr_decay_factor ** hits
+    return cfg.base_lr * LR_DECAY_FACTOR ** hits
 
 
 def horizontal_flip(image: Tensor, gts: list[GTBox]):
@@ -168,19 +183,20 @@ class _TeacherContext:
 
     def match(self, scene_index: int, flipped: bool, image4: Tensor,
               pyr: nets.FeaturePyramid, proposals: np.ndarray, params: dict):
-        """(loss, DistillReport) of the enabled matching terms for one step."""
+        """(loss, DistillReport) of the matching terms of positive weight for one step."""
         dcfg = self.dcfg
+        pd_on, rd_on, ld_on = dcfg.lambda_pd > 0, dcfg.lambda_rd > 0, dcfg.lambda_ld > 0
         t_pyr = self.pyramid(scene_index, flipped, image4)
-        pd = pyramid_distill_loss(pyr, t_pyr) if dcfg.enable_pd else None
+        pd = pyramid_distill_loss(pyr, t_pyr) if pd_on else None
         rd = ld = None
-        if len(proposals) and (dcfg.enable_rd or dcfg.enable_ld):
+        if len(proposals) and (rd_on or ld_on):
             s_reg = nets.crop_regions(pyr, proposals, self.student_cfg)
-            if dcfg.enable_rd:
+            if rd_on:
                 t_reg = nets.crop_regions(t_pyr, proposals, self.student_cfg)
                 rd = region_distill_loss(s_reg, t_reg)
-            if dcfg.enable_ld:
+            if ld_on:
                 s_logits, _, _ = nets.head_forward_batch(s_reg, self.student_cfg, params)
-                if not (dcfg.enable_rd and self._ld_reuses_rd_crop):
+                if not (rd_on and self._ld_reuses_rd_crop):
                     t_reg = nets.crop_regions(t_pyr, proposals, self.cfg)
                 t_logits, _, _ = nets.head_forward_batch(t_reg, self.cfg, self.params)
                 ld = logit_distill_loss(s_logits, t_logits)
@@ -222,7 +238,7 @@ def train_detector(scenes: list[SyntheticScene], net_cfg: NetConfig, tcfg: Train
         order = rng.permutation(len(scenes))
         for si in order:
             scene = scenes[int(si)]
-            flipped = bool(rng.random() < tcfg.flip_prob)
+            flipped = bool(rng.random() < FLIP_PROB)
             if flipped:
                 image, gts = horizontal_flip(scene.image, scene.gts)
             else:

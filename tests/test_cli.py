@@ -61,9 +61,9 @@ student.pre_nms_k = 60
 student.post_nms_k = 12
 train.epochs = 1
 train.lr_decay_epochs =
-distill.enable_pd = false
-distill.enable_rd = false
-distill.enable_ld = false
+distill.lambda_pd = 0
+distill.lambda_rd = 0
+distill.lambda_ld = 0
 seed = 1
 """
 

@@ -14,16 +14,22 @@ from distilldet.nets import NetConfig
 from distilldet.train import TrainConfig, _cfg_from_meta, distill_student
 
 
-def test_removed_roi_source_key_is_unknown():
-    # region and logit matching always run on proposals; the old switch is gone
-    with pytest.raises(ConfigError, match="unknown key 'distill.roi_source'"):
-        parse_config("distill.roi_source = proposals\n")
+# Region and logit matching always run on proposals, the student's crop mode
+# is student.pyramid_roi alone, a matching term is on when its weight is
+# positive, and the scene recipe, flip rate and decay factor are constants.
+REMOVED_KEYS = [
+    "distill.roi_source", "distill.pyramid_roi_align",
+    "distill.enable_pd", "distill.enable_rd", "distill.enable_ld",
+    "dataset.min_figures", "dataset.max_figures", "dataset.occlusion_rate", "dataset.distractors",
+    "dataset.noise_sigma", "dataset.figure_aspect", "dataset.small_band_frac",
+    "train.flip_prob", "train.lr_decay_factor",
+]
 
 
-def test_removed_pyramid_roi_align_key_is_unknown():
-    # the student's crop mode is student.pyramid_roi alone
-    with pytest.raises(ConfigError, match="unknown key 'distill.pyramid_roi_align'"):
-        parse_config("distill.pyramid_roi_align = false\n")
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_removed_key_is_unknown(key):
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        parse_config(f"{key} = 1\n")
 
 
 def test_student_pyramid_roi_false_trains_a_single_level_student(tmp_path, tiny_scenes,
@@ -60,21 +66,23 @@ def run_configs(draw):
 
     stage = st.tuples(*[st.integers(1, 10**6)] * 4)
     nonneg = st.floats(min_value=0.0, allow_infinity=False)
-    min_figures = draw(st.integers(1, 10))
+    positive = st.integers(1, 10**9)
+    positive_float = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
     epochs = draw(st.integers(1, 100))
-    dataset = section(SceneParams, image_height=32 * draw(st.integers(1, 64)),
-                      image_width=32 * draw(st.integers(1, 64)), min_figures=min_figures,
-                      max_figures=draw(st.integers(min_figures, 20)),
-                      occlusion_rate=draw(st.floats(0.0, 1.0)))
+    dataset = section(SceneParams, n_train=draw(positive), n_test=draw(positive),
+                      image_height=32 * draw(st.integers(1, 64)),
+                      image_width=32 * draw(st.integers(1, 64)))
     distill = section(DistillConfig, lambda_pd=draw(nonneg), lambda_rd=draw(nonneg),
                       lambda_ld=draw(nonneg))
     train = section(TrainConfig, epochs=epochs, distill=distill,
-                    lr_decay_epochs=tuple(sorted(draw(st.lists(st.integers(-5, epochs), max_size=4)))))
-    positive = st.integers(1, 10**9)
-    positive_float = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+                    lr_decay_epochs=tuple(sorted(draw(st.lists(st.integers(-5, epochs), max_size=4)))),
+                    base_lr=draw(positive_float), clip_grad_norm=draw(nonneg),
+                    momentum=draw(st.floats(0.0, 1.0, exclude_max=True)))
     teacher, student = (section(NetConfig, role=role, widths=draw(stage), blocks=draw(stage),
+                                nms_iou=draw(st.floats(0.0, 1.0)),
                                 **{name: draw(positive) for name in
-                                   ("pre_nms_k", "post_nms_k", "roi_size", "roi_samples")},
+                                   ("pyramid_width", "head_hidden", "logit_width",
+                                    "pre_nms_k", "post_nms_k", "roi_size", "roi_samples")},
                                 **{name: draw(positive_float) for name in
                                    ("anchor_base", "anchor_aspect", "canonical")})
                         for role in ("teacher", "student"))
@@ -107,9 +115,39 @@ def test_parse_of_dump_reproduces_the_config(cfg, out_dir):
 
 
 @pytest.mark.parametrize("line", ["student.roi_size = 0", "teacher.roi_samples = 0",
-                                  "student.pre_nms_k = -1", "teacher.post_nms_k = 0"])
-def test_net_count_below_one_is_a_config_error(line):
-    with pytest.raises(ConfigError, match="at least 1"):
+                                  "student.pre_nms_k = -1", "teacher.post_nms_k = 0",
+                                  "student.pyramid_width = 0", "teacher.head_hidden = -3",
+                                  "student.logit_width = 0", "dataset.n_train = 0",
+                                  "dataset.n_test = -1"])
+def test_count_below_one_is_a_config_error(line):
+    field = line.split()[0].split(".")[1]
+    with pytest.raises(ConfigError, match=f"{field} must be at least 1"):
+        parse_config(line + "\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("student.nms_iou = -0.5", "nms_iou must lie in"),
+    ("teacher.nms_iou = 1.5", "nms_iou must lie in"),
+    ("student.nms_iou = nan", "nms_iou must lie in"),
+    ("train.base_lr = -1", "base_lr must be finite and positive"),
+    ("train.base_lr = 0", "base_lr must be finite and positive"),
+    ("train.base_lr = nan", "base_lr must be finite and positive"),
+    ("train.base_lr = inf", "base_lr must be finite and positive"),
+    ("train.momentum = 1.5", "momentum must lie in"),
+    ("train.momentum = 1", "momentum must lie in"),
+    ("train.momentum = -0.1", "momentum must lie in"),
+    ("train.momentum = nan", "momentum must lie in"),
+    ("train.clip_grad_norm = -5", "clip_grad_norm must be finite and nonnegative"),
+    ("train.clip_grad_norm = nan", "clip_grad_norm must be finite and nonnegative"),
+    ("train.clip_grad_norm = inf", "clip_grad_norm must be finite and nonnegative"),
+    ("distill.lambda_pd = nan", "lambda_pd must be finite and nonnegative"),
+    ("distill.lambda_rd = inf", "lambda_rd must be finite and nonnegative"),
+    ("distill.lambda_ld = -1", "lambda_ld must be finite and nonnegative"),
+    ("dataset.image_height = 0", "positive multiples of 32"),
+    ("dataset.image_width = -32", "positive multiples of 32"),
+])
+def test_value_out_of_range_is_a_config_error(line, message):
+    with pytest.raises(ConfigError, match=message):
         parse_config(line + "\n")
 
 

@@ -113,16 +113,17 @@ class TestTotalLoss:
         assert report.ld == pytest.approx(0.02)
         assert report.total == pytest.approx(1.0)
 
-    def test_all_flags_off_zero_and_graphless(self):
-        cfg = DistillConfig(enable_pd=False, enable_rd=False, enable_ld=False)
-        total, report = total_distill_loss(cfg, Tensor(5.0), Tensor(5.0), Tensor(5.0))
+    def test_all_weights_zero_is_zero_and_graphless(self):
+        cfg = DistillConfig(lambda_pd=0.0, lambda_rd=0.0, lambda_ld=0.0)
+        terms = [Tensor(5.0, requires_grad=True) for _ in range(3)]
+        total, report = total_distill_loss(cfg, *terms)
         assert total.item() == 0.0
         assert not total.requires_grad
-        assert report.total == 0.0
+        assert (report.pd, report.rd, report.ld, report.total) == (0.0, 0.0, 0.0, 0.0)
         assert not cfg.any_enabled
 
     def test_single_term_reduces_to_that_loss(self, rng):
-        cfg = DistillConfig(lambda_pd=1.0, enable_rd=False, enable_ld=False)
+        cfg = DistillConfig(lambda_pd=1.0, lambda_rd=0.0, lambda_ld=0.0)
         arrays = _rand_levels(rng)
         pd = pyramid_distill_loss(_pyr(arrays, True), _pyr(_rand_levels(rng)))
         total, _ = total_distill_loss(cfg, pd, None, None)
@@ -132,11 +133,11 @@ class TestTotalLoss:
         a = rng.normal(size=(3, 4))
         b = rng.normal(size=(3, 4))
         base = total_distill_loss(
-            DistillConfig(lambda_ld=2.0, enable_pd=False, enable_rd=False),
+            DistillConfig(lambda_pd=0.0, lambda_rd=0.0, lambda_ld=2.0),
             None, None, logit_distill_loss(Tensor(a, requires_grad=True), Tensor(b)),
         )[0].item()
         scaled = total_distill_loss(
-            DistillConfig(lambda_ld=6.0, enable_pd=False, enable_rd=False),
+            DistillConfig(lambda_pd=0.0, lambda_rd=0.0, lambda_ld=6.0),
             None, None, logit_distill_loss(Tensor(a, requires_grad=True), Tensor(b)),
         )[0].item()
         assert scaled == pytest.approx(3.0 * base, rel=1e-12)

@@ -1,0 +1,57 @@
+"""Experiment plumbing: the ablation rows' matching weights, row tags, the
+table text and the reuse of a trained teacher."""
+
+import os
+
+import pytest
+
+from distilldet import experiments
+from distilldet.checkpoint import checkpoint_hash
+from distilldet.config import RunConfig
+from distilldet.distill import DistillConfig
+from distilldet.experiments import ABLATION_ROWS, distill_config_for_row, row_tag
+from distilldet.train import TrainConfig
+
+
+@pytest.mark.parametrize("row", ABLATION_ROWS, ids=row_tag)
+def test_row_keeps_the_base_weight_of_each_term_it_turns_on(row):
+    base = DistillConfig(lambda_pd=0.25, lambda_rd=7.0, lambda_ld=3.5)
+    cfg = distill_config_for_row(base, row)
+    want = [w if on else 0.0 for w, on in zip((0.25, 7.0, 3.5), row[:3])]
+    assert [cfg.lambda_pd, cfg.lambda_rd, cfg.lambda_ld] == want
+    assert cfg.any_enabled == any(row[:3])
+
+
+def test_row_tags_in_report_order():
+    assert [row_tag(row) for row in ABLATION_ROWS] == [
+        "0000", "0001", "0011", "0100", "0101", "0111", "1110", "1111"]
+
+
+def test_ablation_table_text():
+    rows = [(ABLATION_ROWS[1], 0.5, 0.875), (ABLATION_ROWS[7], 0.25, 1.0)]
+    assert experiments.format_ablation_table(rows) == (
+        "row\tPD\tRD\tLD\tPyRoIAlign\tMR-reasonable\tMR-small\n"
+        "1\t-\t-\t-\tx\t0.5000\t0.8750\n"
+        "2\tx\tx\tx\tx\t0.2500\t1.0000\n"
+    )
+
+
+def test_ensure_teacher_trains_once_then_reuses_the_file(tmp_path, monkeypatch, tiny_scenes,
+                                                         tiny_teacher_cfg):
+    calls = []
+
+    def train_teacher(*args, **kwargs):
+        calls.append(args[3])
+        return real_train_teacher(*args, **kwargs)
+
+    real_train_teacher = experiments.train_teacher
+    monkeypatch.setattr(experiments, "train_teacher", train_teacher)
+    cfg = RunConfig(teacher=tiny_teacher_cfg, train=TrainConfig(epochs=1, lr_decay_epochs=()),
+                    out_dir=str(tmp_path / "run"))
+    train_scenes = tiny_scenes[0][:2]
+    path = experiments.ensure_teacher(cfg, train_scenes)
+    assert calls == [path] and path == experiments.teacher_ckpt_path(cfg.out_dir)
+    digest, mtime = checkpoint_hash(path), os.stat(path).st_mtime_ns
+    assert experiments.ensure_teacher(cfg, train_scenes) == path
+    assert calls == [path]
+    assert checkpoint_hash(path) == digest and os.stat(path).st_mtime_ns == mtime

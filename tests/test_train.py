@@ -6,8 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from distilldet import nets, train
+from distilldet import Tensor, nets, train
 from distilldet.distill import DistillConfig
+from distilldet.evalmr import GTBox
 from distilldet.experiments import ABLATION_ROWS, distill_config_for_row, row_tag
 from distilldet.train import TrainConfig, distill_student, train_detector
 
@@ -24,6 +25,14 @@ def test_distill_student_rejects_teacher_of_other_width(tmp_path, tiny_scenes, t
                         student, student_cfg=tiny_student_cfg, log_path=log)
     assert not student.exists()
     assert not log.exists()
+
+
+def test_horizontal_flip_mirrors_the_image_and_its_boxes(rng):
+    image = rng.random((3, 8, 12)).astype(np.float32)
+    gts = [GTBox(1.0, 2.0, 5.0, 7.0, visibility=0.6), GTBox(0.0, 0.0, 12.0, 8.0, ignore=True)]
+    flipped, boxes = train.horizontal_flip(Tensor(image), gts)
+    assert flipped.data.tobytes() == image[..., ::-1].tobytes()
+    assert boxes == [GTBox(7.0, 2.0, 11.0, 7.0, visibility=0.6), GTBox(0.0, 0.0, 12.0, 8.0, ignore=True)]
 
 
 @pytest.mark.parametrize("row", ABLATION_ROWS[:2], ids=row_tag)

@@ -4,7 +4,10 @@ rewrite can be proven behaviour-preserving by comparing these runs' sha256
 before and after.
 """
 
+import importlib.util
+import re
 from dataclasses import replace
+from pathlib import Path
 
 from distilldet.checkpoint import checkpoint_hash, load_checkpoint
 from distilldet.experiments import ABLATION_ROWS, distill_config_for_row, row_tag
@@ -28,3 +31,19 @@ def test_every_ablation_row_checkpoint_sha256_repeats(tmp_path, tiny_scenes, tin
         assert digests[0] == digests[1], row_tag(row)
         meta, _ = load_checkpoint(ckpt)
         assert meta["pyramid_roi"] == row[3], row_tag(row)
+
+
+def test_row_digests_tool_prints_nine_digests_that_repeat(tmp_path):
+    """tools/row_digests.py, the default-size form of this gate, runs and
+    repeats: the teacher, then every ablation row in order."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "row_digests.py"
+    spec = importlib.util.spec_from_file_location("row_digests", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    runs = []
+    for run in ("a", "b"):
+        (tmp_path / run).mkdir()
+        runs.append(tool.row_digests(tmp_path / run))
+    assert [name for name, _ in runs[0]] == ["teacher"] + [row_tag(row) for row in ABLATION_ROWS]
+    assert all(re.fullmatch("[0-9a-f]{64}", digest) for _, digest in runs[0])
+    assert runs[0] == runs[1]

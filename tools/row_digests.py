@@ -3,14 +3,14 @@ student checkpoint after one epoch on four default-size scenes.
 
 The run is fixed: 96x160 scenes from ``generate_dataset(SceneParams(n_train=4,
 n_test=1), seed=0)``, ``TrainConfig(epochs=1, lr_decay_epochs=(), seed=0)``,
-the default teacher and student, the default ``DistillConfig`` with each
-row's switches from ``distill_config_for_row``, and each row's crop mode. A
-change that must keep behaviour bit for bit prints the same nine lines before
-and after. Unlike the tiny test fixtures, the default scene size reaches the
-full-size feature maps (P2 is 24x40), where rounding can differ that the
-small maps never show.
+the default teacher and student, each row's weights from
+``distill_config_for_row`` on the default ``DistillConfig`` (0 for a term the
+row turns off), and each row's crop mode. A change that must keep behaviour
+bit for bit prints the same nine lines before and after. Unlike the tiny test
+fixtures, the default scene size reaches the full-size feature maps (P2 is
+24x40), where rounding can differ that the small maps never show.
 
-Usage (from the repository root, takes under a minute)::
+Usage (from the repository root, takes about 2 s)::
 
     PYTHONPATH=src python tools/row_digests.py
 """
