@@ -119,7 +119,13 @@ def clip_boxes(boxes: np.ndarray, img_w: float, img_h: float) -> np.ndarray:
     return boxes
 
 
-def level_anchors(level: int, hi: int, wi: int, base_size: float = 16.0, aspect: float = 2.4) -> np.ndarray:
+# The detector's anchors: side ANCHOR_BASE at level 2, shaped ANCHOR_ASPECT:1 (h:w).
+ANCHOR_BASE = 16.0
+ANCHOR_ASPECT = 2.4
+
+
+def level_anchors(level: int, hi: int, wi: int, base_size: float = ANCHOR_BASE,
+                  aspect: float = ANCHOR_ASPECT) -> np.ndarray:
     """Anchor grid for pyramid level 2..5 on a [hi, wi] feature map.
 
     One anchor per location: side base_size at level 2 doubling per level,

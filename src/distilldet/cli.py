@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import experiments, nets
-from .checkpoint import checkpoint_hash, load_checkpoint
+from .checkpoint import checkpoint_hash
 from .config import ConfigError, RunConfig, load_config, save_config
 from .data import annotations_by_image
 from .evalmr import (
@@ -27,7 +27,7 @@ from .evalmr import (
     write_ground_truth,
 )
 from .gradcheck import run_suite
-from .train import DivergenceError, epoch_mean
+from .train import DivergenceError, epoch_mean, load_detector
 
 
 def _load(args) -> RunConfig:
@@ -87,8 +87,8 @@ def cmd_distill(args) -> int:
         print(f"error: teacher checkpoint {teacher_ckpt} not found "
               f"(run train-teacher first)", file=sys.stderr)
         return 2
-    # Read the teacher before generating any scene, so a bad file fails fast.
-    _, t_params = load_checkpoint(teacher_ckpt)
+    # Read the teacher and its config before generating any scene, so a bad file fails fast.
+    _, t_params = load_detector(teacher_ckpt)
     os.makedirs(cfg.out_dir, exist_ok=True)
     train, test = experiments.build_dataset(cfg)
     dcfg = cfg.train.distill

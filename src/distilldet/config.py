@@ -72,8 +72,8 @@ _SECTION_TYPES = {
 _KEYS: dict[str, tuple[str, str]] = {}
 for _sec, _cls in _SECTION_TYPES.items():
     for _f in fields(_cls):
-        if _f.name in ("role", "distill"):
-            continue  # fixed per section / nested section
+        if _f.name == "distill":
+            continue  # nested section
         _KEYS[f"{_sec}.{_f.name}"] = (_sec, _f.name)
 _KEYS["seed"] = ("train", "seed")
 _KEYS["out_dir"] = ("", "out_dir")

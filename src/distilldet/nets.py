@@ -1,8 +1,10 @@
 """Teacher/student detector: backbone, top-down pyramid, proposal head and
 the second-stage region classifier, plus their supervised losses.
 
-Both roles share one architecture family; the teacher simply gets wider
-stages, more blocks and a wider first head layer. Pyramid width is shared so
+Both roles are one detector: the same anchors, proposal NMS, RoI crop
+(``roi``'s constants) and logit width. A ``NetConfig`` holds only what a
+teacher and a student differ in: stage widths and block counts, the first
+head layer's width and the crop mode. Pyramid width is shared so
 feature-matching losses need no adaptation layers.
 """
 
@@ -38,64 +40,46 @@ RPN_NEG_IOU = 0.3       # negative at or below this one
 ROI_BATCH = 32          # second-stage boxes sampled per image,
 ROI_POS_FRAC = 0.25     # at most this share of them positive
 ROI_POS_IOU = 0.5       # a box is positive at or above this IoU with a GT box
+RPN_PRE_NMS_K = 200     # proposals: this many best-scoring boxes enter NMS,
+RPN_POST_NMS_K = 32     # which keeps at most this many,
+RPN_NMS_IOU = 0.7       # suppressing at this IoU
 DET_SCORE_THRESH = 0.0  # detections keep scores above this
 DET_NMS_IOU = 0.5       # and are deduplicated at this IoU
+LOGIT_WIDTH = 64        # width of the head's second FC layer, the activations LD matches
 
 
 @dataclass(frozen=True)
 class NetConfig:
-    """Architecture knobs for one detector role."""
+    """What a teacher and a student differ in: stage widths and block
+    counts, the first head layer's width and the crop mode."""
 
     widths: tuple = (8, 16, 32, 64)
     blocks: tuple = (1, 1, 1, 1)
     pyramid_width: int = 32
-    role: str = "student"
     head_hidden: int = 48
-    logit_width: int = 64
     pyramid_roi: bool = True
-    roi_size: int = 7
-    roi_samples: int = 2
-    anchor_base: float = 16.0
-    anchor_aspect: float = 2.4
-    pre_nms_k: int = 200
-    post_nms_k: int = 32
-    nms_iou: float = 0.7
-    canonical: float = roi_ops.CANONICAL_SIZE
 
     def __post_init__(self):
         if len(self.widths) != 4 or len(self.blocks) != 4:
             raise ValueError("widths and blocks need one entry per stage")
         if any(w <= 0 for w in self.widths) or any(b <= 0 for b in self.blocks):
             raise ValueError("stage widths and block counts must be positive")
-        if self.role not in ("teacher", "student"):
-            raise ValueError(f"unknown role {self.role!r}")
-        for name in ("pyramid_width", "head_hidden", "logit_width",
-                     "pre_nms_k", "post_nms_k", "roi_size", "roi_samples"):
+        for name in ("pyramid_width", "head_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        for name in ("anchor_base", "anchor_aspect", "canonical"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not 0 <= self.nms_iou <= 1:
-            raise ValueError(f"nms_iou must lie in [0, 1], got {self.nms_iou}")
 
     @property
     def head_input_width(self) -> int:
         levels = 4 if self.pyramid_roi else 1
-        return levels * self.pyramid_width * self.roi_size * self.roi_size
+        return levels * self.pyramid_width * roi_ops.ROI_SIZE * roi_ops.ROI_SIZE
 
 
 def default_student_config(pyramid_roi: bool = True) -> NetConfig:
-    return NetConfig(role="student", pyramid_roi=pyramid_roi)
+    return NetConfig(pyramid_roi=pyramid_roi)
 
 
 def default_teacher_config() -> NetConfig:
-    return NetConfig(
-        widths=(16, 32, 64, 128),
-        blocks=(2, 2, 2, 2),
-        role="teacher",
-        head_hidden=256,
-    )
+    return NetConfig(widths=(16, 32, 64, 128), blocks=(2, 2, 2, 2), head_hidden=256)
 
 
 class BackboneFeatures(NamedTuple):
@@ -166,9 +150,9 @@ def init_params(cfg: NetConfig, seed: int) -> dict:
     _conv_param(p, "rpn.obj", 1, d, 1, 1, seed, std=_PREDICTION_STD)
     _conv_param(p, "rpn.box", 4, d, 1, 1, seed, std=_PREDICTION_STD)
     _fc_param(p, "head.fc1", cfg.head_input_width, cfg.head_hidden, seed)
-    _fc_param(p, "head.fc2", cfg.head_hidden, cfg.logit_width, seed)
-    _fc_param(p, "head.cls", cfg.logit_width, 2, seed, std=_PREDICTION_STD)
-    _fc_param(p, "head.box", cfg.logit_width, 4, seed, std=_PREDICTION_STD)
+    _fc_param(p, "head.fc2", cfg.head_hidden, LOGIT_WIDTH, seed)
+    _fc_param(p, "head.cls", LOGIT_WIDTH, 2, seed, std=_PREDICTION_STD)
+    _fc_param(p, "head.box", LOGIT_WIDTH, 4, seed, std=_PREDICTION_STD)
     return p
 
 
@@ -242,20 +226,19 @@ def rpn_forward(pyr: FeaturePyramid, cfg: NetConfig, params: dict):
 
 
 @functools.lru_cache(maxsize=64)
-def _anchor_grid(shapes: tuple, base_size: float, aspect: float) -> np.ndarray:
+def _anchor_grid(shapes: tuple) -> np.ndarray:
     """level_anchors of every level joined in level order, built once per
     set of map shapes; read-only since callers share it."""
-    grid = np.concatenate([level_anchors(lvl, hi, wi, base_size=base_size, aspect=aspect)
+    grid = np.concatenate([level_anchors(lvl, hi, wi)
                            for lvl, (hi, wi) in zip(roi_ops.PYRAMID_LEVELS, shapes)])
     grid.flags.writeable = False
     return grid
 
 
-def pyramid_anchors(pyr: FeaturePyramid, cfg: NetConfig) -> np.ndarray:
+def pyramid_anchors(pyr: FeaturePyramid) -> np.ndarray:
     """The [A,4] anchors of every pyramid level in ``rpn_forward``'s
     layout, shared (read-only) across calls."""
-    shapes = tuple(level.data.shape[-2:] for level in pyr.levels())
-    return _anchor_grid(shapes, cfg.anchor_base, cfg.anchor_aspect)
+    return _anchor_grid(tuple(level.data.shape[-2:] for level in pyr.levels()))
 
 
 def generate_proposals(rpn_out, anchors, pre_nms_k: int, post_nms_k: int,
@@ -385,16 +368,6 @@ def sample_rois(proposals: np.ndarray, gt_boxes: np.ndarray, rng: np.random.Gene
     return rois, labels, targets
 
 
-def crop_regions(pyr: FeaturePyramid, boxes: np.ndarray, cfg: NetConfig) -> Tensor:
-    """Region features of ``boxes`` [R,4] in the crop mode, output size,
-    sampling and level-assignment scale of ``cfg``: the input its head
-    expects."""
-    return roi_ops.extract_region_batch(
-        pyr, boxes, cfg.pyramid_roi, out_size=cfg.roi_size, samples=cfg.roi_samples,
-        canonical=cfg.canonical,
-    )
-
-
 def head_forward_batch(regions: Tensor, cfg: NetConfig, params: dict):
     """Run the two FC layers and siblings on region features [R,C,S,S].
 
@@ -442,11 +415,12 @@ def detect(image: Tensor, cfg: NetConfig, params: dict) -> list[Detection]:
     pyr = forward_pyramid(image, cfg, params)
     rpn_out = rpn_forward(pyr, cfg, params)
     proposals = generate_proposals(
-        rpn_out, pyramid_anchors(pyr, cfg), cfg.pre_nms_k, cfg.post_nms_k, cfg.nms_iou, w, h
+        rpn_out, pyramid_anchors(pyr), RPN_PRE_NMS_K, RPN_POST_NMS_K, RPN_NMS_IOU, w, h
     )
     if len(proposals) == 0:
         return []
-    _, cls, box = head_forward_batch(crop_regions(pyr, proposals, cfg), cfg, params)
+    regions = roi_ops.extract_region_batch(pyr, proposals, cfg.pyramid_roi)
+    _, cls, box = head_forward_batch(regions, cfg, params)
     z = cls.data.astype(np.float64)  # scores, like boxes, are scored in float64
     probs = np.exp(z - z.max(axis=1, keepdims=True))
     probs /= probs.sum(axis=1, keepdims=True)

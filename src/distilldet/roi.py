@@ -34,22 +34,26 @@ PYRAMID_STRIDES = (4, 8, 16, 32)
 # CANONICAL_LEVEL; sized for scenes in the ~100-pixel class.
 CANONICAL_SIZE = 56.0
 CANONICAL_LEVEL = 4
+# The detector's crop: ROI_SIZE x ROI_SIZE bins per level, each averaging
+# ROI_SAMPLES x ROI_SAMPLES bilinear samples.
+ROI_SIZE = 7
+ROI_SAMPLES = 2
 _MIN_EXTENT = 1e-6
 
 
-def assign_level(box, canonical: float = CANONICAL_SIZE) -> int:
+def assign_level(box) -> int:
     """Map one (x1, y1, x2, y2) box to the pyramid level matching its scale.
 
-    level = floor(CANONICAL_LEVEL + log2(sqrt(w*h)/canonical)), clamped to
-    [2, 5]. Scalar math keeps the floor exact where sqrt(w*h)/canonical is a
-    power of two.
+    level = floor(CANONICAL_LEVEL + log2(sqrt(w*h)/CANONICAL_SIZE)), clamped
+    to [2, 5]. Scalar math keeps the floor exact where
+    sqrt(w*h)/CANONICAL_SIZE is a power of two.
     """
     x1, y1, x2, y2 = (float(v) for v in box)
     w = x2 - x1
     h = y2 - y1
     if w <= 0 or h <= 0:
         raise ValueError(f"degenerate box ({x1},{y1},{x2},{y2})")
-    k = math.floor(CANONICAL_LEVEL + math.log2(math.sqrt(w * h) / canonical))
+    k = math.floor(CANONICAL_LEVEL + math.log2(math.sqrt(w * h) / CANONICAL_SIZE))
     return int(min(max(k, 2), 5))
 
 
@@ -110,7 +114,7 @@ def _interp_operators(boxes: np.ndarray, strides, shapes, out_size: int, samples
     ]
 
 
-def roi_align_batch(features, rois, strides, out_size: int = 7, samples: int = 2,
+def roi_align_batch(features, rois, strides, out_size: int = ROI_SIZE, samples: int = ROI_SAMPLES,
                     box_levels=None) -> Tensor:
     """Average-of-bilinear-samples crop of the boxes ``rois`` [R,4] from the
     levels in ``features`` (one stride each), in one graph node.
@@ -203,19 +207,17 @@ def roi_align_batch(features, rois, strides, out_size: int = 7, samples: int = 2
     return Tensor._from_op(out_data, tuple(f for f, *_ in crops), bk)
 
 
-def extract_region_batch(pyramid, rois, use_pyramid: bool, out_size: int = 7,
-                         samples: int = 2, canonical: float = CANONICAL_SIZE) -> Tensor:
-    """Region features for a box array [R,4] in the configured crop mode,
-    from one ``roi_align_batch`` call; rows ordered like ``rois``.
+def extract_region_batch(pyramid, rois, use_pyramid: bool, out_size: int = ROI_SIZE) -> Tensor:
+    """Region features for a box array [R,4] in the given crop mode, from
+    one ``roi_align_batch`` call; rows ordered like ``rois``.
 
     All-level mode (``use_pyramid``) returns [R, 4d, S, S]: channel block
     [i*d, (i+1)*d) holds the crop of level 2+i. Single-level mode maps each
-    box to one level by its area (``assign_level`` with ``canonical``) and
-    returns [R, d, S, S].
+    box to one level by its area (``assign_level``) and returns [R, d, S, S].
     """
     rois = np.asarray(rois, np.float64).reshape(-1, 4)
     if len(rois) == 0:
         raise ShapeError("extract_region_batch on an empty box array")
-    box_levels = None if use_pyramid else [assign_level(r, canonical) - PYRAMID_LEVELS[0] for r in rois]
+    box_levels = None if use_pyramid else [assign_level(r) - PYRAMID_LEVELS[0] for r in rois]
     return roi_align_batch(pyramid.levels(), rois, PYRAMID_STRIDES, out_size=out_size,
-                           samples=samples, box_levels=box_levels)
+                           box_levels=box_levels)

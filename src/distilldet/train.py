@@ -17,12 +17,13 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from . import nets
+from . import roi as roi_ops
 from .autodiff import Tensor, backward
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import SyntheticScene
@@ -60,12 +61,13 @@ class TrainConfig:
     momentum: float = 0.9
     clip_grad_norm: float = 10.0  # 0 disables clipping
     seed: int = 0
-    cache_teacher: bool = True
     distill: DistillConfig = field(default_factory=DistillConfig)
 
     def __post_init__(self):
         if list(self.lr_decay_epochs) != sorted(self.lr_decay_epochs):
             raise ValueError("lr_decay_epochs must be ascending")
+        if any(e < 1 for e in self.lr_decay_epochs):
+            raise ValueError(f"lr_decay_epochs entries must be at least 1, got {self.lr_decay_epochs}")
         if any(e > self.epochs for e in self.lr_decay_epochs):
             raise ValueError("lr_decay_epochs must not exceed epochs")
         if self.epochs < 1:
@@ -152,34 +154,30 @@ class SGD:
 
 class _TeacherContext:
     """Teacher matcher: the frozen teacher, its pyramid cache keyed by
-    (scene, flipped), and the PD/RD/LD terms against one student config."""
+    (scene, flipped), and the PD/RD/LD terms against one student config.
 
-    def __init__(self, cfg: NetConfig, params: dict, student_cfg: NetConfig,
-                 dcfg: DistillConfig, cache: bool = True):
+    The cache is always on; ``cache_enabled`` stays for tools that read it
+    (``perfbench/probe.py`` counts cache hits from it and ``_cache``)."""
+
+    cache_enabled = True
+
+    def __init__(self, cfg: NetConfig, params: dict, student_cfg: NetConfig, dcfg: DistillConfig):
         if cfg.pyramid_width != student_cfg.pyramid_width:
             raise ValueError("teacher/student pyramid widths differ; matching losses need equal widths")
-        if cfg.logit_width != student_cfg.logit_width:
-            raise ValueError("teacher/student logit widths differ")
         self.cfg = cfg
         self.params = {k: v.detach() for k, v in params.items()}
         self.student_cfg = student_cfg
         self.dcfg = dcfg
-        self.cache_enabled = cache
         self._cache: dict = {}
         # LD may reuse RD's teacher crop only when it is the crop the teacher's head takes.
-        self._ld_reuses_rd_crop = all(getattr(cfg, name) == getattr(student_cfg, name) for name in
-                                      ("pyramid_roi", "roi_size", "roi_samples", "canonical"))
+        self._ld_reuses_rd_crop = cfg.pyramid_roi == student_cfg.pyramid_roi
 
     def pyramid(self, scene_index: int, flipped: bool, image: Tensor) -> nets.FeaturePyramid:
         key = (scene_index, flipped)
-        if self.cache_enabled and key in self._cache:
-            arrs = self._cache[key]
-        else:
+        if key not in self._cache:
             pyr = nets.forward_pyramid(image, self.cfg, self.params)
-            arrs = tuple(level.data for level in pyr.levels())
-            if self.cache_enabled:
-                self._cache[key] = arrs
-        return nets.FeaturePyramid(*(Tensor(a) for a in arrs))
+            self._cache[key] = tuple(level.data for level in pyr.levels())
+        return nets.FeaturePyramid(*(Tensor(a) for a in self._cache[key]))
 
     def match(self, scene_index: int, flipped: bool, image4: Tensor,
               pyr: nets.FeaturePyramid, proposals: np.ndarray, params: dict):
@@ -190,14 +188,14 @@ class _TeacherContext:
         pd = pyramid_distill_loss(pyr, t_pyr) if pd_on else None
         rd = ld = None
         if len(proposals) and (rd_on or ld_on):
-            s_reg = nets.crop_regions(pyr, proposals, self.student_cfg)
+            s_reg = roi_ops.extract_region_batch(pyr, proposals, self.student_cfg.pyramid_roi)
             if rd_on:
-                t_reg = nets.crop_regions(t_pyr, proposals, self.student_cfg)
+                t_reg = roi_ops.extract_region_batch(t_pyr, proposals, self.student_cfg.pyramid_roi)
                 rd = region_distill_loss(s_reg, t_reg)
             if ld_on:
                 s_logits, _, _ = nets.head_forward_batch(s_reg, self.student_cfg, params)
                 if not (rd_on and self._ld_reuses_rd_crop):
-                    t_reg = nets.crop_regions(t_pyr, proposals, self.cfg)
+                    t_reg = roi_ops.extract_region_batch(t_pyr, proposals, self.cfg.pyramid_roi)
                 t_logits, _, _ = nets.head_forward_batch(t_reg, self.cfg, self.params)
                 ld = logit_distill_loss(s_logits, t_logits)
         return total_distill_loss(dcfg, pd, rd, ld)
@@ -210,15 +208,16 @@ def supervised_step(image4: Tensor, gt_arr: np.ndarray, cfg: NetConfig, params: 
     h, w = image4.data.shape[-2:]
     pyr = nets.forward_pyramid(image4, cfg, params)
     rpn_out = nets.rpn_forward(pyr, cfg, params)
-    anchors = nets.pyramid_anchors(pyr, cfg)
+    anchors = nets.pyramid_anchors(pyr)
     loss_rpn = nets.rpn_loss(rpn_out, anchors, gt_arr, rng)
     proposals = nets.generate_proposals(
-        rpn_out, anchors, cfg.pre_nms_k, cfg.post_nms_k, cfg.nms_iou, w, h
+        rpn_out, anchors, nets.RPN_PRE_NMS_K, nets.RPN_POST_NMS_K, nets.RPN_NMS_IOU, w, h
     )
     rois, labels, targets = nets.sample_rois(proposals, gt_arr, rng)
     if not len(rois):
         return pyr, proposals, Tensor(0.0), loss_rpn, loss_rpn
-    _, cls, box = nets.head_forward_batch(nets.crop_regions(pyr, rois, cfg), cfg, params)
+    regions = roi_ops.extract_region_batch(pyr, rois, cfg.pyramid_roi)
+    _, cls, box = nets.head_forward_batch(regions, cfg, params)
     loss_det = nets.detection_loss(cls, box, labels, targets)
     return pyr, proposals, loss_det, loss_rpn, ad.add(loss_det, loss_rpn)
 
@@ -279,10 +278,27 @@ def _cfg_meta(cfg: NetConfig) -> dict:
 
 
 def _cfg_from_meta(meta: dict) -> NetConfig:
-    fields = dict(meta)
-    fields["widths"] = tuple(fields["widths"])
-    fields["blocks"] = tuple(fields["blocks"])
-    return NetConfig(**fields)
+    """The NetConfig a checkpoint's meta records; ValueError naming the
+    missing or unknown fields when the meta is not exactly a NetConfig."""
+    names = [f.name for f in fields(NetConfig)]
+    if not isinstance(meta, dict):
+        raise ValueError(f"checkpoint meta is not a detector config: {meta!r}")
+    problems = [f"{kind} fields {found}" for kind, found in
+                (("missing", [n for n in names if n not in meta]),
+                 ("unknown", sorted(set(meta) - set(names)))) if found]
+    if problems:
+        raise ValueError("checkpoint meta is not a detector config: " + ", ".join(problems))
+    return NetConfig(**{**meta, "widths": tuple(meta["widths"]), "blocks": tuple(meta["blocks"])})
+
+
+def load_detector(path) -> tuple[NetConfig, dict]:
+    """(config, params) of a detector checkpoint; a ValueError names
+    ``path`` when its meta is not a detector config."""
+    meta, params = load_checkpoint(path)
+    try:
+        return _cfg_from_meta(meta), params
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _train_logged(scenes, net_cfg: NetConfig, tcfg: TrainConfig, teacher, log_path):
@@ -307,9 +323,9 @@ def distill_student(scenes, teacher_ckpt, tcfg: TrainConfig, ckpt_path,
     The student's crop mode is ``student_cfg.pyramid_roi``. The teacher
     checkpoint is read, and the teacher matcher built before the log is
     opened, only when some matching term is on: with every term off no
-    teacher tensor is used, so ``teacher_ckpt`` is not opened. The matcher
-    raises ValueError when the teacher's pyramid or logit width differs from
-    the student's.
+    teacher tensor is used, so ``teacher_ckpt`` is not opened. A ValueError
+    is raised when its meta is not a detector config or the teacher's
+    pyramid width differs from the student's.
     """
     if not scenes:
         raise ValueError("empty training set")
@@ -317,9 +333,7 @@ def distill_student(scenes, teacher_ckpt, tcfg: TrainConfig, ckpt_path,
         student_cfg = nets.default_student_config()
     teacher = None
     if tcfg.distill.any_enabled:
-        meta, t_params = load_checkpoint(teacher_ckpt)
-        teacher = _TeacherContext(_cfg_from_meta(meta), t_params, student_cfg, tcfg.distill,
-                                  cache=tcfg.cache_teacher)
+        teacher = _TeacherContext(*load_detector(teacher_ckpt), student_cfg, tcfg.distill)
     params, records = _train_logged(scenes, student_cfg, tcfg, teacher, log_path)
     save_checkpoint(ckpt_path, params, meta=_cfg_meta(student_cfg))
     return params, records, student_cfg

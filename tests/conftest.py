@@ -21,8 +21,7 @@ def tiny_student_cfg():
     """Small student for fast net-level tests."""
     return nets.NetConfig(
         widths=(4, 8, 8, 16), blocks=(1, 1, 1, 1), pyramid_width=8,
-        role="student", head_hidden=16, logit_width=16,
-        pre_nms_k=60, post_nms_k=12,
+        head_hidden=16,
     )
 
 
@@ -30,8 +29,7 @@ def tiny_student_cfg():
 def tiny_teacher_cfg():
     return nets.NetConfig(
         widths=(8, 16, 16, 32), blocks=(2, 2, 2, 2), pyramid_width=8,
-        role="teacher", head_hidden=32, logit_width=16,
-        pre_nms_k=60, post_nms_k=12,
+        head_hidden=32,
     )
 
 

@@ -1,7 +1,9 @@
-"""Command-line behaviour: `distill` reads its teacher before any scene is
-generated, so a bad or missing teacher fails fast; it writes its test
-detections in the file format `eval` reads; and `eval` exits 2 on a bad
-detection file."""
+"""Command-line behaviour: `distill` reads its teacher and the teacher's
+config before any scene is generated, so a bad or missing teacher fails
+fast; it writes its test detections in the file format `eval` reads; `eval`
+exits 2 on a bad detection file, and every command on a bad config."""
+
+import json
 
 import numpy as np
 import pytest
@@ -14,10 +16,25 @@ from distilldet.data import annotations_by_image
 from distilldet.evalmr import GTBox, read_detections, write_ground_truth
 
 
+# The default teacher's meta as checkpoints recorded it before the shared
+# detector settings became constants.
+_OLD_TEACHER_META = {
+    "anchor_aspect": 2.4, "anchor_base": 16.0, "blocks": [2, 2, 2, 2], "canonical": 56.0,
+    "head_hidden": 256, "logit_width": 64, "nms_iou": 0.7, "post_nms_k": 32, "pre_nms_k": 200,
+    "pyramid_roi": True, "pyramid_width": 32, "roi_samples": 2, "roi_size": 7, "role": "teacher",
+    "widths": [16, 32, 64, 128],
+}
+
+
 @pytest.mark.parametrize("teacher_bytes, message", [
     (_MAGIC + b"{}\ngarbage\n", "malformed tensor header"),
     (None, "not found"),
-])
+    (_MAGIC + b"{}\n", "missing fields ['widths', 'blocks', 'pyramid_width', 'head_hidden', "
+                       "'pyramid_roi']"),
+    (_MAGIC + json.dumps(_OLD_TEACHER_META, sort_keys=True).encode() + b"\n",
+     "unknown fields ['anchor_aspect', 'anchor_base', 'canonical', 'logit_width', 'nms_iou', "
+     "'post_nms_k', 'pre_nms_k', 'roi_samples', 'roi_size', 'role']"),
+], ids=["malformed", "missing", "empty-meta", "old-meta"])
 def test_distill_with_bad_teacher_exits_2_before_generating_scenes(tmp_path, capsys, monkeypatch,
                                                                    teacher_bytes, message):
     def fail(cfg):
@@ -48,6 +65,18 @@ def test_eval_on_bad_detection_file_exits_2_naming_the_line(tmp_path, capsys, ba
     assert f"{dets}:2" in err and "MR" not in out
 
 
+@pytest.mark.parametrize("command, line, message", [
+    ("ablate", "student.roi_size = 7", "unknown key 'student.roi_size'"),
+    ("train-teacher", "train.lr_decay_epochs = 0", "lr_decay_epochs entries must be at least 1"),
+])
+def test_bad_config_exits_2_naming_the_key_before_any_output(tmp_path, capsys, command, line, message):
+    config, out = tmp_path / "run.cfg", tmp_path / "run"
+    config.write_text(line + "\n")
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 TINY_RUN = """\
 dataset.n_train = 2
 dataset.n_test = 6
@@ -56,9 +85,6 @@ dataset.image_width = 96
 student.widths = 4,8,8,16
 student.pyramid_width = 8
 student.head_hidden = 16
-student.logit_width = 16
-student.pre_nms_k = 60
-student.post_nms_k = 12
 train.epochs = 1
 train.lr_decay_epochs =
 distill.lambda_pd = 0

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distilldet import config
 from distilldet.checkpoint import load_checkpoint
 from distilldet.config import ConfigError, RunConfig, dump_config, parse_config
 from distilldet.data import SceneParams
@@ -16,14 +17,34 @@ from distilldet.train import TrainConfig, _cfg_from_meta, distill_student
 
 # Region and logit matching always run on proposals, the student's crop mode
 # is student.pyramid_roi alone, a matching term is on when its weight is
-# positive, and the scene recipe, flip rate and decay factor are constants.
+# positive, the scene recipe, flip rate and decay factor are constants, the
+# teacher and the student share one detector's anchors, proposal NMS, crop
+# and logit width, and the teacher's pyramids are always cached.
+_SHARED_DETECTOR = ["logit_width", "roi_size", "roi_samples", "canonical", "anchor_base",
+                    "anchor_aspect", "pre_nms_k", "post_nms_k", "nms_iou"]
 REMOVED_KEYS = [
     "distill.roi_source", "distill.pyramid_roi_align",
     "distill.enable_pd", "distill.enable_rd", "distill.enable_ld",
     "dataset.min_figures", "dataset.max_figures", "dataset.occlusion_rate", "dataset.distractors",
     "dataset.noise_sigma", "dataset.figure_aspect", "dataset.small_band_frac",
-    "train.flip_prob", "train.lr_decay_factor",
+    "train.flip_prob", "train.lr_decay_factor", "train.cache_teacher",
+    *(f"{role}.{name}" for role in ("teacher", "student") for name in _SHARED_DETECTOR),
 ]
+
+
+def test_config_keys_are_exactly_these():
+    """A new setting shows up here as a deliberate diff."""
+    net_keys = [f"{role}.{name}" for role in ("student", "teacher")
+                for name in ("blocks", "head_hidden", "pyramid_roi", "pyramid_width", "widths")]
+    assert sorted(config._KEYS) == sorted([
+        "dataset.image_height", "dataset.image_width", "dataset.n_test", "dataset.n_train",
+        *net_keys,
+        "train.base_lr", "train.clip_grad_norm", "train.epochs", "train.lr_decay_epochs",
+        "train.momentum",
+        "distill.lambda_ld", "distill.lambda_pd", "distill.lambda_rd",
+        "out_dir", "seed",
+    ])
+    assert len(config._KEYS) == 24
 
 
 @pytest.mark.parametrize("key", REMOVED_KEYS)
@@ -36,14 +57,13 @@ def test_student_pyramid_roi_false_trains_a_single_level_student(tmp_path, tiny_
                                                                  tiny_teacher_cfg, save_teacher):
     cfg = parse_config(
         "student.widths = 4,8,8,16\nstudent.pyramid_width = 8\nstudent.head_hidden = 16\n"
-        "student.logit_width = 16\nstudent.pre_nms_k = 60\nstudent.post_nms_k = 12\n"
         "student.pyramid_roi = false\ntrain.epochs = 1\ntrain.lr_decay_epochs =\n"
     )
     ckpt = tmp_path / "student.ckpt"
     distill_student(tiny_scenes[0], save_teacher(tiny_teacher_cfg), cfg.train, ckpt,
                     student_cfg=cfg.student)
     meta, params = load_checkpoint(ckpt)
-    single_level = 8 * 7 * 7  # one level of pyramid_width channels at roi_size 7
+    single_level = 8 * 7 * 7  # one level of pyramid_width channels at ROI_SIZE 7
     assert _cfg_from_meta(meta).head_input_width == single_level
     assert params["head.fc1.w"].data.shape[0] == single_level
 
@@ -75,17 +95,12 @@ def run_configs(draw):
     distill = section(DistillConfig, lambda_pd=draw(nonneg), lambda_rd=draw(nonneg),
                       lambda_ld=draw(nonneg))
     train = section(TrainConfig, epochs=epochs, distill=distill,
-                    lr_decay_epochs=tuple(sorted(draw(st.lists(st.integers(-5, epochs), max_size=4)))),
+                    lr_decay_epochs=tuple(sorted(draw(st.lists(st.integers(1, epochs), max_size=4)))),
                     base_lr=draw(positive_float), clip_grad_norm=draw(nonneg),
                     momentum=draw(st.floats(0.0, 1.0, exclude_max=True)))
-    teacher, student = (section(NetConfig, role=role, widths=draw(stage), blocks=draw(stage),
-                                nms_iou=draw(st.floats(0.0, 1.0)),
-                                **{name: draw(positive) for name in
-                                   ("pyramid_width", "head_hidden", "logit_width",
-                                    "pre_nms_k", "post_nms_k", "roi_size", "roi_samples")},
-                                **{name: draw(positive_float) for name in
-                                   ("anchor_base", "anchor_aspect", "canonical")})
-                        for role in ("teacher", "student"))
+    teacher, student = (section(NetConfig, widths=draw(stage), blocks=draw(stage),
+                                pyramid_width=draw(positive), head_hidden=draw(positive))
+                        for _ in range(2))
     return RunConfig(dataset=dataset, teacher=teacher, student=student, train=train)
 
 
@@ -114,11 +129,8 @@ def test_parse_of_dump_reproduces_the_config(cfg, out_dir):
     assert parse_config(dump_config(cfg)) == cfg
 
 
-@pytest.mark.parametrize("line", ["student.roi_size = 0", "teacher.roi_samples = 0",
-                                  "student.pre_nms_k = -1", "teacher.post_nms_k = 0",
-                                  "student.pyramid_width = 0", "teacher.head_hidden = -3",
-                                  "student.logit_width = 0", "dataset.n_train = 0",
-                                  "dataset.n_test = -1"])
+@pytest.mark.parametrize("line", ["student.pyramid_width = 0", "teacher.head_hidden = -3",
+                                  "dataset.n_train = 0", "dataset.n_test = -1"])
 def test_count_below_one_is_a_config_error(line):
     field = line.split()[0].split(".")[1]
     with pytest.raises(ConfigError, match=f"{field} must be at least 1"):
@@ -126,9 +138,6 @@ def test_count_below_one_is_a_config_error(line):
 
 
 @pytest.mark.parametrize("line, message", [
-    ("student.nms_iou = -0.5", "nms_iou must lie in"),
-    ("teacher.nms_iou = 1.5", "nms_iou must lie in"),
-    ("student.nms_iou = nan", "nms_iou must lie in"),
     ("train.base_lr = -1", "base_lr must be finite and positive"),
     ("train.base_lr = 0", "base_lr must be finite and positive"),
     ("train.base_lr = nan", "base_lr must be finite and positive"),
@@ -140,6 +149,8 @@ def test_count_below_one_is_a_config_error(line):
     ("train.clip_grad_norm = -5", "clip_grad_norm must be finite and nonnegative"),
     ("train.clip_grad_norm = nan", "clip_grad_norm must be finite and nonnegative"),
     ("train.clip_grad_norm = inf", "clip_grad_norm must be finite and nonnegative"),
+    ("train.lr_decay_epochs = 0", "lr_decay_epochs entries must be at least 1"),
+    ("train.lr_decay_epochs = -3,0", "lr_decay_epochs entries must be at least 1"),
     ("distill.lambda_pd = nan", "lambda_pd must be finite and nonnegative"),
     ("distill.lambda_rd = inf", "lambda_rd must be finite and nonnegative"),
     ("distill.lambda_ld = -1", "lambda_ld must be finite and nonnegative"),
@@ -148,13 +159,6 @@ def test_count_below_one_is_a_config_error(line):
 ])
 def test_value_out_of_range_is_a_config_error(line, message):
     with pytest.raises(ConfigError, match=message):
-        parse_config(line + "\n")
-
-
-@pytest.mark.parametrize("line", ["student.canonical = 0", "teacher.anchor_base = -16",
-                                  "student.anchor_aspect = 0"])
-def test_net_scale_not_positive_is_a_config_error(line):
-    with pytest.raises(ConfigError, match="must be positive"):
         parse_config(line + "\n")
 
 

@@ -85,8 +85,7 @@ def test_end_to_end_detection_loss_gradient(tiny_student_cfg, rng):
 
     def loss_tensor():
         pyr = nets.forward_pyramid(image, cfg, params)
-        regions = roi.extract_region_batch(pyr, rois, cfg.pyramid_roi,
-                                           out_size=cfg.roi_size, samples=cfg.roi_samples)
+        regions = roi.extract_region_batch(pyr, rois, cfg.pyramid_roi)
         _, cls, box = nets.head_forward_batch(regions, cfg, params)
         return nets.detection_loss(cls, box, labels, targets)
 

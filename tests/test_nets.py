@@ -1,7 +1,6 @@
 """Detector networks: shapes, configs, proposals, and supervised losses."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,27 +46,20 @@ class TestConfigs:
         s = nets.init_params(nets.default_student_config(), 0)
         assert nets.parameter_count(t) > nets.parameter_count(s)
 
-    def test_logit_widths_match_between_roles(self):
-        assert nets.default_teacher_config().logit_width == nets.default_student_config().logit_width
+    def test_both_roles_share_the_logit_width(self):
+        for cfg in (nets.default_teacher_config(), nets.default_student_config()):
+            assert nets.init_params(cfg, 0)["head.fc2.w"].shape == (cfg.head_hidden, nets.LOGIT_WIDTH)
 
     def test_head_width_depends_on_crop_mode(self):
         py = nets.default_student_config(pyramid_roi=True)
         single = nets.default_student_config(pyramid_roi=False)
         assert py.head_input_width == 4 * single.head_input_width
 
-    @pytest.mark.parametrize("name", ["canonical", "anchor_base", "anchor_aspect"])
-    @pytest.mark.parametrize("value", [0.0, -14.0, float("nan")])
-    def test_scale_not_positive_rejected(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be positive"):
-            nets.NetConfig(**{name: value})
-
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
             nets.NetConfig(widths=(1, 2, 3))
-        with pytest.raises(ValueError):
-            nets.NetConfig(role="oracle")
 
-    @pytest.mark.parametrize("name", ["pre_nms_k", "post_nms_k", "roi_size", "roi_samples"])
+    @pytest.mark.parametrize("name", ["pyramid_width", "head_hidden"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_count_below_one_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
@@ -180,26 +172,23 @@ class TestRpn:
             h, w = level.data.shape[2:]
             per_level.append((conv2d(t, params["rpn.obj.w"], params["rpn.obj.b"]).reshape((1, h, w)),
                               conv2d(t, params["rpn.box.w"], params["rpn.box.b"]).reshape((4, h, w))))
-            anchors.append(level_anchors(lvl, h, w, base_size=cfg.anchor_base, aspect=cfg.anchor_aspect))
+            anchors.append(level_anchors(lvl, h, w))
         (want_logits, want_deltas), want_anchors = join_rpn_levels(per_level, anchors)
         logits, deltas = nets.rpn_forward(pyr, cfg, params)
         assert logits.data.tobytes() == want_logits.data.tobytes()
         assert deltas.shape == want_deltas.shape and deltas.data.tobytes() == want_deltas.data.tobytes()
-        assert nets.pyramid_anchors(pyr, cfg).tobytes() == want_anchors.tobytes()
+        assert nets.pyramid_anchors(pyr).tobytes() == want_anchors.tobytes()
 
 
-class TestCropRegions:
-    @pytest.mark.parametrize("canonical, level", [(roi.CANONICAL_SIZE, 4), (14.0, 5), (28.0, 5),
-                                                  (112.0, 3)])
-    def test_canonical_sets_the_single_level_assignment(self, tiny_student_cfg, rng, canonical, level):
-        cfg = replace(tiny_student_cfg, pyramid_roi=False, canonical=canonical)
-        pyr = nets.FeaturePyramid(*[Tensor(rng.normal(size=(1, cfg.pyramid_width, 64 // s, 96 // s)))
+class TestRegionCrop:
+    def test_a_canonical_size_box_is_cropped_from_level_four(self, tiny_student_cfg, rng):
+        pyr = nets.FeaturePyramid(*[Tensor(rng.normal(size=(1, tiny_student_cfg.pyramid_width,
+                                                              64 // s, 96 // s)))
                                     for s in roi.PYRAMID_STRIDES])
         box = np.array([[8.0, 4.0, 64.0, 60.0]])  # a 56-px box
-        got = nets.crop_regions(pyr, box, cfg)
-        k = level - 2
-        want = roi.roi_align_batch([pyr.levels()[k]], box, [roi.PYRAMID_STRIDES[k]],
-                                   out_size=cfg.roi_size, samples=cfg.roi_samples)
+        got = roi.extract_region_batch(pyr, box, False)
+        want = roi.roi_align_batch([pyr.p4], box, [roi.PYRAMID_STRIDES[2]],
+                                   out_size=roi.ROI_SIZE, samples=roi.ROI_SAMPLES)
         assert got.data.tobytes() == want.data.tobytes()
 
 
@@ -208,19 +197,17 @@ class TestPyramidAnchors:
         cfg = tiny_student_cfg
         pyr = nets.forward_pyramid(Tensor(rng.uniform(0, 1, size=(1, 3, 64, 96))), cfg,
                                    nets.init_params(cfg, 3))
-        first = nets.pyramid_anchors(pyr, cfg)
-        again = nets.pyramid_anchors(pyr, cfg)
+        first = nets.pyramid_anchors(pyr)
+        again = nets.pyramid_anchors(pyr)
         assert first is again
         sizes = [level.data.shape[-2] * level.data.shape[-1] for level in pyr.levels()]
         assert first.shape == (sum(sizes), 4)
         for lvl, level, a in zip((2, 3, 4, 5), pyr.levels(), np.split(first, np.cumsum(sizes)[:-1])):
             h, w = level.data.shape[-2:]
-            fresh = level_anchors(lvl, h, w, base_size=cfg.anchor_base, aspect=cfg.anchor_aspect)
+            fresh = level_anchors(lvl, h, w)
             assert a.tobytes() == fresh.tobytes()
             with pytest.raises(ValueError):
                 a[0, 0] = 1.0
-        wider = nets.pyramid_anchors(pyr, replace(cfg, anchor_base=2 * cfg.anchor_base))
-        assert not np.array_equal(wider[0], first[0])
 
 
 class TestProposals:
@@ -268,8 +255,9 @@ class TestProposals:
         img = Tensor(rng.uniform(0, 1, size=(1, 3, 64, 96)))
         pyr = nets.forward_pyramid(img, cfg, params)
         out = nets.rpn_forward(pyr, cfg, params)
-        props = nets.generate_proposals(out, nets.pyramid_anchors(pyr, cfg),
-                                        cfg.pre_nms_k, cfg.post_nms_k, cfg.nms_iou, 96, 64)
+        props = nets.generate_proposals(out, nets.pyramid_anchors(pyr),
+                                        nets.RPN_PRE_NMS_K, nets.RPN_POST_NMS_K, nets.RPN_NMS_IOU,
+                                        96, 64)
         assert len(props)
         for x1, y1, x2, y2 in props:
             assert 0.0 <= x1 < x2 <= 96.0
@@ -345,9 +333,9 @@ class TestHead:
     def test_zero_region_zero_bias_uniform_softmax(self, tiny_student_cfg):
         cfg = tiny_student_cfg
         params = _zero_params(cfg)
-        regions = Tensor(np.zeros((2, 4 * cfg.pyramid_width, cfg.roi_size, cfg.roi_size)))
+        regions = Tensor(np.zeros((2, 4 * cfg.pyramid_width, roi.ROI_SIZE, roi.ROI_SIZE)))
         logit, cls, box = nets.head_forward_batch(regions, cfg, params)
-        assert logit.shape == (2, cfg.logit_width)
+        assert logit.shape == (2, nets.LOGIT_WIDTH)
         assert np.all(logit.data == 0.0)
         probs = np.exp(cls.data) / np.exp(cls.data).sum(axis=1, keepdims=True)
         assert np.allclose(probs, 0.5)
@@ -355,14 +343,14 @@ class TestHead:
     def test_width_mismatch_rejected(self, tiny_student_cfg, rng):
         cfg = tiny_student_cfg
         params = nets.init_params(cfg, 0)
-        bad = Tensor(rng.normal(size=(1, 3, cfg.roi_size, cfg.roi_size)))
+        bad = Tensor(rng.normal(size=(1, 3, roi.ROI_SIZE, roi.ROI_SIZE)))
         with pytest.raises(Exception):
             nets.head_forward_batch(bad, cfg, params)
 
     def test_matches_linear_relu_composition(self, tiny_student_cfg, rng):
         cfg = tiny_student_cfg
         params = nets.init_params(cfg, 5)
-        regions = rng.normal(size=(3, 4 * cfg.pyramid_width, cfg.roi_size, cfg.roi_size))
+        regions = rng.normal(size=(3, 4 * cfg.pyramid_width, roi.ROI_SIZE, roi.ROI_SIZE))
         logit, cls, box = nets.head_forward_batch(Tensor(regions), cfg, params)
         x = regions.reshape(3, -1)
         h1 = np.maximum(x @ params["head.fc1.w"].data + params["head.fc1.b"].data, 0)

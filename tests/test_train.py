@@ -6,17 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from distilldet import Tensor, nets, train
+from distilldet import Tensor, nets, roi, train
 from distilldet.distill import DistillConfig
 from distilldet.evalmr import GTBox
 from distilldet.experiments import ABLATION_ROWS, distill_config_for_row, row_tag
 from distilldet.train import TrainConfig, distill_student, train_detector
 
 
-@pytest.mark.parametrize("field", ["pyramid_width", "logit_width"])
 def test_distill_student_rejects_teacher_of_other_width(tmp_path, tiny_scenes, tiny_teacher_cfg,
-                                                        tiny_student_cfg, save_teacher, field):
-    teacher_cfg = replace(tiny_teacher_cfg, **{field: 2 * getattr(tiny_teacher_cfg, field)})
+                                                        tiny_student_cfg, save_teacher):
+    teacher_cfg = replace(tiny_teacher_cfg, pyramid_width=2 * tiny_teacher_cfg.pyramid_width)
     student = tmp_path / "student.ckpt"
     log = tmp_path / "student_log.jsonl"
     train_scenes, _ = tiny_scenes
@@ -65,19 +64,20 @@ def test_matching_off_row_never_reads_the_teacher(tmp_path, tiny_scenes, tiny_te
     assert missing.read_bytes() == real.read_bytes()
 
 
-# Teachers whose head takes another crop than the student's: RD still
+# A teacher whose head takes another crop mode than the student's: RD still
 # compares crops made like the student's, LD must feed the teacher's head
 # the crop it was built for.
-OWN_CROP = [("roi_size", 5), ("roi_samples", 3)]
+CROP_MODES = [(True, False), (False, True)]  # (teacher, student) pyramid_roi
 
 
-@pytest.mark.parametrize("field, value", OWN_CROP)
+@pytest.mark.parametrize("teacher_roi, student_roi", CROP_MODES)
 def test_ld_target_is_the_teacher_head_on_its_own_crop(monkeypatch, tiny_scenes, tiny_teacher_cfg,
-                                                       tiny_student_cfg, field, value):
-    teacher_cfg = replace(tiny_teacher_cfg, **{field: value})
+                                                       tiny_student_cfg, teacher_roi, student_roi):
+    teacher_cfg = replace(tiny_teacher_cfg, pyramid_roi=teacher_roi)
+    student_cfg = replace(tiny_student_cfg, pyramid_roi=student_roi)
     t_params = nets.init_params(teacher_cfg, seed=0)
-    s_params = nets.init_params(tiny_student_cfg, seed=1)
-    matcher = train._TeacherContext(teacher_cfg, t_params, tiny_student_cfg, DistillConfig())
+    s_params = nets.init_params(student_cfg, seed=1)
+    matcher = train._TeacherContext(teacher_cfg, t_params, student_cfg, DistillConfig())
     scene = tiny_scenes[0][0]
     image4 = scene.image.reshape((1, *scene.image.data.shape))
     boxes = np.array([[4.0, 6.0, 30.0, 60.0], [40.0, 10.0, 70.0, 50.0], [10.0, 2.0, 90.0, 62.0]])
@@ -90,34 +90,72 @@ def test_ld_target_is_the_teacher_head_on_its_own_crop(monkeypatch, tiny_scenes,
 
     monkeypatch.setattr(train, "logit_distill_loss", spy)
 
-    pyr = nets.forward_pyramid(image4, tiny_student_cfg, s_params)
+    pyr = nets.forward_pyramid(image4, student_cfg, s_params)
     matcher.match(scene.index, False, image4, pyr, boxes, s_params)
 
     t_pyr = matcher.pyramid(scene.index, False, image4)
-    own, _, _ = nets.head_forward_batch(nets.crop_regions(t_pyr, boxes, teacher_cfg), teacher_cfg, t_params)
+    own, _, _ = nets.head_forward_batch(roi.extract_region_batch(t_pyr, boxes, teacher_roi),
+                                        teacher_cfg, t_params)
     assert len(targets) == 1
     assert targets[0].data.tobytes() == own.data.tobytes()
-    if field == "roi_samples":  # the student's sampling gives the same shape but other values
-        sampled_like_student = nets.crop_regions(t_pyr, boxes, tiny_student_cfg)
-        other, _, _ = nets.head_forward_batch(sampled_like_student, teacher_cfg, t_params)
-        assert not np.array_equal(other.data, own.data)
 
 
-def test_ld_target_is_the_single_level_teacher_head_on_its_own_canonical(
-        monkeypatch, tiny_scenes, tiny_teacher_cfg, tiny_student_cfg):
-    # canonical sets the level of a single-level crop, so it is part of the crop
-    test_ld_target_is_the_teacher_head_on_its_own_crop(
-        monkeypatch, tiny_scenes, replace(tiny_teacher_cfg, pyramid_roi=False),
-        replace(tiny_student_cfg, pyramid_roi=False), "canonical", 14.0)
-
-
-@pytest.mark.parametrize("field, value", OWN_CROP)
+@pytest.mark.parametrize("teacher_roi, student_roi", CROP_MODES)
 def test_full_matching_trains_against_a_teacher_with_its_own_crop(tmp_path, tiny_scenes,
                                                                   tiny_teacher_cfg, tiny_student_cfg,
-                                                                  save_teacher, field, value):
-    teacher = save_teacher(replace(tiny_teacher_cfg, **{field: value}))
+                                                                  save_teacher, teacher_roi,
+                                                                  student_roi):
+    teacher = save_teacher(replace(tiny_teacher_cfg, pyramid_roi=teacher_roi))
     student = tmp_path / "student.ckpt"
     _, records, _ = distill_student(tiny_scenes[0], teacher, TrainConfig(epochs=1, lr_decay_epochs=()),
-                                    student, student_cfg=tiny_student_cfg)
+                                    student, student_cfg=replace(tiny_student_cfg, pyramid_roi=student_roi))
     assert student.exists()
     assert any(r.distill.ld > 0 for r in records)
+
+
+def test_teacher_pyramid_runs_once_per_scene_and_flip(monkeypatch, tiny_scenes, tiny_teacher_cfg,
+                                                      tiny_student_cfg):
+    matcher = train._TeacherContext(tiny_teacher_cfg, nets.init_params(tiny_teacher_cfg, seed=0),
+                                    tiny_student_cfg, DistillConfig())
+    calls = []
+    forward = nets.forward_pyramid
+
+    def counted(*args):
+        calls.append(args)
+        return forward(*args)
+
+    monkeypatch.setattr(nets, "forward_pyramid", counted)
+    scenes = tiny_scenes[0]
+    images = [s.image.reshape((1, *s.image.data.shape)) for s in scenes[:2]]
+    first = matcher.pyramid(scenes[0].index, False, images[0])
+    again = matcher.pyramid(scenes[0].index, False, images[0])
+    matcher.pyramid(scenes[0].index, True, images[0])
+    matcher.pyramid(scenes[1].index, False, images[1])
+    assert len(calls) == 3
+    assert all(a.data.tobytes() == b.data.tobytes() for a, b in zip(first.levels(), again.levels()))
+    assert matcher.cache_enabled and len(matcher._cache) == 3
+
+
+@pytest.mark.parametrize("cfg", [nets.default_teacher_config(), nets.default_student_config(),
+                                 nets.default_student_config(pyramid_roi=False)],
+                         ids=["teacher", "student", "single-level-student"])
+def test_checkpoint_meta_is_the_net_config(tmp_path, cfg):
+    path = tmp_path / "net.ckpt"
+    train.save_checkpoint(path, {}, meta=train._cfg_meta(cfg))
+    meta, _ = train.load_checkpoint(path)
+    assert sorted(meta) == ["blocks", "head_hidden", "pyramid_roi", "pyramid_width", "widths"]
+    assert train._cfg_from_meta(meta) == cfg
+    assert train.load_detector(path)[0] == cfg
+
+
+def test_distill_student_names_a_teacher_whose_meta_is_not_a_net_config(tmp_path, tiny_scenes,
+                                                                        tiny_teacher_cfg,
+                                                                        tiny_student_cfg):
+    teacher = tmp_path / "teacher.ckpt"
+    train.save_checkpoint(teacher, nets.init_params(tiny_teacher_cfg, seed=0),
+                          meta={**train._cfg_meta(tiny_teacher_cfg), "roi_size": 7})
+    student = tmp_path / "student.ckpt"
+    with pytest.raises(ValueError, match=r"teacher\.ckpt: .*unknown fields \['roi_size'\]"):
+        distill_student(tiny_scenes[0], teacher, TrainConfig(epochs=1, lr_decay_epochs=()), student,
+                        student_cfg=tiny_student_cfg)
+    assert not student.exists()
