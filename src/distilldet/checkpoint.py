@@ -6,6 +6,13 @@ widen to float64 exactly, so they round-trip bit for bit and hash
 reproducibly, and a file written from float64 params still loads, each
 value rounded to the nearest float32 (``-0.0`` stays ``-0.0``; a value
 beyond the float32 range raises ValueError).
+
+Tensor data moves through one float64 block of ``BLOCK`` values, so a save
+or a load holds no whole-tensor float64 or ``bytes`` copy: a save converts
+and writes block by block, and a load checks that the bytes left in the file
+cover the header's shape before it allocates the float32 result, then fills
+it block by block. A header whose shape the file cannot hold, however large,
+fails as a truncated tensor without allocating anything.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import os
 
 import numpy as np
@@ -20,20 +28,27 @@ import numpy as np
 from .autodiff import COMPUTE_DTYPE, Tensor
 
 _MAGIC = b"distilldet-ckpt v1 "
+# Values per read or write: 512 KB as float64.
+BLOCK = 1 << 16
 
 
 def save_checkpoint(path, params: dict, meta: dict | None = None):
     """Writes a temporary file beside ``path``, then renames it over ``path``,
     so a save that fails part way leaves an earlier file there as it was."""
     tmp = f"{os.fspath(path)}.tmp{os.getpid()}"
+    block = np.empty(BLOCK, dtype="<f8")
     try:
         with open(tmp, "wb") as fh:
             fh.write(_MAGIC + json.dumps(meta or {}, sort_keys=True).encode() + b"\n")
             for name in sorted(params):
-                arr = np.ascontiguousarray(params[name].data, dtype="<f8")
+                arr = params[name].data
                 dims = " ".join(str(d) for d in arr.shape)
                 fh.write(f"{name} {arr.ndim} {dims}".rstrip().encode() + b"\n")
-                fh.write(arr.tobytes())
+                flat = arr.reshape(-1)
+                for start in range(0, flat.size, BLOCK):
+                    part = block[:min(BLOCK, flat.size - start)]
+                    np.copyto(part, flat[start:start + len(part)])
+                    fh.write(part)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -44,6 +59,7 @@ def load_checkpoint(path):
     """Returns (meta, params) with freshly allocated no-grad
     ``COMPUTE_DTYPE`` tensors."""
     params: dict[str, Tensor] = {}
+    block = np.empty(BLOCK, dtype="<f8")
     with open(path, "rb") as fh:
         head = fh.readline()
         if not head.startswith(_MAGIC):
@@ -61,12 +77,17 @@ def load_checkpoint(path):
                 raise ValueError(f"{path}: entry {entry}: malformed tensor header {header!r}") from None
             if len(shape) != ndim or any(d <= 0 for d in shape):
                 raise ValueError(f"{path}: entry {entry}: bad shape in tensor header {header!r}")
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
+            count = math.prod(shape)
+            if count * 8 > os.fstat(fh.fileno()).st_size - fh.tell():
                 raise ValueError(f"{path}: truncated tensor {name!r}")
-            with np.errstate(over="ignore"):  # out-of-range values become inf, rejected below
-                arr = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(COMPUTE_DTYPE)
+            arr = np.empty(count, dtype=COMPUTE_DTYPE)
+            for start in range(0, count, BLOCK):
+                part = block[:min(BLOCK, count - start)]
+                if fh.readinto(part) != part.nbytes:
+                    raise ValueError(f"{path}: truncated tensor {name!r}")
+                with np.errstate(over="ignore"):  # out-of-range values become inf, rejected below
+                    arr[start:start + len(part)] = part
+            arr = arr.reshape(shape)
             try:
                 params[name] = Tensor(arr)
             except ValueError:

@@ -88,13 +88,13 @@ def cmd_distill(args) -> int:
               f"(run train-teacher first)", file=sys.stderr)
         return 2
     # Read the teacher and its config before generating any scene, so a bad file fails fast.
-    _, t_params = load_detector(teacher_ckpt)
+    t_cfg, t_params = load_detector(teacher_ckpt)
     os.makedirs(cfg.out_dir, exist_ok=True)
     train, test = experiments.build_dataset(cfg)
     dcfg = cfg.train.distill
     tag = experiments.row_tag((dcfg.lambda_pd > 0, dcfg.lambda_rd > 0, dcfg.lambda_ld > 0,
                                cfg.student.pyramid_roi))
-    ckpt, params, records, student_cfg = experiments.run_student_variant(cfg, teacher_ckpt, tag, train)
+    ckpt, params, records, student_cfg = experiments.run_student_variant(cfg, (t_cfg, t_params), tag, train)
     ratio = nets.compression_ratio(t_params, params)
     print(f"teacher parameters: {nets.parameter_count(t_params)}")
     print(f"student parameters: {nets.parameter_count(params)}")

@@ -15,7 +15,7 @@ from .config import RunConfig
 from .data import annotations_by_image, generate_dataset
 from .distill import DistillConfig
 from .evalmr import SUBSETS, evaluate
-from .train import _cfg_from_meta, distill_student, train_teacher
+from .train import _cfg_from_meta, distill_student, load_detector, train_teacher
 
 # (PD, RD, LD, PyRoIAlign) in report order; row 2 is the no-matching
 # baseline, row 8 the full configuration.
@@ -63,7 +63,7 @@ def evaluate_params(net_cfg, params, test_scenes):
 
 def evaluate_checkpoint(ckpt_path, test_scenes):
     meta, params = load_checkpoint(ckpt_path)
-    return evaluate_params(_cfg_from_meta(meta), params, test_scenes)
+    return evaluate_params(_cfg_from_meta(meta, ckpt_path), params, test_scenes)
 
 
 def teacher_ckpt_path(out_dir) -> str:
@@ -82,13 +82,14 @@ def ensure_teacher(cfg: RunConfig, train_scenes):
     return path
 
 
-def run_student_variant(cfg: RunConfig, teacher_ckpt, tag: str, train_scenes):
+def run_student_variant(cfg: RunConfig, teacher, tag: str, train_scenes):
     """Train one student: ``cfg.student`` sets its crop mode and
-    ``cfg.train.distill`` its matching terms."""
+    ``cfg.train.distill`` its matching terms. ``teacher`` is what
+    ``distill_student`` takes: a checkpoint path or a loaded pair."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     ckpt = os.path.join(cfg.out_dir, f"student_{tag}.ckpt")
     params, records, student_cfg = distill_student(
-        train_scenes, teacher_ckpt, cfg.train, ckpt,
+        train_scenes, teacher, cfg.train, ckpt,
         student_cfg=cfg.student,
         log_path=os.path.join(cfg.out_dir, f"student_{tag}_log.jsonl"),
     )
@@ -99,7 +100,8 @@ def run_ablation(cfg: RunConfig, progress=None):
     """Train and score all eight configurations; returns table rows of
     (flags, mr_reasonable, mr_small)."""
     train_scenes, test_scenes = build_dataset(cfg)
-    teacher_ckpt = ensure_teacher(cfg, train_scenes)
+    # Read once: every matching row distills from this same pair.
+    teacher = load_detector(ensure_teacher(cfg, train_scenes))
     rows = []
     for row in ABLATION_ROWS:
         tag = row_tag(row)
@@ -108,7 +110,7 @@ def run_ablation(cfg: RunConfig, progress=None):
                      f"(PD={row[0]} RD={row[1]} LD={row[2]} PyRoIAlign={row[3]})")
         row_cfg = replace(cfg, student=replace(cfg.student, pyramid_roi=row[3]),
                           train=replace(cfg.train, distill=distill_config_for_row(cfg.train.distill, row)))
-        _, params, _, student_cfg = run_student_variant(row_cfg, teacher_ckpt, tag, train_scenes)
+        _, params, _, student_cfg = run_student_variant(row_cfg, teacher, tag, train_scenes)
         mrs, _, _ = evaluate_params(student_cfg, params, test_scenes)
         rows.append((row, mrs["reasonable"], mrs["small"]))
     return rows

@@ -277,17 +277,19 @@ def _cfg_meta(cfg: NetConfig) -> dict:
     return asdict(cfg)
 
 
-def _cfg_from_meta(meta: dict) -> NetConfig:
+def _cfg_from_meta(meta: dict, path=None) -> NetConfig:
     """The NetConfig a checkpoint's meta records; ValueError naming the
-    missing or unknown fields when the meta is not exactly a NetConfig."""
+    missing or unknown fields, and ``path`` when given, when the meta is
+    not exactly a NetConfig."""
     names = [f.name for f in fields(NetConfig)]
+    where = "" if path is None else f"{path}: "
     if not isinstance(meta, dict):
-        raise ValueError(f"checkpoint meta is not a detector config: {meta!r}")
+        raise ValueError(f"{where}checkpoint meta is not a detector config: {meta!r}")
     problems = [f"{kind} fields {found}" for kind, found in
                 (("missing", [n for n in names if n not in meta]),
                  ("unknown", sorted(set(meta) - set(names)))) if found]
     if problems:
-        raise ValueError("checkpoint meta is not a detector config: " + ", ".join(problems))
+        raise ValueError(f"{where}checkpoint meta is not a detector config: " + ", ".join(problems))
     return NetConfig(**{**meta, "widths": tuple(meta["widths"]), "blocks": tuple(meta["blocks"])})
 
 
@@ -295,10 +297,7 @@ def load_detector(path) -> tuple[NetConfig, dict]:
     """(config, params) of a detector checkpoint; a ValueError names
     ``path`` when its meta is not a detector config."""
     meta, params = load_checkpoint(path)
-    try:
-        return _cfg_from_meta(meta), params
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return _cfg_from_meta(meta, path), params
 
 
 def _train_logged(scenes, net_cfg: NetConfig, tcfg: TrainConfig, teacher, log_path):
@@ -316,24 +315,28 @@ def train_teacher(scenes, teacher_cfg: NetConfig, tcfg: TrainConfig, ckpt_path,
     return params, records
 
 
-def distill_student(scenes, teacher_ckpt, tcfg: TrainConfig, ckpt_path,
+def distill_student(scenes, teacher, tcfg: TrainConfig, ckpt_path,
                     student_cfg: NetConfig | None = None, log_path=None):
-    """Phase two: train the student against the frozen teacher checkpoint.
+    """Phase two: train the student against the frozen teacher.
 
-    The student's crop mode is ``student_cfg.pyramid_roi``. The teacher
-    checkpoint is read, and the teacher matcher built before the log is
-    opened, only when some matching term is on: with every term off no
-    teacher tensor is used, so ``teacher_ckpt`` is not opened. A ValueError
-    is raised when its meta is not a detector config or the teacher's
-    pyramid width differs from the student's.
+    ``teacher`` is a checkpoint path or the ``(NetConfig, params)`` pair
+    that ``load_detector`` returns, so a caller that already holds the
+    teacher does not read it again. The student's crop mode is
+    ``student_cfg.pyramid_roi``. The teacher checkpoint is read, and the
+    teacher matcher built before the log is opened, only when some matching
+    term is on: with every term off no teacher tensor is used, so a path is
+    not opened. A ValueError is raised when the checkpoint's meta is not a
+    detector config or the teacher's pyramid width differs from the
+    student's.
     """
     if not scenes:
         raise ValueError("empty training set")
     if student_cfg is None:
         student_cfg = nets.default_student_config()
-    teacher = None
+    matcher = None
     if tcfg.distill.any_enabled:
-        teacher = _TeacherContext(*load_detector(teacher_ckpt), student_cfg, tcfg.distill)
-    params, records = _train_logged(scenes, student_cfg, tcfg, teacher, log_path)
+        t_cfg, t_params = teacher if isinstance(teacher, tuple) else load_detector(teacher)
+        matcher = _TeacherContext(t_cfg, t_params, student_cfg, tcfg.distill)
+    params, records = _train_logged(scenes, student_cfg, tcfg, matcher, log_path)
     save_checkpoint(ckpt_path, params, meta=_cfg_meta(student_cfg))
     return params, records, student_cfg

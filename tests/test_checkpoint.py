@@ -2,12 +2,13 @@
 failures on malformed files."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from distilldet import Tensor
-from distilldet.checkpoint import _MAGIC, load_checkpoint, save_checkpoint
+from distilldet.checkpoint import _MAGIC, BLOCK, load_checkpoint, save_checkpoint
 from distilldet.cli import main
 
 
@@ -56,6 +57,43 @@ def test_save_writes_the_documented_layout(tmp_path):
                                  + b"w 2 2 3\n" + w.astype("<f8").tobytes())
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_tensor_longer_than_one_block_keeps_the_layout(tmp_path, rng, dtype):
+    w = rng.normal(size=(2 * BLOCK + 3, 1)).astype(dtype)
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(path, {"w": Tensor(w)})
+    assert path.read_bytes() == (_MAGIC + b"{}\n" + f"w 2 {len(w)} 1\n".encode()
+                                 + w.astype("<f8").tobytes())
+    _, loaded = load_checkpoint(path)
+    assert loaded["w"].data.tobytes() == w.astype(np.float32).tobytes()
+
+
+def _traced_peak(fn):
+    """(result of ``fn()``, bytes its traced allocations peaked above the start)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_and_load_stream_through_one_block(tmp_path):
+    n = 1 << 21
+    params = {"w": Tensor(np.arange(n, dtype=np.float32))}
+    path = tmp_path / "big.ckpt"
+    block, slack = BLOCK * 8, 128 << 10
+    _, save_peak = _traced_peak(lambda: save_checkpoint(path, params))
+    assert save_peak <= block + slack
+    (_, loaded), load_peak = _traced_peak(lambda: load_checkpoint(path))
+    # The float32 result, the block, and the one-byte-per-value mask of the
+    # finite check every Tensor makes.
+    assert load_peak <= loaded["w"].data.nbytes + block + n + slack
+    assert loaded["w"].data.tobytes() == params["w"].data.tobytes()
+
+
 class _UnreadableTensor:
     @property
     def data(self):
@@ -94,16 +132,38 @@ def test_malformed_header_raises_value_error_naming_file_and_entry(tmp_path, hea
     assert "entry 0" in str(info.value)
 
 
-def test_truncated_tensor_raises_value_error(tmp_path):
+@pytest.mark.parametrize("shape, cut", [
+    ((4, 4), 8),                               # the last value
+    ((2 * BLOCK + 3,), (BLOCK // 2 + 3) * 8),  # the file ends half way into the second block
+])
+def test_truncated_tensor_raises_value_error(tmp_path, shape, cut):
     path = tmp_path / "t.ckpt"
-    save_checkpoint(path, {"w": Tensor(np.ones((4, 4)))})
-    path.write_bytes(path.read_bytes()[:-8])
+    save_checkpoint(path, {"w": Tensor(np.ones(shape))})
+    path.write_bytes(path.read_bytes()[:-cut])
     with pytest.raises(ValueError, match="truncated"):
         load_checkpoint(path)
 
 
-def test_cli_distill_with_malformed_teacher_exits_2(tmp_path, capsys):
-    teacher = _with_header(tmp_path, b"garbage")
+@pytest.mark.parametrize("header", [b"w 1 1000000000000", b"w 2 100000 100000"])
+def test_shape_beyond_the_file_raises_before_allocating(tmp_path, header):
+    path = _with_header(tmp_path, header)
+
+    def load():
+        with pytest.raises(ValueError, match="truncated tensor 'w'") as info:
+            load_checkpoint(path)
+        return info
+
+    info, peak = _traced_peak(load)
+    assert str(path) in str(info.value)
+    assert peak <= 2 * BLOCK * 8
+
+
+@pytest.mark.parametrize("header, message", [
+    (b"garbage", "malformed tensor header"),
+    (b"w 1 1000000000000", "truncated tensor 'w'"),
+])
+def test_cli_distill_with_malformed_teacher_exits_2(tmp_path, capsys, header, message):
+    teacher = _with_header(tmp_path, header)
     config = tmp_path / "tiny.cfg"
     config.write_text("dataset.n_train = 2\ndataset.n_test = 1\ntrain.epochs = 1\n"
                       "train.lr_decay_epochs =\n")
@@ -111,4 +171,4 @@ def test_cli_distill_with_malformed_teacher_exits_2(tmp_path, capsys):
                  "--teacher", str(teacher)])
     assert code == 2
     err = capsys.readouterr().err
-    assert str(teacher) in err and "malformed tensor header" in err
+    assert str(teacher) in err and message in err

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from distilldet import experiments
+from distilldet import experiments, train
 from distilldet.checkpoint import _MAGIC
 from distilldet.cli import main
 from distilldet.config import load_config
@@ -131,3 +131,19 @@ def test_distill_writes_detections_that_eval_scores_to_the_printed_mr(tmp_path, 
     assert _mr_lines(capsys.readouterr().out) == distill_mrs
     for s in ("reasonable", "small"):  # the whole FPPI / miss-rate sweep, not only its summary
         assert (tmp_path / f"curve.{s}").read_bytes() == (out / f"curve_0001_{s}.tsv").read_bytes()
+
+
+def test_distill_reads_the_teacher_once(tmp_path, monkeypatch, tiny_teacher_cfg, save_teacher):
+    reads = []
+
+    def load_checkpoint(path):
+        reads.append(path)
+        return real_load_checkpoint(path)
+
+    real_load_checkpoint = train.load_checkpoint
+    monkeypatch.setattr(train, "load_checkpoint", load_checkpoint)
+    config, teacher = tmp_path / "run.cfg", save_teacher(tiny_teacher_cfg)
+    config.write_text(TINY_RUN.replace("distill.lambda_pd = 0\n", ""))  # PD on: the teacher is used
+    assert main(["distill", "--config", str(config), "--out", str(tmp_path / "run"),
+                 "--teacher", str(teacher)]) == 0
+    assert reads == [str(teacher)]

@@ -3,11 +3,13 @@ table text and the reuse of a trained teacher."""
 
 import os
 
+import numpy as np
 import pytest
 
-from distilldet import experiments
-from distilldet.checkpoint import checkpoint_hash
+from distilldet import Tensor, experiments, train
+from distilldet.checkpoint import checkpoint_hash, save_checkpoint
 from distilldet.config import RunConfig
+from distilldet.data import SceneParams
 from distilldet.distill import DistillConfig
 from distilldet.experiments import ABLATION_ROWS, distill_config_for_row, row_tag
 from distilldet.train import TrainConfig
@@ -55,3 +57,28 @@ def test_ensure_teacher_trains_once_then_reuses_the_file(tmp_path, monkeypatch, 
     assert experiments.ensure_teacher(cfg, train_scenes) == path
     assert calls == [path]
     assert checkpoint_hash(path) == digest and os.stat(path).st_mtime_ns == mtime
+
+
+def test_ablation_reads_the_teacher_once(tmp_path, monkeypatch, tiny_teacher_cfg, tiny_student_cfg):
+    reads = []
+
+    def load_checkpoint(path):
+        reads.append(path)
+        return real_load_checkpoint(path)
+
+    real_load_checkpoint = train.load_checkpoint
+    monkeypatch.setattr(train, "load_checkpoint", load_checkpoint)
+    cfg = RunConfig(dataset=SceneParams(n_train=1, n_test=6, image_height=64, image_width=96),
+                    teacher=tiny_teacher_cfg, student=tiny_student_cfg,
+                    train=TrainConfig(epochs=1, lr_decay_epochs=(), seed=1), out_dir=str(tmp_path / "run"))
+    rows = experiments.run_ablation(cfg)
+    assert len(rows) == len(ABLATION_ROWS)
+    assert reads == [experiments.teacher_ckpt_path(cfg.out_dir)]
+
+
+def test_evaluate_checkpoint_names_a_file_whose_meta_is_not_a_config(tmp_path, tiny_scenes):
+    path = tmp_path / "student.ckpt"
+    save_checkpoint(path, {"w": Tensor(np.ones(2))}, meta={})
+    with pytest.raises(ValueError, match="missing fields") as info:
+        experiments.evaluate_checkpoint(path, tiny_scenes[1])
+    assert str(path) in str(info.value)

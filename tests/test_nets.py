@@ -427,3 +427,21 @@ class TestBoxCodec:
         for i in range(6):
             for j in range(5):
                 assert abs(m[i, j] - iou_scalar(boxes_a[i], boxes_b[j])) < 1e-12
+
+
+def test_detect_with_trainable_params_records_no_graph(monkeypatch, tiny_student_cfg, tiny_scenes):
+    params = nets.init_params(tiny_student_cfg, seed=0)
+    assert all(p.requires_grad for p in params.values())
+    scene = tiny_scenes[1][0]
+    image4 = scene.image.reshape((1, *scene.image.shape))
+    made = []
+    real_from_op = Tensor._from_op.__func__
+
+    def from_op(cls, data, parents, rule):
+        made.append(real_from_op(cls, data, parents, rule))
+        return made[-1]
+
+    monkeypatch.setattr(Tensor, "_from_op", classmethod(from_op))
+    dets = nets.detect(image4, tiny_student_cfg, params)
+    assert made and not any(t.requires_grad or t._backward is not None for t in made)
+    assert dets and dets == nets.detect(image4, tiny_student_cfg, {k: p.detach() for k, p in params.items()})

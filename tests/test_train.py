@@ -64,6 +64,17 @@ def test_matching_off_row_never_reads_the_teacher(tmp_path, tiny_scenes, tiny_te
     assert missing.read_bytes() == real.read_bytes()
 
 
+def test_a_loaded_teacher_trains_the_student_its_path_does(tmp_path, tiny_scenes, tiny_teacher_cfg,
+                                                           tiny_student_cfg, save_teacher):
+    train_scenes, _ = tiny_scenes
+    tcfg = TrainConfig(epochs=1, lr_decay_epochs=(), seed=11)
+    teacher = save_teacher(tiny_teacher_cfg)
+    by_path, by_pair = tmp_path / "path.ckpt", tmp_path / "pair.ckpt"
+    distill_student(train_scenes, teacher, tcfg, by_path, student_cfg=tiny_student_cfg)
+    distill_student(train_scenes, train.load_detector(teacher), tcfg, by_pair, student_cfg=tiny_student_cfg)
+    assert by_pair.read_bytes() == by_path.read_bytes()
+
+
 # A teacher whose head takes another crop mode than the student's: RD still
 # compares crops made like the student's, LD must feed the teacher's head
 # the crop it was built for.
