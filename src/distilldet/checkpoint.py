@@ -12,7 +12,9 @@ or a load holds no whole-tensor float64 or ``bytes`` copy: a save converts
 and writes block by block, and a load checks that the bytes left in the file
 cover the header's shape before it allocates the float32 result, then fills
 it block by block. A header whose shape the file cannot hold, however large,
-fails as a truncated tensor without allocating anything.
+fails as a truncated tensor without allocating anything. That check reads
+the file's size and position, so a load needs a seekable regular file: a
+pipe such as ``/dev/stdin`` is refused with ``OSError``.
 """
 
 from __future__ import annotations

@@ -410,11 +410,10 @@ def forward_pyramid(image: Tensor, cfg: NetConfig, params: dict) -> FeaturePyram
 
 
 def detect(image: Tensor, cfg: NetConfig, params: dict) -> list[Detection]:
-    """Full two-stage inference on one [1,3,H,W] image. Trainable params
-    are detached first, so no op records a gradient rule or keeps its
-    buffers alive; params that need no gradient are used as they are."""
-    if any(p.requires_grad for p in params.values()):
-        params = {name: p.detach() for name, p in params.items()}
+    """Full two-stage inference on one [1,3,H,W] image. It works on
+    detached views of the params, which copy no data, so no op records a
+    gradient rule or keeps its buffers alive."""
+    params = {name: p.detach() for name, p in params.items()}
     h, w = image.data.shape[2:]
     pyr = forward_pyramid(image, cfg, params)
     rpn_out = rpn_forward(pyr, cfg, params)
