@@ -12,7 +12,14 @@ on the output only when some parent requires a gradient; ``backward``
 replays the rules in reverse topological order.
 The recorded graph is single-use: differentiating through an already-consumed
 operation raises ``TapeError``, so each optimization step must rebuild its
-forward graph.
+forward graph. ``backward`` releases each operation's rule, the buffers its
+rule saved and its parent links as soon as the rule has run, so a graph's
+memory is freed during the pass, not when the caller drops the loss; a
+tensor the caller still holds keeps its ``grad``.
+
+An op whose gradient for a parent is an array it has just computed hands it
+to ``_adopt``, which takes it as the parent's first gradient instead of
+copying it into a zeroed buffer.
 
 Finite-value policy: constructing a leaf tensor from non-finite data raises
 immediately. Outputs of recorded operations are not re-scanned (the fused
@@ -26,6 +33,10 @@ import numpy as np
 
 # The one dtype the detector trains and detects in.
 COMPUTE_DTYPE = np.float32
+
+# A new tensor larger than this many values is checked for non-finite values
+# one block at a time, so the check's one-byte-per-value mask stays one block.
+FINITE_BLOCK = 1 << 16
 
 
 class ShapeError(ValueError):
@@ -56,7 +67,7 @@ class Tensor:
         arr = np.ascontiguousarray(arr)
         if arr.size == 0:
             raise ShapeError("tensors must have positive dimension sizes")
-        if not np.isfinite(arr).all():
+        if not _all_finite(arr):
             raise ValueError("tensor initialized with non-finite values")
         self.data = arr
         self.grad = None
@@ -161,12 +172,37 @@ class Tensor:
         return f"Tensor(shape={tuple(self.shape)}, requires_grad={self.requires_grad})"
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    """No NaN or infinity in the C-contiguous ``arr``."""
+    if arr.size <= FINITE_BLOCK:
+        return bool(np.isfinite(arr).all())
+    flat = arr.reshape(-1)
+    return all(np.isfinite(flat[i : i + FINITE_BLOCK]).all() for i in range(0, flat.size, FINITE_BLOCK))
+
+
 def _accumulate(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     t.grad += g
+
+
+def _adopt(t: Tensor, g: np.ndarray):
+    """``_accumulate(t, g)`` that takes ``g`` itself as ``t``'s first gradient.
+
+    The rule: ``g`` is a new array, which the caller does not read
+    afterwards and which is shared with nothing else, so ``t`` may own it.
+    An in-place ``g += 0.0`` turns -0.0 into +0.0, as ``zeros + g`` does, so
+    the bits are those of the copying path. A ``g`` of another dtype, shape
+    or layout than ``t.data``, or a second gradient, takes the copying path.
+    """
+    if (t.requires_grad and t.grad is None and g.dtype == t.data.dtype and g.shape == t.data.shape
+            and g.flags.c_contiguous and t.data.flags.c_contiguous):
+        g += 0.0
+        t.grad = g
+    else:
+        _accumulate(t, g)
 
 
 def _toposort(root: Tensor) -> list:
@@ -196,7 +232,10 @@ class Tape:
 
     The record lives on the tensors themselves (parent links plus a gradient
     rule per operation); this class materializes it in execution-compatible
-    topological order, mostly for inspection and tests.
+    topological order, mostly for inspection and tests. ``backward`` releases
+    every rule and parent link, so a ``Tape(loss)`` taken before it lists no
+    operations afterwards (its nodes keep their data and gradients), and one
+    taken after it raises ``TapeError``.
     """
 
     def __init__(self, root: Tensor):
@@ -214,9 +253,12 @@ class Tape:
 def backward(loss: Tensor):
     """Populate ``grad`` on every requires-grad tensor reachable from ``loss``.
 
-    ``loss`` must be a scalar produced by a not-yet-consumed graph; each
-    operation node is marked consumed afterwards, so a graph differentiates
-    exactly once.
+    ``loss`` must be a scalar produced by a not-yet-consumed graph. The pass
+    takes the operations off the topological order one by one; once an
+    operation's rule has run, the node is marked consumed, so a graph
+    differentiates exactly once, and its rule, the buffers that rule saved
+    and its parent links are released. What only the graph held is freed as
+    the pass runs; a tensor the caller still holds keeps its ``grad``.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -227,10 +269,13 @@ def backward(loss: Tensor):
 
     topo = _toposort(loss)
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         if node._backward is not None:
             node._backward(node.grad)
             node._consumed = True
+            node._backward = None
+            node._parents = ()
 
 
 def _check_pair(a: Tensor, b: Tensor):
@@ -376,9 +421,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor):
         )
 
     def bk(g):
-        _accumulate(x, g @ w.data.T)
-        _accumulate(w, x.data.T @ g)
-        _accumulate(b, g.sum(axis=0))
+        _adopt(x, g @ w.data.T)
+        _adopt(w, x.data.T @ g)
+        _adopt(b, g.sum(axis=0))
 
     return Tensor._from_op(x.data @ w.data + b.data, (x, w, b), bk)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, _accumulate
+from .autodiff import ShapeError, Tensor, _accumulate, _adopt
 
 
 def conv2d(x: Tensor, w: Tensor, b, stride: int = 1, pad: int = 0) -> Tensor:
@@ -68,13 +68,13 @@ def conv2d(x: Tensor, w: Tensor, b, stride: int = 1, pad: int = 0) -> Tensor:
     def bk(g):
         gm = g.reshape(n, k, ho * wo)
         if b is not None:
-            _accumulate(b, gm.sum(axis=(0, 2)))
-        _accumulate(w, np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape))
+            _adopt(b, gm.sum(axis=(0, 2)))
+        _adopt(w, np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape))
         if not x.requires_grad:
             return
         gcols = np.matmul(wm.T, gm)  # [N, C*kh*kw, L]
         if pointwise:
-            _accumulate(x, gcols.reshape(n, c, h, ww))
+            _adopt(x, gcols.reshape(n, c, h, ww))
             return
         # Overlapping windows add into the same cells; this (i, j) order fixes
         # the rounding, and changing it changes the gradient bits.

@@ -1,12 +1,16 @@
 """Tensor core semantics: construction, backward bookkeeping, optimizer."""
 
+import importlib.util
 import math
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import distilldet.autodiff as ad
 from distilldet import SGD, ShapeError, Tape, TapeError, Tensor, backward, imageops, roi
+from distilldet.train import TrainConfig
 from oracles import mse
 
 
@@ -21,6 +25,16 @@ class TestTensorBasics:
             Tensor([1.0, np.nan])
         with pytest.raises(ValueError):
             Tensor([np.inf])
+
+    def test_rejects_non_finite_in_any_block_of_a_large_array(self):
+        n = 3 * ad.FINITE_BLOCK + 5
+        for pos in (0, ad.FINITE_BLOCK - 1, ad.FINITE_BLOCK, 2 * ad.FINITE_BLOCK + 7, n - 1):
+            for bad in (np.nan, np.inf, -np.inf):
+                vals = np.zeros(n, dtype=np.float32)
+                vals[pos] = bad
+                with pytest.raises(ValueError):
+                    Tensor(vals.reshape(-1, 1))
+        assert Tensor(np.ones((n, 1))).shape == (n, 1)
 
     def test_rejects_zero_sized(self):
         with pytest.raises(ShapeError):
@@ -124,6 +138,133 @@ class TestBackward:
                 if p.requires_grad:
                     assert pos[id(p)] < pos[id(node)]
         assert len(tape) == 3
+
+
+def _step_peaks_tool():
+    path = Path(__file__).resolve().parents[1] / "tools" / "step_peaks.py"
+    spec = importlib.util.spec_from_file_location("step_peaks", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+class TestGraphIsFreed:
+    """``backward`` releases each operation's rule, saved buffers and parent
+    links as it runs; held tensors keep their gradients."""
+
+    def test_tensor_only_the_graph_reached_is_freed(self):
+        x = Tensor(np.ones((4, 3)), requires_grad=True)
+        h = x * 2.0
+        held = ad.relu(h)
+        loss = held.sum()
+        # ndarrays take weak references, Tensors (slotted) do not: h.data is
+        # held by h alone, so it dies exactly when h does.
+        h_data = weakref.ref(h.data)
+        del h
+        backward(loss)
+        assert h_data() is None
+        assert loss._backward is None and loss._parents == ()
+        assert loss._consumed and held._consumed
+        assert np.array_equal(held.grad, np.ones((4, 3)))
+        assert np.array_equal(x.grad, np.full((4, 3), 2.0))
+
+    def test_tape_taken_before_backward_lists_no_operations_after(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        loss = ad.relu(x * 2.0).sum()
+        tape = Tape(loss)
+        assert len(tape) == 3
+        backward(loss)
+        assert tape.operations == [] and len(tape) == 0
+        assert all(n._parents == () for n in tape.nodes)
+
+    def test_new_graph_on_a_consumed_node_two_ops_deep_raises(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = x * 2.0
+        z = ad.relu(y + 1.0)
+        backward(z.sum())
+        with pytest.raises(TapeError):
+            backward(((y * 3.0) + 1.0).sum())
+        with pytest.raises(TapeError):
+            Tape(z)
+
+    def test_train_steps_never_hold_two_graphs(self, tiny_scenes, tiny_student_cfg):
+        # The same scene twice: the second step differs from the first only
+        # in what the first left alive, and possibly a flipped image copy.
+        steps = _step_peaks_tool().step_peaks(
+            [tiny_scenes[0][0]] * 2, tiny_student_cfg, TrainConfig(epochs=1, lr_decay_epochs=(), seed=0))
+        first, second = (max(s.values()) for s in steps)
+        assert len(steps) == 2
+        # A second graph alive during the second step adds about 60% here.
+        assert second <= first + first // 10
+
+
+class TestAdoptedGradients:
+    """A new gradient array becomes the first ``grad`` with the copying
+    path's bits and shares no buffer."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_linear_gradients_match_the_copying_path(self, dtype):
+        # The pointwise conv2d's adopted gradients are checked bytewise
+        # against the reference in test_imageops_bitexact.
+        r = np.random.default_rng(3)
+
+        def leaf(*shape):
+            return Tensor(r.normal(size=shape).astype(dtype), requires_grad=True)
+
+        x, w, b = leaf(3, 4), leaf(4, 2), leaf(2)
+        g = Tensor(r.normal(size=(3, 2)).astype(dtype))
+        g.data[:, 1] = -0.0
+        backward((ad.linear(x, w, b) * g).sum())
+        for t, raw in ((x, g.data @ w.data.T), (w, x.data.T @ g.data), (b, g.data.sum(axis=0))):
+            assert t.grad.dtype == dtype
+            assert t.grad.tobytes() == (np.zeros_like(t.data) + raw).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_adopt_takes_the_array_and_clears_negative_zero(self, dtype):
+        t = Tensor(np.ones(4, dtype=dtype), requires_grad=True)
+        g = np.array([-0.0, 0.0, -1.5, 2.0], dtype=dtype)
+        want = (np.zeros_like(t.data) + g).tobytes()
+        ad._adopt(t, g)
+        assert t.grad is g and t.grad.tobytes() == want
+        ad._adopt(t, np.ones(4, dtype=dtype))  # a second gradient adds in place
+        assert t.grad is g and np.array_equal(t.grad, [1.0, 1.0, -0.5, 3.0])
+
+    @pytest.mark.parametrize("build", [
+        lambda a, b: a + b, lambda a, b: a + a, lambda a, b: a * b,
+        lambda a, b: ad.linear(a, b, Tensor(np.zeros(3))),
+    ], ids=["a+b", "a+a", "a*b", "linear"])
+    def test_leaf_gradients_are_their_own_arrays(self, build):
+        a = Tensor(np.full((3, 3), 2.0), requires_grad=True)
+        b = Tensor(np.full((3, 3), 5.0), requires_grad=True)
+        out = build(a, b)
+        backward(out.sum())
+        grads = [t.grad for t in (a, b, out) if t.grad is not None]
+        for i, gi in enumerate(grads):
+            for gj in grads[i + 1:]:
+                assert not np.shares_memory(gi, gj)
+        before = [g.copy() for g in grads]
+        grads[0][...] = 7.0
+        for g, old in zip(grads[1:], before[1:]):
+            assert np.array_equal(g, old)
+
+    def test_broadcast_or_other_dtype_or_layout_gradient_is_copied(self):
+        t = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+        g64 = np.full((2, 3), 1.0 + 2.0 ** -40)
+        ad._adopt(t, g64)
+        assert t.grad is not g64 and t.grad.dtype == np.float32
+        assert t.grad.tobytes() == (np.zeros((2, 3), np.float32) + g64).astype(np.float32).tobytes()
+
+        t = Tensor(np.ones((2, 3)), requires_grad=True)
+        row = np.array([1.0, -0.0, 3.0])
+        ad._adopt(t, row)
+        assert t.grad.shape == (2, 3) and not np.shares_memory(t.grad, row)
+        assert t.grad.tobytes() == (np.zeros((2, 3)) + row).tobytes()
+
+        t = Tensor(np.ones((2, 3)), requires_grad=True)
+        gt = np.arange(6.0).reshape(3, 2).T
+        ad._adopt(t, gt)
+        assert not np.shares_memory(t.grad, gt) and t.grad.flags.c_contiguous
+        assert np.array_equal(t.grad, gt)
 
 
 class TestDeterminism:

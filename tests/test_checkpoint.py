@@ -88,9 +88,9 @@ def test_save_and_load_stream_through_one_block(tmp_path):
     _, save_peak = _traced_peak(lambda: save_checkpoint(path, params))
     assert save_peak <= block + slack
     (_, loaded), load_peak = _traced_peak(lambda: load_checkpoint(path))
-    # The float32 result, the block, and the one-byte-per-value mask of the
-    # finite check every Tensor makes.
-    assert load_peak <= loaded["w"].data.nbytes + block + n + slack
+    # The float32 result and the block; a Tensor checks a large array for
+    # non-finite values one block at a time, so no whole-array mask.
+    assert load_peak <= loaded["w"].data.nbytes + block + slack
     assert loaded["w"].data.tobytes() == params["w"].data.tobytes()
 
 
