@@ -34,9 +34,9 @@ import numpy as np
 # The one dtype the detector trains and detects in.
 COMPUTE_DTYPE = np.float32
 
-# A new tensor larger than this many values is checked for non-finite values
-# one block at a time, so the check's one-byte-per-value mask stays one block.
-FINITE_BLOCK = 1 << 16
+# Values per block wherever a whole-tensor temporary would be large: the
+# non-finite check of a new tensor and each checkpoint read or write.
+BLOCK = 1 << 16
 
 
 class ShapeError(ValueError):
@@ -173,11 +173,10 @@ class Tensor:
 
 
 def _all_finite(arr: np.ndarray) -> bool:
-    """No NaN or infinity in the C-contiguous ``arr``."""
-    if arr.size <= FINITE_BLOCK:
-        return bool(np.isfinite(arr).all())
+    """No NaN or infinity in the C-contiguous ``arr``, checked one ``BLOCK``
+    at a time so the one-byte-per-value mask stays one block."""
     flat = arr.reshape(-1)
-    return all(np.isfinite(flat[i : i + FINITE_BLOCK]).all() for i in range(0, flat.size, FINITE_BLOCK))
+    return all(np.isfinite(flat[i : i + BLOCK]).all() for i in range(0, flat.size, BLOCK))
 
 
 def _accumulate(t: Tensor, g: np.ndarray):

@@ -7,14 +7,15 @@ reproducibly, and a file written from float64 params still loads, each
 value rounded to the nearest float32 (``-0.0`` stays ``-0.0``; a value
 beyond the float32 range raises ValueError).
 
-Tensor data moves through one float64 block of ``BLOCK`` values, so a save
-or a load holds no whole-tensor float64 or ``bytes`` copy: a save converts
-and writes block by block, and a load checks that the bytes left in the file
-cover the header's shape before it allocates the float32 result, then fills
-it block by block. A header whose shape the file cannot hold, however large,
-fails as a truncated tensor without allocating anything. That check reads
-the file's size and position, so a load needs a seekable regular file: a
-pipe such as ``/dev/stdin`` is refused with ``OSError``.
+Tensor data moves through one float64 block of ``autodiff.BLOCK`` values
+(512 KB), so a save or a load holds no whole-tensor float64 or ``bytes``
+copy: a save converts and writes block by block, and a load checks that the
+bytes left in the file cover the header's shape before it allocates the
+float32 result, then fills it block by block. A header whose shape the
+file cannot hold, however large, fails as a truncated tensor without
+allocating anything. That check reads the file's size and position, so a
+load needs a seekable regular file: a pipe such as ``/dev/stdin`` is refused
+with ``OSError``.
 """
 
 from __future__ import annotations
@@ -27,11 +28,9 @@ import os
 
 import numpy as np
 
-from .autodiff import COMPUTE_DTYPE, Tensor
+from .autodiff import BLOCK, COMPUTE_DTYPE, Tensor
 
 _MAGIC = b"distilldet-ckpt v1 "
-# Values per read or write: 512 KB as float64.
-BLOCK = 1 << 16
 
 
 def save_checkpoint(path, params: dict, meta: dict | None = None):

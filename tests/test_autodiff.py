@@ -27,8 +27,8 @@ class TestTensorBasics:
             Tensor([np.inf])
 
     def test_rejects_non_finite_in_any_block_of_a_large_array(self):
-        n = 3 * ad.FINITE_BLOCK + 5
-        for pos in (0, ad.FINITE_BLOCK - 1, ad.FINITE_BLOCK, 2 * ad.FINITE_BLOCK + 7, n - 1):
+        n = 3 * ad.BLOCK + 5
+        for pos in (0, ad.BLOCK - 1, ad.BLOCK, 2 * ad.BLOCK + 7, n - 1):
             for bad in (np.nan, np.inf, -np.inf):
                 vals = np.zeros(n, dtype=np.float32)
                 vals[pos] = bad
