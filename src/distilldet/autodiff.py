@@ -10,16 +10,17 @@ Every differentiable operation hands its output data, parent tensors and
 gradient rule to ``Tensor._from_op``, which records the parents and the rule
 on the output only when some parent requires a gradient; ``backward``
 replays the rules in reverse topological order.
+A rule maps the output's gradient ``g`` to one gradient per parent, in
+parent order: an array, or ``None`` for a parent that needs none. It may
+return ``g`` or views of it, never an array it keeps (a saved buffer), as
+``backward`` may keep a returned array as the parent's ``grad`` and write
+into it. No rule touches ``grad``: ``backward`` alone adds or keeps.
 The recorded graph is single-use: differentiating through an already-consumed
 operation raises ``TapeError``, so each optimization step must rebuild its
 forward graph. ``backward`` releases each operation's rule, the buffers its
 rule saved and its parent links as soon as the rule has run, so a graph's
 memory is freed during the pass, not when the caller drops the loss; a
 tensor the caller still holds keeps its ``grad``.
-
-An op whose gradient for a parent is an array it has just computed hands it
-to ``_adopt``, which takes it as the parent's first gradient instead of
-copying it into a zeroed buffer.
 
 Finite-value policy: constructing a leaf tensor from non-finite data raises
 immediately. Outputs of recorded operations are not re-scanned (the fused
@@ -78,8 +79,10 @@ class Tensor:
 
     @classmethod
     def _from_op(cls, data, parents, rule):
-        """Output of an operation on ``parents``; ``rule(g)`` adds the
-        parents' gradients given the output's gradient ``g``.
+        """Output of an operation on ``parents``; ``rule(g)`` returns, given
+        the output's gradient ``g``, one gradient per parent in ``parents``
+        order: an array (``g``, a view of it or a new array, never one the
+        rule keeps) or ``None`` for a parent that needs none.
 
         Every op hands its rule here and this alone decides whether to
         record it: only when some parent requires a gradient does the
@@ -115,14 +118,7 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         """Same values, no gradient tracking, no graph edges."""
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.grad = None
-        out.requires_grad = False
-        out._parents = ()
-        out._backward = None
-        out._consumed = False
-        return out
+        return Tensor._from_op(self.data, (), None)
 
     def zero_grad(self):
         self.grad = None
@@ -177,31 +173,6 @@ def _all_finite(arr: np.ndarray) -> bool:
     at a time so the one-byte-per-value mask stays one block."""
     flat = arr.reshape(-1)
     return all(np.isfinite(flat[i : i + BLOCK]).all() for i in range(0, flat.size, BLOCK))
-
-
-def _accumulate(t: Tensor, g: np.ndarray):
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
-
-
-def _adopt(t: Tensor, g: np.ndarray):
-    """``_accumulate(t, g)`` that takes ``g`` itself as ``t``'s first gradient.
-
-    The rule: ``g`` is a new array, which the caller does not read
-    afterwards and which is shared with nothing else, so ``t`` may own it.
-    An in-place ``g += 0.0`` turns -0.0 into +0.0, as ``zeros + g`` does, so
-    the bits are those of the copying path. A ``g`` of another dtype, shape
-    or layout than ``t.data``, or a second gradient, takes the copying path.
-    """
-    if (t.requires_grad and t.grad is None and g.dtype == t.data.dtype and g.shape == t.data.shape
-            and g.flags.c_contiguous and t.data.flags.c_contiguous):
-        g += 0.0
-        t.grad = g
-    else:
-        _accumulate(t, g)
 
 
 def _toposort(root: Tensor) -> list:
@@ -271,10 +242,38 @@ def backward(loss: Tensor):
     while topo:
         node = topo.pop()
         if node._backward is not None:
-            node._backward(node.grad)
+            _hand_off(node, node._backward(node.grad))
             node._consumed = True
             node._backward = None
             node._parents = ()
+
+
+def _hand_off(node: Tensor, grads):
+    """Give each parent of ``node`` its gradient from ``grads``, what
+    ``node``'s rule returned. Its own function, so no gradient outlives it.
+
+    A parent that has a gradient adds into it. Otherwise it keeps the array
+    when that is an ``ndarray`` (not a numpy scalar) of its dtype and shape,
+    both C-contiguous, sharing no memory with ``node.grad`` or with an array
+    kept before from this rule. An in-place ``+= 0.0`` turns -0.0 into
+    +0.0, as ``zeros + g`` does, so a kept array has the copying path's
+    bits. Anything else is added into a zeroed buffer.
+    """
+    kept = []
+    for p, g in zip(node._parents, grads, strict=True):
+        if g is None or not p.requires_grad:
+            continue
+        if p.grad is not None:
+            p.grad += g
+        elif (isinstance(g, np.ndarray) and g.dtype == p.data.dtype and g.shape == p.data.shape
+              and g.flags.c_contiguous and p.data.flags.c_contiguous
+              and not any(np.may_share_memory(g, o) for o in (node.grad, *kept))):
+            g += 0.0
+            p.grad = g
+            kept.append(g)
+        else:
+            p.grad = np.zeros_like(p.data)
+            p.grad += g
 
 
 def _check_pair(a: Tensor, b: Tensor):
@@ -292,12 +291,12 @@ def add(a: Tensor, b):
         _check_pair(a, b)
 
         def bk(g):
-            _accumulate(a, g if a.data.shape == g.shape else g.sum())
-            _accumulate(b, g if b.data.shape == g.shape else g.sum())
+            return (g if a.data.shape == g.shape else g.sum(),
+                    g if b.data.shape == g.shape else g.sum())
 
         return Tensor._from_op(a.data + b.data, (a, b), bk)
     c = float(b)
-    return Tensor._from_op(a.data + c, (a,), lambda g: _accumulate(a, g))
+    return Tensor._from_op(a.data + c, (a,), lambda g: (g,))
 
 
 def sub(a: Tensor, b):
@@ -305,8 +304,8 @@ def sub(a: Tensor, b):
         _check_pair(a, b)
 
         def bk(g):
-            _accumulate(a, g if a.data.shape == g.shape else g.sum())
-            _accumulate(b, -g if b.data.shape == g.shape else -g.sum())
+            return (g if a.data.shape == g.shape else g.sum(),
+                    -g if b.data.shape == g.shape else -g.sum())
 
         return Tensor._from_op(a.data - b.data, (a, b), bk)
     return add(a, -float(b))
@@ -319,23 +318,23 @@ def mul(a: Tensor, b):
         def bk(g):
             ga = g * b.data
             gb = g * a.data
-            _accumulate(a, ga if a.data.shape == ga.shape else ga.sum())
-            _accumulate(b, gb if b.data.shape == gb.shape else gb.sum())
+            return (ga if a.data.shape == ga.shape else ga.sum(),
+                    gb if b.data.shape == gb.shape else gb.sum())
 
         return Tensor._from_op(a.data * b.data, (a, b), bk)
     c = float(b)
-    return Tensor._from_op(a.data * c, (a,), lambda g: _accumulate(a, g * c))
+    return Tensor._from_op(a.data * c, (a,), lambda g: (g * c,))
 
 
 def neg(a: Tensor):
-    return Tensor._from_op(-a.data, (a,), lambda g: _accumulate(a, -g))
+    return Tensor._from_op(-a.data, (a,), lambda g: (-g,))
 
 
 def relu(a: Tensor):
     """max(x, 0). A NaN input passes through as NaN; the training loop's
     finite-loss check then stops the step."""
     mask = a.data > 0.0
-    return Tensor._from_op(np.maximum(a.data, 0.0), (a,), lambda g: _accumulate(a, g * mask))
+    return Tensor._from_op(np.maximum(a.data, 0.0), (a,), lambda g: (g * mask,))
 
 
 # ---- reductions and reshapes ---------------------------------------------
@@ -343,25 +342,25 @@ def relu(a: Tensor):
 
 def tsum(a: Tensor):
     return Tensor._from_op(np.asarray(a.data.sum()), (a,),
-                           lambda g: _accumulate(a, np.full_like(a.data, float(g))))
+                           lambda g: (np.full_like(a.data, float(g)),))
 
 
 def tmean(a: Tensor):
     n = a.data.size
     return Tensor._from_op(np.asarray(a.data.mean()), (a,),
-                           lambda g: _accumulate(a, np.full_like(a.data, float(g) / n)))
+                           lambda g: (np.full_like(a.data, float(g) / n),))
 
 
 def reshape(a: Tensor, shape):
     shape = tuple(int(s) for s in shape)
     return Tensor._from_op(a.data.reshape(shape), (a,),
-                           lambda g: _accumulate(a, g.reshape(a.data.shape)))
+                           lambda g: (g.reshape(a.data.shape),))
 
 
 def transpose(a: Tensor, axes):
     axes = tuple(int(x) for x in axes)
     return Tensor._from_op(a.data.transpose(axes), (a,),
-                           lambda g: _accumulate(a, g.transpose(tuple(np.argsort(axes)))))
+                           lambda g: (g.transpose(tuple(np.argsort(axes))),))
 
 
 def concat(tensors, axis: int = 0):
@@ -370,13 +369,7 @@ def concat(tensors, axis: int = 0):
         raise ShapeError("concat of zero tensors")
 
     def bk(g):
-        lo = 0
-        for t in tensors:
-            hi = lo + t.data.shape[axis]
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            _accumulate(t, g[tuple(sl)])
-            lo = hi
+        return np.split(g, np.cumsum([t.data.shape[axis] for t in tensors])[:-1], axis=axis)
 
     return Tensor._from_op(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bk)
 
@@ -388,9 +381,9 @@ def take_rows(a: Tensor, indices):
         raise ShapeError("take_rows expects a 2-D tensor")
 
     def bk(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        np.add.at(a.grad, idx, g)
+        ga = np.zeros_like(a.data)
+        np.add.at(ga, idx, g)
+        return (ga,)
 
     return Tensor._from_op(a.data[idx], (a,), bk)
 
@@ -400,9 +393,10 @@ def gather(a: Tensor, flat_indices):
     idx = np.asarray(flat_indices, dtype=np.intp)
 
     def bk(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        np.add.at(a.grad.reshape(-1), idx, g)
+        # a C-order buffer, since reshaping a strided array's gradient copies
+        ga = np.zeros(a.data.size, dtype=a.data.dtype)
+        np.add.at(ga, idx, g)
+        return (ga.reshape(a.data.shape),)
 
     return Tensor._from_op(a.data.reshape(-1)[idx], (a,), bk)
 
@@ -420,9 +414,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor):
         )
 
     def bk(g):
-        _adopt(x, g @ w.data.T)
-        _adopt(w, x.data.T @ g)
-        _adopt(b, g.sum(axis=0))
+        return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
 
     return Tensor._from_op(x.data @ w.data + b.data, (x, w, b), bk)
 
@@ -446,7 +438,7 @@ def softmax_cross_entropy(logits: Tensor, labels):
     def bk(g):
         p = np.exp(z - lse[:, None])
         p[np.arange(n), lab] -= 1.0
-        _accumulate(logits, float(g) * p / n)
+        return (float(g) * p / n,)
 
     return Tensor._from_op(np.asarray(losses.mean()), (logits,), bk)
 
@@ -464,7 +456,7 @@ def bce_with_logits(logits: Tensor, targets):
         # stable sigmoid: exp of a non-positive argument only
         e = np.exp(-np.abs(z))
         sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-        _accumulate(logits, float(g) * (sig - t) / n)
+        return (float(g) * (sig - t) / n,)
 
     return Tensor._from_op(np.asarray(losses.mean()), (logits,), bk)
 
@@ -480,7 +472,6 @@ def smooth_l1(pred: Tensor, target: Tensor):
 
     def bk(g):
         dd = np.where(inside, d, np.sign(d)) * g
-        _accumulate(pred, dd)
-        _accumulate(target, -dd)
+        return dd, -dd
 
     return Tensor._from_op(vals, (pred, target), bk)

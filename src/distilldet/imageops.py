@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, _accumulate, _adopt
+from .autodiff import ShapeError, Tensor
 
 
 def conv2d(x: Tensor, w: Tensor, b, stride: int = 1, pad: int = 0) -> Tensor:
     """Cross-correlate x[N,C,H,W] with w[K,C,kh,kw] plus bias[K].
 
-    Kernel sides must be odd and (H + 2*pad - kh) must divide stride evenly;
+    Kernel sides must be odd and the stride must divide (H + 2*pad - kh);
     the output is [N,K,H',W'] with H' = (H + 2*pad - kh)/stride + 1.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
@@ -67,15 +67,15 @@ def conv2d(x: Tensor, w: Tensor, b, stride: int = 1, pad: int = 0) -> Tensor:
 
     def bk(g):
         gm = g.reshape(n, k, ho * wo)
-        if b is not None:
-            _adopt(b, gm.sum(axis=(0, 2)))
-        _adopt(w, np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape))
-        if not x.requires_grad:
-            return
+        gw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape)
+        # Not computed where x needs none: the stem conv's input, the image.
+        gx = input_grad(gm) if x.requires_grad else None
+        return (gx, gw) if b is None else (gx, gw, gm.sum(axis=(0, 2)))
+
+    def input_grad(gm):
         gcols = np.matmul(wm.T, gm)  # [N, C*kh*kw, L]
         if pointwise:
-            _adopt(x, gcols.reshape(n, c, h, ww))
-            return
+            return gcols.reshape(n, c, h, ww)
         # Overlapping windows add into the same cells; this (i, j) order fixes
         # the rounding, and changing it changes the gradient bits.
         gcols = gcols.reshape(n, c, kh, kw, ho, wo)
@@ -83,7 +83,7 @@ def conv2d(x: Tensor, w: Tensor, b, stride: int = 1, pad: int = 0) -> Tensor:
         for i in range(kh):
             for j in range(kw):
                 gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[:, :, i, j]
-        _accumulate(x, gxp[:, :, pad : pad + h, pad : pad + ww] if pad else gxp)
+        return gxp[:, :, pad : pad + h, pad : pad + ww] if pad else gxp
 
     return Tensor._from_op(out_data, (x, w) if b is None else (x, w, b), bk)
 
@@ -113,10 +113,10 @@ def maxpool2x2(x: Tensor) -> Tensor:
         taken = np.zeros(out_data.shape, dtype=bool)
         for k, q in enumerate(quarters):
             first = ~taken if k == 3 else (q == out_data) & ~taken
-            # g * False may be -0.0; _accumulate's 0.0 + g makes it +0.0.
+            # g * False may be -0.0; backward's hand-off makes it +0.0.
             np.multiply(g, first, out=gx[:, :, k // 2 :: 2, k % 2 :: 2])
             taken |= first
-        _accumulate(x, gx)
+        return (gx,)
 
     return Tensor._from_op(out_data, (x,), bk)
 
@@ -126,8 +126,5 @@ def upsample2x(x: Tensor) -> Tensor:
     if x.data.ndim != 4:
         raise ShapeError("upsample2x expects [N,C,H,W]")
     n, c, h, w = x.data.shape
-
-    def bk(g):
-        _accumulate(x, g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)))
-
-    return Tensor._from_op(x.data.repeat(2, axis=2).repeat(2, axis=3), (x,), bk)
+    return Tensor._from_op(x.data.repeat(2, axis=2).repeat(2, axis=3), (x,),
+                           lambda g: (g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)),))

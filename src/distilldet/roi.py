@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, _accumulate
+from .autodiff import ShapeError, Tensor
 
 PYRAMID_LEVELS = (2, 3, 4, 5)
 PYRAMID_STRIDES = (4, 8, 16, 32)
@@ -194,15 +194,16 @@ def roi_align_batch(features, rois, strides, out_size: int = ROI_SIZE, samples: 
         t3 = np.matmul(t1.reshape(n, s * c, w), ax_t)                          # [n, S*C, S]
         out_data[rows, c0:c0 + c] = t3.reshape(n, s, c, s).transpose(0, 2, 1, 3)
 
+    def level_grad(g, f, ay, ax, rows, c0):
+        n = ay.shape[0]
+        c, h, w = f.data.shape
+        gt = np.ascontiguousarray(g[rows, c0:c0 + c].transpose(0, 2, 1, 3)).reshape(n, s * c, s)
+        t2 = np.matmul(gt, ax).reshape(n * s, c * w)                           # [n*S, C*W]
+        return (ay.reshape(n * s, h).T @ t2).reshape(h, c, w).transpose(1, 0, 2)
+
     def bk(g):
-        for f, (ay, ax), rows, c0 in crops:
-            if not f.requires_grad:
-                continue
-            n = ay.shape[0]
-            c, h, w = f.data.shape
-            gt = np.ascontiguousarray(g[rows, c0:c0 + c].transpose(0, 2, 1, 3)).reshape(n, s * c, s)
-            t2 = np.matmul(gt, ax).reshape(n * s, c * w)                           # [n*S, C*W]
-            _accumulate(f, (ay.reshape(n * s, h).T @ t2).reshape(h, c, w).transpose(1, 0, 2))
+        return tuple(level_grad(g, f, ay, ax, rows, c0) if f.requires_grad else None
+                     for f, (ay, ax), rows, c0 in crops)
 
     return Tensor._from_op(out_data, tuple(f for f, *_ in crops), bk)
 

@@ -198,13 +198,38 @@ class TestGraphIsFreed:
         assert second <= first + first // 10
 
 
-class TestAdoptedGradients:
-    """A new gradient array becomes the first ``grad`` with the copying
-    path's bits and shares no buffer."""
+def _backward_through(parents, rule):
+    """Run ``backward`` from a scalar node on ``parents`` whose rule is ``rule``."""
+    backward(Tensor._from_op(np.zeros(()), tuple(parents), rule))
+
+
+def _held_intermediate(a, b):
+    h = a * b
+    return [h, ad.relu(h) + h]
+
+
+# An op on leaves, and which leaves keep the array its rule returns for them
+# (the others get a copy of a view of the incoming gradient).
+_KEEPING_OPS = {
+    "relu": (ad.relu, [True]),
+    "maxpool2x2": (imageops.maxpool2x2, [True]),
+    "upsample2x": (imageops.upsample2x, [True]),
+    "mul": (ad.mul, [True, True]),
+    "neg": (ad.neg, [True]),
+    "sub": (ad.sub, [False, True]),
+    "tsum": (ad.tsum, [True]),
+    "smooth_l1": (ad.smooth_l1, [True, True]),
+}
+
+
+class TestGradientHandOff:
+    """``backward`` alone applies the gradients a rule returns: it adds into
+    an existing ``grad``, keeps a new array as a first gradient with the
+    copying path's bits, and copies anything shared, cast or broadcast."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_linear_gradients_match_the_copying_path(self, dtype):
-        # The pointwise conv2d's adopted gradients are checked bytewise
+        # The pointwise conv2d's kept gradients are checked bytewise
         # against the reference in test_imageops_bitexact.
         r = np.random.default_rng(3)
 
@@ -220,25 +245,64 @@ class TestAdoptedGradients:
             assert t.grad.tobytes() == (np.zeros_like(t.data) + raw).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_adopt_takes_the_array_and_clears_negative_zero(self, dtype):
+    @pytest.mark.parametrize("name", sorted(_KEEPING_OPS))
+    def test_kept_gradients_have_the_copying_paths_bits(self, name, dtype, monkeypatch):
+        op, kept = _KEEPING_OPS[name]
+        r = np.random.default_rng(11)
+        leaves = [Tensor(r.normal(size=(1, 2, 4, 4)).astype(dtype), requires_grad=True) for _ in kept]
+        seen = []  # what the op's rule returned, and a copy of it
+        real = Tensor._from_op.__func__
+
+        def spy(cls, data, parents, rule):
+            def fed_negative_zeros(g):
+                # Every grad backward hands on is free of -0.0, so write
+                # some into the op's incoming gradient.
+                fed = r.normal(size=g.shape).astype(dtype)
+                fed.reshape(-1)[::3] = -0.0
+                fed.reshape(-1)[1::5] = 0.0
+                if fed.ndim == 4:
+                    fed[0, 0, :2, :2] = -0.0  # a window of -0.0 sums to -0.0
+                g[...] = fed
+                grads = rule(g)
+                seen.append((grads, [np.array(a, copy=True) for a in grads]))
+                return grads
+            return real(cls, data, parents, rule if seen else fed_negative_zeros)
+
+        monkeypatch.setattr(Tensor, "_from_op", classmethod(spy))
+        out = op(*leaves)
+        seen.append("the op is made")
+        backward(ad.tsum(out))
+        returned, raws = seen[-1]
+        for t, keeps, arr, raw in zip(leaves, kept, returned, raws, strict=True):
+            assert (t.grad is arr) == keeps
+            assert t.grad.dtype == dtype
+            assert t.grad.tobytes() == (np.zeros_like(t.data) + raw).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_new_array_is_kept_with_negative_zero_cleared(self, dtype):
         t = Tensor(np.ones(4, dtype=dtype), requires_grad=True)
         g = np.array([-0.0, 0.0, -1.5, 2.0], dtype=dtype)
         want = (np.zeros_like(t.data) + g).tobytes()
-        ad._adopt(t, g)
+        _backward_through([t], lambda _: (g,))
         assert t.grad is g and t.grad.tobytes() == want
-        ad._adopt(t, np.ones(4, dtype=dtype))  # a second gradient adds in place
+        _backward_through([t], lambda _: (np.ones(4, dtype=dtype),))  # a second gradient adds in place
         assert t.grad is g and np.array_equal(t.grad, [1.0, 1.0, -0.5, 3.0])
 
     @pytest.mark.parametrize("build", [
-        lambda a, b: a + b, lambda a, b: a + a, lambda a, b: a * b,
-        lambda a, b: ad.linear(a, b, Tensor(np.zeros(3))),
-    ], ids=["a+b", "a+a", "a*b", "linear"])
+        lambda a, b: [a + b], lambda a, b: [a + a], lambda a, b: [a * b], lambda a, b: [a - b],
+        lambda a, b: [ad.linear(a, b, Tensor(np.zeros(3)))],
+        lambda a, b: [ad.reshape(a, (9,))],
+        lambda a, b: [ad.transpose(a, (1, 0)) * b],
+        lambda a, b: [ad.concat([a, b], axis=1)],
+        _held_intermediate,
+    ], ids=["a+b", "a+a", "a*b", "a-b", "linear", "reshape", "transpose", "concat", "held"])
     def test_leaf_gradients_are_their_own_arrays(self, build):
         a = Tensor(np.full((3, 3), 2.0), requires_grad=True)
         b = Tensor(np.full((3, 3), 5.0), requires_grad=True)
-        out = build(a, b)
-        backward(out.sum())
-        grads = [t.grad for t in (a, b, out) if t.grad is not None]
+        made = build(a, b)
+        backward(made[-1].sum())
+        grads = [t.grad for t in (a, b, *made) if t.grad is not None]
+        assert len(grads) >= 2
         for i, gi in enumerate(grads):
             for gj in grads[i + 1:]:
                 assert not np.shares_memory(gi, gj)
@@ -247,22 +311,53 @@ class TestAdoptedGradients:
         for g, old in zip(grads[1:], before[1:]):
             assert np.array_equal(g, old)
 
+    def test_one_array_returned_for_several_parents_is_copied_after_the_first(self):
+        a, b, c = (Tensor(np.ones(3), requires_grad=True) for _ in range(3))
+        returned = []
+
+        def rule(g):
+            returned.append(np.full(3, 2.0))
+            return returned[0], returned[0], returned[0][:]
+
+        _backward_through([a, b, c], rule)
+        assert a.grad is returned[0]
+        for t in (b, c):
+            assert not np.shares_memory(t.grad, a.grad) and np.array_equal(t.grad, [2.0, 2.0, 2.0])
+
+    def test_a_none_entry_leaves_that_parents_grad_none(self):
+        a, b = (Tensor(np.ones(3), requires_grad=True) for _ in range(2))
+        _backward_through([a, b], lambda g: (np.full(3, 2.0), None))
+        assert np.array_equal(a.grad, [2.0, 2.0, 2.0]) and b.grad is None
+
+    def test_a_rule_returning_the_wrong_count_raises(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(ValueError):
+            _backward_through([a], lambda g: (np.ones(3), np.ones(3)))
+
+    def test_a_numpy_scalar_gradient_lands_as_an_array(self):
+        a = Tensor(np.ones(1), requires_grad=True)
+        c = Tensor(np.full(2, 3.0), requires_grad=True)
+        b = ad.tsum(c)
+        backward(ad.add(a, b).sum())  # (1,) + (): b's gradient is g.sum(), a numpy scalar
+        assert type(b.grad) is np.ndarray and b.grad.shape == () and b.grad == 1.0
+        assert np.array_equal(a.grad, [1.0]) and np.array_equal(c.grad, [1.0, 1.0])
+
     def test_broadcast_or_other_dtype_or_layout_gradient_is_copied(self):
         t = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
         g64 = np.full((2, 3), 1.0 + 2.0 ** -40)
-        ad._adopt(t, g64)
+        _backward_through([t], lambda _: (g64,))
         assert t.grad is not g64 and t.grad.dtype == np.float32
         assert t.grad.tobytes() == (np.zeros((2, 3), np.float32) + g64).astype(np.float32).tobytes()
 
         t = Tensor(np.ones((2, 3)), requires_grad=True)
         row = np.array([1.0, -0.0, 3.0])
-        ad._adopt(t, row)
+        _backward_through([t], lambda _: (row,))
         assert t.grad.shape == (2, 3) and not np.shares_memory(t.grad, row)
         assert t.grad.tobytes() == (np.zeros((2, 3)) + row).tobytes()
 
         t = Tensor(np.ones((2, 3)), requires_grad=True)
         gt = np.arange(6.0).reshape(3, 2).T
-        ad._adopt(t, gt)
+        _backward_through([t], lambda _: (gt,))
         assert not np.shares_memory(t.grad, gt) and t.grad.flags.c_contiguous
         assert np.array_equal(t.grad, gt)
 
@@ -359,6 +454,13 @@ class TestOpExamples:
         backward(g.sum())
         assert np.array_equal(t.grad, [2.0, 0, 0, 0, 0, 1.0])
 
+    def test_gather_from_a_strided_tensor_scatters_back(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        g = ad.gather(ad.transpose(x, (1, 0)), [0, 1, 4])
+        assert np.array_equal(g.data, [0.0, 3.0, 2.0])
+        backward(g.sum())
+        assert np.array_equal(x.grad, [[1.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+
 
 def _leaf(shape, needs_grad, seed=0):
     return Tensor(np.random.default_rng(seed).normal(size=shape), requires_grad=needs_grad)
@@ -420,6 +522,15 @@ class TestRulesRecordedByFromOp:
         out = _OPS[name](True)
         assert callable(offered_rules[-1])
         assert out.requires_grad and out._backward is offered_rules[-1]
+
+    @pytest.mark.parametrize("name", sorted(_OPS))
+    def test_rule_returns_one_gradient_per_parent_and_sets_no_grad(self, name):
+        out = _OPS[name](True)
+        grads = out._backward(np.ones_like(out.data))
+        assert len(grads) == len(out._parents)
+        for p, g in zip(out._parents, grads):
+            assert p.grad is None
+            assert g is not None and np.shape(g) == p.data.shape
 
     @pytest.mark.parametrize("name", sorted(_OPS))
     def test_op_on_inputs_needing_no_gradient_records_no_rule(self, name, offered_rules):

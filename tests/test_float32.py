@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import distilldet.autodiff as ad
-from distilldet import imageops, roi, train
+from distilldet import imageops, train
 from distilldet.autodiff import COMPUTE_DTYPE, Tensor
 from distilldet.boxes import iou_matrix
 from distilldet.train import TrainConfig, distill_student
@@ -76,16 +76,15 @@ def test_one_row8_epoch_computes_in_float32(tmp_path, monkeypatch, tiny_scenes, 
 
     upcasts = []
 
-    def checked(accumulate):
-        def wrapper(t, g):
-            g = np.asarray(g)
-            if g.size > 1 and g.dtype != t.data.dtype:
-                upcasts.append((t.data.shape, g.dtype))
-            accumulate(t, g)
-        return wrapper
+    real_hand_off = ad._hand_off
 
-    for module in (ad, imageops, roi):
-        monkeypatch.setattr(module, "_accumulate", checked(module._accumulate))
+    def checked_hand_off(node, grads):
+        for t, g in zip(node._parents, grads):
+            if g is not None and np.size(g) > 1 and g.dtype != t.data.dtype:
+                upcasts.append((t.data.shape, g.dtype))
+        real_hand_off(node, grads)
+
+    monkeypatch.setattr(ad, "_hand_off", checked_hand_off)
 
     node_dtypes = []
     real_backward = train.backward

@@ -17,22 +17,17 @@ Usage (from the repository root, takes about 2 s)::
 
 from __future__ import annotations
 
-import hashlib
 import os
 import sys
 import tempfile
 from dataclasses import replace
 
+from distilldet.checkpoint import checkpoint_hash
 from distilldet.data import SceneParams, generate_dataset
 from distilldet.distill import DistillConfig
 from distilldet.experiments import ABLATION_ROWS, distill_config_for_row, row_tag
 from distilldet.nets import default_student_config, default_teacher_config
 from distilldet.train import TrainConfig, distill_student, train_teacher
-
-
-def _sha256(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def row_digests(work_dir) -> list[tuple[str, str]]:
@@ -41,14 +36,14 @@ def row_digests(work_dir) -> list[tuple[str, str]]:
     tcfg = TrainConfig(epochs=1, lr_decay_epochs=(), seed=0)
     teacher_ckpt = os.path.join(work_dir, "teacher.ckpt")
     train_teacher(train_scenes, default_teacher_config(), tcfg, teacher_ckpt)
-    digests = [("teacher", _sha256(teacher_ckpt))]
+    digests = [("teacher", checkpoint_hash(teacher_ckpt))]
     for row in ABLATION_ROWS:
         tag = row_tag(row)
         ckpt = os.path.join(work_dir, f"student_{tag}.ckpt")
         distill_student(train_scenes, teacher_ckpt,
                         replace(tcfg, distill=distill_config_for_row(DistillConfig(), row)), ckpt,
                         student_cfg=replace(default_student_config(), pyramid_roi=row[3]))
-        digests.append((tag, _sha256(ckpt)))
+        digests.append((tag, checkpoint_hash(ckpt)))
     return digests
 
 
