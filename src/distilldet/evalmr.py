@@ -1,11 +1,14 @@
 """Miss-rate / false-positives-per-image scoring with ignore regions.
 
 Matching is greedy in descending score order: a detection claims the
-highest-overlap unmatched non-ignore ground-truth box above the IoU
-threshold; failing that it may overlap an ignore region (neutral, ignore
-matches are not exclusive); otherwise it is a false positive. Because a
-detection's outcome never depends on lower-scored detections, one matching
-pass per image yields the whole threshold sweep.
+highest-overlap unmatched non-ignore ground-truth box with IoU >= MATCH_IOU
+(the first such box on a tie); failing that it may overlap an ignore region
+(neutral, ignore matches are not exclusive); otherwise it is a false
+positive. Each image gets one IoU matrix and one ignore mask, and each
+detection one masked argmax over its IoU row. Because a detection's outcome
+never depends on lower-scored detections, that one pass per image yields the
+whole threshold sweep: the TP and FP scores are sorted once and counted at
+every threshold by ``searchsorted``.
 
 The summary number is the log-average miss rate: miss rates sampled at nine
 log-spaced FPPI references spanning two decades up to 1, combined by
@@ -62,66 +65,54 @@ _SMALL_MAX_VIS = 0.65
 
 SUBSETS = ("reasonable", "small")
 
+# A detection matches a box (or touches an ignore region) at IoU >= MATCH_IOU.
+MATCH_IOU = 0.5
 
-def subset_member(gt: GTBox, subset: str, scale: float = SUBSET_SCALE) -> bool:
+
+def subset_member(gt: GTBox, subset: str) -> bool:
     if subset == "reasonable":
-        return gt.height > _REASONABLE_MIN_H / scale and gt.visibility > _REASONABLE_MIN_VIS
+        return gt.height > _REASONABLE_MIN_H / SUBSET_SCALE and gt.visibility > _REASONABLE_MIN_VIS
     if subset == "small":
         return (
-            _SMALL_MIN_H / scale < gt.height < _SMALL_MAX_H / scale
+            _SMALL_MIN_H / SUBSET_SCALE < gt.height < _SMALL_MAX_H / SUBSET_SCALE
             and _SMALL_MIN_VIS < gt.visibility < _SMALL_MAX_VIS
         )
     raise EvalError(f"unknown subset {subset!r}")
 
 
-def subset_filter(gts: list[GTBox], subset: str, scale: float = SUBSET_SCALE) -> list[GTBox]:
+def subset_filter(gts: list[GTBox], subset: str) -> list[GTBox]:
     """Mark boxes outside the subset as ignore regions (never dropped:
     detections on them count neither as hits nor as false positives)."""
     if subset not in SUBSETS:
         raise EvalError(f"unknown subset {subset!r}")
-    return [
-        replace(gt, ignore=gt.ignore or not subset_member(gt, subset, scale)) for gt in gts
-    ]
+    return [replace(gt, ignore=gt.ignore or not subset_member(gt, subset)) for gt in gts]
 
 
-def match_detections(dets: list[Detection], gts: list[GTBox], iou_thresh: float = 0.5):
+def match_detections(dets: list[Detection], gts: list[GTBox]):
     """Greedy one-pass matching for a single image.
 
-    Returns (outcomes, gt_matched): per detection a pair (kind, gt_index)
-    with kind in {"tp", "fp", "ignore"}, ordered like the input; per
-    ground-truth box whether some detection claimed it. Score ties are
-    visited in input order (stable sort).
+    Returns (kinds, gt_matched): per detection one of "tp", "fp", "ignore",
+    ordered like the input; per ground-truth box whether some detection
+    claimed it. Score ties are visited in input order (stable sort), and
+    among equal overlaps the first ground-truth box wins.
     """
-    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
     gt_arr = np.array([[g.x1, g.y1, g.x2, g.y2] for g in gts]).reshape(-1, 4)
     det_arr = np.array([[d.x1, d.y1, d.x2, d.y2] for d in dets]).reshape(-1, 4)
-    ious = iou_matrix(det_arr, gt_arr) if len(dets) and len(gts) else np.zeros((len(dets), len(gts)))
-
-    outcomes: list = [None] * len(dets)
-    gt_matched = [False] * len(gts)
-    for i in order:
-        best_j = -1
-        best_iou = -1.0
-        for j, g in enumerate(gts):
-            if g.ignore or gt_matched[j]:
-                continue
-            v = ious[i, j]
-            if v >= iou_thresh and v > best_iou:
-                best_iou = v
-                best_j = j
-        if best_j >= 0:
-            gt_matched[best_j] = True
-            outcomes[i] = ("tp", best_j)
-            continue
-        hit_ignore = any(
-            g.ignore and ious[i, j] >= iou_thresh for j, g in enumerate(gts)
-        )
-        outcomes[i] = (("ignore", None) if hit_ignore else ("fp", None))
-    return outcomes, gt_matched
+    ious = iou_matrix(det_arr, gt_arr)
+    hits = ious >= MATCH_IOU
+    ignore = np.array([g.ignore for g in gts], dtype=bool)
+    kinds = ["ignore" if h else "fp" for h in (hits & ignore).any(axis=1)]
+    open_hits = hits & ~ignore
+    taken = np.zeros(len(gts), dtype=bool)
+    for i in sorted(range(len(dets)), key=lambda i: -dets[i].score):
+        free = open_hits[i] & ~taken
+        if free.any():
+            taken[np.where(free, ious[i], -1.0).argmax()] = True
+            kinds[i] = "tp"
+    return kinds, taken.tolist()
 
 
-def mr_fppi_curve(image_results, num_images: int | None = None,
-                  iou_thresh: float = 0.5) -> EvalCurve:
+def mr_fppi_curve(image_results) -> EvalCurve:
     """Score sweep over a whole image set.
 
     ``image_results`` is a sequence of (detections, ground_truths) pairs, one
@@ -129,42 +120,32 @@ def mr_fppi_curve(image_results, num_images: int | None = None,
     detections at all the curve is the single point (0, 1).
     """
     image_results = list(image_results)
-    if num_images is None:
-        num_images = len(image_results)
-    if num_images <= 0:
-        raise EvalError("num_images must be positive")
-
+    if not image_results:
+        raise EvalError("no images to score")
     total_gt = sum(sum(0 if g.ignore else 1 for g in gts) for _, gts in image_results)
     if total_gt == 0:
         raise EvalError("no non-ignore ground truth; miss rate undefined")
 
-    tp_scores: list[float] = []
-    fp_scores: list[float] = []
+    scores, kinds = [], []
     for dets, gts in image_results:
-        outcomes, _ = match_detections(dets, gts, iou_thresh=iou_thresh)
-        for det, (kind, _) in zip(dets, outcomes):
-            if kind == "tp":
-                tp_scores.append(det.score)
-            elif kind == "fp":
-                fp_scores.append(det.score)
-
-    all_scores = sorted(
-        {d.score for dets, _ in image_results for d in dets}, reverse=True
-    )
-    if not all_scores:
+        scores += [d.score for d in dets]
+        kinds += match_detections(dets, gts)[0]
+    if not scores:
         return EvalCurve(points=[(0.0, 1.0)], thresholds=[float("inf")], log_avg_mr=1.0)
+    scores = np.asarray(scores, dtype=np.float64)
+    kinds = np.asarray(kinds)
 
-    tp_arr = np.sort(np.asarray(tp_scores))
-    fp_arr = np.sort(np.asarray(fp_scores))
-    points = []
-    for t in all_scores:
-        tp = len(tp_arr) - np.searchsorted(tp_arr, t, side="left")
-        fp = len(fp_arr) - np.searchsorted(fp_arr, t, side="left")
-        fppi = fp / num_images
-        miss = (total_gt - tp) / total_gt
-        points.append((float(fppi), float(miss)))
+    # A detection survives threshold t iff its score >= t.
+    thresholds = np.unique(scores)[::-1]
+    tp_sorted = np.sort(scores[kinds == "tp"])
+    fp_sorted = np.sort(scores[kinds == "fp"])
+    tp = len(tp_sorted) - np.searchsorted(tp_sorted, thresholds, side="left")
+    fp = len(fp_sorted) - np.searchsorted(fp_sorted, thresholds, side="left")
+    fppi = fp / len(image_results)
+    miss = (total_gt - tp) / total_gt
 
-    curve = EvalCurve(points=points, thresholds=[float(t) for t in all_scores])
+    curve = EvalCurve(points=list(zip(fppi.tolist(), miss.tolist())),
+                      thresholds=thresholds.tolist())
     curve.log_avg_mr = log_average_miss_rate(curve)
     return curve
 
@@ -176,35 +157,27 @@ _N_REFERENCES = 9
 def log_average_miss_rate(curve: EvalCurve) -> float:
     """Geometric mean of miss rates sampled at 9 log-spaced FPPI references
     in [1e-2, 1]. Each reference takes the last curve point with fppi <= ref
-    (the curve's first miss rate if there is none). An all-zero sample set
-    gives exactly 0."""
+    (the curve's first miss rate if there is none), whether or not the
+    curve's fppi is sorted. An all-zero sample set gives exactly 0."""
     if not curve.points:
         raise EvalError("empty curve")
     refs = np.logspace(-2.0, 0.0, _N_REFERENCES)
-    fppis = np.array([p[0] for p in curve.points])
-    misses = np.array([p[1] for p in curve.points])
-    sampled = []
-    for ref in refs:
-        idx = np.where(fppis <= ref)[0]
-        sampled.append(misses[idx[-1]] if len(idx) else misses[0])
-    sampled = np.asarray(sampled)
+    fppis, misses = np.array(curve.points, dtype=np.float64).T
+    below = fppis[None, :] <= refs[:, None]
+    last = len(fppis) - 1 - below[:, ::-1].argmax(axis=1)
+    sampled = np.where(below.any(axis=1), misses[last], misses[0])
     if np.all(sampled == 0.0):
         return 0.0
     return float(np.exp(np.mean(np.log(np.maximum(sampled, _MR_EPS)))))
 
 
-def evaluate(dets_by_image: dict, gts_by_image: dict, subset: str,
-             scale: float = SUBSET_SCALE, iou_thresh: float = 0.5) -> EvalCurve:
-    """Subset-filtered curve over the union of image ids in both maps."""
+def evaluate(dets_by_image: dict, gts_by_image: dict, subset: str) -> EvalCurve:
+    """Subset-filtered curve over the union of image ids in both maps; an
+    id absent from one map has no detections or no ground truth there."""
     ids = sorted(set(dets_by_image) | set(gts_by_image))
-    results = [
-        (
-            dets_by_image.get(i, []),
-            subset_filter(gts_by_image.get(i, []), subset, scale),
-        )
-        for i in ids
-    ]
-    return mr_fppi_curve(results, num_images=len(ids), iou_thresh=iou_thresh)
+    return mr_fppi_curve(
+        (dets_by_image.get(i, []), subset_filter(gts_by_image.get(i, []), subset)) for i in ids
+    )
 
 
 # ---- text file formats ------------------------------------------------------

@@ -142,13 +142,10 @@ class SGD:
         for name, p in self.params.items():
             if p.grad is None:
                 continue
-            if self.momentum:
-                v = self.velocity[name]
-                v *= self.momentum
-                v += p.grad
-                p.data -= lr * v
-            else:
-                p.data -= lr * p.grad
+            v = self.velocity[name]
+            v *= self.momentum
+            v += p.grad
+            p.data -= lr * v
             p.grad = None
 
 

@@ -140,7 +140,8 @@ def sq_mean_loops(pairs):
 def greedy_match_ref(dets, gts, iou_thresh=0.5):
     """Independent greedy matcher mirroring the documented protocol:
     detections by descending score, best unmatched non-ignore overlap wins,
-    ignore overlaps are neutral."""
+    ignore overlaps are neutral. Returns (kinds, taken) like
+    ``match_detections``."""
     order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
     taken = [False] * len(gts)
     kinds = [None] * len(dets)
@@ -155,13 +156,13 @@ def greedy_match_ref(dets, gts, iou_thresh=0.5):
                 best, best_v = j, v
         if best >= 0:
             taken[best] = True
-            kinds[i] = ("tp", best)
+            kinds[i] = "tp"
             continue
         neutral = any(
             g.ignore and iou_scalar(d, (g.x1, g.y1, g.x2, g.y2)) >= iou_thresh
             for g in gts
         )
-        kinds[i] = ("ignore", None) if neutral else ("fp", None)
+        kinds[i] = "ignore" if neutral else "fp"
     return kinds, taken
 
 
@@ -177,8 +178,8 @@ def curve_by_rematching(image_results, num_images, iou_thresh=0.5):
         for dets, gts in image_results:
             kept = [d for d in dets if d.score >= t]
             kinds, _ = greedy_match_ref(kept, gts, iou_thresh)
-            fp += sum(1 for k in kinds if k[0] == "fp")
-            tp += sum(1 for k in kinds if k[0] == "tp")
+            fp += kinds.count("fp")
+            tp += kinds.count("tp")
         points.append((fp / num_images, (total_gt - tp) / total_gt))
     return points
 
