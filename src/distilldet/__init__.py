@@ -39,6 +39,7 @@ from .nets import (
     head_forward_batch,
     init_params,
     parameter_count,
+    propose,
     rpn_forward,
     rpn_loss,
 )

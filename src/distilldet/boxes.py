@@ -2,9 +2,10 @@
 
 Boxes are float64 [N,4] arrays of (x1, y1, x2, y2) rows in continuous
 image-pixel coordinates with x2 > x1 and y2 > y1; areas carry no +1
-correction. Proposals and RoIs stay in this form from the proposal stage to
-the head. ``Detection`` is the one record type: the output of ``detect`` and
-the input of the evaluator.
+correction. Training ground truth, proposals and RoIs stay in this form;
+``box_array`` builds it from records with x1..y2 fields (``GTBox``,
+``Detection``). ``Detection`` is the output of ``detect`` and the input of
+the evaluator.
 """
 
 from __future__ import annotations
@@ -21,6 +22,11 @@ class Detection:
     x2: float
     y2: float
     score: float
+
+
+def box_array(records) -> np.ndarray:
+    """The float64 [N,4] array of the records' (x1, y1, x2, y2); [0,4] for none."""
+    return np.array([[r.x1, r.y1, r.x2, r.y2] for r in records], dtype=np.float64).reshape(-1, 4)
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -124,17 +130,16 @@ ANCHOR_BASE = 16.0
 ANCHOR_ASPECT = 2.4
 
 
-def level_anchors(level: int, hi: int, wi: int, base_size: float = ANCHOR_BASE,
-                  aspect: float = ANCHOR_ASPECT) -> np.ndarray:
+def level_anchors(level: int, hi: int, wi: int) -> np.ndarray:
     """Anchor grid for pyramid level 2..5 on a [hi, wi] feature map.
 
-    One anchor per location: side base_size at level 2 doubling per level,
-    shaped aspect:1 (h:w), centered on feature-cell centers.
+    One anchor per location: side ANCHOR_BASE at level 2 doubling per
+    level, shaped ANCHOR_ASPECT:1 (h:w), centered on feature-cell centers.
     """
     stride = 2 ** level
-    side = base_size * 2 ** (level - 2)
-    w = side / np.sqrt(aspect)
-    h = side * np.sqrt(aspect)
+    side = ANCHOR_BASE * 2 ** (level - 2)
+    w = side / np.sqrt(ANCHOR_ASPECT)
+    h = side * np.sqrt(ANCHOR_ASPECT)
     cx = (np.arange(wi) + 0.5) * stride
     cy = (np.arange(hi) + 0.5) * stride
     gx, gy = np.meshgrid(cx, cy)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .boxes import Detection, iou_matrix
+from .boxes import Detection, box_array, iou_matrix
 
 
 class EvalError(ValueError):
@@ -96,9 +96,7 @@ def match_detections(dets: list[Detection], gts: list[GTBox]):
     claimed it. Score ties are visited in input order (stable sort), and
     among equal overlaps the first ground-truth box wins.
     """
-    gt_arr = np.array([[g.x1, g.y1, g.x2, g.y2] for g in gts]).reshape(-1, 4)
-    det_arr = np.array([[d.x1, d.y1, d.x2, d.y2] for d in dets]).reshape(-1, 4)
-    ious = iou_matrix(det_arr, gt_arr)
+    ious = iou_matrix(box_array(dets), box_array(gts))
     hits = ious >= MATCH_IOU
     ignore = np.array([g.ignore for g in gts], dtype=bool)
     kinds = ["ignore" if h else "fp" for h in (hits & ignore).any(axis=1)]

@@ -98,10 +98,16 @@ def run_student_variant(cfg: RunConfig, teacher, tag: str, train_scenes):
 
 def run_ablation(cfg: RunConfig, progress=None):
     """Train and score all eight configurations; returns table rows of
-    (flags, mr_reasonable, mr_small)."""
+    (flags, mr_reasonable, mr_small). A ValueError naming the file is raised,
+    before any student trains, when a reused ``<out>/teacher.ckpt`` has
+    another architecture than ``cfg.teacher``."""
     train_scenes, test_scenes = build_dataset(cfg)
     # Read once: every matching row distills from this same pair.
-    teacher = load_detector(ensure_teacher(cfg, train_scenes))
+    path = ensure_teacher(cfg, train_scenes)
+    teacher = load_detector(path)
+    if teacher[0] != cfg.teacher:
+        raise ValueError(f"{path}: teacher checkpoint has architecture {teacher[0]}, "
+                         f"but the run's teacher is {cfg.teacher}; remove it or use another --out")
     rows = []
     for row in ABLATION_ROWS:
         tag = row_tag(row)

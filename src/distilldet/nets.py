@@ -1,5 +1,7 @@
 """Teacher/student detector: backbone, top-down pyramid, proposal head and
-the second-stage region classifier, plus their supervised losses.
+the second-stage region classifier, plus their supervised losses. A training
+step runs propose, RPN loss, sample, crop and head here, then match, backward
+and SGD in ``train``; ``detect`` runs the same ``propose``, then crop and head.
 
 Both roles are one detector: the same anchors, proposal NMS, RoI crop
 (``roi``'s constants) and logit width. A ``NetConfig`` holds only what a
@@ -74,8 +76,8 @@ class NetConfig:
         return levels * self.pyramid_width * roi_ops.ROI_SIZE * roi_ops.ROI_SIZE
 
 
-def default_student_config(pyramid_roi: bool = True) -> NetConfig:
-    return NetConfig(pyramid_roi=pyramid_roi)
+def default_student_config() -> NetConfig:
+    return NetConfig()
 
 
 def default_teacher_config() -> NetConfig:
@@ -193,7 +195,7 @@ def backbone_forward(image: Tensor, cfg: NetConfig, params: dict) -> BackboneFea
     return BackboneFeatures(*feats)
 
 
-def fpn_forward(feats: BackboneFeatures, cfg: NetConfig, params: dict) -> FeaturePyramid:
+def fpn_forward(feats: BackboneFeatures, params: dict) -> FeaturePyramid:
     """Top-down merge: P5 = lat(C5); Pi = smooth(lat(Ci) + up2(Pi+1))."""
     lat = {
         lvl: conv2d(f, params[f"fpn.lat{lvl}.w"], params[f"fpn.lat{lvl}.b"])
@@ -207,7 +209,7 @@ def fpn_forward(feats: BackboneFeatures, cfg: NetConfig, params: dict) -> Featur
     return FeaturePyramid(merged[2], merged[3], merged[4], merged[5])
 
 
-def rpn_forward(pyr: FeaturePyramid, cfg: NetConfig, params: dict):
+def rpn_forward(pyr: FeaturePyramid, params: dict):
     """Shared proposal head on every level: per location one objectness
     logit and 4 box deltas (one anchor per location).
 
@@ -241,9 +243,9 @@ def pyramid_anchors(pyr: FeaturePyramid) -> np.ndarray:
     return _anchor_grid(tuple(level.data.shape[-2:] for level in pyr.levels()))
 
 
-def generate_proposals(rpn_out, anchors, pre_nms_k: int, post_nms_k: int,
-                       nms_iou: float, img_w: float, img_h: float) -> np.ndarray:
-    """Decode deltas onto anchors, clip, rank, and greedily deduplicate.
+def generate_proposals(rpn_out, anchors, img_w: float, img_h: float) -> np.ndarray:
+    """Decode deltas onto anchors, clip, rank the best ``RPN_PRE_NMS_K``,
+    and keep at most ``RPN_POST_NMS_K`` by NMS at ``RPN_NMS_IOU``.
 
     ``rpn_out`` is ``rpn_forward``'s (logits [A], deltas [A,4]) and
     ``anchors`` the matching [A,4] array, so one sigmoid, one decode and
@@ -259,10 +261,24 @@ def generate_proposals(rpn_out, anchors, pre_nms_k: int, post_nms_k: int,
     boxes, scores = boxes[valid], scores[valid]
     if len(scores) == 0:
         return np.zeros((0, 4))
-    order = np.argsort(-scores, kind="stable")[:pre_nms_k]
+    order = np.argsort(-scores, kind="stable")[:RPN_PRE_NMS_K]
     boxes, scores = boxes[order], scores[order]
-    keep = nms(boxes, scores, nms_iou, max_keep=post_nms_k)
+    keep = nms(boxes, scores, RPN_NMS_IOU, max_keep=RPN_POST_NMS_K)
     return boxes[keep]
+
+
+def forward_pyramid(image: Tensor, cfg: NetConfig, params: dict) -> FeaturePyramid:
+    return fpn_forward(backbone_forward(image, cfg, params), params)
+
+
+def propose(image4: Tensor, cfg: NetConfig, params: dict):
+    """(pyramid, ``rpn_forward``'s output, its [A,4] anchors, [K,4] proposals)
+    of one [1,3,H,W] image, in training and detection alike; draws no rng."""
+    h, w = image4.data.shape[-2:]
+    pyr = forward_pyramid(image4, cfg, params)
+    rpn_out = rpn_forward(pyr, params)
+    anchors = pyramid_anchors(pyr)
+    return pyr, rpn_out, anchors, generate_proposals(rpn_out, anchors, w, h)
 
 
 # ---- RPN training targets -------------------------------------------------
@@ -405,21 +421,13 @@ def detection_loss(class_scores: Tensor, box_deltas: Tensor, roi_labels,
 # ---- inference ------------------------------------------------------------
 
 
-def forward_pyramid(image: Tensor, cfg: NetConfig, params: dict) -> FeaturePyramid:
-    return fpn_forward(backbone_forward(image, cfg, params), cfg, params)
-
-
 def detect(image: Tensor, cfg: NetConfig, params: dict) -> list[Detection]:
     """Full two-stage inference on one [1,3,H,W] image. It works on
     detached views of the params, which copy no data, so no op records a
     gradient rule or keeps its buffers alive."""
     params = {name: p.detach() for name, p in params.items()}
     h, w = image.data.shape[2:]
-    pyr = forward_pyramid(image, cfg, params)
-    rpn_out = rpn_forward(pyr, cfg, params)
-    proposals = generate_proposals(
-        rpn_out, pyramid_anchors(pyr), RPN_PRE_NMS_K, RPN_POST_NMS_K, RPN_NMS_IOU, w, h
-    )
+    pyr, _, _, proposals = propose(image, cfg, params)
     if len(proposals) == 0:
         return []
     regions = roi_ops.extract_region_batch(pyr, proposals, cfg.pyramid_roi)

@@ -5,11 +5,11 @@ freezes the teacher and trains the student on the same supervised losses plus
 the weighted feature-matching terms; the teacher contributes activations
 only, never gradients.
 
-A step runs named stages in order: ``supervised_step``, then in phase two the
-teacher matcher's ``match`` (PD on the pyramids, RD and LD on crops of the
-student's [N,4] proposals), then backward and SGD. The matcher exists only
-when some matching term is on, so with every term off the student phase is
-plain supervised training, bit for bit.
+A step runs named stages in order: propose, RPN loss, sample, crop and head
+(``supervised_step``), then in phase two the teacher matcher's ``match`` (PD
+on the pyramids, RD and LD on crops of the student's proposals), then
+backward and SGD. The matcher exists only when some matching term is on, so
+with every term off the student phase is plain supervised training, bit for bit.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from . import autodiff as ad
 from . import nets
 from . import roi as roi_ops
 from .autodiff import Tensor, backward
+from .boxes import box_array
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import SyntheticScene
 from .distill import (
@@ -35,7 +36,6 @@ from .distill import (
     region_distill_loss,
     total_distill_loss,
 )
-from .evalmr import GTBox
 from .nets import NetConfig
 
 
@@ -105,15 +105,11 @@ def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
     return cfg.base_lr * LR_DECAY_FACTOR ** hits
 
 
-def horizontal_flip(image: Tensor, gts: list[GTBox]):
-    """Mirror a [3,H,W] image on the width axis; box x-endpoints swap."""
+def horizontal_flip(image: Tensor, boxes: np.ndarray):
+    """Mirror a [3,H,W] image and its [G,4] boxes on the width axis."""
     w = float(image.data.shape[-1])
     flipped = Tensor(np.ascontiguousarray(image.data[..., ::-1]))
-    boxes = [
-        GTBox(w - g.x2, g.y1, w - g.x1, g.y2, visibility=g.visibility, ignore=g.ignore)
-        for g in gts
-    ]
-    return flipped, boxes
+    return flipped, np.stack([w - boxes[:, 2], boxes[:, 1], w - boxes[:, 0], boxes[:, 3]], axis=1)
 
 
 class SGD:
@@ -202,14 +198,8 @@ def supervised_step(image4: Tensor, gt_arr: np.ndarray, cfg: NetConfig, params: 
                     rng: np.random.Generator):
     """(pyramid, proposals, loss_det, loss_rpn, total) of one [1,3,H,W] image
     against its [G,4] ground truth; ``rpn_loss``, then ``sample_rois``, draw from ``rng``."""
-    h, w = image4.data.shape[-2:]
-    pyr = nets.forward_pyramid(image4, cfg, params)
-    rpn_out = nets.rpn_forward(pyr, cfg, params)
-    anchors = nets.pyramid_anchors(pyr)
+    pyr, rpn_out, anchors, proposals = nets.propose(image4, cfg, params)
     loss_rpn = nets.rpn_loss(rpn_out, anchors, gt_arr, rng)
-    proposals = nets.generate_proposals(
-        rpn_out, anchors, nets.RPN_PRE_NMS_K, nets.RPN_POST_NMS_K, nets.RPN_NMS_IOU, w, h
-    )
     rois, labels, targets = nets.sample_rois(proposals, gt_arr, rng)
     if not len(rois):
         return pyr, proposals, Tensor(0.0), loss_rpn, loss_rpn
@@ -226,6 +216,7 @@ def train_detector(scenes: list[SyntheticScene], net_cfg: NetConfig, tcfg: Train
     params = nets.init_params(net_cfg, seed=tcfg.seed)
     opt = SGD(params, momentum=tcfg.momentum, clip_grad_norm=tcfg.clip_grad_norm)
     rng = np.random.default_rng([int(tcfg.seed), 104729])
+    gt_arrays = [box_array(scene.gts) for scene in scenes]
     records: list[StepRecord] = []
     step = 0
 
@@ -233,14 +224,10 @@ def train_detector(scenes: list[SyntheticScene], net_cfg: NetConfig, tcfg: Train
         lr = lr_schedule(epoch, tcfg)
         order = rng.permutation(len(scenes))
         for si in order:
-            scene = scenes[int(si)]
+            scene, gt_arr = scenes[si], gt_arrays[si]
             flipped = bool(rng.random() < FLIP_PROB)
-            if flipped:
-                image, gts = horizontal_flip(scene.image, scene.gts)
-            else:
-                image, gts = scene.image, scene.gts
+            image, gt_arr = horizontal_flip(scene.image, gt_arr) if flipped else (scene.image, gt_arr)
             image4 = image.reshape((1, *image.data.shape))
-            gt_arr = np.array([[g.x1, g.y1, g.x2, g.y2] for g in gts]).reshape(-1, 4)
 
             pyr, proposals, loss_det, loss_rpn, total = supervised_step(image4, gt_arr, net_cfg, params, rng)
             report = DistillReport()
@@ -313,7 +300,7 @@ def train_teacher(scenes, teacher_cfg: NetConfig, tcfg: TrainConfig, ckpt_path,
 
 
 def distill_student(scenes, teacher, tcfg: TrainConfig, ckpt_path,
-                    student_cfg: NetConfig | None = None, log_path=None):
+                    student_cfg: NetConfig, log_path=None):
     """Phase two: train the student against the frozen teacher.
 
     ``teacher`` is a checkpoint path or the ``(NetConfig, params)`` pair
@@ -328,8 +315,6 @@ def distill_student(scenes, teacher, tcfg: TrainConfig, ckpt_path,
     """
     if not scenes:
         raise ValueError("empty training set")
-    if student_cfg is None:
-        student_cfg = nets.default_student_config()
     matcher = None
     if tcfg.distill.any_enabled:
         t_cfg, t_params = teacher if isinstance(teacher, tuple) else load_detector(teacher)

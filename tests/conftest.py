@@ -49,3 +49,13 @@ def save_teacher(tmp_path):
         save_checkpoint(path, nets.init_params(cfg, seed=0), meta=_cfg_meta(cfg))
         return path
     return save
+
+
+@pytest.fixture
+def proposal_settings(monkeypatch):
+    """Sets ``nets``' proposal constants (pre-NMS k, post-NMS k, NMS IoU)
+    for one test."""
+    def set_settings(pre_k, post_k, iou):
+        for name, value in zip(("RPN_PRE_NMS_K", "RPN_POST_NMS_K", "RPN_NMS_IOU"), (pre_k, post_k, iou)):
+            monkeypatch.setattr(nets, name, value)
+    return set_settings

@@ -1,7 +1,8 @@
 """Command-line behaviour: `distill` reads its teacher and the teacher's
 config before any scene is generated, so a bad or missing teacher fails
 fast; it writes its test detections in the file format `eval` reads; `eval`
-exits 2 on a bad detection file, and every command on a bad config."""
+exits 2 on a bad detection file, `ablate` on a reused teacher of another
+architecture, and every command on a bad config."""
 
 import json
 
@@ -131,6 +132,20 @@ def test_distill_writes_detections_that_eval_scores_to_the_printed_mr(tmp_path, 
     assert _mr_lines(capsys.readouterr().out) == distill_mrs
     for s in ("reasonable", "small"):  # the whole FPPI / miss-rate sweep, not only its summary
         assert (tmp_path / f"curve.{s}").read_bytes() == (out / f"curve_0001_{s}.tsv").read_bytes()
+
+
+def test_ablate_exits_2_naming_a_reused_teacher_of_another_architecture(tmp_path, capsys, monkeypatch,
+                                                                          tiny_teacher_cfg, save_teacher):
+    def distill_student(*args, **kwargs):
+        raise AssertionError("a student trained before the teacher was checked")
+
+    monkeypatch.setattr(experiments, "distill_student", distill_student)
+    config, teacher = tmp_path / "run.cfg", save_teacher(tiny_teacher_cfg)  # the run's teacher is the default
+    config.write_text(TINY_RUN)
+    assert main(["ablate", "--config", str(config), "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert str(teacher) in err and "architecture" in err and out == ""
+    assert not (tmp_path / "ablation.tsv").exists()
 
 
 def test_distill_reads_the_teacher_once(tmp_path, monkeypatch, tiny_teacher_cfg, save_teacher):

@@ -34,6 +34,12 @@ def test_scene_i_does_not_depend_on_the_train_set_size():
     assert _same_scenes(short, long[:2])
 
 
+def test_the_test_scenes_of_a_smaller_test_set_are_a_prefix_of_a_larger_one():
+    _, few = data.generate_dataset(data.SceneParams(n_train=3, n_test=2), seed=4)
+    _, many = data.generate_dataset(data.SceneParams(n_train=3, n_test=5), seed=4)
+    assert _same_scenes(few, many[:2])
+
+
 def test_ground_truth_boxes_lie_inside_the_image_with_visibility_in_0_1():
     params = data.SceneParams(n_train=40, n_test=10)
     train, test = data.generate_dataset(params, seed=0)

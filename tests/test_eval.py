@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from distilldet.boxes import Detection
+from distilldet.boxes import Detection, box_array
 from distilldet.evalmr import (
     EvalCurve,
     EvalError,
@@ -99,6 +99,11 @@ class TestMatching:
         kinds, matched = match_detections([_det(0, 0, 10, 20, 0.9)], gts)
         assert kinds == ["tp"]
         assert matched == [False, True, False]
+
+    def test_box_array_reads_either_record_type_as_float64(self):
+        got = box_array([_gt(0, 1, 10, 20, vis=0.5), _det(2, 3, 4, 5, 0.9)])
+        assert got.dtype == np.float64 and got.tolist() == [[0, 1, 10, 20], [2, 3, 4, 5]]
+        assert box_array([]).shape == (0, 4) and box_array([]).dtype == np.float64
 
     def test_random_scenarios_match_independent_oracle(self, rng):
         for case in range(50):

@@ -1,6 +1,7 @@
 """Detector networks: shapes, configs, proposals, and supervised losses."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -51,8 +52,8 @@ class TestConfigs:
             assert nets.init_params(cfg, 0)["head.fc2.w"].shape == (cfg.head_hidden, nets.LOGIT_WIDTH)
 
     def test_head_width_depends_on_crop_mode(self):
-        py = nets.default_student_config(pyramid_roi=True)
-        single = nets.default_student_config(pyramid_roi=False)
+        py = nets.default_student_config()
+        single = replace(py, pyramid_roi=False)
         assert py.head_input_width == 4 * single.head_input_width
 
     def test_bad_config_rejected(self):
@@ -95,8 +96,7 @@ class TestFpn:
             if name.startswith("fpn."):
                 params[name].data[:] = 0.0
         img = Tensor(rng.uniform(0, 1, size=(1, 3, 64, 64)))
-        pyr = nets.fpn_forward(nets.backbone_forward(img, tiny_student_cfg, params),
-                               tiny_student_cfg, params)
+        pyr = nets.fpn_forward(nets.backbone_forward(img, tiny_student_cfg, params), params)
         for level in pyr.levels():
             assert np.all(level.data == 0.0)
 
@@ -115,7 +115,7 @@ class TestFpn:
             Tensor(np.zeros((1, cfg.widths[2], 4, 6))),
             c5,
         )
-        pyr = nets.fpn_forward(feats, cfg, params)
+        pyr = nets.fpn_forward(feats, params)
         for level in pyr.levels():
             assert np.abs(level.data).sum() > 0.0
 
@@ -124,7 +124,7 @@ class TestFpn:
         params = nets.init_params(cfg, 1)
         img = Tensor(rng.uniform(0, 1, size=(1, 3, 64, 96)))
         feats = nets.backbone_forward(img, cfg, params)
-        pyr = nets.fpn_forward(feats, cfg, params)
+        pyr = nets.fpn_forward(feats, params)
         for level, c in zip(pyr.levels(), feats):
             assert level.data.shape[1] == cfg.pyramid_width
             assert level.data.shape[2:] == c.data.shape[2:]
@@ -136,7 +136,7 @@ class TestRpn:
         params = _zero_params(cfg)
         pyr = nets.FeaturePyramid(*[Tensor(np.zeros((1, cfg.pyramid_width, 8 // f, 8 // f)))
                                     for f in (1, 2, 4, 8)])
-        out = _per_level(nets.rpn_forward(pyr, cfg, params), pyr)
+        out = _per_level(nets.rpn_forward(pyr, params), pyr)
         for obj, _ in out:
             assert np.all(obj.data == 0.0)
 
@@ -147,7 +147,7 @@ class TestRpn:
         pyr = nets.FeaturePyramid(Tensor(same), Tensor(same.copy()),
                                   Tensor(np.zeros((1, cfg.pyramid_width, 4, 4))),
                                   Tensor(np.zeros((1, cfg.pyramid_width, 4, 4))))
-        out = _per_level(nets.rpn_forward(pyr, cfg, params), pyr)
+        out = _per_level(nets.rpn_forward(pyr, params), pyr)
         assert np.array_equal(out[0][0].data, out[1][0].data)
         assert np.array_equal(out[0][1].data, out[1][1].data)
 
@@ -156,7 +156,7 @@ class TestRpn:
         params = nets.init_params(cfg, 2)
         pyr = nets.FeaturePyramid(*[Tensor(rng.normal(size=(1, cfg.pyramid_width, 8 // f, 12 // f)))
                                     for f in (1, 2, 4, 8)])
-        for (obj, box), level in zip(_per_level(nets.rpn_forward(pyr, cfg, params), pyr), pyr.levels()):
+        for (obj, box), level in zip(_per_level(nets.rpn_forward(pyr, params), pyr), pyr.levels()):
             h, w = level.data.shape[2:]
             assert obj.shape == (1, h, w)
             assert box.shape == (4, h, w)
@@ -174,7 +174,7 @@ class TestRpn:
                               conv2d(t, params["rpn.box.w"], params["rpn.box.b"]).reshape((4, h, w))))
             anchors.append(level_anchors(lvl, h, w))
         (want_logits, want_deltas), want_anchors = join_rpn_levels(per_level, anchors)
-        logits, deltas = nets.rpn_forward(pyr, cfg, params)
+        logits, deltas = nets.rpn_forward(pyr, params)
         assert logits.data.tobytes() == want_logits.data.tobytes()
         assert deltas.shape == want_deltas.shape and deltas.data.tobytes() == want_deltas.data.tobytes()
         assert nets.pyramid_anchors(pyr).tobytes() == want_anchors.tobytes()
@@ -221,43 +221,41 @@ class TestProposals:
             anchors.append(level_anchors(lvl, h, w))
         return out, anchors
 
-    def test_zero_deltas_reproduce_clipped_anchors(self, tiny_student_cfg):
+    def test_zero_deltas_reproduce_clipped_anchors(self, tiny_student_cfg, proposal_settings):
+        proposal_settings(500, 500, 0.99)
         rpn_out, anchors = self._pyr_and_out(tiny_student_cfg, 1.0, 0.0)
-        props = nets.generate_proposals(*join_rpn_levels(rpn_out, anchors), 500, 500, 0.99,
-                                        img_w=48, img_h=32)
+        props = nets.generate_proposals(*join_rpn_levels(rpn_out, anchors), img_w=48, img_h=32)
         assert props.ndim == 2 and props.shape[1] == 4 and len(props)
         expect = np.clip(np.concatenate(anchors), [0, 0, 0, 0], [48, 32, 48, 32])
         for p in props:
             dists = np.abs(expect - p).max(axis=1)
             assert dists.min() < 1e-9  # identity decode up to round-off
 
-    def test_identical_boxes_nms_keeps_higher_score(self):
+    def test_identical_boxes_nms_keeps_higher_score(self, proposal_settings):
         # two identical anchors; the second scores higher and is nudged 0.1 px
         # right by its deltas, so the surviving box shows which one NMS kept
+        proposal_settings(10, 10, 0.5)
         deltas = np.zeros((2, 4))
         deltas[1, 0] = 0.01
         rpn_out = (Tensor(np.array([1.0, 2.0])), Tensor(deltas))
         anchors = np.array([[0.0, 0.0, 10.0, 10.0], [0.0, 0.0, 10.0, 10.0]])
-        props = nets.generate_proposals(rpn_out, anchors, 10, 10, 0.5, 20, 20)
+        props = nets.generate_proposals(rpn_out, anchors, 20, 20)
         assert props.shape == (1, 4)
         assert np.allclose(props[0], [0.1, 0.0, 10.1, 10.0], atol=1e-12)
 
-    def test_empty_result_is_legal(self):
+    def test_empty_result_is_legal(self, proposal_settings):
         # deltas push every box fully outside the image
+        proposal_settings(10, 10, 0.5)
         rpn_out = (Tensor(np.zeros(4)), Tensor(np.full((4, 4), 50.0)))
         anchors = level_anchors(2, 2, 2)
-        props = nets.generate_proposals(rpn_out, anchors, 10, 10, 0.5, 8, 8)
+        props = nets.generate_proposals(rpn_out, anchors, 8, 8)
         assert props.shape == (0, 4) and props.dtype == np.float64
 
     def test_proposals_inside_bounds_and_positive_area(self, tiny_student_cfg, rng):
         cfg = tiny_student_cfg
         params = nets.init_params(cfg, 3)
         img = Tensor(rng.uniform(0, 1, size=(1, 3, 64, 96)))
-        pyr = nets.forward_pyramid(img, cfg, params)
-        out = nets.rpn_forward(pyr, cfg, params)
-        props = nets.generate_proposals(out, nets.pyramid_anchors(pyr),
-                                        nets.RPN_PRE_NMS_K, nets.RPN_POST_NMS_K, nets.RPN_NMS_IOU,
-                                        96, 64)
+        _, _, _, props = nets.propose(img, cfg, params)
         assert len(props)
         for x1, y1, x2, y2 in props:
             assert 0.0 <= x1 < x2 <= 96.0

@@ -122,18 +122,19 @@ def _rpn_out(rng, dtype, delta_scale=0.5):
         obj = Tensor((rng.normal(size=(1, h, w)) * 4.0).astype(dtype))
         box = Tensor((rng.normal(size=(4, h, w)) * delta_scale).astype(dtype))
         out.append((obj, box))
-        anchors.append(level_anchors(lvl, h, w, base_size=16.0, aspect=2.4))
+        anchors.append(level_anchors(lvl, h, w))
     return out, anchors
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 class TestOnePassProposals:
     @pytest.mark.parametrize("pre_k, post_k, iou", [(200, 32, 0.7), (1000, 1000, 0.5), (5, 3, 0.9)])
-    def test_proposals_byte_equal_on_random_rpn_outputs(self, rng, dtype, pre_k, post_k, iou):
+    def test_proposals_byte_equal_on_random_rpn_outputs(self, rng, dtype, pre_k, post_k, iou,
+                                                        proposal_settings):
+        proposal_settings(pre_k, post_k, iou)
         for delta_scale in (0.1, 0.5, 2.0, 6.0):  # large deltas give clipped and degenerate boxes
             rpn_out, anchors = _rpn_out(rng, dtype, delta_scale)
-            got = nets.generate_proposals(*join_rpn_levels(rpn_out, anchors), pre_k, post_k, iou,
-                                          IMG_W, IMG_H)
+            got = nets.generate_proposals(*join_rpn_levels(rpn_out, anchors), IMG_W, IMG_H)
             want = generate_proposals_per_level(rpn_out, anchors, pre_k, post_k, iou, IMG_W, IMG_H)
             assert got.dtype == want.dtype == np.float64
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -142,6 +143,6 @@ class TestOnePassProposals:
         rpn_out, anchors = _rpn_out(rng, dtype)
         for _, box in rpn_out:
             box.data[...] = 50.0  # every box lands far outside the image
-        got = nets.generate_proposals(*join_rpn_levels(rpn_out, anchors), 200, 32, 0.7, IMG_W, IMG_H)
+        got = nets.generate_proposals(*join_rpn_levels(rpn_out, anchors), IMG_W, IMG_H)
         want = generate_proposals_per_level(rpn_out, anchors, 200, 32, 0.7, IMG_W, IMG_H)
         assert got.shape == want.shape == (0, 4) and got.tobytes() == want.tobytes()

@@ -8,7 +8,7 @@ import pytest
 
 from distilldet import Tensor, nets, roi, train
 from distilldet.distill import DistillConfig
-from distilldet.evalmr import GTBox
+from distilldet.boxes import box_array
 from distilldet.experiments import ABLATION_ROWS, distill_config_for_row, row_tag
 from distilldet.train import TrainConfig, distill_student, train_detector
 
@@ -28,10 +28,13 @@ def test_distill_student_rejects_teacher_of_other_width(tmp_path, tiny_scenes, t
 
 def test_horizontal_flip_mirrors_the_image_and_its_boxes(rng):
     image = rng.random((3, 8, 12)).astype(np.float32)
-    gts = [GTBox(1.0, 2.0, 5.0, 7.0, visibility=0.6), GTBox(0.0, 0.0, 12.0, 8.0, ignore=True)]
-    flipped, boxes = train.horizontal_flip(Tensor(image), gts)
+    boxes = np.array([[1.0, 2.0, 5.0, 7.0], [0.0, 0.0, 12.0, 8.0]])
+    flipped, mirrored = train.horizontal_flip(Tensor(image), boxes)
     assert flipped.data.tobytes() == image[..., ::-1].tobytes()
-    assert boxes == [GTBox(7.0, 2.0, 11.0, 7.0, visibility=0.6), GTBox(0.0, 0.0, 12.0, 8.0, ignore=True)]
+    assert mirrored.dtype == np.float64
+    assert mirrored.tolist() == [[7.0, 2.0, 11.0, 7.0], [0.0, 0.0, 12.0, 8.0]]
+    _, none = train.horizontal_flip(Tensor(image), box_array([]))  # a scene with no figure
+    assert none.shape == (0, 4) and none.dtype == np.float64
 
 
 @pytest.mark.parametrize("row", ABLATION_ROWS[:2], ids=row_tag)
@@ -148,7 +151,7 @@ def test_teacher_pyramid_runs_once_per_scene_and_flip(monkeypatch, tiny_scenes, 
 
 
 @pytest.mark.parametrize("cfg", [nets.default_teacher_config(), nets.default_student_config(),
-                                 nets.default_student_config(pyramid_roi=False)],
+                                 replace(nets.default_student_config(), pyramid_roi=False)],
                          ids=["teacher", "student", "single-level-student"])
 def test_checkpoint_meta_is_the_net_config(tmp_path, cfg):
     path = tmp_path / "net.ckpt"
