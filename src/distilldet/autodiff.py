@@ -22,6 +22,15 @@ rule saved and its parent links as soon as the rule has run, so a graph's
 memory is freed during the pass, not when the caller drops the loss; a
 tensor the caller still holds keeps its ``grad``.
 
+The graph holds each op's parents until its rule has run, so what a rule
+adds to a graph's memory is what it saves beyond its parents' data:
+``relu`` its output, from which it rebuilds the mask ``out > 0`` (a forward
+that records nothing computes no mask); ``softmax_cross_entropy`` the
+per-row log-sum-exp and the labels; ``bce_with_logits`` the targets;
+``smooth_l1`` the difference and the mask of its quadratic part;
+``take_rows`` and ``gather`` their indices; every other rule in this module
+nothing but shapes and scalars. The ``imageops`` docstring lists its ops.
+
 Finite-value policy: constructing a leaf tensor from non-finite data raises
 immediately. Outputs of recorded operations are not re-scanned (the fused
 softmax/BCE ops guard their own exponentials); training code checks its loss
@@ -304,8 +313,10 @@ def sub(a: Tensor, b):
         _check_pair(a, b)
 
         def bk(g):
-            return (g if a.data.shape == g.shape else g.sum(),
-                    -g if b.data.shape == g.shape else -g.sum())
+            ga = g if a.data.shape == g.shape else g.sum()
+            if not b.requires_grad:  # the detached teacher side of PD, RD and LD
+                return ga, None
+            return ga, -g if b.data.shape == g.shape else -g.sum()
 
         return Tensor._from_op(a.data - b.data, (a, b), bk)
     return add(a, -float(b))
@@ -333,8 +344,8 @@ def neg(a: Tensor):
 def relu(a: Tensor):
     """max(x, 0). A NaN input passes through as NaN; the training loop's
     finite-loss check then stops the step."""
-    mask = a.data > 0.0
-    return Tensor._from_op(np.maximum(a.data, 0.0), (a,), lambda g: (g * mask,))
+    out = np.maximum(a.data, 0.0)
+    return Tensor._from_op(out, (a,), lambda g: (g * (out > 0.0),))
 
 
 # ---- reductions and reshapes ---------------------------------------------
@@ -472,6 +483,6 @@ def smooth_l1(pred: Tensor, target: Tensor):
 
     def bk(g):
         dd = np.where(inside, d, np.sign(d)) * g
-        return dd, -dd
+        return dd, -dd if target.requires_grad else None
 
     return Tensor._from_op(vals, (pred, target), bk)

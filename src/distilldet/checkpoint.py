@@ -58,7 +58,8 @@ def save_checkpoint(path, params: dict, meta: dict | None = None):
 
 def load_checkpoint(path):
     """Returns (meta, params) with freshly allocated no-grad
-    ``COMPUTE_DTYPE`` tensors."""
+    ``COMPUTE_DTYPE`` tensors. A name that appears twice raises
+    ValueError, since either entry could be the one meant."""
     params: dict[str, Tensor] = {}
     block = np.empty(BLOCK, dtype="<f8")
     with open(path, "rb") as fh:
@@ -78,6 +79,8 @@ def load_checkpoint(path):
                 raise ValueError(f"{path}: entry {entry}: malformed tensor header {header!r}") from None
             if len(shape) != ndim or any(d <= 0 for d in shape):
                 raise ValueError(f"{path}: entry {entry}: bad shape in tensor header {header!r}")
+            if name in params:
+                raise ValueError(f"{path}: entry {entry}: duplicate tensor name {name!r}")
             count = math.prod(shape)
             if count * 8 > os.fstat(fh.fileno()).st_size - fh.tell():
                 raise ValueError(f"{path}: truncated tensor {name!r}")

@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -186,6 +187,27 @@ class TestGraphIsFreed:
             backward(((y * 3.0) + 1.0).sum())
         with pytest.raises(TapeError):
             Tape(z)
+
+    @pytest.mark.parametrize("op", [
+        lambda x, w, b: imageops.conv2d(x, w, b, pad=1),  # im2col columns: 1.1 MB
+        lambda x, w, b: ad.relu(x),                        # a bool mask: 30 KB
+    ], ids=["conv2d", "relu"])
+    def test_recording_an_op_keeps_little_more_than_its_output(self, op):
+        r = np.random.default_rng(5)
+        x = Tensor(r.normal(size=(1, 32, 24, 40)).astype(np.float32), requires_grad=True)
+        w = Tensor(r.normal(size=(32, 32, 3, 3)).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(32, dtype=np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = op(x, w, b)
+            alive = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert out._backward is not None
+        # The output, its Tensor and the rule's closure: about 1.8 KB beyond
+        # the output's data.
+        assert alive <= out.data.nbytes + 8192
 
     def test_train_steps_never_hold_two_graphs(self, tiny_scenes, tiny_student_cfg):
         # The same scene twice: the second step differs from the first only
@@ -422,6 +444,13 @@ class TestOpExamples:
     def test_smooth_l1_linear_branch(self):
         v = ad.smooth_l1(Tensor([2.0]), Tensor([0.0]))
         assert np.allclose(v.data, [1.5])
+
+    @pytest.mark.parametrize("op", [ad.sub, ad.smooth_l1])
+    def test_a_constant_second_operand_gets_none_from_the_rule(self, op):
+        # a detached teacher map in PD/RD/LD, a regression target in the losses
+        out = op(Tensor(np.ones((2, 3)), requires_grad=True), Tensor(np.zeros((2, 3))))
+        ga, gb = out._backward(np.ones((2, 3)))
+        assert ga.shape == (2, 3) and gb is None
 
     def test_softmax_rows_sum_to_one(self, rng):
         # exp(-CE(z, k)) is softmax(z)[k], the probability the fused op uses

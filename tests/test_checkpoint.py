@@ -132,6 +132,17 @@ def test_malformed_header_raises_value_error_naming_file_and_entry(tmp_path, hea
     assert "entry 0" in str(info.value)
 
 
+def test_a_name_written_twice_raises_value_error_naming_file_entry_and_name(tmp_path):
+    path = tmp_path / "dup.ckpt"
+    entries = (("a", [1.0]), ("w", [2.0, 3.0]), ("w", [4.0, 5.0]))
+    path.write_bytes(_MAGIC + b"{}\n" + b"".join(
+        f"{name} 1 {len(v)}\n".encode() + np.asarray(v, dtype="<f8").tobytes() for name, v in entries))
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    message = str(info.value)
+    assert str(path) in message and "entry 2" in message and "'w'" in message
+
+
 @pytest.mark.parametrize("shape, cut", [
     ((4, 4), 8),                               # the last value
     ((2 * BLOCK + 3,), (BLOCK // 2 + 3) * 8),  # the file ends half way into the second block

@@ -80,6 +80,42 @@ def test_conv2d_matches_im2col_bitwise(with_bias):
             assert grads[2].tobytes() == _stored(gb).tobytes(), case
 
 
+def _tap_in_padding(k, pad, stride, size, out):
+    """Whether some kernel offset of side k reads only padding at every
+    one of the out positions along an input side of length size."""
+    return any(all(not 0 <= i - pad + stride * t < size for t in range(out)) for i in range(k))
+
+
+def test_conv2d_with_pad_2_matches_im2col_bitwise():
+    # Small maps under 5x5 kernels with pad 2: some taps read nothing but
+    # padding, so the backward skips them.
+    rng = np.random.default_rng(20190921)
+    skipped = 0
+    for _ in range(N_INSTANCES):
+        kh, kw = (int(v) for v in rng.choice([3, 5], size=2))
+        stride, pad = int(rng.integers(1, 3)), 2
+        n, c, k = int(rng.integers(1, 3)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        h = kh - 2 * pad + stride * int(rng.integers(1, 5))
+        w = kw - 2 * pad + stride * int(rng.integers(1, 5))
+        if h < 1 or w < 1:
+            continue
+        ho = (h + 2 * pad - kh) // stride + 1
+        wo = (w + 2 * pad - kw) // stride + 1
+        skipped += _tap_in_padding(kh, pad, stride, h, ho) or _tap_in_padding(kw, pad, stride, w, wo)
+        x = _with_signed_zeros(rng, (n, c, h, w))
+        wt = rng.normal(size=(k, c, kh, kw))
+        b = rng.normal(size=k)
+        g = rng.normal(size=(n, k, ho, wo))
+
+        got, grads = _run(lambda *t: conv2d(*t, stride=stride, pad=pad), [x, wt, b], g)
+        want, gx, gw, gb = conv2d_im2col(x, wt, b, g, stride=stride, pad=pad)
+        case = (n, c, k, kh, kw, h, w, stride, pad)
+        assert got.tobytes() == want.tobytes(), case
+        for got_grad, want_grad in zip(grads, (gx, gw, gb)):
+            assert got_grad.tobytes() == _stored(want_grad).tobytes(), case
+    assert skipped >= 10
+
+
 def test_maxpool2x2_matches_argmax_bitwise_with_ties_and_signed_zeros():
     rng = np.random.default_rng(1909)
     values = np.array([-1.0, -0.0, 0.0, 1.0, 2.0])
