@@ -26,8 +26,6 @@ from .evalmr import (
     subset_filter,
 )
 from .nets import (
-    BackboneFeatures,
-    FeaturePyramid,
     NetConfig,
     backbone_forward,
     default_student_config,

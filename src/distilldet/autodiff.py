@@ -6,6 +6,11 @@ operands' dtype, so a float32 graph stays float32 end to end. Float64
 tensors work the same way and stay float64; the finite-difference gradient
 checks and the test oracles run in float64.
 
+Shapes: a tensor keeps the shape of the data it is made from, so a Python
+number is a 0-d tensor. Elementwise ops between two tensors take equal
+shapes and never broadcast; a Python number as the second operand of
+``add``, ``sub`` or ``mul`` applies to every element.
+
 Every differentiable operation hands its output data, parent tensors and
 gradient rule to ``Tensor._from_op``, which records the parents and the rule
 on the output only when some parent requires a gradient; ``backward``
@@ -61,7 +66,9 @@ class Tensor:
     """Dense float32 or float64 array plus the bookkeeping needed for backprop.
 
     Float32 and float64 data keep their dtype; any other input (Python
-    numbers, integer or boolean arrays) becomes float64. ``grad`` is
+    numbers, integer or boolean arrays) becomes float64. The data keeps its
+    shape (a Python number is 0-d) and is copied only when it is not
+    C-contiguous. ``grad`` is
     ``None`` until a backward pass reaches this tensor, then an array of the
     data's dtype. Tensors created by operations carry ``_parents`` and a
     ``_backward`` closure; leaf tensors carry neither and survive across
@@ -74,7 +81,8 @@ class Tensor:
         arr = np.asarray(data)
         if arr.dtype != np.float32 and arr.dtype != np.float64:
             arr = arr.astype(np.float64)
-        arr = np.ascontiguousarray(arr)
+        if not arr.flags.c_contiguous:
+            arr = np.ascontiguousarray(arr)
         if arr.size == 0:
             raise ShapeError("tensors must have positive dimension sizes")
         if not _all_finite(arr):
@@ -129,12 +137,6 @@ class Tensor:
         """Same values, no gradient tracking, no graph edges."""
         return Tensor._from_op(self.data, (), None)
 
-    def zero_grad(self):
-        self.grad = None
-
-    def backward(self):
-        backward(self)
-
     # ---- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
@@ -145,27 +147,13 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return add(neg(self), other)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise ShapeError("tensor/tensor division is not supported; divide by a scalar")
-        return mul(self, 1.0 / float(other))
-
-    def __neg__(self):
-        return neg(self)
-
     def sum(self):
         return tsum(self)
-
-    def mean(self):
-        return tmean(self)
 
     def reshape(self, *shape):
         return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
@@ -286,9 +274,8 @@ def _hand_off(node: Tensor, grads):
 
 
 def _check_pair(a: Tensor, b: Tensor):
-    """Reject two Tensor operands of an elementwise op whose shapes differ,
-    unless one of them holds a single element."""
-    if a.data.shape != b.data.shape and a.data.size != 1 and b.data.size != 1:
+    """Reject two Tensor operands of an elementwise op whose shapes differ."""
+    if a.data.shape != b.data.shape:
         raise ShapeError(f"elementwise op on shapes {a.shape} vs {b.shape}")
 
 
@@ -298,12 +285,7 @@ def _check_pair(a: Tensor, b: Tensor):
 def add(a: Tensor, b):
     if isinstance(b, Tensor):
         _check_pair(a, b)
-
-        def bk(g):
-            return (g if a.data.shape == g.shape else g.sum(),
-                    g if b.data.shape == g.shape else g.sum())
-
-        return Tensor._from_op(a.data + b.data, (a, b), bk)
+        return Tensor._from_op(a.data + b.data, (a, b), lambda g: (g, g))
     c = float(b)
     return Tensor._from_op(a.data + c, (a,), lambda g: (g,))
 
@@ -313,10 +295,8 @@ def sub(a: Tensor, b):
         _check_pair(a, b)
 
         def bk(g):
-            ga = g if a.data.shape == g.shape else g.sum()
-            if not b.requires_grad:  # the detached teacher side of PD, RD and LD
-                return ga, None
-            return ga, -g if b.data.shape == g.shape else -g.sum()
+            # None for the detached teacher side of PD, RD and LD
+            return g, -g if b.requires_grad else None
 
         return Tensor._from_op(a.data - b.data, (a, b), bk)
     return add(a, -float(b))
@@ -326,19 +306,9 @@ def mul(a: Tensor, b):
     if isinstance(b, Tensor):
         _check_pair(a, b)
 
-        def bk(g):
-            ga = g * b.data
-            gb = g * a.data
-            return (ga if a.data.shape == ga.shape else ga.sum(),
-                    gb if b.data.shape == gb.shape else gb.sum())
-
-        return Tensor._from_op(a.data * b.data, (a, b), bk)
+        return Tensor._from_op(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
     c = float(b)
     return Tensor._from_op(a.data * c, (a,), lambda g: (g * c,))
-
-
-def neg(a: Tensor):
-    return Tensor._from_op(-a.data, (a,), lambda g: (-g,))
 
 
 def relu(a: Tensor):
@@ -354,12 +324,6 @@ def relu(a: Tensor):
 def tsum(a: Tensor):
     return Tensor._from_op(np.asarray(a.data.sum()), (a,),
                            lambda g: (np.full_like(a.data, float(g)),))
-
-
-def tmean(a: Tensor):
-    n = a.data.size
-    return Tensor._from_op(np.asarray(a.data.mean()), (a,),
-                           lambda g: (np.full_like(a.data, float(g) / n),))
 
 
 def reshape(a: Tensor, shape):

@@ -59,14 +59,18 @@ def save_checkpoint(path, params: dict, meta: dict | None = None):
 def load_checkpoint(path):
     """Returns (meta, params) with freshly allocated no-grad
     ``COMPUTE_DTYPE`` tensors. A name that appears twice raises
-    ValueError, since either entry could be the one meant."""
+    ValueError, since either entry could be the one meant; so does a meta
+    line that is not UTF-8 JSON. Every ValueError names ``path``."""
     params: dict[str, Tensor] = {}
     block = np.empty(BLOCK, dtype="<f8")
     with open(path, "rb") as fh:
         head = fh.readline()
         if not head.startswith(_MAGIC):
             raise ValueError(f"{path} is not a checkpoint file")
-        meta = json.loads(head[len(_MAGIC):].decode())
+        try:
+            meta = json.loads(head[len(_MAGIC):].decode())
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+            raise ValueError(f"{path}: corrupt checkpoint meta line: {exc}") from None
         for entry in itertools.count():
             header = fh.readline()
             if not header:

@@ -3,8 +3,8 @@ experiment (dataset, both network configs, training schedule, matching
 weights, output directory).
 
 Format: `key = value` lines, `#` comments, blank lines ignored. Integer
-tuples are comma-separated; booleans are true/false. Unknown keys are
-rejected so typos fail loudly.
+tuples are comma-separated; booleans are true/false. Unknown keys, and a
+key given twice, are rejected so typos fail loudly.
 """
 
 from __future__ import annotations
@@ -97,6 +97,7 @@ def _convert(raw: str, annotation):
 def parse_config(text: str) -> RunConfig:
     values: dict[str, dict] = {sec: {} for sec in _SECTION_TYPES}
     top: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -107,6 +108,9 @@ def parse_config(text: str) -> RunConfig:
         key, val = key.strip(), val.strip()
         if key not in _KEYS:
             raise ConfigError(f"line {ln}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"line {ln}: key {key!r} given twice, on lines {first_line[key]} and {ln}")
+        first_line[key] = ln
         section, fname = _KEYS[key]
         if section == "":
             top[fname] = val

@@ -1,10 +1,11 @@
 """Feature-matching losses that let a frozen teacher supervise a student.
 
 Three hierarchy levels are matched, each as a mean of squared differences
-over its own element count: whole pyramid maps (dense, low weight), cropped
-region features at the student's proposals, and the per-box activations
-feeding the final classifier. Gradients flow into the student side only; teacher
-operands are detached on entry.
+over its own element count: whole pyramid maps (the ``(P2, P3, P4, P5)``
+tuples of both nets; dense, low weight), cropped region features at the
+student's proposals, and the per-box activations feeding the final
+classifier. Gradients flow into the student side only; teacher operands are
+detached on entry.
 """
 
 from __future__ import annotations
@@ -59,13 +60,12 @@ def _sq_diff_sum(a: Tensor, b: Tensor) -> Tensor:
 
 
 def pyramid_distill_loss(student_pyr, teacher_pyr) -> Tensor:
-    """Squared differences summed across all four pyramid levels, divided by
-    the total number of pyramid elements."""
-    s_levels = list(student_pyr.levels())
-    t_levels = list(teacher_pyr.levels())
+    """Squared differences summed across all four levels of the
+    ``(P2, P3, P4, P5)`` pyramids, divided by the total number of pyramid
+    elements."""
     total = None
     count = 0
-    for s, t in zip(s_levels, t_levels):
+    for s, t in zip(student_pyr, teacher_pyr):
         term = _sq_diff_sum(s, t)
         count += s.data.size
         total = term if total is None else ad.add(total, term)
@@ -91,7 +91,7 @@ def total_distill_loss(cfg: DistillConfig, pd: Tensor | None, rd: Tensor | None,
     """Weighted sum of the terms given whose weight is positive, added in
     PD, RD, LD order, plus a value report; the other terms report 0."""
     report = DistillReport()
-    total = Tensor(0.0)
+    total = Tensor(0.0)  # a float64 0-d seed, so the weighted terms are summed in float64
     for name, term, weight in (("pd", pd, cfg.lambda_pd), ("rd", rd, cfg.lambda_rd),
                                ("ld", ld, cfg.lambda_ld)):
         if weight > 0 and term is not None:

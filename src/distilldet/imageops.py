@@ -1,13 +1,14 @@
 """Spatial tensor ops: convolution, pooling and upsampling.
 
-Convolution is cross-correlation over [N,C,H,W] inputs as one matmul. A
-pointwise kernel (1x1, stride 1, no padding) multiplies the input viewed as
-[N, C, H*W] directly and reshapes the column gradient back. Other kernels
-copy the input into a zero-padded buffer and gather im2col columns with
-kh*kw strided slice copies; the backward adds each kernel tap's column
-gradient, clipped to the input, into an input-sized buffer in a fixed
-(i, j) order, and skips taps that read only padding. Max pooling is the max
-of the four strided quarter views of each 2x2 window.
+Convolution is cross-correlation over [N,C,H,W] inputs at stride 1, plus a
+per-output-channel bias, as one matmul. A pointwise kernel (1x1, no
+padding) multiplies the input viewed as [N, C, H*W] directly and reshapes
+the column gradient back. Other kernels copy the input into a zero-padded
+buffer and gather im2col columns with kh*kw strided slice copies; the
+backward adds each kernel tap's column gradient, clipped to the input, into
+an input-sized buffer in a fixed (i, j) order, and skips taps that read only
+padding. Max pooling is the max of the four strided quarter views of each
+2x2 window.
 
 What each gradient rule keeps alive from the forward until it runs:
 ``conv2d`` only its operands, and rebuilds the columns from ``x`` with the
@@ -30,11 +31,11 @@ import numpy as np
 from .autodiff import ShapeError, Tensor
 
 
-def conv2d(x: Tensor, w: Tensor, b, stride: int = 1, pad: int = 0) -> Tensor:
-    """Cross-correlate x[N,C,H,W] with w[K,C,kh,kw] plus bias[K].
+def conv2d(x: Tensor, w: Tensor, b: Tensor, pad: int = 0) -> Tensor:
+    """Cross-correlate x[N,C,H,W] with w[K,C,kh,kw] at stride 1, plus bias[K].
 
-    Kernel sides must be odd and the stride must divide (H + 2*pad - kh);
-    the output is [N,K,H',W'] with H' = (H + 2*pad - kh)/stride + 1.
+    Kernel sides must be odd; the output is [N,K,H',W'] with
+    H' = H + 2*pad - kh + 1.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError("conv2d expects x[N,C,H,W] and w[K,C,kh,kw]")
@@ -44,16 +45,14 @@ def conv2d(x: Tensor, w: Tensor, b, stride: int = 1, pad: int = 0) -> Tensor:
         raise ShapeError(f"conv2d channel mismatch: input {c}, weight {cw}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError("conv2d kernel sides must be odd")
-    if b is not None and b.data.shape != (k,):
+    if b.data.shape != (k,):
         raise ShapeError("conv2d bias must be [K]")
-    if (h + 2 * pad - kh) % stride or (ww + 2 * pad - kw) % stride:
-        raise ShapeError("conv2d output size is not an integer")
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (ww + 2 * pad - kw) // stride + 1
+    ho = h + 2 * pad - kh + 1
+    wo = ww + 2 * pad - kw + 1
     if ho <= 0 or wo <= 0:
         raise ShapeError("conv2d output would be empty")
 
-    pointwise = kh == kw == stride == 1 and pad == 0
+    pointwise = kh == kw == 1 and pad == 0
 
     def columns():
         """im2col of x: [N, C*kh*kw, ho*wo], row (c, i, j) holding channel c
@@ -70,13 +69,12 @@ def conv2d(x: Tensor, w: Tensor, b, stride: int = 1, pad: int = 0) -> Tensor:
         cols = np.empty((n, c, kh, kw, ho, wo), dtype=x.data.dtype)
         for i in range(kh):
             for j in range(kw):
-                cols[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+                cols[:, :, i, j] = xp[:, :, i : i + ho, j : j + wo]
         return cols.reshape(n, c * kh * kw, ho * wo)
 
     wm = w.data.reshape(k, c * kh * kw)
     out_data = np.matmul(wm, columns())
-    if b is not None:
-        out_data += b.data[:, None]
+    out_data += b.data[:, None]
     out_data = out_data.reshape(n, k, ho, wo)
 
     def bk(g):
@@ -86,7 +84,7 @@ def conv2d(x: Tensor, w: Tensor, b, stride: int = 1, pad: int = 0) -> Tensor:
         gw = np.matmul(columns(), gm.transpose(0, 2, 1)).sum(axis=0).T.copy().reshape(w.data.shape)
         # Not computed where x needs none: the stem conv's input, the image.
         gx = input_grad(gm) if x.requires_grad else None
-        return (gx, gw) if b is None else (gx, gw, gm.sum(axis=(0, 2)))
+        return gx, gw, gm.sum(axis=(0, 2))
 
     def input_grad(gm):
         gcols = np.matmul(wm.T, gm)  # [N, C*kh*kw, L]
@@ -98,15 +96,15 @@ def conv2d(x: Tensor, w: Tensor, b, stride: int = 1, pad: int = 0) -> Tensor:
         gcols = gcols.reshape(n, c, kh, kw, ho, wo)
         gx = np.zeros((n, c, h, ww), dtype=x.data.dtype)
         for i in range(kh):
-            row_span = _inside(i - pad, stride, ho, h)
+            row_span = _inside(i - pad, ho, h)
             for j in range(kw):
-                col_span = _inside(j - pad, stride, wo, ww)
+                col_span = _inside(j - pad, wo, ww)
                 if row_span is not None and col_span is not None:
                     (xr, gr), (xc, gc) = row_span, col_span
                     gx[:, :, xr, xc] += gcols[:, :, i, j, gr, gc]
         return gx
 
-    return Tensor._from_op(out_data, (x, w) if b is None else (x, w, b), bk)
+    return Tensor._from_op(out_data, (x, w, b), bk)
 
 
 def maxpool2x2(x: Tensor) -> Tensor:
@@ -151,13 +149,12 @@ def upsample2x(x: Tensor) -> Tensor:
                            lambda g: (g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)),))
 
 
-def _inside(offset, stride, count, size):
-    """The output positions t in [0, count) whose input index
-    offset + stride*t lies in [0, size), as (input slice, output slice), or
-    None when there is none: a tap that lies wholly in the padding."""
-    lo = max(0, -(offset // stride))
-    hi = min(count, (size - 1 - offset) // stride + 1)
+def _inside(offset, count, size):
+    """The output positions t in [0, count) whose input index offset + t
+    lies in [0, size), as (input slice, output slice), or None when there is
+    none: a tap that lies wholly in the padding."""
+    lo = max(0, -offset)
+    hi = min(count, size - offset)
     if lo >= hi:
         return None
-    start = offset + stride * lo
-    return slice(start, start + stride * (hi - lo - 1) + 1, stride), slice(lo, hi)
+    return slice(offset + lo, offset + hi), slice(lo, hi)

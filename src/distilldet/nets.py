@@ -8,6 +8,10 @@ Both roles are one detector: the same anchors, proposal NMS, RoI crop
 teacher and a student differ in: stage widths and block counts, the first
 head layer's width and the crop mode. Pyramid width is shared so
 feature-matching losses need no adaptation layers.
+
+The feature pyramid is the tuple ``(P2, P3, P4, P5)`` of [1,d,H,W] maps at
+strides 4, 8, 16 and 32, finest first; the backbone's output is the tuple
+``(C2, C3, C4, C5)`` at the same strides.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -82,24 +85,6 @@ def default_student_config() -> NetConfig:
 
 def default_teacher_config() -> NetConfig:
     return NetConfig(widths=(16, 32, 64, 128), blocks=(2, 2, 2, 2), head_hidden=256)
-
-
-class BackboneFeatures(NamedTuple):
-    c2: Tensor
-    c3: Tensor
-    c4: Tensor
-    c5: Tensor
-
-
-@dataclass
-class FeaturePyramid:
-    p2: Tensor
-    p3: Tensor
-    p4: Tensor
-    p5: Tensor
-
-    def levels(self):
-        return (self.p2, self.p3, self.p4, self.p5)
 
 
 # ---- parameters -----------------------------------------------------------
@@ -173,8 +158,9 @@ def compression_ratio(teacher_params: dict, student_params: dict) -> float:
 # ---- forward passes -------------------------------------------------------
 
 
-def backbone_forward(image: Tensor, cfg: NetConfig, params: dict) -> BackboneFeatures:
-    """Four feature maps at strides 4/8/16/32 of the [1,3,H,W] input."""
+def backbone_forward(image: Tensor, cfg: NetConfig, params: dict) -> tuple:
+    """(C2, C3, C4, C5): four feature maps at strides 4/8/16/32 of the
+    [1,3,H,W] input."""
     if image.data.ndim != 4 or image.data.shape[:2] != (1, 3):
         raise ShapeError("backbone expects an image of shape [1,3,H,W]")
     h, w = image.data.shape[2:]
@@ -192,11 +178,12 @@ def backbone_forward(image: Tensor, cfg: NetConfig, params: dict) -> BackboneFea
                 conv2d(x, params[f"bb.s{s + 1}.c{blk}.w"], params[f"bb.s{s + 1}.c{blk}.b"], pad=1)
             )
         feats.append(x)
-    return BackboneFeatures(*feats)
+    return tuple(feats)
 
 
-def fpn_forward(feats: BackboneFeatures, params: dict) -> FeaturePyramid:
-    """Top-down merge: P5 = lat(C5); Pi = smooth(lat(Ci) + up2(Pi+1))."""
+def fpn_forward(feats: tuple, params: dict) -> tuple:
+    """(P2, P3, P4, P5) from (C2, C3, C4, C5) by a top-down merge:
+    P5 = lat(C5); Pi = smooth(lat(Ci) + up2(Pi+1))."""
     lat = {
         lvl: conv2d(f, params[f"fpn.lat{lvl}.w"], params[f"fpn.lat{lvl}.b"])
         for lvl, f in zip((2, 3, 4, 5), feats)
@@ -206,10 +193,10 @@ def fpn_forward(feats: BackboneFeatures, params: dict) -> FeaturePyramid:
     for lvl in (4, 3, 2):
         summed = ad.add(lat[lvl], upsample2x(merged[lvl + 1]))
         merged[lvl] = conv2d(summed, params[f"fpn.smooth{lvl}.w"], params[f"fpn.smooth{lvl}.b"], pad=1)
-    return FeaturePyramid(merged[2], merged[3], merged[4], merged[5])
+    return merged[2], merged[3], merged[4], merged[5]
 
 
-def rpn_forward(pyr: FeaturePyramid, params: dict):
+def rpn_forward(pyr: tuple, params: dict):
     """Shared proposal head on every level: per location one objectness
     logit and 4 box deltas (one anchor per location).
 
@@ -218,7 +205,7 @@ def rpn_forward(pyr: FeaturePyramid, params: dict):
     order, the layout of ``pyramid_anchors``.
     """
     logits, deltas = [], []
-    for level in pyr.levels():
+    for level in pyr:
         t = ad.relu(conv2d(level, params["rpn.conv.w"], params["rpn.conv.b"], pad=1))
         obj = conv2d(t, params["rpn.obj.w"], params["rpn.obj.b"])
         box = conv2d(t, params["rpn.box.w"], params["rpn.box.b"])
@@ -237,10 +224,10 @@ def _anchor_grid(shapes: tuple) -> np.ndarray:
     return grid
 
 
-def pyramid_anchors(pyr: FeaturePyramid) -> np.ndarray:
+def pyramid_anchors(pyr: tuple) -> np.ndarray:
     """The [A,4] anchors of every pyramid level in ``rpn_forward``'s
     layout, shared (read-only) across calls."""
-    return _anchor_grid(tuple(level.data.shape[-2:] for level in pyr.levels()))
+    return _anchor_grid(tuple(level.data.shape[-2:] for level in pyr))
 
 
 def generate_proposals(rpn_out, anchors, img_w: float, img_h: float) -> np.ndarray:
@@ -267,7 +254,8 @@ def generate_proposals(rpn_out, anchors, img_w: float, img_h: float) -> np.ndarr
     return boxes[keep]
 
 
-def forward_pyramid(image: Tensor, cfg: NetConfig, params: dict) -> FeaturePyramid:
+def forward_pyramid(image: Tensor, cfg: NetConfig, params: dict) -> tuple:
+    """The (P2, P3, P4, P5) pyramid of one [1,3,H,W] image."""
     return fpn_forward(backbone_forward(image, cfg, params), params)
 
 

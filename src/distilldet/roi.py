@@ -1,7 +1,8 @@
 """Fixed-size region cropping from pyramid features, batched over boxes.
 
-Boxes arrive as one float64 [R,4] array. ``roi_align_batch`` crops them in
-one call and records one graph node, in either of two modes that
+Boxes arrive as one float64 [R,4] array and the pyramid as the tuple
+``(P2, P3, P4, P5)``. ``roi_align_batch`` crops them in one call and
+records one graph node, in either of two modes that
 ``extract_region_batch`` selects: the hierarchical crop takes every box from
 every level and stacks the results along the channel axis, so a region
 carries fine detail and coarse context at once; the classic single-level
@@ -209,8 +210,9 @@ def roi_align_batch(features, rois, strides, out_size: int = ROI_SIZE, samples: 
 
 
 def extract_region_batch(pyramid, rois, use_pyramid: bool, out_size: int = ROI_SIZE) -> Tensor:
-    """Region features for a box array [R,4] in the given crop mode, from
-    one ``roi_align_batch`` call; rows ordered like ``rois``.
+    """Region features for a box array [R,4] in the given crop mode, cropped
+    from the ``(P2, P3, P4, P5)`` tuple ``pyramid`` by one
+    ``roi_align_batch`` call; rows ordered like ``rois``.
 
     All-level mode (``use_pyramid``) returns [R, 4d, S, S]: channel block
     [i*d, (i+1)*d) holds the crop of level 2+i. Single-level mode maps each
@@ -220,5 +222,5 @@ def extract_region_batch(pyramid, rois, use_pyramid: bool, out_size: int = ROI_S
     if len(rois) == 0:
         raise ShapeError("extract_region_batch on an empty box array")
     box_levels = None if use_pyramid else [assign_level(r) - PYRAMID_LEVELS[0] for r in rois]
-    return roi_align_batch(pyramid.levels(), rois, PYRAMID_STRIDES, out_size=out_size,
+    return roi_align_batch(pyramid, rois, PYRAMID_STRIDES, out_size=out_size,
                            box_levels=box_levels)

@@ -165,15 +165,16 @@ class _TeacherContext:
         # LD may reuse RD's teacher crop only when it is the crop the teacher's head takes.
         self._ld_reuses_rd_crop = cfg.pyramid_roi == student_cfg.pyramid_roi
 
-    def pyramid(self, scene_index: int, flipped: bool, image: Tensor) -> nets.FeaturePyramid:
+    def pyramid(self, scene_index: int, flipped: bool, image: Tensor) -> tuple:
+        """The teacher's (P2, P3, P4, P5) for one scene, as no-grad tensors."""
         key = (scene_index, flipped)
         if key not in self._cache:
             pyr = nets.forward_pyramid(image, self.cfg, self.params)
-            self._cache[key] = tuple(level.data for level in pyr.levels())
-        return nets.FeaturePyramid(*(Tensor(a) for a in self._cache[key]))
+            self._cache[key] = tuple(level.data for level in pyr)
+        return tuple(Tensor(a) for a in self._cache[key])
 
     def match(self, scene_index: int, flipped: bool, image4: Tensor,
-              pyr: nets.FeaturePyramid, proposals: np.ndarray, params: dict):
+              pyr: tuple, proposals: np.ndarray, params: dict):
         """(loss, DistillReport) of the matching terms of positive weight for one step."""
         dcfg = self.dcfg
         pd_on, rd_on, ld_on = dcfg.lambda_pd > 0, dcfg.lambda_rd > 0, dcfg.lambda_ld > 0

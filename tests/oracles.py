@@ -29,12 +29,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 import distilldet.autodiff as ad
 
 
-def conv2d_loops(x, w, b, stride=1, pad=0):
-    """Direct 6-nested-loop cross-correlation."""
+def conv2d_loops(x, w, b, pad=0):
+    """Direct 6-nested-loop cross-correlation at stride 1."""
     n, c, h, ww = x.shape
     k, _, kh, kw = w.shape
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (ww + 2 * pad - kw) // stride + 1
+    ho = h + 2 * pad - kh + 1
+    wo = ww + 2 * pad - kw + 1
     xp = np.zeros((n, c, h + 2 * pad, ww + 2 * pad))
     xp[:, :, pad : pad + h, pad : pad + ww] = x
     out = np.zeros((n, k, ho, wo))
@@ -46,8 +46,8 @@ def conv2d_loops(x, w, b, stride=1, pad=0):
                     for ci in range(c):
                         for ui in range(kh):
                             for uj in range(kw):
-                                acc += xp[ni, ci, oi * stride + ui, oj * stride + uj] * w[ki, ci, ui, uj]
-                    out[ni, ki, oi, oj] = acc + (b[ki] if b is not None else 0.0)
+                                acc += xp[ni, ci, oi + ui, oj + uj] * w[ki, ci, ui, uj]
+                    out[ni, ki, oi, oj] = acc + b[ki]
     return out
 
 
@@ -199,32 +199,31 @@ def log_avg_mr_script(points):
     return math.exp(sum(math.log(max(s, 1e-10)) for s in samples) / len(samples))
 
 
-def conv2d_im2col(x, w, b, g, stride=1, pad=0):
-    """The original im2col conv2d: one padded copy, a sliding-window view
-    transposed into columns, one matmul; the backward scatters columns back
-    in (i, j) order. Returns (out, gx, gw, gb) for upstream gradient g, each
-    gradient as the op hands it to accumulation (gb is None without bias)."""
+def conv2d_im2col(x, w, b, g, pad=0):
+    """The original im2col conv2d at stride 1: one padded copy, a
+    sliding-window view transposed into columns, one matmul; the backward
+    scatters columns back in (i, j) order. Returns (out, gx, gw, gb) for
+    upstream gradient g, each gradient as the op hands it to accumulation."""
     n, c, h, ww = x.shape
     k, _, kh, kw = w.shape
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (ww + 2 * pad - kw) // stride + 1
+    ho = h + 2 * pad - kh + 1
+    wo = ww + 2 * pad - kw + 1
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
     cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * kh * kw, ho * wo)
     wm = w.reshape(k, c * kh * kw)
     out = np.matmul(wm, cols)
-    if b is not None:
-        out = out + b[:, None]
+    out = out + b[:, None]
     out = out.reshape(n, k, ho, wo)
 
     gm = g.reshape(n, k, ho * wo)
-    gb = gm.sum(axis=(0, 2)) if b is not None else None
+    gb = gm.sum(axis=(0, 2))
     gw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
     gcols = np.matmul(wm.T, gm).reshape(n, c, kh, kw, ho, wo)
     gxp = np.zeros((n, c, h + 2 * pad, ww + 2 * pad))
     for i in range(kh):
         for j in range(kw):
-            gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[:, :, i, j]
+            gxp[:, :, i : i + ho, j : j + wo] += gcols[:, :, i, j]
     gx = gxp[:, :, pad : pad + h, pad : pad + ww] if pad else gxp
     return out, gx, gw, gb
 
@@ -399,6 +398,6 @@ def maxpool2x2_backward_where(x, g):
 
 def mse(a, b):
     """Mean of elementwise squared differences of two tensors, as a graph
-    of library ops (sub, mul, tmean)."""
+    of library ops (sub, mul, tsum and a scale)."""
     d = ad.sub(a, b)
-    return ad.tmean(ad.mul(d, d))
+    return ad.mul(ad.tsum(ad.mul(d, d)), 1.0 / d.data.size)

@@ -117,6 +117,15 @@ def _with_header(tmp_path, header: bytes):
     return path
 
 
+@pytest.mark.parametrize("meta", [b'{"a" 1}', b'{"a": "\xff"}'], ids=["bad-json", "not-utf8"])
+def test_corrupt_meta_line_raises_value_error_naming_file(tmp_path, meta):
+    path = tmp_path / "meta.ckpt"
+    path.write_bytes(_MAGIC + meta + b"\n")
+    with pytest.raises(ValueError, match="corrupt checkpoint meta line") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
 @pytest.mark.parametrize("header", [
     b"garbage",          # too few fields
     b"w 2 3 x",          # non-integer dim

@@ -2,7 +2,8 @@
 config before any scene is generated, so a bad or missing teacher fails
 fast; it writes its test detections in the file format `eval` reads; `eval`
 exits 2 on a bad detection file, `ablate` on a reused teacher of another
-architecture, and every command on a bad config."""
+architecture, `gradcheck` when asked for no instances, and every command on
+a bad config."""
 
 import json
 
@@ -29,13 +30,15 @@ _OLD_TEACHER_META = {
 
 @pytest.mark.parametrize("teacher_bytes, message", [
     (_MAGIC + b"{}\ngarbage\n", "malformed tensor header"),
+    (_MAGIC + b'{"widths" [16]}\n', "corrupt checkpoint meta line"),
+    (_MAGIC + b'{"widths": "\xff"}\n', "corrupt checkpoint meta line"),
     (None, "not found"),
     (_MAGIC + b"{}\n", "missing fields ['widths', 'blocks', 'pyramid_width', 'head_hidden', "
                        "'pyramid_roi']"),
     (_MAGIC + json.dumps(_OLD_TEACHER_META, sort_keys=True).encode() + b"\n",
      "unknown fields ['anchor_aspect', 'anchor_base', 'canonical', 'logit_width', 'nms_iou', "
      "'post_nms_k', 'pre_nms_k', 'roi_samples', 'roi_size', 'role']"),
-], ids=["malformed", "missing", "empty-meta", "old-meta"])
+], ids=["malformed", "bad-json-meta", "non-utf8-meta", "missing", "empty-meta", "old-meta"])
 def test_distill_with_bad_teacher_exits_2_before_generating_scenes(tmp_path, capsys, monkeypatch,
                                                                    teacher_bytes, message):
     def fail(cfg):
@@ -76,6 +79,13 @@ def test_bad_config_exits_2_naming_the_key_before_any_output(tmp_path, capsys, c
     assert main([command, "--config", str(config), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("instances", ["0", "-3"])
+def test_gradcheck_with_no_instances_exits_2_and_checks_nothing(capsys, instances):
+    assert main(["gradcheck", "--instances", instances]) == 2
+    out, err = capsys.readouterr()
+    assert "at least 1 instance" in err and "worst rel err" not in out
 
 
 TINY_RUN = """\

@@ -162,6 +162,18 @@ def test_value_out_of_range_is_a_config_error(line, message):
         parse_config(line + "\n")
 
 
+@pytest.mark.parametrize("text, key, lines", [
+    ("seed = 0\nseed = 5\n", "seed", (1, 2)),
+    ("out_dir = runs/a\n# a comment\n\nstudent.head_hidden = 8\nout_dir = runs/b\n", "out_dir", (1, 5)),
+    ("train.epochs = 2\ntrain.epochs = 2\n", "train.epochs", (1, 2)),  # even with the same value
+])
+def test_a_key_given_twice_is_a_config_error_naming_both_lines(text, key, lines):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    message = str(info.value)
+    assert repr(key) in message and f"lines {lines[0]} and {lines[1]}" in message
+
+
 @pytest.mark.parametrize("out_dir", ["runs/a#b", " runs", "runs\t", "runs\nx", "a\u2028b"])
 def test_out_dir_a_config_file_cannot_hold_is_rejected(out_dir):
     with pytest.raises(ValueError, match="out_dir"):

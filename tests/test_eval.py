@@ -18,6 +18,7 @@ from distilldet.evalmr import (
     read_ground_truth,
     subset_filter,
     subset_member,
+    write_curve,
     write_detections,
     write_ground_truth,
 )
@@ -270,6 +271,18 @@ class TestFileFormats:
         write_detections(path, dets)
         back = read_detections(path)
         assert back == dets
+
+    def test_curve_file_holds_header_points_and_log_avg_mr_that_read_back_exactly(self, tmp_path):
+        curve = EvalCurve(points=[(0.0, 1.0), (0.1, 2 / 3), (1 / 3, 0.1 + 0.2)],
+                          thresholds=[0.9, 0.5, 0.1], log_avg_mr=math.exp(-1 / 3))
+        path = tmp_path / "curve.tsv"
+        write_curve(path, curve)
+        lines = path.read_text().splitlines()
+        assert len(lines) == len(curve.points) + 2
+        assert lines[0] == "fppi\tmiss_rate"
+        assert [tuple(float(v) for v in line.split("\t")) for line in lines[1:-1]] == curve.points
+        key, value = lines[-1].split(" = ")
+        assert key == "# log_avg_mr" and float(value) == curve.log_avg_mr
 
     def test_ground_truth_roundtrip(self, tmp_path):
         gts = {0: [GTBox(1.0, 2.0, 10.0, 30.0, visibility=1 - 7 / 23)],

@@ -8,7 +8,6 @@ of a zero fails here.
 """
 
 import numpy as np
-import pytest
 
 from distilldet import Tensor
 from distilldet.autodiff import backward, mul, tsum
@@ -42,77 +41,64 @@ def _run(op, inputs, upstream):
 
 def _conv_case(rng, pointwise):
     if pointwise:
-        kh = kw = stride = 1
+        kh = kw = 1
         pad = 0
     else:
         kh, kw = (int(v) for v in rng.choice([1, 3, 5], size=2))
-        stride = int(rng.integers(1, 3))
         pad = int(rng.integers(0, 2))
     n, c, k = int(rng.integers(1, 3)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
-    # positive spatial sizes that leave (H + 2*pad - kh) divisible by stride
-    h = kh - 2 * pad + stride * int(rng.integers(2, 7))
-    w = kw - 2 * pad + stride * int(rng.integers(2, 7))
-    return n, c, k, kh, kw, h, w, stride, pad
+    # positive output sizes
+    h = kh - 2 * pad + int(rng.integers(2, 7))
+    w = kw - 2 * pad + int(rng.integers(2, 7))
+    return n, c, k, kh, kw, h, w, pad
 
 
-@pytest.mark.parametrize("with_bias", [True, False])
-def test_conv2d_matches_im2col_bitwise(with_bias):
+def _check_conv_bitwise(rng, n, c, k, kh, kw, h, w, pad):
+    """conv2d's output and every gradient against the im2col reference, bytewise."""
+    x = _with_signed_zeros(rng, (n, c, h, w))
+    wt = rng.normal(size=(k, c, kh, kw))
+    b = rng.normal(size=k)
+    g = rng.normal(size=(n, k, h + 2 * pad - kh + 1, w + 2 * pad - kw + 1))
+    got, grads = _run(lambda *t: conv2d(*t, pad=pad), [x, wt, b], g)
+    want, gx, gw, gb = conv2d_im2col(x, wt, b, g, pad=pad)
+    case = (n, c, k, kh, kw, h, w, pad)
+    assert got.tobytes() == want.tobytes(), case
+    for got_grad, want_grad in zip(grads, (gx, gw, gb), strict=True):
+        assert got_grad.tobytes() == _stored(want_grad).tobytes(), case
+
+
+def test_conv2d_matches_im2col_bitwise():
     rng = np.random.default_rng(20190920)
     for i in range(N_INSTANCES):
         # the first instances take the 1x1 matmul path, the rest mostly im2col
-        n, c, k, kh, kw, h, w, stride, pad = _conv_case(rng, pointwise=i < 8)
-        x = _with_signed_zeros(rng, (n, c, h, w))
-        wt = rng.normal(size=(k, c, kh, kw))
-        b = rng.normal(size=k) if with_bias else None
-        ho = (h + 2 * pad - kh) // stride + 1
-        wo = (w + 2 * pad - kw) // stride + 1
-        g = rng.normal(size=(n, k, ho, wo))
-
-        inputs = [x, wt] + ([b] if with_bias else [])
-        got, grads = _run(lambda *t: conv2d(t[0], t[1], t[2] if with_bias else None,
-                                            stride=stride, pad=pad), inputs, g)
-        want, gx, gw, gb = conv2d_im2col(x, wt, b, g, stride=stride, pad=pad)
-        case = (n, c, k, kh, kw, h, w, stride, pad)
-        assert got.tobytes() == want.tobytes(), case
-        assert grads[0].tobytes() == _stored(gx).tobytes(), case
-        assert grads[1].tobytes() == _stored(gw).tobytes(), case
-        if with_bias:
-            assert grads[2].tobytes() == _stored(gb).tobytes(), case
+        _check_conv_bitwise(rng, *_conv_case(rng, pointwise=i < 8))
 
 
-def _tap_in_padding(k, pad, stride, size, out):
+def _tap_in_padding(k, pad, size, out):
     """Whether some kernel offset of side k reads only padding at every
     one of the out positions along an input side of length size."""
-    return any(all(not 0 <= i - pad + stride * t < size for t in range(out)) for i in range(k))
+    return any(all(not 0 <= i - pad + t < size for t in range(out)) for i in range(k))
 
 
 def test_conv2d_with_pad_2_matches_im2col_bitwise():
     # Small maps under 5x5 kernels with pad 2: some taps read nothing but
-    # padding, so the backward skips them.
+    # padding, so the backward skips them. On a 1-pixel-high map the top
+    # and bottom two rows of a 5x5 kernel do.
     rng = np.random.default_rng(20190921)
+    assert _tap_in_padding(5, 2, 1, 1)
+    _check_conv_bitwise(rng, 1, 2, 3, 5, 5, 1, 6, 2)
     skipped = 0
     for _ in range(N_INSTANCES):
         kh, kw = (int(v) for v in rng.choice([3, 5], size=2))
-        stride, pad = int(rng.integers(1, 3)), 2
+        pad = 2
         n, c, k = int(rng.integers(1, 3)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        h = kh - 2 * pad + stride * int(rng.integers(1, 5))
-        w = kw - 2 * pad + stride * int(rng.integers(1, 5))
+        h = kh - 2 * pad + int(rng.integers(1, 5))
+        w = kw - 2 * pad + int(rng.integers(1, 5))
         if h < 1 or w < 1:
             continue
-        ho = (h + 2 * pad - kh) // stride + 1
-        wo = (w + 2 * pad - kw) // stride + 1
-        skipped += _tap_in_padding(kh, pad, stride, h, ho) or _tap_in_padding(kw, pad, stride, w, wo)
-        x = _with_signed_zeros(rng, (n, c, h, w))
-        wt = rng.normal(size=(k, c, kh, kw))
-        b = rng.normal(size=k)
-        g = rng.normal(size=(n, k, ho, wo))
-
-        got, grads = _run(lambda *t: conv2d(*t, stride=stride, pad=pad), [x, wt, b], g)
-        want, gx, gw, gb = conv2d_im2col(x, wt, b, g, stride=stride, pad=pad)
-        case = (n, c, k, kh, kw, h, w, stride, pad)
-        assert got.tobytes() == want.tobytes(), case
-        for got_grad, want_grad in zip(grads, (gx, gw, gb)):
-            assert got_grad.tobytes() == _stored(want_grad).tobytes(), case
+        ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
+        skipped += _tap_in_padding(kh, pad, h, ho) or _tap_in_padding(kw, pad, w, wo)
+        _check_conv_bitwise(rng, n, c, k, kh, kw, h, w, pad)
     assert skipped >= 10
 
 

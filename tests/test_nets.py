@@ -19,7 +19,7 @@ def _per_level(rpn_out, pyr):
     logits, deltas = rpn_out
     assert logits.shape == (deltas.shape[0],) and deltas.shape[1] == 4
     out, start = [], 0
-    for level in pyr.levels():
+    for level in pyr:
         h, w = level.data.shape[-2:]
         stop = start + h * w
         out.append((Tensor(logits.data[start:stop].reshape(1, h, w)),
@@ -97,7 +97,7 @@ class TestFpn:
                 params[name].data[:] = 0.0
         img = Tensor(rng.uniform(0, 1, size=(1, 3, 64, 64)))
         pyr = nets.fpn_forward(nets.backbone_forward(img, tiny_student_cfg, params), params)
-        for level in pyr.levels():
+        for level in pyr:
             assert np.all(level.data == 0.0)
 
     def test_c5_support_propagates_to_every_level(self, tiny_student_cfg):
@@ -109,14 +109,14 @@ class TestFpn:
         d = cfg.pyramid_width
         c5 = Tensor(np.zeros((1, cfg.widths[3], 2, 3)))
         c5.data[0, 0, 1, 1] = 5.0
-        feats = nets.BackboneFeatures(
+        feats = (
             Tensor(np.zeros((1, cfg.widths[0], 16, 24))),
             Tensor(np.zeros((1, cfg.widths[1], 8, 12))),
             Tensor(np.zeros((1, cfg.widths[2], 4, 6))),
             c5,
         )
         pyr = nets.fpn_forward(feats, params)
-        for level in pyr.levels():
+        for level in pyr:
             assert np.abs(level.data).sum() > 0.0
 
     def test_uniform_width_and_matching_spatial_sizes(self, tiny_student_cfg, rng):
@@ -125,7 +125,7 @@ class TestFpn:
         img = Tensor(rng.uniform(0, 1, size=(1, 3, 64, 96)))
         feats = nets.backbone_forward(img, cfg, params)
         pyr = nets.fpn_forward(feats, params)
-        for level, c in zip(pyr.levels(), feats):
+        for level, c in zip(pyr, feats):
             assert level.data.shape[1] == cfg.pyramid_width
             assert level.data.shape[2:] == c.data.shape[2:]
 
@@ -134,8 +134,7 @@ class TestRpn:
     def test_zero_net_gives_zero_logits(self, tiny_student_cfg):
         cfg = tiny_student_cfg
         params = _zero_params(cfg)
-        pyr = nets.FeaturePyramid(*[Tensor(np.zeros((1, cfg.pyramid_width, 8 // f, 8 // f)))
-                                    for f in (1, 2, 4, 8)])
+        pyr = tuple(Tensor(np.zeros((1, cfg.pyramid_width, 8 // f, 8 // f))) for f in (1, 2, 4, 8))
         out = _per_level(nets.rpn_forward(pyr, params), pyr)
         for obj, _ in out:
             assert np.all(obj.data == 0.0)
@@ -144,9 +143,9 @@ class TestRpn:
         cfg = tiny_student_cfg
         params = nets.init_params(cfg, 2)
         same = rng.normal(size=(1, cfg.pyramid_width, 4, 4))
-        pyr = nets.FeaturePyramid(Tensor(same), Tensor(same.copy()),
-                                  Tensor(np.zeros((1, cfg.pyramid_width, 4, 4))),
-                                  Tensor(np.zeros((1, cfg.pyramid_width, 4, 4))))
+        pyr = (Tensor(same), Tensor(same.copy()),
+               Tensor(np.zeros((1, cfg.pyramid_width, 4, 4))),
+               Tensor(np.zeros((1, cfg.pyramid_width, 4, 4))))
         out = _per_level(nets.rpn_forward(pyr, params), pyr)
         assert np.array_equal(out[0][0].data, out[1][0].data)
         assert np.array_equal(out[0][1].data, out[1][1].data)
@@ -154,9 +153,9 @@ class TestRpn:
     def test_output_channel_counts(self, tiny_student_cfg, rng):
         cfg = tiny_student_cfg
         params = nets.init_params(cfg, 2)
-        pyr = nets.FeaturePyramid(*[Tensor(rng.normal(size=(1, cfg.pyramid_width, 8 // f, 12 // f)))
-                                    for f in (1, 2, 4, 8)])
-        for (obj, box), level in zip(_per_level(nets.rpn_forward(pyr, params), pyr), pyr.levels()):
+        pyr = tuple(Tensor(rng.normal(size=(1, cfg.pyramid_width, 8 // f, 12 // f)))
+                    for f in (1, 2, 4, 8))
+        for (obj, box), level in zip(_per_level(nets.rpn_forward(pyr, params), pyr), pyr):
             h, w = level.data.shape[2:]
             assert obj.shape == (1, h, w)
             assert box.shape == (4, h, w)
@@ -164,10 +163,10 @@ class TestRpn:
     def test_outputs_join_the_levels_in_anchor_order(self, tiny_student_cfg, rng):
         cfg = tiny_student_cfg
         params = nets.init_params(cfg, 2)
-        pyr = nets.FeaturePyramid(*[Tensor(rng.normal(size=(1, cfg.pyramid_width, 8 // f, 12 // f)))
-                                    for f in (1, 2, 4, 8)])
+        pyr = tuple(Tensor(rng.normal(size=(1, cfg.pyramid_width, 8 // f, 12 // f)))
+                    for f in (1, 2, 4, 8))
         per_level, anchors = [], []
-        for lvl, level in zip((2, 3, 4, 5), pyr.levels()):
+        for lvl, level in zip((2, 3, 4, 5), pyr):
             t = ad.relu(conv2d(level, params["rpn.conv.w"], params["rpn.conv.b"], pad=1))
             h, w = level.data.shape[2:]
             per_level.append((conv2d(t, params["rpn.obj.w"], params["rpn.obj.b"]).reshape((1, h, w)),
@@ -182,12 +181,11 @@ class TestRpn:
 
 class TestRegionCrop:
     def test_a_canonical_size_box_is_cropped_from_level_four(self, tiny_student_cfg, rng):
-        pyr = nets.FeaturePyramid(*[Tensor(rng.normal(size=(1, tiny_student_cfg.pyramid_width,
-                                                              64 // s, 96 // s)))
-                                    for s in roi.PYRAMID_STRIDES])
+        pyr = tuple(Tensor(rng.normal(size=(1, tiny_student_cfg.pyramid_width, 64 // s, 96 // s)))
+                    for s in roi.PYRAMID_STRIDES)
         box = np.array([[8.0, 4.0, 64.0, 60.0]])  # a 56-px box
         got = roi.extract_region_batch(pyr, box, False)
-        want = roi.roi_align_batch([pyr.p4], box, [roi.PYRAMID_STRIDES[2]],
+        want = roi.roi_align_batch([pyr[2]], box, [roi.PYRAMID_STRIDES[2]],
                                    out_size=roi.ROI_SIZE, samples=roi.ROI_SAMPLES)
         assert got.data.tobytes() == want.data.tobytes()
 
@@ -200,9 +198,9 @@ class TestPyramidAnchors:
         first = nets.pyramid_anchors(pyr)
         again = nets.pyramid_anchors(pyr)
         assert first is again
-        sizes = [level.data.shape[-2] * level.data.shape[-1] for level in pyr.levels()]
+        sizes = [level.data.shape[-2] * level.data.shape[-1] for level in pyr]
         assert first.shape == (sum(sizes), 4)
-        for lvl, level, a in zip((2, 3, 4, 5), pyr.levels(), np.split(first, np.cumsum(sizes)[:-1])):
+        for lvl, level, a in zip((2, 3, 4, 5), pyr, np.split(first, np.cumsum(sizes)[:-1])):
             h, w = level.data.shape[-2:]
             fresh = level_anchors(lvl, h, w)
             assert a.tobytes() == fresh.tobytes()

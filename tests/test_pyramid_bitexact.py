@@ -99,7 +99,7 @@ class TestOneCallCrop:
 
     def test_both_crop_modes_byte_equal(self, rng, dtype):
         levels = _levels(rng, dtype)
-        pyr = nets.FeaturePyramid(*(Tensor(f[None]) for f in levels))
+        pyr = tuple(Tensor(f[None]) for f in levels)
         boxes = np.abs(_boxes(rng, 40))
         boxes[:, 2:] = boxes[:, :2] + rng.uniform(4.0, 120.0, size=(40, 2))  # assignable boxes
         full = roi.extract_region_batch(pyr, boxes, True).data

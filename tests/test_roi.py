@@ -5,7 +5,7 @@ against the earlier per-channel crop."""
 import numpy as np
 import pytest
 
-from distilldet import ShapeError, Tape, Tensor, backward, nets, roi
+from distilldet import ShapeError, Tape, Tensor, backward, roi
 from distilldet.autodiff import mul, tsum
 from oracles import interp_matrix_mean, roi_align_loops, roi_align_per_channel
 
@@ -15,7 +15,7 @@ def _pyramid(rng, d=4, h=32, w=48, requires_grad=False):
         Tensor(rng.normal(size=(d, h // f, w // f)), requires_grad=requires_grad)
         for f in (1, 2, 4, 8)
     ]
-    return nets.FeaturePyramid(*levels)
+    return tuple(levels)
 
 
 def _boxes(*rows):
@@ -89,7 +89,7 @@ class TestPyramidRoiAlign:
         d = 3
         levels = [Tensor(np.zeros((d, 16 // f, 16 // f))) for f in (1, 2, 4, 8)]
         levels[1] = Tensor(np.abs(rng.normal(size=(d, 8, 8))) + 1.0)  # P3
-        pyr = nets.FeaturePyramid(*levels)
+        pyr = tuple(levels)
         out = roi.extract_region_batch(pyr, _boxes((4.0, 4.0, 40.0, 40.0)), True, out_size=3)
         assert out.shape == (1, 4 * d, 3, 3)
         assert np.all(out.data[0, :d] == 0)
@@ -98,14 +98,14 @@ class TestPyramidRoiAlign:
 
     def test_constant_pyramid_stays_constant(self):
         levels = [Tensor(np.full((2, 16 // f, 16 // f), 1.25)) for f in (1, 2, 4, 8)]
-        out = roi.extract_region_batch(nets.FeaturePyramid(*levels), _boxes((1.0, 1.0, 30.0, 30.0)), True)
+        out = roi.extract_region_batch(tuple(levels), _boxes((1.0, 1.0, 30.0, 30.0)), True)
         assert np.allclose(out.data, 1.25, atol=1e-12)
 
     def test_matches_stacked_single_level_calls(self, rng):
         pyr = _pyramid(rng)
         box = _boxes((3.0, 5.0, 30.0, 28.0))
         out = roi.extract_region_batch(pyr, box, True, out_size=4)
-        for i, (level, stride) in enumerate(zip(pyr.levels(), roi.PYRAMID_STRIDES)):
+        for i, (level, stride) in enumerate(zip(pyr, roi.PYRAMID_STRIDES)):
             single = roi.roi_align_batch([level], box, [stride], out_size=4)
             assert np.allclose(out.data[0, i * 4 : (i + 1) * 4], single.data[0], rtol=0, atol=1e-12)
 
@@ -114,9 +114,9 @@ class TestPyramidRoiAlign:
         base = _pyramid(rng)
         out0 = roi.extract_region_batch(base, box, True, out_size=3).data
         for k in range(4):
-            bumped = list(base.levels())
+            bumped = list(base)
             bumped[k] = Tensor(bumped[k].data + rng.normal(size=bumped[k].shape))
-            out1 = roi.extract_region_batch(nets.FeaturePyramid(*bumped), box, True, out_size=3).data
+            out1 = roi.extract_region_batch(tuple(bumped), box, True, out_size=3).data
             d = 4
             changed = np.abs(out1 - out0).reshape(4, d, 3, 3).sum(axis=(1, 2, 3))
             assert changed[k] > 0
@@ -140,7 +140,7 @@ class TestExtractRegionBatch:
         boxes = _boxes((1.0, 2.0, 20.0, 30.0), (5.0, 5.0, 45.0, 31.0))
         batch = roi.extract_region_batch(pyr, boxes, True, out_size=4)
         for i, b in enumerate(boxes):
-            for k, (level, stride) in enumerate(zip(pyr.levels(), roi.PYRAMID_STRIDES)):
+            for k, (level, stride) in enumerate(zip(pyr, roi.PYRAMID_STRIDES)):
                 want = roi_align_loops(level.data, b, stride, 4, 2)
                 assert np.allclose(batch.data[i, k * 4 : (k + 1) * 4], want, rtol=0, atol=1e-12)
 
@@ -153,7 +153,7 @@ class TestExtractRegionBatch:
             (3.0, 4.0, 17.0, 18.0),    # level 2
         )
         batch = roi.extract_region_batch(pyr, boxes, False, out_size=3)
-        levels = list(pyr.levels())
+        levels = list(pyr)
         for i, b in enumerate(boxes):
             k = roi.assign_level(b) - 2
             want = roi_align_loops(levels[k].data, b, roi.PYRAMID_STRIDES[k], 3, 2)
@@ -164,7 +164,7 @@ class TestExtractRegionBatch:
         boxes = _boxes((2.0, 2.0, 16.0, 15.0))  # level 2
         out = roi.extract_region_batch(pyr, boxes, False, out_size=3)
         backward(out.sum())
-        levels = list(pyr.levels())
+        levels = list(pyr)
         assert levels[0].grad is not None and np.abs(levels[0].grad).sum() > 0
         for lvl in levels[1:]:
             assert lvl.grad is None
@@ -175,15 +175,14 @@ class TestExtractRegionBatch:
         assert [roi.assign_level(b) for b in boxes] == [4, 2, 4]
         out = roi.extract_region_batch(pyr, boxes, False, out_size=3)
         assert len(Tape(out)) == 1
-        assert out._parents == (pyr.p2, pyr.p4)  # a level no box names is no parent
+        assert out._parents == (pyr[0], pyr[2])  # a level no box names is no parent
 
     def test_single_mode_on_batched_maps_leaves_levels_without_boxes_alone(self, rng):
-        pyr = nets.FeaturePyramid(*(Tensor(level.data[None], requires_grad=True)
-                                    for level in _pyramid(rng).levels()))
+        pyr = tuple(Tensor(level.data[None], requires_grad=True) for level in _pyramid(rng))
         boxes = _boxes((0.0, 0.0, 100.0, 90.0), (2.0, 2.0, 16.0, 15.0))  # levels 4 and 2
         backward(roi.extract_region_batch(pyr, boxes, False, out_size=3).sum())
-        assert np.abs(pyr.p2.grad).sum() > 0 and np.abs(pyr.p4.grad).sum() > 0
-        assert pyr.p3.grad is None and pyr.p5.grad is None
+        assert np.abs(pyr[0].grad).sum() > 0 and np.abs(pyr[2].grad).sum() > 0
+        assert pyr[1].grad is None and pyr[3].grad is None
 
     @pytest.mark.parametrize("use_pyramid", [True, False])
     def test_empty_box_array_rejected(self, rng, use_pyramid):
@@ -197,7 +196,7 @@ class TestBoxLevels:
     @pytest.mark.parametrize("bad", [[0], [0, 1, 2], [0, 4], [-1, 0], [[0, 1]]])
     def test_box_levels_must_name_one_level_per_box(self, rng, bad):
         with pytest.raises(ShapeError, match="box_levels"):
-            roi.roi_align_batch(_pyramid(rng).levels(), _boxes((1, 1, 9, 9), (2, 2, 12, 12)),
+            roi.roi_align_batch(_pyramid(rng), _boxes((1, 1, 9, 9), (2, 2, 12, 12)),
                                 roi.PYRAMID_STRIDES, box_levels=bad)
 
     def test_levels_of_unequal_width_rejected(self, rng):

@@ -1,5 +1,6 @@
-"""Training entry points: teacher/student compatibility checks, the
-matching-off reduction to supervised training, and the teacher matcher."""
+"""Training entry points: the learning-rate schedule and epoch means,
+teacher/student compatibility checks, the matching-off reduction to
+supervised training, and the teacher matcher."""
 
 from dataclasses import replace
 
@@ -7,10 +8,39 @@ import numpy as np
 import pytest
 
 from distilldet import Tensor, nets, roi, train
-from distilldet.distill import DistillConfig
+from distilldet.distill import DistillConfig, DistillReport
 from distilldet.boxes import box_array
 from distilldet.experiments import ABLATION_ROWS, distill_config_for_row, row_tag
-from distilldet.train import TrainConfig, distill_student, train_detector
+from distilldet.train import (
+    StepRecord,
+    TrainConfig,
+    distill_student,
+    epoch_mean,
+    lr_schedule,
+    train_detector,
+)
+
+
+def test_lr_schedule_decays_tenfold_at_epochs_4_and_6_by_default():
+    cfg = TrainConfig()
+    b = cfg.base_lr
+    assert cfg.lr_decay_epochs == (4, 6)
+    assert [lr_schedule(e, cfg) for e in range(1, 7)] == [b, b, b, b * 0.1, b * 0.1, b * 0.1 ** 2]
+    for epoch in (0, cfg.epochs + 1):
+        with pytest.raises(ValueError, match=f"epoch {epoch} outside"):
+            lr_schedule(epoch, cfg)
+
+
+def test_epoch_mean_averages_one_epochs_records_and_is_nan_for_none():
+    def rec(epoch, det, rpn, dist):
+        return StepRecord(epoch, 0, 0.1, det, rpn, DistillReport(total=dist))
+
+    records = [rec(1, 1.0, 0.5, 0.25), rec(2, 4.0, 1.0, 3.0), rec(1, 2.0, 1.5, 0.75)]
+    assert epoch_mean(records, 1) == 1.5
+    assert epoch_mean(records, 1, "rpn_loss") == 1.0
+    assert epoch_mean(records, 1, "dist_total") == 0.5
+    assert epoch_mean(records, 2, "dist_total") == 3.0
+    assert np.isnan(epoch_mean(records, 3)) and np.isnan(epoch_mean([], 1, "dist_total"))
 
 
 def test_distill_student_rejects_teacher_of_other_width(tmp_path, tiny_scenes, tiny_teacher_cfg,
@@ -146,7 +176,7 @@ def test_teacher_pyramid_runs_once_per_scene_and_flip(monkeypatch, tiny_scenes, 
     matcher.pyramid(scenes[0].index, True, images[0])
     matcher.pyramid(scenes[1].index, False, images[1])
     assert len(calls) == 3
-    assert all(a.data.tobytes() == b.data.tobytes() for a, b in zip(first.levels(), again.levels()))
+    assert all(a.data.tobytes() == b.data.tobytes() for a, b in zip(first, again))
     assert matcher.cache_enabled and len(matcher._cache) == 3
 
 

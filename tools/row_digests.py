@@ -1,14 +1,17 @@
 """Print the sha256 of the teacher checkpoint and of each ablation row's
-student checkpoint after one epoch on four default-size scenes.
+student checkpoint after one epoch on four default-size scenes, each
+followed by the sha256 of that run's step log.
 
 The run is fixed: 96x160 scenes from ``generate_dataset(SceneParams(n_train=4,
 n_test=1), seed=0)``, ``TrainConfig(epochs=1, lr_decay_epochs=(), seed=0)``,
 the default teacher and student, each row's weights from
 ``distill_config_for_row`` on the default ``DistillConfig`` (0 for a term the
 row turns off), and each row's crop mode. A change that must keep behaviour
-bit for bit prints the same nine lines before and after. Unlike the tiny test
-fixtures, the default scene size reaches the full-size feature maps (P2 is
-24x40), where rounding can differ that the small maps never show.
+bit for bit prints the same nine lines before and after. The step log holds
+every step's logged losses (``StepRecord.to_json``), so its digest also
+shows a change that keeps the checkpoints but moves a logged loss. Unlike the
+tiny test fixtures, the default scene size reaches the full-size feature maps
+(P2 is 24x40), where rounding can differ that the small maps never show.
 
 Usage (from the repository root, takes about 2 s)::
 
@@ -30,27 +33,32 @@ from distilldet.nets import default_student_config, default_teacher_config
 from distilldet.train import TrainConfig, distill_student, train_teacher
 
 
-def row_digests(work_dir) -> list[tuple[str, str]]:
-    """(name, sha256) of the teacher, then of every ablation row in order."""
+def row_digests(work_dir) -> list[tuple[str, str, str]]:
+    """(name, checkpoint sha256, step log sha256) of the teacher, then of
+    every ablation row in order."""
     train_scenes, _ = generate_dataset(SceneParams(n_train=4, n_test=1), seed=0)
     tcfg = TrainConfig(epochs=1, lr_decay_epochs=(), seed=0)
-    teacher_ckpt = os.path.join(work_dir, "teacher.ckpt")
-    train_teacher(train_scenes, default_teacher_config(), tcfg, teacher_ckpt)
-    digests = [("teacher", checkpoint_hash(teacher_ckpt))]
+
+    def paths(name):
+        return os.path.join(work_dir, f"{name}.ckpt"), os.path.join(work_dir, f"{name}_log.jsonl")
+
+    teacher_ckpt, teacher_log = paths("teacher")
+    train_teacher(train_scenes, default_teacher_config(), tcfg, teacher_ckpt, log_path=teacher_log)
+    digests = [("teacher", checkpoint_hash(teacher_ckpt), checkpoint_hash(teacher_log))]
     for row in ABLATION_ROWS:
         tag = row_tag(row)
-        ckpt = os.path.join(work_dir, f"student_{tag}.ckpt")
+        ckpt, log = paths(f"student_{tag}")
         distill_student(train_scenes, teacher_ckpt,
                         replace(tcfg, distill=distill_config_for_row(DistillConfig(), row)), ckpt,
-                        student_cfg=replace(default_student_config(), pyramid_roi=row[3]))
-        digests.append((tag, checkpoint_hash(ckpt)))
+                        student_cfg=replace(default_student_config(), pyramid_roi=row[3]), log_path=log)
+        digests.append((tag, checkpoint_hash(ckpt), checkpoint_hash(log)))
     return digests
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as work_dir:
-        for name, digest in row_digests(work_dir):
-            print(f"{name} {digest}", flush=True)
+        for name, ckpt_digest, log_digest in row_digests(work_dir):
+            print(f"{name} {ckpt_digest} {log_digest}", flush=True)
     return 0
 
 
