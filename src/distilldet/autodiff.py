@@ -9,7 +9,12 @@ checks and the test oracles run in float64.
 Shapes: a tensor keeps the shape of the data it is made from, so a Python
 number is a 0-d tensor. Elementwise ops between two tensors take equal
 shapes and never broadcast; a Python number as the second operand of
-``add``, ``sub`` or ``mul`` applies to every element.
+``add`` or ``mul`` applies to every element, and ``sub`` takes two tensors.
+
+A ``Tensor`` holds ``data``, ``grad`` and ``requires_grad`` and offers
+``shape``, ``item()``, ``detach()``, ``t * other`` (``mul``) and
+``reshape(shape)`` with one shape tuple; every other op is a function of
+this module or of ``imageops``.
 
 Every differentiable operation hands its output data, parent tensors and
 gradient rule to ``Tensor._from_op``, which records the parents and the rule
@@ -124,10 +129,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
@@ -137,29 +138,11 @@ class Tensor:
         """Same values, no gradient tracking, no graph edges."""
         return Tensor._from_op(self.data, (), None)
 
-    # ---- arithmetic -------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
 
-    __rmul__ = __mul__
-
-    def sum(self):
-        return tsum(self)
-
-    def reshape(self, *shape):
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
-
-    def transpose(self, *axes):
-        return transpose(self, axes[0] if len(axes) == 1 and isinstance(axes[0], (tuple, list)) else axes)
+    def reshape(self, shape):
+        return reshape(self, shape)
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, requires_grad={self.requires_grad})"
@@ -290,16 +273,14 @@ def add(a: Tensor, b):
     return Tensor._from_op(a.data + c, (a,), lambda g: (g,))
 
 
-def sub(a: Tensor, b):
-    if isinstance(b, Tensor):
-        _check_pair(a, b)
+def sub(a: Tensor, b: Tensor):
+    _check_pair(a, b)
 
-        def bk(g):
-            # None for the detached teacher side of PD, RD and LD
-            return g, -g if b.requires_grad else None
+    def bk(g):
+        # None for the detached teacher side of PD, RD and LD
+        return g, -g if b.requires_grad else None
 
-        return Tensor._from_op(a.data - b.data, (a, b), bk)
-    return add(a, -float(b))
+    return Tensor._from_op(a.data - b.data, (a, b), bk)
 
 
 def mul(a: Tensor, b):

@@ -46,8 +46,7 @@ def _add_common(p):
 
 
 def cmd_gradcheck(args) -> int:
-    ok, elapsed, _ = run_suite(instances=args.instances)
-    return 0 if ok else 1
+    return 0 if run_suite(instances=args.instances) else 1
 
 
 def cmd_gen_data(args) -> int:
@@ -89,13 +88,15 @@ def cmd_distill(args) -> int:
         return 2
     # Read the teacher and its config before generating any scene, so a bad file fails fast.
     t_cfg, t_params = load_detector(teacher_ckpt)
+    # Parameter counts depend only on the configs: a student that is not
+    # lighter than the teacher fails here, before it trains.
+    ratio = nets.compression_ratio(t_params, nets.init_params(cfg.student, seed=cfg.seed))
     os.makedirs(cfg.out_dir, exist_ok=True)
     train, test = experiments.build_dataset(cfg)
     dcfg = cfg.train.distill
     tag = experiments.row_tag((dcfg.lambda_pd > 0, dcfg.lambda_rd > 0, dcfg.lambda_ld > 0,
                                cfg.student.pyramid_roi))
-    ckpt, params, records, student_cfg = experiments.run_student_variant(cfg, (t_cfg, t_params), tag, train)
-    ratio = nets.compression_ratio(t_params, params)
+    ckpt, params, records = experiments.run_student_variant(cfg, (t_cfg, t_params), tag, train)
     print(f"teacher parameters: {nets.parameter_count(t_params)}")
     print(f"student parameters: {nets.parameter_count(params)}")
     print(f"compression ratio: {ratio:.2f}x")
@@ -105,7 +106,7 @@ def cmd_distill(args) -> int:
             f"rpn {epoch_mean(records, e, 'rpn_loss'):.4f} "
             f"dist {epoch_mean(records, e, 'dist_total'):.4f}"
         )
-    mrs, curves, dets = experiments.evaluate_params(student_cfg, params, test)
+    mrs, curves, dets = experiments.evaluate_params(cfg.student, params, test)
     write_detections(os.path.join(cfg.out_dir, f"dets_{tag}.txt"), dets)
     for s in SUBSETS:
         print(f"MR-{s}: {mrs[s]:.4f}")

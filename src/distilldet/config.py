@@ -89,8 +89,6 @@ def _convert(raw: str, annotation):
         return _parse_bool(raw)
     if annotation in ("tuple", tuple):
         return _parse_int_tuple(raw)
-    if annotation in ("str", str):
-        return raw
     raise ValueError(f"unsupported config type {annotation!r}")
 
 

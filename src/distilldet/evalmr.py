@@ -226,10 +226,12 @@ def write_detections(path, dets_by_image: dict):
 
 
 def read_ground_truth(path) -> dict[int, list[GTBox]]:
-    """Lines of `image_id x1 y1 x2 y2 visibility`."""
+    """Lines of `image_id x1 y1 x2 y2 visibility`, the visibility in [0, 1]."""
     out: dict[int, list[GTBox]] = {}
     for ln, parts in _data_lines(path):
         img, vals = _box_line(path, ln, parts)
+        if not 0.0 <= vals[4] <= 1.0:
+            raise EvalError(f"{path}:{ln}: visibility must lie in [0, 1], got {vals[4]}")
         out.setdefault(img, []).append(GTBox(*vals[:4], visibility=vals[4]))
     return out
 

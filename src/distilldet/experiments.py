@@ -88,12 +88,12 @@ def run_student_variant(cfg: RunConfig, teacher, tag: str, train_scenes):
     ``distill_student`` takes: a checkpoint path or a loaded pair."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     ckpt = os.path.join(cfg.out_dir, f"student_{tag}.ckpt")
-    params, records, student_cfg = distill_student(
+    params, records, _ = distill_student(
         train_scenes, teacher, cfg.train, ckpt,
         student_cfg=cfg.student,
         log_path=os.path.join(cfg.out_dir, f"student_{tag}_log.jsonl"),
     )
-    return ckpt, params, records, student_cfg
+    return ckpt, params, records
 
 
 def run_ablation(cfg: RunConfig, progress=None):
@@ -116,8 +116,8 @@ def run_ablation(cfg: RunConfig, progress=None):
                      f"(PD={row[0]} RD={row[1]} LD={row[2]} PyRoIAlign={row[3]})")
         row_cfg = replace(cfg, student=replace(cfg.student, pyramid_roi=row[3]),
                           train=replace(cfg.train, distill=distill_config_for_row(cfg.train.distill, row)))
-        _, params, _, student_cfg = run_student_variant(row_cfg, teacher, tag, train_scenes)
-        mrs, _, _ = evaluate_params(student_cfg, params, test_scenes)
+        _, params, _ = run_student_variant(row_cfg, teacher, tag, train_scenes)
+        mrs, _, _ = evaluate_params(row_cfg.student, params, test_scenes)
         rows.append((row, mrs["reasonable"], mrs["small"]))
     return rows
 

@@ -1,14 +1,15 @@
 """Spatial tensor ops: convolution, pooling and upsampling.
 
 Convolution is cross-correlation over [N,C,H,W] inputs at stride 1, plus a
-per-output-channel bias, as one matmul. A pointwise kernel (1x1, no
-padding) multiplies the input viewed as [N, C, H*W] directly and reshapes
-the column gradient back. Other kernels copy the input into a zero-padded
-buffer and gather im2col columns with kh*kw strided slice copies; the
-backward adds each kernel tap's column gradient, clipped to the input, into
-an input-sized buffer in a fixed (i, j) order, and skips taps that read only
-padding. Max pooling is the max of the four strided quarter views of each
-2x2 window.
+per-output-channel bias, as one matmul. Kernels are square with an odd side
+k, and every conv is same-padded: k // 2 zeros on each side keep the map
+H x W. A pointwise kernel (1x1) multiplies the input viewed as [N, C, H*W]
+directly and reshapes the column gradient back. Other kernels copy the input
+into a zero-padded buffer and gather im2col columns with k*k strided slice
+copies; the backward adds each kernel tap's column gradient, clipped to the
+input, into an input-sized buffer in a fixed (i, j) order, and skips taps
+that read only padding. Max pooling is the max of the four strided quarter
+views of each 2x2 window.
 
 What each gradient rule keeps alive from the forward until it runs:
 ``conv2d`` only its operands, and rebuilds the columns from ``x`` with the
@@ -31,54 +32,44 @@ import numpy as np
 from .autodiff import ShapeError, Tensor
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, pad: int = 0) -> Tensor:
-    """Cross-correlate x[N,C,H,W] with w[K,C,kh,kw] at stride 1, plus bias[K].
-
-    Kernel sides must be odd; the output is [N,K,H',W'] with
-    H' = H + 2*pad - kh + 1.
+def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Cross-correlate x[N,C,H,W] with w[K,C,k,k] at stride 1 and pad k // 2,
+    plus bias[K]; the output is [N,K,H,W]. The side k must be odd.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
-        raise ShapeError("conv2d expects x[N,C,H,W] and w[K,C,kh,kw]")
+        raise ShapeError("conv2d expects x[N,C,H,W] and w[K,C,k,k]")
     n, c, h, ww = x.data.shape
     k, cw, kh, kw = w.data.shape
     if cw != c:
         raise ShapeError(f"conv2d channel mismatch: input {c}, weight {cw}")
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ShapeError("conv2d kernel sides must be odd")
+    if kh != kw or kh % 2 == 0:
+        raise ShapeError(f"conv2d kernels must be square with an odd side, got {kh}x{kw}")
     if b.data.shape != (k,):
         raise ShapeError("conv2d bias must be [K]")
-    ho = h + 2 * pad - kh + 1
-    wo = ww + 2 * pad - kw + 1
-    if ho <= 0 or wo <= 0:
-        raise ShapeError("conv2d output would be empty")
-
-    pointwise = kh == kw == 1 and pad == 0
+    pad = kh // 2
 
     def columns():
-        """im2col of x: [N, C*kh*kw, ho*wo], row (c, i, j) holding channel c
+        """im2col of x: [N, C*kh*kw, h*ww], row (c, i, j) holding channel c
         under kernel tap (i, j) at every output position. A view of x for a
-        pointwise kernel; otherwise x is copied once into a zero-padded
+        1x1 kernel; otherwise x is copied once into a zero-padded
         buffer and gathered with kh*kw strided slice copies."""
-        if pointwise:
+        if pad == 0:
             return x.data.reshape(n, c, h * ww)
-        if pad:
-            xp = np.zeros((n, c, h + 2 * pad, ww + 2 * pad), dtype=x.data.dtype)
-            xp[:, :, pad : pad + h, pad : pad + ww] = x.data
-        else:
-            xp = x.data
-        cols = np.empty((n, c, kh, kw, ho, wo), dtype=x.data.dtype)
+        xp = np.zeros((n, c, h + 2 * pad, ww + 2 * pad), dtype=x.data.dtype)
+        xp[:, :, pad : pad + h, pad : pad + ww] = x.data
+        cols = np.empty((n, c, kh, kw, h, ww), dtype=x.data.dtype)
         for i in range(kh):
             for j in range(kw):
-                cols[:, :, i, j] = xp[:, :, i : i + ho, j : j + wo]
-        return cols.reshape(n, c * kh * kw, ho * wo)
+                cols[:, :, i, j] = xp[:, :, i : i + h, j : j + ww]
+        return cols.reshape(n, c * kh * kw, h * ww)
 
     wm = w.data.reshape(k, c * kh * kw)
     out_data = np.matmul(wm, columns())
     out_data += b.data[:, None]
-    out_data = out_data.reshape(n, k, ho, wo)
+    out_data = out_data.reshape(n, k, h, ww)
 
     def bk(g):
-        gm = g.reshape(n, k, ho * wo)
+        gm = g.reshape(n, k, h * ww)
         # Rebuilt, not kept from the forward, so the graph holds no columns.
         # cols @ gm^T has the bits of gm @ cols^T and runs faster.
         gw = np.matmul(columns(), gm.transpose(0, 2, 1)).sum(axis=0).T.copy().reshape(w.data.shape)
@@ -88,17 +79,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, pad: int = 0) -> Tensor:
 
     def input_grad(gm):
         gcols = np.matmul(wm.T, gm)  # [N, C*kh*kw, L]
-        if pointwise:
+        if pad == 0:
             return gcols.reshape(n, c, h, ww)
         # Overlapping windows add into the same cells; this (i, j) order fixes
         # the rounding, and changing it changes the gradient bits. Each tap
         # adds only the part of its window that lies inside x.
-        gcols = gcols.reshape(n, c, kh, kw, ho, wo)
+        gcols = gcols.reshape(n, c, kh, kw, h, ww)
         gx = np.zeros((n, c, h, ww), dtype=x.data.dtype)
         for i in range(kh):
-            row_span = _inside(i - pad, ho, h)
+            row_span = _inside(i - pad, h)
             for j in range(kw):
-                col_span = _inside(j - pad, wo, ww)
+                col_span = _inside(j - pad, ww)
                 if row_span is not None and col_span is not None:
                     (xr, gr), (xc, gc) = row_span, col_span
                     gx[:, :, xr, xc] += gcols[:, :, i, j, gr, gc]
@@ -149,12 +140,12 @@ def upsample2x(x: Tensor) -> Tensor:
                            lambda g: (g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)),))
 
 
-def _inside(offset, count, size):
-    """The output positions t in [0, count) whose input index offset + t
-    lies in [0, size), as (input slice, output slice), or None when there is
-    none: a tap that lies wholly in the padding."""
+def _inside(offset, size):
+    """The output positions t in [0, size) whose input index offset + t
+    also lies in [0, size), as (input slice, output slice), or None when
+    there is none: a tap that lies wholly in the padding."""
     lo = max(0, -offset)
-    hi = min(count, size - offset)
+    hi = size - max(0, offset)
     if lo >= hi:
         return None
     return slice(offset + lo, offset + hi), slice(lo, hi)

@@ -168,14 +168,14 @@ def backbone_forward(image: Tensor, cfg: NetConfig, params: dict) -> tuple:
         raise ShapeError(f"input size {h}x{w} must be divisible by 32")
 
     x = ad.add(image, -0.5)  # center [0,1] pixel values
-    x = ad.relu(conv2d(x, params["bb.stem.w"], params["bb.stem.b"], pad=1))
+    x = ad.relu(conv2d(x, params["bb.stem.w"], params["bb.stem.b"]))
     x = maxpool2x2(x)
     feats = []
     for s in range(4):
         x = maxpool2x2(x)  # strides 4/8/16/32 entering each stage
         for blk in range(cfg.blocks[s]):
             x = ad.relu(
-                conv2d(x, params[f"bb.s{s + 1}.c{blk}.w"], params[f"bb.s{s + 1}.c{blk}.b"], pad=1)
+                conv2d(x, params[f"bb.s{s + 1}.c{blk}.w"], params[f"bb.s{s + 1}.c{blk}.b"])
             )
         feats.append(x)
     return tuple(feats)
@@ -192,7 +192,7 @@ def fpn_forward(feats: tuple, params: dict) -> tuple:
     merged = {5: p5}
     for lvl in (4, 3, 2):
         summed = ad.add(lat[lvl], upsample2x(merged[lvl + 1]))
-        merged[lvl] = conv2d(summed, params[f"fpn.smooth{lvl}.w"], params[f"fpn.smooth{lvl}.b"], pad=1)
+        merged[lvl] = conv2d(summed, params[f"fpn.smooth{lvl}.w"], params[f"fpn.smooth{lvl}.b"])
     return merged[2], merged[3], merged[4], merged[5]
 
 
@@ -206,7 +206,7 @@ def rpn_forward(pyr: tuple, params: dict):
     """
     logits, deltas = [], []
     for level in pyr:
-        t = ad.relu(conv2d(level, params["rpn.conv.w"], params["rpn.conv.b"], pad=1))
+        t = ad.relu(conv2d(level, params["rpn.conv.w"], params["rpn.conv.b"]))
         obj = conv2d(t, params["rpn.obj.w"], params["rpn.obj.b"])
         box = conv2d(t, params["rpn.box.w"], params["rpn.box.b"])
         logits.append(obj.reshape((obj.data.size,)))

@@ -47,18 +47,19 @@ class DivergenceError(RuntimeError):
 FLIP_PROB = 0.5
 # The learning rate is multiplied by this at each of ``lr_decay_epochs``.
 LR_DECAY_FACTOR = 0.1
+# SGD multiplies each parameter's velocity by this before adding its gradient.
+MOMENTUM = 0.9
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """The schedule and optimiser of one training phase; the flip rate and
-    the learning-rate decay factor are the constants ``FLIP_PROB`` and
-    ``LR_DECAY_FACTOR``."""
+    """The schedule and optimiser of one training phase; the flip rate, the
+    learning-rate decay factor and SGD's momentum are the constants
+    ``FLIP_PROB``, ``LR_DECAY_FACTOR`` and ``MOMENTUM``."""
 
     epochs: int = 6
     base_lr: float = 0.002
     lr_decay_epochs: tuple = (4, 6)
-    momentum: float = 0.9
     clip_grad_norm: float = 10.0  # 0 disables clipping
     seed: int = 0
     distill: DistillConfig = field(default_factory=DistillConfig)
@@ -74,8 +75,6 @@ class TrainConfig:
             raise ValueError("epochs must be positive")
         if not (math.isfinite(self.base_lr) and self.base_lr > 0):
             raise ValueError(f"base_lr must be finite and positive, got {self.base_lr}")
-        if not 0 <= self.momentum < 1:
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
         if not (math.isfinite(self.clip_grad_norm) and self.clip_grad_norm >= 0):
             raise ValueError(f"clip_grad_norm must be finite and nonnegative, got {self.clip_grad_norm}")
 
@@ -113,13 +112,12 @@ def horizontal_flip(image: Tensor, boxes: np.ndarray):
 
 
 class SGD:
-    """SGD with classical momentum and optional global-norm gradient
-    clipping. Parameters that received no gradient in a step are left
-    untouched."""
+    """SGD with classical momentum ``MOMENTUM`` and optional global-norm
+    gradient clipping. Parameters that received no gradient in a step are
+    left untouched."""
 
-    def __init__(self, params: dict, momentum: float = 0.9, clip_grad_norm: float = 0.0):
+    def __init__(self, params: dict, clip_grad_norm: float = 0.0):
         self.params = params
-        self.momentum = momentum
         self.clip_grad_norm = clip_grad_norm
         self.velocity = {name: np.zeros_like(t.data) for name, t in params.items()}
 
@@ -139,7 +137,7 @@ class SGD:
             if p.grad is None:
                 continue
             v = self.velocity[name]
-            v *= self.momentum
+            v *= MOMENTUM
             v += p.grad
             p.data -= lr * v
             p.grad = None
@@ -215,7 +213,7 @@ def train_detector(scenes: list[SyntheticScene], net_cfg: NetConfig, tcfg: Train
                    log_fh=None) -> tuple[dict, list[StepRecord]]:
     """Core seeded loop shared by both phases; ``teacher`` is the matcher."""
     params = nets.init_params(net_cfg, seed=tcfg.seed)
-    opt = SGD(params, momentum=tcfg.momentum, clip_grad_norm=tcfg.clip_grad_norm)
+    opt = SGD(params, clip_grad_norm=tcfg.clip_grad_norm)
     rng = np.random.default_rng([int(tcfg.seed), 104729])
     gt_arrays = [box_array(scene.gts) for scene in scenes]
     records: list[StepRecord] = []
@@ -237,8 +235,9 @@ def train_detector(scenes: list[SyntheticScene], net_cfg: NetConfig, tcfg: Train
                 total = ad.add(total, loss_dist)
 
             if not np.isfinite(total.data).all():
+                # Numbered as the step log numbers steps: from 1.
                 raise DivergenceError(
-                    f"non-finite loss at epoch {epoch} step {step}: "
+                    f"non-finite loss at epoch {epoch} step {step + 1}: "
                     f"det={loss_det.item():.4g} rpn={loss_rpn.item():.4g} dist={report.total:.4g}"
                 )
 

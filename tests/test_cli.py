@@ -1,16 +1,18 @@
 """Command-line behaviour: `distill` reads its teacher and the teacher's
 config before any scene is generated, so a bad or missing teacher fails
-fast; it writes its test detections in the file format `eval` reads; `eval`
-exits 2 on a bad detection file, `ablate` on a reused teacher of another
-architecture, `gradcheck` when asked for no instances, and every command on
-a bad config."""
+fast, as does a student that is not lighter than its teacher; it writes its
+test detections in the file format `eval` reads; `eval` exits 2 on a bad
+detection file, `ablate` on a reused teacher of another architecture,
+`gradcheck` when asked for no instances, `train-teacher` on a diverging
+run, and every command on a bad config; `gradcheck` exits 1 on a wrong
+gradient rule."""
 
 import json
 
 import numpy as np
 import pytest
 
-from distilldet import experiments, train
+from distilldet import experiments, gradcheck, nets, train
 from distilldet.checkpoint import _MAGIC
 from distilldet.cli import main
 from distilldet.config import load_config
@@ -86,6 +88,37 @@ def test_gradcheck_with_no_instances_exits_2_and_checks_nothing(capsys, instance
     assert main(["gradcheck", "--instances", instances]) == 2
     out, err = capsys.readouterr()
     assert "at least 1 instance" in err and "worst rel err" not in out
+
+
+_GRADCHECK_OPS = {
+    "conv2d", "linear", "roi_align_batch", "relu", "maxpool2x2", "concat", "softmax_cross_entropy",
+    "bce_with_logits", "smooth_l1", "upsample2x", "reshape", "transpose", "take_rows", "gather",
+    "add", "mul", "roi_align_batch_single_level",
+}
+
+
+def test_gradcheck_prints_one_line_per_op_and_a_summary(capsys):
+    assert main(["gradcheck", "--instances", "1"]) == 0
+    *op_lines, summary = capsys.readouterr().out.splitlines()
+    assert {line.split()[0] for line in op_lines} == _GRADCHECK_OPS
+    assert len(op_lines) == len(_GRADCHECK_OPS) and all("worst rel err" in line for line in op_lines)
+    assert summary.startswith(f"gradient suite: {len(_GRADCHECK_OPS)} ops x 1 instances in ")
+
+
+def test_gradcheck_exits_1_on_a_wrong_gradient_rule(capsys, monkeypatch):
+    relu = gradcheck.ad.relu
+
+    def doubled_relu(a):
+        out = relu(a)
+        if out._backward is not None:
+            rule = out._backward
+            out._backward = lambda g: tuple(2.0 * gi for gi in rule(g))
+        return out
+
+    monkeypatch.setattr(gradcheck.ad, "relu", doubled_relu)
+    assert main(["gradcheck", "--instances", "1"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL gradient mismatch") and "gradient suite" not in out
 
 
 TINY_RUN = """\
@@ -172,3 +205,38 @@ def test_distill_reads_the_teacher_once(tmp_path, monkeypatch, tiny_teacher_cfg,
     assert main(["distill", "--config", str(config), "--out", str(tmp_path / "run"),
                  "--teacher", str(teacher)]) == 0
     assert reads == [str(teacher)]
+
+
+def test_distill_exits_2_before_training_a_student_not_lighter_than_its_teacher(
+        tmp_path, capsys, monkeypatch, tiny_teacher_cfg, save_teacher):
+    def fail(cfg):
+        raise AssertionError("build_dataset called before the parameter counts were compared")
+
+    monkeypatch.setattr(experiments, "build_dataset", fail)
+    config, out, teacher = tmp_path / "run.cfg", tmp_path / "run", save_teacher(tiny_teacher_cfg)
+    # the default student, against the tiny teacher
+    config.write_text("".join(line + "\n" for line in TINY_RUN.splitlines() if not line.startswith("student.")))
+    t_count = nets.parameter_count(nets.init_params(tiny_teacher_cfg, seed=0))
+    s_count = nets.parameter_count(nets.init_params(load_config(config).student, seed=0))
+    assert t_count <= s_count
+    assert main(["distill", "--config", str(config), "--out", str(out), "--teacher", str(teacher)]) == 2
+    err = capsys.readouterr().err
+    assert f"teacher ({t_count}) must out-parameter the student ({s_count})" in err
+    assert not list(tmp_path.rglob("student_*"))
+
+
+def test_train_teacher_exits_2_naming_the_first_step_when_it_diverges(tmp_path, capsys, monkeypatch):
+    def init_params(cfg, seed):
+        params = real_init_params(cfg, seed)
+        params["head.cls.b"].data[0] = np.nan  # Tensor() refuses NaN, so planted after
+        return params
+
+    real_init_params = nets.init_params
+    monkeypatch.setattr(nets, "init_params", init_params)
+    config, out = tmp_path / "run.cfg", tmp_path / "run"
+    config.write_text(TINY_RUN)
+    assert main(["train-teacher", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    # the step log numbers steps from 1
+    assert "non-finite loss at epoch 1 step 1:" in err
+    assert not (out / "teacher.ckpt").exists()

@@ -17,9 +17,10 @@ from distilldet.train import TrainConfig, _cfg_from_meta, distill_student
 
 # Region and logit matching always run on proposals, the student's crop mode
 # is student.pyramid_roi alone, a matching term is on when its weight is
-# positive, the scene recipe, flip rate and decay factor are constants, the
-# teacher and the student share one detector's anchors, proposal NMS, crop
-# and logit width, and the teacher's pyramids are always cached.
+# positive, the scene recipe, flip rate, decay factor and momentum are
+# constants, the teacher and the student share one detector's anchors,
+# proposal NMS, crop and logit width, and the teacher's pyramids are always
+# cached.
 _SHARED_DETECTOR = ["logit_width", "roi_size", "roi_samples", "canonical", "anchor_base",
                     "anchor_aspect", "pre_nms_k", "post_nms_k", "nms_iou"]
 REMOVED_KEYS = [
@@ -27,7 +28,7 @@ REMOVED_KEYS = [
     "distill.enable_pd", "distill.enable_rd", "distill.enable_ld",
     "dataset.min_figures", "dataset.max_figures", "dataset.occlusion_rate", "dataset.distractors",
     "dataset.noise_sigma", "dataset.figure_aspect", "dataset.small_band_frac",
-    "train.flip_prob", "train.lr_decay_factor", "train.cache_teacher",
+    "train.flip_prob", "train.lr_decay_factor", "train.cache_teacher", "train.momentum",
     *(f"{role}.{name}" for role in ("teacher", "student") for name in _SHARED_DETECTOR),
 ]
 
@@ -40,11 +41,10 @@ def test_config_keys_are_exactly_these():
         "dataset.image_height", "dataset.image_width", "dataset.n_test", "dataset.n_train",
         *net_keys,
         "train.base_lr", "train.clip_grad_norm", "train.epochs", "train.lr_decay_epochs",
-        "train.momentum",
         "distill.lambda_ld", "distill.lambda_pd", "distill.lambda_rd",
         "out_dir", "seed",
     ])
-    assert len(config._KEYS) == 24
+    assert len(config._KEYS) == 23
 
 
 @pytest.mark.parametrize("key", REMOVED_KEYS)
@@ -96,8 +96,7 @@ def run_configs(draw):
                       lambda_ld=draw(nonneg))
     train = section(TrainConfig, epochs=epochs, distill=distill,
                     lr_decay_epochs=tuple(sorted(draw(st.lists(st.integers(1, epochs), max_size=4)))),
-                    base_lr=draw(positive_float), clip_grad_norm=draw(nonneg),
-                    momentum=draw(st.floats(0.0, 1.0, exclude_max=True)))
+                    base_lr=draw(positive_float), clip_grad_norm=draw(nonneg))
     teacher, student = (section(NetConfig, widths=draw(stage), blocks=draw(stage),
                                 pyramid_width=draw(positive), head_hidden=draw(positive))
                         for _ in range(2))
@@ -142,10 +141,6 @@ def test_count_below_one_is_a_config_error(line):
     ("train.base_lr = 0", "base_lr must be finite and positive"),
     ("train.base_lr = nan", "base_lr must be finite and positive"),
     ("train.base_lr = inf", "base_lr must be finite and positive"),
-    ("train.momentum = 1.5", "momentum must lie in"),
-    ("train.momentum = 1", "momentum must lie in"),
-    ("train.momentum = -0.1", "momentum must lie in"),
-    ("train.momentum = nan", "momentum must lie in"),
     ("train.clip_grad_norm = -5", "clip_grad_norm must be finite and nonnegative"),
     ("train.clip_grad_norm = nan", "clip_grad_norm must be finite and nonnegative"),
     ("train.clip_grad_norm = inf", "clip_grad_norm must be finite and nonnegative"),

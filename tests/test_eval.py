@@ -317,6 +317,8 @@ class TestFileFormats:
         "0 1.0 2.0 inf 30.0 1.0",       # inf coordinate
         "0 10.0 2.0 1.0 30.0 1.0",      # x2 < x1
         "0 1.0 30.0 10.0 2.0 1.0",      # y2 < y1
+        "0 1 2 10 30 1.5",              # visibility above 1
+        "0 1 2 10 30 -0.3",             # visibility below 0
     ])
     def test_bad_ground_truth_line_names_path_and_line(self, tmp_path, line):
         p = tmp_path / "gt.txt"

@@ -167,7 +167,7 @@ class TestRpn:
                     for f in (1, 2, 4, 8))
         per_level, anchors = [], []
         for lvl, level in zip((2, 3, 4, 5), pyr):
-            t = ad.relu(conv2d(level, params["rpn.conv.w"], params["rpn.conv.b"], pad=1))
+            t = ad.relu(conv2d(level, params["rpn.conv.w"], params["rpn.conv.b"]))
             h, w = level.data.shape[2:]
             per_level.append((conv2d(t, params["rpn.obj.w"], params["rpn.obj.b"]).reshape((1, h, w)),
                               conv2d(t, params["rpn.box.w"], params["rpn.box.b"]).reshape((4, h, w))))
@@ -282,6 +282,38 @@ class TestSampleRois:
         # one positive (the GT itself) first, then the two negatives in order
         assert np.array_equal(rois, np.concatenate([gt, props]))
         assert np.array_equal(labels, [1, 0, 0])
+
+
+class TestAssignRpnAnchors:
+    """Labels 1 / 0 / -1 and matched GT indices of ``assign_rpn_anchors``;
+    the IoUs below are exact in binary floating point."""
+
+    FAR = [100.0, 100.0, 110.0, 110.0]
+
+    def test_ties_for_a_gt_best_iou_all_become_positive(self):
+        # both halves-overlapping anchors have IoU 0.5 with the GT, below RPN_POS_IOU
+        anchors = np.array([[0.0, 0.0, 10.0, 20.0], [0.0, -10.0, 10.0, 10.0], self.FAR])
+        labels, matched = nets.assign_rpn_anchors(anchors, np.array([[0.0, 0.0, 10.0, 10.0]]))
+        assert nets.RPN_NEG_IOU < 0.5 < nets.RPN_POS_IOU
+        assert labels.tolist() == [1, 1, 0] and matched[:2].tolist() == [0, 0]
+
+    def test_an_anchor_best_for_two_gt_boxes_is_matched_to_the_later_one(self):
+        # IoU 100/120 with GT 0 and 0.5 with GT 1: by IoU it matches GT 0,
+        # but GT 1's best-anchor pass runs last and takes it
+        anchors = np.array([[0.0, 0.0, 10.0, 10.0], self.FAR])
+        gts = np.array([[0.0, 0.0, 10.0, 12.0], [0.0, 0.0, 20.0, 10.0]])
+        labels, matched = nets.assign_rpn_anchors(anchors, gts)
+        assert labels.tolist() == [1, 0] and matched[0] == 1
+
+    def test_an_anchor_between_the_thresholds_that_is_no_gt_best_is_ignored(self):
+        anchors = np.array([[0.0, 0.0, 10.0, 10.0], [0.0, 0.0, 10.0, 20.0], self.FAR])
+        labels, matched = nets.assign_rpn_anchors(anchors, np.array([[0.0, 0.0, 10.0, 10.0]]))
+        assert labels.tolist() == [1, -1, 0] and matched[0] == 0
+
+    def test_without_gt_every_anchor_is_negative(self):
+        anchors = np.array([[0.0, 0.0, 10.0, 10.0], self.FAR])
+        labels, matched = nets.assign_rpn_anchors(anchors, np.zeros((0, 4)))
+        assert labels.tolist() == [0, 0] and matched.tolist() == [0, 0]
 
 
 class TestRpnLoss:

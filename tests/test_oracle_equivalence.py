@@ -6,9 +6,10 @@ share no code with the library.
 """
 
 import numpy as np
+import pytest
 
 import distilldet.autodiff as ad
-from distilldet import Tensor, roi
+from distilldet import ShapeError, Tensor, roi
 from distilldet.boxes import nms
 from distilldet.distill import (
     logit_distill_loss,
@@ -40,8 +41,8 @@ def test_conv2d_trivial_all_ones():
     w = Tensor(np.ones((1, 1, 3, 3)))
     b = Tensor(np.zeros(1))
     out = conv2d(x, w, b)
-    assert out.shape == (1, 1, 1, 1)
-    assert out.item() == 9.0
+    # each output counts the input cells its window covers inside the map
+    assert np.array_equal(out.data[0, 0], [[4.0, 6.0, 4.0], [6.0, 9.0, 6.0], [4.0, 6.0, 4.0]])
 
 
 def test_conv2d_identity_kernel(rng):
@@ -53,19 +54,24 @@ def test_conv2d_identity_kernel(rng):
     assert np.array_equal(out.data, x.data)
 
 
+@pytest.mark.parametrize("kh, kw", [(3, 1), (1, 3), (2, 2), (4, 4)])
+def test_conv2d_rejects_a_kernel_that_is_not_square_with_an_odd_side(kh, kw):
+    with pytest.raises(ShapeError, match="square with an odd side"):
+        conv2d(Tensor(np.ones((1, 1, 5, 5))), Tensor(np.ones((1, 1, kh, kw))), Tensor(np.zeros(1)))
+
+
 def test_conv2d_random_instances_vs_loops(rng):
     for i in range(N_INSTANCES):
         n = int(rng.integers(1, 3))
         c = int(rng.integers(1, 4))
         k = int(rng.integers(1, 4))
         kh = int(rng.choice([1, 3, 5]))
-        pad = int(rng.integers(0, 2))
         h = int(rng.integers(kh, kh + 6))
         x = rng.normal(size=(n, c, h, h))
         w = rng.normal(size=(k, c, kh, kh))
         b = rng.normal(size=(k,))
-        got = conv2d(Tensor(x), Tensor(w), Tensor(b), pad=pad).data
-        want = conv2d_loops(x, w, b, pad=pad)
+        got = conv2d(Tensor(x), Tensor(w), Tensor(b)).data
+        want = conv2d_loops(x, w, b, pad=kh // 2)
         assert np.allclose(got, want, rtol=0, atol=1e-10), f"instance {i}"
 
 

@@ -163,7 +163,7 @@ class TestExtractRegionBatch:
         pyr = _pyramid(rng, requires_grad=True)
         boxes = _boxes((2.0, 2.0, 16.0, 15.0))  # level 2
         out = roi.extract_region_batch(pyr, boxes, False, out_size=3)
-        backward(out.sum())
+        backward(tsum(out))
         levels = list(pyr)
         assert levels[0].grad is not None and np.abs(levels[0].grad).sum() > 0
         for lvl in levels[1:]:
@@ -180,7 +180,7 @@ class TestExtractRegionBatch:
     def test_single_mode_on_batched_maps_leaves_levels_without_boxes_alone(self, rng):
         pyr = tuple(Tensor(level.data[None], requires_grad=True) for level in _pyramid(rng))
         boxes = _boxes((0.0, 0.0, 100.0, 90.0), (2.0, 2.0, 16.0, 15.0))  # levels 4 and 2
-        backward(roi.extract_region_batch(pyr, boxes, False, out_size=3).sum())
+        backward(tsum(roi.extract_region_batch(pyr, boxes, False, out_size=3)))
         assert np.abs(pyr[0].grad).sum() > 0 and np.abs(pyr[2].grad).sum() > 0
         assert pyr[1].grad is None and pyr[3].grad is None
 
