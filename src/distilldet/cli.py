@@ -2,8 +2,11 @@
 
 Commands: gradcheck, gen-data, train-teacher, distill, eval, ablate. Every
 command accepts --config/--out/--seed; outputs land under the run directory.
-`distill` writes its test detections to `dets_<tag>.txt` there, in the
-format `eval` reads.
+`distill` trains one student, `ablate` one per ablation row, and both write
+the same four files for each student, named by its row's tag: the checkpoint
+`student_<tag>.ckpt`, the step log `student_<tag>_log.jsonl`, the test
+detections `dets_<tag>.txt` (the format `eval` reads) and the FPPI/miss-rate
+curve `curve_<tag>_<subset>.tsv` of each subset.
 """
 
 from __future__ import annotations
@@ -16,16 +19,8 @@ from . import experiments, nets
 from .checkpoint import checkpoint_hash
 from .config import ConfigError, RunConfig, load_config, save_config
 from .data import annotations_by_image
-from .evalmr import (
-    SUBSETS,
-    EvalError,
-    evaluate,
-    read_detections,
-    read_ground_truth,
-    write_curve,
-    write_detections,
-    write_ground_truth,
-)
+from .evalmr import (SUBSETS, EvalError, evaluate, read_detections, read_ground_truth, write_curve,
+                     write_ground_truth)
 from .gradcheck import run_suite
 from .train import DivergenceError, epoch_mean, load_detector
 
@@ -63,15 +58,8 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train_teacher(args) -> int:
     cfg = _load(args)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     train, _ = experiments.build_dataset(cfg)
-    path = experiments.teacher_ckpt_path(cfg.out_dir)
-    from .train import train_teacher
-
-    params, records = train_teacher(
-        train, cfg.teacher, cfg.train, path,
-        log_path=os.path.join(cfg.out_dir, "teacher_log.jsonl"),
-    )
+    path, params, records = experiments.run_teacher(cfg, train)
     for e in range(1, cfg.train.epochs + 1):
         print(f"epoch {e}: det {epoch_mean(records, e):.4f} rpn {epoch_mean(records, e, 'rpn_loss'):.4f}")
     print(f"teacher parameters: {nets.parameter_count(params)}")
@@ -91,12 +79,9 @@ def cmd_distill(args) -> int:
     # Parameter counts depend only on the configs: a student that is not
     # lighter than the teacher fails here, before it trains.
     ratio = nets.compression_ratio(t_params, nets.init_params(cfg.student, seed=cfg.seed))
-    os.makedirs(cfg.out_dir, exist_ok=True)
     train, test = experiments.build_dataset(cfg)
-    dcfg = cfg.train.distill
-    tag = experiments.row_tag((dcfg.lambda_pd > 0, dcfg.lambda_rd > 0, dcfg.lambda_ld > 0,
-                               cfg.student.pyramid_roi))
-    ckpt, params, records = experiments.run_student_variant(cfg, (t_cfg, t_params), tag, train)
+    ckpt, params, records, mrs = experiments.run_student_variant(
+        cfg, experiments.config_row(cfg), (t_cfg, t_params), train, test)
     print(f"teacher parameters: {nets.parameter_count(t_params)}")
     print(f"student parameters: {nets.parameter_count(params)}")
     print(f"compression ratio: {ratio:.2f}x")
@@ -106,11 +91,8 @@ def cmd_distill(args) -> int:
             f"rpn {epoch_mean(records, e, 'rpn_loss'):.4f} "
             f"dist {epoch_mean(records, e, 'dist_total'):.4f}"
         )
-    mrs, curves, dets = experiments.evaluate_params(cfg.student, params, test)
-    write_detections(os.path.join(cfg.out_dir, f"dets_{tag}.txt"), dets)
     for s in SUBSETS:
         print(f"MR-{s}: {mrs[s]:.4f}")
-        write_curve(os.path.join(cfg.out_dir, f"curve_{tag}_{s}.tsv"), curves[s])
     print(f"checkpoint {ckpt} sha256 {checkpoint_hash(ckpt)}")
     return 0
 
@@ -130,7 +112,6 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _load(args)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     rows = experiments.run_ablation(cfg, progress=lambda msg: print(msg, flush=True))
     table = experiments.format_ablation_table(rows)
     out_path = os.path.join(cfg.out_dir, "ablation.tsv")

@@ -80,16 +80,14 @@ _KEYS["out_dir"] = ("", "out_dir")
 del _KEYS["train.seed"]
 
 
-def _convert(raw: str, annotation):
-    if annotation in ("int", int):
-        return int(raw)
-    if annotation in ("float", float):
-        return float(raw)
-    if annotation in ("bool", bool):
-        return _parse_bool(raw)
-    if annotation in ("tuple", tuple):
-        return _parse_int_tuple(raw)
-    raise ValueError(f"unsupported config type {annotation!r}")
+# Section fields' annotations are strings (``from __future__ import annotations``).
+_PARSERS = {"int": int, "float": float, "bool": _parse_bool, "tuple": _parse_int_tuple}
+
+
+def _convert(raw: str, annotation: str):
+    if annotation not in _PARSERS:
+        raise ValueError(f"unsupported config type {annotation!r}")
+    return _PARSERS[annotation](raw)
 
 
 def parse_config(text: str) -> RunConfig:

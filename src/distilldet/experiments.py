@@ -2,6 +2,13 @@
 
 The ablation grid toggles the three matching terms and the region cropper in
 the same eight on/off combinations used throughout this project's reports.
+``run_student_variant`` is the one student run that both the `distill` and
+the `ablate` commands go through: it trains one row's student and scores it
+on the test scenes, writing four files named by the row's tag into the
+output directory: ``student_<tag>.ckpt``, its step log
+``student_<tag>_log.jsonl``, its test detections ``dets_<tag>.txt`` (the
+format `distilldet eval` reads) and one FPPI/miss-rate curve
+``curve_<tag>_<subset>.tsv`` per subset.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from .checkpoint import load_checkpoint
 from .config import RunConfig
 from .data import annotations_by_image, generate_dataset
 from .distill import DistillConfig
-from .evalmr import SUBSETS, evaluate
+from .evalmr import SUBSETS, evaluate, write_curve, write_detections
 from .train import _cfg_from_meta, distill_student, load_detector, train_teacher
 
 # (PD, RD, LD, PyRoIAlign) in report order; row 2 is the no-matching
@@ -39,6 +46,20 @@ def distill_config_for_row(base: DistillConfig, row) -> DistillConfig:
     return DistillConfig(lambda_pd=base.lambda_pd if pd else 0.0,
                          lambda_rd=base.lambda_rd if rd else 0.0,
                          lambda_ld=base.lambda_ld if ld else 0.0)
+
+
+def row_config(cfg: RunConfig, row) -> RunConfig:
+    """``cfg`` as the run of one row: the row's PyRoIAlign column is the
+    student's crop mode and ``distill_config_for_row`` its matching weights."""
+    return replace(cfg, student=replace(cfg.student, pyramid_roi=row[3]),
+                   train=replace(cfg.train, distill=distill_config_for_row(cfg.train.distill, row)))
+
+
+def config_row(cfg: RunConfig) -> tuple:
+    """The row whose ``row_config`` ``cfg`` is: each term on exactly when its
+    weight is positive, and the student's crop mode."""
+    d = cfg.train.distill
+    return (d.lambda_pd > 0, d.lambda_rd > 0, d.lambda_ld > 0, cfg.student.pyramid_roi)
 
 
 def row_tag(row) -> str:
@@ -70,37 +91,57 @@ def teacher_ckpt_path(out_dir) -> str:
     return os.path.join(out_dir, "teacher.ckpt")
 
 
-def ensure_teacher(cfg: RunConfig, train_scenes):
-    """Train the teacher once per output directory; reuse if present."""
+def _log_path(ckpt) -> str:
+    """The step log written next to a checkpoint: ``<name>_log.jsonl``."""
+    return os.path.splitext(ckpt)[0] + "_log.jsonl"
+
+
+def run_teacher(cfg: RunConfig, train_scenes):
+    """Train ``cfg.teacher`` into ``<out>/teacher.ckpt``, logging its steps
+    to ``<out>/teacher_log.jsonl``; returns (path, params, records)."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = teacher_ckpt_path(cfg.out_dir)
+    params, records = train_teacher(train_scenes, cfg.teacher, cfg.train, path, log_path=_log_path(path))
+    return path, params, records
+
+
+def ensure_teacher(cfg: RunConfig, train_scenes):
+    """Train the teacher once per output directory; reuse if present."""
+    path = teacher_ckpt_path(cfg.out_dir)
     if not os.path.exists(path):
-        train_teacher(
-            train_scenes, cfg.teacher, cfg.train, path,
-            log_path=os.path.join(cfg.out_dir, "teacher_log.jsonl"),
-        )
+        run_teacher(cfg, train_scenes)
     return path
 
 
-def run_student_variant(cfg: RunConfig, teacher, tag: str, train_scenes):
-    """Train one student: ``cfg.student`` sets its crop mode and
-    ``cfg.train.distill`` its matching terms. ``teacher`` is what
-    ``distill_student`` takes: a checkpoint path or a loaded pair."""
+def run_student_variant(cfg: RunConfig, row, teacher, train_scenes, test_scenes):
+    """Train the student of one row of ``cfg`` (``row_config``), score it on
+    ``test_scenes`` and write its four files (see the module docstring);
+    returns (checkpoint path, params, records, MR per subset). ``teacher``
+    is what ``distill_student`` takes: a checkpoint path or a loaded pair."""
+    cfg, tag = row_config(cfg, row), row_tag(row)
     os.makedirs(cfg.out_dir, exist_ok=True)
     ckpt = os.path.join(cfg.out_dir, f"student_{tag}.ckpt")
-    params, records, _ = distill_student(
-        train_scenes, teacher, cfg.train, ckpt,
-        student_cfg=cfg.student,
-        log_path=os.path.join(cfg.out_dir, f"student_{tag}_log.jsonl"),
-    )
-    return ckpt, params, records
+    params, records, _ = distill_student(train_scenes, teacher, cfg.train, ckpt,
+                                         student_cfg=cfg.student, log_path=_log_path(ckpt))
+    mrs, curves, dets = evaluate_params(cfg.student, params, test_scenes)
+    write_detections(os.path.join(cfg.out_dir, f"dets_{tag}.txt"), dets)
+    for s in SUBSETS:
+        write_curve(os.path.join(cfg.out_dir, f"curve_{tag}_{s}.tsv"), curves[s])
+    return ckpt, params, records, mrs
 
 
 def run_ablation(cfg: RunConfig, progress=None):
     """Train and score all eight configurations; returns table rows of
-    (flags, mr_reasonable, mr_small). A ValueError naming the file is raised,
-    before any student trains, when a reused ``<out>/teacher.ckpt`` has
-    another architecture than ``cfg.teacher``."""
+    (flags, mr_reasonable, mr_small). Before any scene is generated, a
+    ValueError names each matching weight of ``cfg`` that is 0, since every
+    row that turns that term on would train without it. A ValueError naming
+    the file is raised, before any student trains, when a reused
+    ``<out>/teacher.ckpt`` has another architecture than ``cfg.teacher``."""
+    zero = [f"distill.{name}" for name in ("lambda_pd", "lambda_rd", "lambda_ld")
+            if getattr(cfg.train.distill, name) == 0]
+    if zero:
+        raise ValueError(f"{', '.join(zero)} = 0: each ablation row that turns a term on "
+                         "takes its weight from the config, so all three must be positive")
     train_scenes, test_scenes = build_dataset(cfg)
     # Read once: every matching row distills from this same pair.
     path = ensure_teacher(cfg, train_scenes)
@@ -110,14 +151,10 @@ def run_ablation(cfg: RunConfig, progress=None):
                          f"but the run's teacher is {cfg.teacher}; remove it or use another --out")
     rows = []
     for row in ABLATION_ROWS:
-        tag = row_tag(row)
         if progress:
-            progress(f"training student variant {tag} "
+            progress(f"training student variant {row_tag(row)} "
                      f"(PD={row[0]} RD={row[1]} LD={row[2]} PyRoIAlign={row[3]})")
-        row_cfg = replace(cfg, student=replace(cfg.student, pyramid_roi=row[3]),
-                          train=replace(cfg.train, distill=distill_config_for_row(cfg.train.distill, row)))
-        _, params, _ = run_student_variant(row_cfg, teacher, tag, train_scenes)
-        mrs, _, _ = evaluate_params(row_cfg.student, params, test_scenes)
+        *_, mrs = run_student_variant(cfg, row, teacher, train_scenes, test_scenes)
         rows.append((row, mrs["reasonable"], mrs["small"]))
     return rows
 

@@ -284,19 +284,27 @@ def load_detector(path) -> tuple[NetConfig, dict]:
     return _cfg_from_meta(meta, path), params
 
 
-def _train_logged(scenes, net_cfg: NetConfig, tcfg: TrainConfig, teacher, log_path):
+def _fit(scenes, net_cfg: NetConfig, tcfg: TrainConfig, ckpt_path, log_path, teacher=None):
+    """Train ``net_cfg`` on ``scenes``, logging each step to ``log_path`` when
+    given, and save it to ``ckpt_path``; returns (params, records). The
+    teacher phase passes no ``teacher``; see ``distill_student`` for when a
+    teacher is read."""
+    if not scenes:
+        raise ValueError("empty training set")
+    matcher = None
+    if teacher is not None and tcfg.distill.any_enabled:
+        t_cfg, t_params = teacher if isinstance(teacher, tuple) else load_detector(teacher)
+        matcher = _TeacherContext(t_cfg, t_params, net_cfg, tcfg.distill)
     with open(log_path, "w") if log_path else contextlib.nullcontext() as log_fh:
-        return train_detector(scenes, net_cfg, tcfg, teacher=teacher, log_fh=log_fh)
+        params, records = train_detector(scenes, net_cfg, tcfg, teacher=matcher, log_fh=log_fh)
+    save_checkpoint(ckpt_path, params, meta=_cfg_meta(net_cfg))
+    return params, records
 
 
 def train_teacher(scenes, teacher_cfg: NetConfig, tcfg: TrainConfig, ckpt_path,
                   log_path=None):
     """Phase one: supervised training of the teacher, persisted to disk."""
-    if not scenes:
-        raise ValueError("empty training set")
-    params, records = _train_logged(scenes, teacher_cfg, tcfg, None, log_path)
-    save_checkpoint(ckpt_path, params, meta=_cfg_meta(teacher_cfg))
-    return params, records
+    return _fit(scenes, teacher_cfg, tcfg, ckpt_path, log_path)
 
 
 def distill_student(scenes, teacher, tcfg: TrainConfig, ckpt_path,
@@ -313,12 +321,4 @@ def distill_student(scenes, teacher, tcfg: TrainConfig, ckpt_path,
     detector config or the teacher's pyramid width differs from the
     student's.
     """
-    if not scenes:
-        raise ValueError("empty training set")
-    matcher = None
-    if tcfg.distill.any_enabled:
-        t_cfg, t_params = teacher if isinstance(teacher, tuple) else load_detector(teacher)
-        matcher = _TeacherContext(t_cfg, t_params, student_cfg, tcfg.distill)
-    params, records = _train_logged(scenes, student_cfg, tcfg, matcher, log_path)
-    save_checkpoint(ckpt_path, params, meta=_cfg_meta(student_cfg))
-    return params, records, student_cfg
+    return (*_fit(scenes, student_cfg, tcfg, ckpt_path, log_path, teacher), student_cfg)

@@ -1,11 +1,12 @@
 """Command-line behaviour: `distill` reads its teacher and the teacher's
 config before any scene is generated, so a bad or missing teacher fails
 fast, as does a student that is not lighter than its teacher; it writes its
-test detections in the file format `eval` reads; `eval` exits 2 on a bad
-detection file, `ablate` on a reused teacher of another architecture,
-`gradcheck` when asked for no instances, `train-teacher` on a diverging
-run, and every command on a bad config; `gradcheck` exits 1 on a wrong
-gradient rule."""
+test detections in the file format `eval` reads, and the same student files
+as `ablate`'s row of its config; `eval` exits 2 on a bad detection file,
+`ablate` on a zero matching weight or a reused teacher of another
+architecture, `gradcheck` when asked for no instances, `train-teacher` on a
+diverging run, and every command on a bad config; `gradcheck` exits 1 on a
+wrong gradient rule."""
 
 import json
 
@@ -138,6 +139,19 @@ seed = 1
 """
 
 
+def _positive(run):
+    """``run`` with its matching weights left at their positive defaults."""
+    return "".join(line + "\n" for line in run.splitlines() if not line.startswith("distill.lambda_"))
+
+
+# TINY_RUN with positive matching weights and a tiny teacher, so `ablate` is quick.
+TINY_ABLATION = _positive(TINY_RUN) + """\
+teacher.widths = 8,16,16,32
+teacher.pyramid_width = 8
+teacher.head_hidden = 32
+"""
+
+
 def _mr_lines(text):
     return [line for line in text.splitlines() if line.startswith("MR-")]
 
@@ -184,11 +198,43 @@ def test_ablate_exits_2_naming_a_reused_teacher_of_another_architecture(tmp_path
 
     monkeypatch.setattr(experiments, "distill_student", distill_student)
     config, teacher = tmp_path / "run.cfg", save_teacher(tiny_teacher_cfg)  # the run's teacher is the default
-    config.write_text(TINY_RUN)
+    config.write_text(_positive(TINY_RUN))  # ablate refuses a zero weight before it reads the teacher
     assert main(["ablate", "--config", str(config), "--out", str(tmp_path)]) == 2
     out, err = capsys.readouterr()
     assert str(teacher) in err and "architecture" in err and out == ""
     assert not (tmp_path / "ablation.tsv").exists()
+
+
+def test_ablate_exits_2_naming_a_zero_weight_before_any_output(tmp_path, capsys):
+    config, out = tmp_path / "run.cfg", tmp_path / "run"
+    config.write_text(TINY_ABLATION + "distill.lambda_rd = 0\n")
+    assert main(["ablate", "--config", str(config), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "distill.lambda_rd = 0" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def test_distill_and_ablate_write_one_students_files_alike(tmp_path, capsys):
+    """`distill` with row 8's config writes the bytes `ablate` writes for
+    row 8, and `train-teacher` the teacher files `ablate` writes."""
+    config, teacher_run, ablation, distilled = (tmp_path / name for name in ("run.cfg", "t", "a", "d"))
+    config.write_text(TINY_ABLATION)
+    teacher_run.mkdir()
+    (teacher_run / "teacher.ckpt").write_bytes(b"stale")  # train-teacher always retrains
+    assert main(["train-teacher", "--config", str(config), "--out", str(teacher_run)]) == 0
+    assert main(["ablate", "--config", str(config), "--out", str(ablation)]) == 0
+    assert main(["distill", "--config", str(config), "--out", str(distilled),
+                 "--teacher", str(ablation / "teacher.ckpt")]) == 0
+    for name in ("teacher.ckpt", "teacher_log.jsonl"):
+        assert (teacher_run / name).read_bytes() == (ablation / name).read_bytes(), name
+    names = ["student_1111.ckpt", "student_1111_log.jsonl", "dets_1111.txt",
+             "curve_1111_reasonable.tsv", "curve_1111_small.tsv"]
+    assert sorted(p.name for p in distilled.iterdir()) == sorted(names)
+    for name in names:
+        assert (distilled / name).read_bytes() == (ablation / name).read_bytes(), name
+    for row in experiments.ABLATION_ROWS:  # every row can be rescored with `eval`
+        tag = experiments.row_tag(row)
+        assert all((ablation / name.replace("1111", tag)).exists() for name in names)
 
 
 def test_distill_reads_the_teacher_once(tmp_path, monkeypatch, tiny_teacher_cfg, save_teacher):

@@ -47,6 +47,22 @@ def test_config_keys_are_exactly_these():
     assert len(config._KEYS) == 23
 
 
+def test_every_settable_field_has_a_type_the_parser_converts():
+    """Section fields are annotated by name, and each name is one the parser
+    converts, so a field of a new type fails here rather than when a config
+    file first sets it."""
+    defaults = RunConfig()
+    sections = {"dataset": defaults.dataset, "teacher": defaults.teacher, "student": defaults.student,
+                "train": defaults.train, "distill": defaults.train.distill}
+    for key, (section, name) in config._KEYS.items():
+        if not section:
+            continue  # out_dir is read as written
+        annotation = {f.name: f.type for f in fields(config._SECTION_TYPES[section])}[name]
+        assert annotation in config._PARSERS, key
+        value = getattr(sections[section], name)
+        assert config._convert(config._fmt(value), annotation) == value, key
+
+
 @pytest.mark.parametrize("key", REMOVED_KEYS)
 def test_removed_key_is_unknown(key):
     with pytest.raises(ConfigError, match=f"unknown key '{key}'"):

@@ -1,7 +1,9 @@
-"""Experiment plumbing: the ablation rows' matching weights, row tags, the
-table text and the reuse of a trained teacher."""
+"""Experiment plumbing: the ablation rows' matching weights and run configs,
+row tags, the table text, the reuse of a trained teacher, and the check that
+an ablation's base weights are all positive."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from distilldet.checkpoint import checkpoint_hash, save_checkpoint
 from distilldet.config import RunConfig
 from distilldet.data import SceneParams
 from distilldet.distill import DistillConfig
-from distilldet.experiments import ABLATION_ROWS, distill_config_for_row, row_tag
+from distilldet.experiments import ABLATION_ROWS, config_row, distill_config_for_row, row_config, row_tag
 from distilldet.train import TrainConfig
 
 
@@ -22,6 +24,17 @@ def test_row_keeps_the_base_weight_of_each_term_it_turns_on(row):
     want = [w if on else 0.0 for w, on in zip((0.25, 7.0, 3.5), row[:3])]
     assert [cfg.lambda_pd, cfg.lambda_rd, cfg.lambda_ld] == want
     assert cfg.any_enabled == any(row[:3])
+
+
+@pytest.mark.parametrize("row", ABLATION_ROWS, ids=row_tag)
+def test_row_config_and_config_row_invert_each_other(row):
+    base = RunConfig(train=TrainConfig(distill=DistillConfig(lambda_pd=0.25, lambda_rd=7.0, lambda_ld=3.5)))
+    cfg = row_config(base, row)
+    assert config_row(cfg) == row
+    assert row_config(cfg, config_row(cfg)) == cfg
+    assert cfg.student.pyramid_roi == row[3]
+    assert cfg.train.distill == distill_config_for_row(base.train.distill, row)
+    assert replace(cfg, student=base.student, train=base.train) == base
 
 
 def test_row_tags_in_report_order():
@@ -74,6 +87,24 @@ def test_ablation_reads_the_teacher_once(tmp_path, monkeypatch, tiny_teacher_cfg
     rows = experiments.run_ablation(cfg)
     assert len(rows) == len(ABLATION_ROWS)
     assert reads == [experiments.teacher_ckpt_path(cfg.out_dir)]
+
+
+@pytest.mark.parametrize("zero", [("lambda_pd",), ("lambda_rd", "lambda_ld"),
+                                  ("lambda_pd", "lambda_rd", "lambda_ld")])
+def test_ablation_with_a_zero_weight_fails_naming_it_before_generating_scenes(tmp_path, monkeypatch, zero):
+    """A zero base weight would train every row that turns its term on
+    without it, under a tag and a table mark that say otherwise."""
+    def fail(cfg):
+        raise AssertionError("build_dataset called before the weights were checked")
+
+    monkeypatch.setattr(experiments, "build_dataset", fail)
+    cfg = RunConfig(train=TrainConfig(distill=DistillConfig(**{name: 0.0 for name in zero})),
+                    out_dir=str(tmp_path / "run"))
+    with pytest.raises(ValueError) as info:
+        experiments.run_ablation(cfg)
+    named = [name for name in ("lambda_pd", "lambda_rd", "lambda_ld") if f"distill.{name}" in str(info.value)]
+    assert named == list(zero)
+    assert not (tmp_path / "run").exists()
 
 
 def test_evaluate_checkpoint_names_a_file_whose_meta_is_not_a_config(tmp_path, tiny_scenes):

@@ -10,7 +10,8 @@ import pytest
 from distilldet import Tensor, nets, roi, train
 from distilldet.distill import DistillConfig, DistillReport
 from distilldet.boxes import box_array
-from distilldet.experiments import ABLATION_ROWS, distill_config_for_row, row_tag
+from distilldet.config import RunConfig
+from distilldet.experiments import ABLATION_ROWS, row_config, row_tag
 from distilldet.train import (
     StepRecord,
     TrainConfig,
@@ -67,16 +68,18 @@ def test_horizontal_flip_mirrors_the_image_and_its_boxes(rng):
     assert none.shape == (0, 4) and none.dtype == np.float64
 
 
+def _tiny_run(student_cfg):
+    return RunConfig(student=student_cfg, train=TrainConfig(epochs=1, lr_decay_epochs=(), seed=11))
+
+
 @pytest.mark.parametrize("row", ABLATION_ROWS[:2], ids=row_tag)
 def test_matching_off_is_plain_supervised_training(tmp_path, tiny_scenes, tiny_teacher_cfg,
                                                    tiny_student_cfg, save_teacher, row):
     train_scenes, _ = tiny_scenes
-    student_cfg = replace(tiny_student_cfg, pyramid_roi=row[3])
-    tcfg = TrainConfig(epochs=1, lr_decay_epochs=(), seed=11,
-                       distill=distill_config_for_row(DistillConfig(), row))
-    distilled, _, _ = distill_student(train_scenes, save_teacher(tiny_teacher_cfg), tcfg,
-                                      tmp_path / "student.ckpt", student_cfg=student_cfg)
-    plain, _ = train_detector(train_scenes, student_cfg, tcfg)
+    cfg = row_config(_tiny_run(tiny_student_cfg), row)
+    distilled, _, _ = distill_student(train_scenes, save_teacher(tiny_teacher_cfg), cfg.train,
+                                      tmp_path / "student.ckpt", student_cfg=cfg.student)
+    plain, _ = train_detector(train_scenes, cfg.student, cfg.train)
     assert distilled.keys() == plain.keys()
     assert all(distilled[k].data.tobytes() == plain[k].data.tobytes() for k in plain)
 
@@ -85,15 +88,12 @@ def test_matching_off_row_never_reads_the_teacher(tmp_path, tiny_scenes, tiny_te
                                                   tiny_student_cfg, save_teacher):
     """Row 0000 writes the same checkpoint bytes with a missing teacher file
     as with a real one."""
-    row = ABLATION_ROWS[0]
     train_scenes, _ = tiny_scenes
-    student_cfg = replace(tiny_student_cfg, pyramid_roi=row[3])
-    tcfg = TrainConfig(epochs=1, lr_decay_epochs=(), seed=11,
-                       distill=distill_config_for_row(DistillConfig(), row))
+    cfg = row_config(_tiny_run(tiny_student_cfg), ABLATION_ROWS[0])
     real, missing = tmp_path / "real.ckpt", tmp_path / "missing.ckpt"
-    distill_student(train_scenes, save_teacher(tiny_teacher_cfg), tcfg, real, student_cfg=student_cfg)
-    distill_student(train_scenes, tmp_path / "no_such_teacher.ckpt", tcfg, missing,
-                    student_cfg=student_cfg)
+    distill_student(train_scenes, save_teacher(tiny_teacher_cfg), cfg.train, real, student_cfg=cfg.student)
+    distill_student(train_scenes, tmp_path / "no_such_teacher.ckpt", cfg.train, missing,
+                    student_cfg=cfg.student)
     assert missing.read_bytes() == real.read_bytes()
 
 

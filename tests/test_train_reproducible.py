@@ -6,27 +6,27 @@ before and after.
 
 import importlib.util
 import re
-from dataclasses import replace
 from pathlib import Path
 
 from distilldet.checkpoint import checkpoint_hash, load_checkpoint
-from distilldet.experiments import ABLATION_ROWS, distill_config_for_row, row_tag
+from distilldet.config import RunConfig
+from distilldet.experiments import ABLATION_ROWS, row_config, row_tag
 from distilldet.train import TrainConfig, distill_student, train_teacher
 
 
 def test_every_ablation_row_checkpoint_sha256_repeats(tmp_path, tiny_scenes, tiny_teacher_cfg,
                                                       tiny_student_cfg):
     train_scenes, _ = tiny_scenes
-    base = TrainConfig(epochs=1, lr_decay_epochs=(), seed=11)
+    cfg = RunConfig(teacher=tiny_teacher_cfg, student=tiny_student_cfg,
+                    train=TrainConfig(epochs=1, lr_decay_epochs=(), seed=11))
     teacher = tmp_path / "teacher.ckpt"
-    train_teacher(train_scenes, tiny_teacher_cfg, base, teacher)
+    train_teacher(train_scenes, cfg.teacher, cfg.train, teacher)
     for row in ABLATION_ROWS:
-        tcfg = replace(base, distill=distill_config_for_row(base.distill, row))
-        student_cfg = replace(tiny_student_cfg, pyramid_roi=row[3])
+        row_cfg = row_config(cfg, row)
         digests = []
         for run in ("a", "b"):
             ckpt = tmp_path / f"student_{row_tag(row)}_{run}.ckpt"
-            distill_student(train_scenes, teacher, tcfg, ckpt, student_cfg=student_cfg)
+            distill_student(train_scenes, teacher, row_cfg.train, ckpt, student_cfg=row_cfg.student)
             digests.append(checkpoint_hash(ckpt))
         assert digests[0] == digests[1], row_tag(row)
         meta, _ = load_checkpoint(ckpt)

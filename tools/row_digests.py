@@ -4,14 +4,15 @@ followed by the sha256 of that run's step log.
 
 The run is fixed: 96x160 scenes from ``generate_dataset(SceneParams(n_train=4,
 n_test=1), seed=0)``, ``TrainConfig(epochs=1, lr_decay_epochs=(), seed=0)``,
-the default teacher and student, each row's weights from
-``distill_config_for_row`` on the default ``DistillConfig`` (0 for a term the
-row turns off), and each row's crop mode. A change that must keep behaviour
-bit for bit prints the same nine lines before and after. The step log holds
-every step's logged losses (``StepRecord.to_json``), so its digest also
-shows a change that keeps the checkpoints but moves a logged loss. Unlike the
-tiny test fixtures, the default scene size reaches the full-size feature maps
-(P2 is 24x40), where rounding can differ that the small maps never show.
+the default teacher and student, and each row's student and matching weights
+from ``experiments.row_config`` of that run: the row's crop mode, and the
+default ``DistillConfig``'s weight for each term the row turns on, 0 for the
+others. A change that must keep behaviour bit for bit prints the same nine
+lines before and after. The step log holds every step's logged losses
+(``StepRecord.to_json``), so its digest also shows a change that keeps the
+checkpoints but moves a logged loss. Unlike the tiny test fixtures, the
+default scene size reaches the full-size feature maps (P2 is 24x40), where
+rounding can differ that the small maps never show.
 
 Usage (from the repository root, takes about 2 s)::
 
@@ -23,34 +24,32 @@ from __future__ import annotations
 import os
 import sys
 import tempfile
-from dataclasses import replace
 
 from distilldet.checkpoint import checkpoint_hash
+from distilldet.config import RunConfig
 from distilldet.data import SceneParams, generate_dataset
-from distilldet.distill import DistillConfig
-from distilldet.experiments import ABLATION_ROWS, distill_config_for_row, row_tag
-from distilldet.nets import default_student_config, default_teacher_config
+from distilldet.experiments import ABLATION_ROWS, row_config, row_tag
 from distilldet.train import TrainConfig, distill_student, train_teacher
 
 
 def row_digests(work_dir) -> list[tuple[str, str, str]]:
     """(name, checkpoint sha256, step log sha256) of the teacher, then of
     every ablation row in order."""
-    train_scenes, _ = generate_dataset(SceneParams(n_train=4, n_test=1), seed=0)
-    tcfg = TrainConfig(epochs=1, lr_decay_epochs=(), seed=0)
+    cfg = RunConfig(dataset=SceneParams(n_train=4, n_test=1),
+                    train=TrainConfig(epochs=1, lr_decay_epochs=(), seed=0))
+    train_scenes, _ = generate_dataset(cfg.dataset, cfg.seed)
 
     def paths(name):
         return os.path.join(work_dir, f"{name}.ckpt"), os.path.join(work_dir, f"{name}_log.jsonl")
 
     teacher_ckpt, teacher_log = paths("teacher")
-    train_teacher(train_scenes, default_teacher_config(), tcfg, teacher_ckpt, log_path=teacher_log)
+    train_teacher(train_scenes, cfg.teacher, cfg.train, teacher_ckpt, log_path=teacher_log)
     digests = [("teacher", checkpoint_hash(teacher_ckpt), checkpoint_hash(teacher_log))]
     for row in ABLATION_ROWS:
-        tag = row_tag(row)
+        tag, row_cfg = row_tag(row), row_config(cfg, row)
         ckpt, log = paths(f"student_{tag}")
-        distill_student(train_scenes, teacher_ckpt,
-                        replace(tcfg, distill=distill_config_for_row(DistillConfig(), row)), ckpt,
-                        student_cfg=replace(default_student_config(), pyramid_roi=row[3]), log_path=log)
+        distill_student(train_scenes, teacher_ckpt, row_cfg.train, ckpt, student_cfg=row_cfg.student,
+                        log_path=log)
         digests.append((tag, checkpoint_hash(ckpt), checkpoint_hash(log)))
     return digests
 

@@ -23,13 +23,12 @@ Usage (from the repository root, takes about 2 s)::
 from __future__ import annotations
 
 import tracemalloc
-from dataclasses import replace
 
 from distilldet import train
+from distilldet.config import RunConfig
 from distilldet.data import SceneParams, generate_dataset
-from distilldet.distill import DistillConfig
-from distilldet.experiments import ABLATION_ROWS, distill_config_for_row
-from distilldet.nets import default_student_config, default_teacher_config, init_params
+from distilldet.experiments import ABLATION_ROWS, row_config
+from distilldet.nets import init_params
 
 PHASES = ("forward", "backward", "sgd")
 
@@ -70,17 +69,15 @@ def step_peaks(scenes, net_cfg, tcfg, teacher=None) -> list[dict]:
 
 def main() -> int:
     scenes, _ = generate_dataset(SceneParams(n_train=4, n_test=1), seed=0)
-    tcfg = train.TrainConfig(epochs=1, lr_decay_epochs=(), seed=0)
-    t_cfg = default_teacher_config()
-    row = ABLATION_ROWS[-1]
-    s_cfg = replace(default_student_config(), pyramid_roi=row[3])
-    dcfg = distill_config_for_row(DistillConfig(), row)
-    matcher = train._TeacherContext(t_cfg, init_params(t_cfg, seed=0), s_cfg, dcfg)
-    runs = (("teacher", t_cfg, tcfg, None),
-            ("student", s_cfg, replace(tcfg, distill=dcfg), matcher))
+    cfg = row_config(RunConfig(train=train.TrainConfig(epochs=1, lr_decay_epochs=(), seed=0)),
+                     ABLATION_ROWS[-1])
+    matcher = train._TeacherContext(cfg.teacher, init_params(cfg.teacher, seed=0), cfg.student,
+                                    cfg.train.distill)
+    runs = (("teacher", cfg.teacher, cfg.train, None),
+            ("student", cfg.student, cfg.train, matcher))
     print("run      " + "".join(f"{p:>10}" for p in PHASES) + "   (MB, highest over steps)")
-    for name, cfg, run_cfg, teacher in runs:
-        steps = step_peaks(scenes, cfg, run_cfg, teacher)
+    for name, net_cfg, run_cfg, teacher in runs:
+        steps = step_peaks(scenes, net_cfg, run_cfg, teacher)
         print(f"{name:<9}" + "".join(f"{max(s[p] for s in steps) / 1e6:>10.1f}" for p in PHASES),
               flush=True)
     return 0
