@@ -9,7 +9,11 @@ checks and the test oracles run in float64.
 Shapes: a tensor keeps the shape of the data it is made from, so a Python
 number is a 0-d tensor. Elementwise ops between two tensors take equal
 shapes and never broadcast; a Python number as the second operand of
-``add`` or ``mul`` applies to every element, and ``sub`` takes two tensors.
+``add`` or ``mul`` applies to every element. Each loss op takes its target
+as an array of its prediction's shape, never as a tensor, so a target has
+no gradient and is no parent of the loss: ``softmax_cross_entropy`` integer
+labels, ``bce_with_logits``, ``smooth_l1`` and ``sq_error_sum`` arrays cast
+to the prediction's dtype.
 
 A ``Tensor`` holds ``data``, ``grad`` and ``requires_grad`` and offers
 ``shape``, ``item()``, ``detach()``, ``t * other`` (``mul``) and
@@ -37,14 +41,16 @@ adds to a graph's memory is what it saves beyond its parents' data:
 ``relu`` its output, from which it rebuilds the mask ``out > 0`` (a forward
 that records nothing computes no mask); ``softmax_cross_entropy`` the
 per-row log-sum-exp and the labels; ``bce_with_logits`` the targets;
-``smooth_l1`` the difference and the mask of its quadratic part;
+``smooth_l1`` the difference ``pred - target`` and the mask of its
+quadratic part; ``sq_error_sum`` that difference alone, not its square;
 ``take_rows`` and ``gather`` their indices; every other rule in this module
 nothing but shapes and scalars. The ``imageops`` docstring lists its ops.
 
 Finite-value policy: constructing a leaf tensor from non-finite data raises
-immediately. Outputs of recorded operations are not re-scanned (the fused
-softmax/BCE ops guard their own exponentials); training code checks its loss
-values and aborts on divergence.
+immediately. Outputs of recorded operations and loss targets are not
+scanned (the fused softmax/BCE ops guard their own exponentials), so a NaN
+target gives a NaN loss; training code checks its loss values and aborts on
+divergence before backward.
 """
 
 from __future__ import annotations
@@ -273,16 +279,6 @@ def add(a: Tensor, b):
     return Tensor._from_op(a.data + c, (a,), lambda g: (g,))
 
 
-def sub(a: Tensor, b: Tensor):
-    _check_pair(a, b)
-
-    def bk(g):
-        # None for the detached teacher side of PD, RD and LD
-        return g, -g if b.requires_grad else None
-
-    return Tensor._from_op(a.data - b.data, (a, b), bk)
-
-
 def mul(a: Tensor, b):
     if isinstance(b, Tensor):
         _check_pair(a, b)
@@ -402,9 +398,7 @@ def softmax_cross_entropy(logits: Tensor, labels):
 def bce_with_logits(logits: Tensor, targets):
     """Mean binary cross-entropy on raw logits; fused for stability."""
     z = logits.data
-    t = np.asarray(targets, dtype=z.dtype)
-    if z.shape != t.shape:
-        raise ShapeError(f"bce shapes {z.shape} vs {t.shape}")
+    t = _target_of(logits, targets, "bce")
     losses = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
     n = z.size
 
@@ -417,17 +411,25 @@ def bce_with_logits(logits: Tensor, targets):
     return Tensor._from_op(np.asarray(losses.mean()), (logits,), bk)
 
 
-def smooth_l1(pred: Tensor, target: Tensor):
-    """Elementwise smooth-L1: 0.5 d^2 for |d| < 1, |d| - 0.5 otherwise."""
-    if pred.data.shape != target.data.shape:
-        raise ShapeError(f"smooth_l1 shapes {pred.shape} vs {target.shape}")
-    d = pred.data - target.data
+def sq_error_sum(pred: Tensor, target):
+    """Sum of squared differences between ``pred`` and the array ``target``."""
+    d = pred.data - _target_of(pred, target, "sq_error_sum")
+    return Tensor._from_op(np.asarray((d * d).sum()), (pred,), lambda g: (d * (2.0 * float(g)),))
+
+
+def smooth_l1(pred: Tensor, target):
+    """Elementwise smooth-L1 of ``pred`` against the array ``target``:
+    0.5 d^2 for |d| < 1, |d| - 0.5 otherwise."""
+    d = pred.data - _target_of(pred, target, "smooth_l1")
     a = np.abs(d)
     inside = a < 1.0
     vals = np.where(inside, 0.5 * d * d, a - 0.5)
+    return Tensor._from_op(vals, (pred,), lambda g: (np.where(inside, d, np.sign(d)) * g,))
 
-    def bk(g):
-        dd = np.where(inside, d, np.sign(d)) * g
-        return dd, -dd if target.requires_grad else None
 
-    return Tensor._from_op(vals, (pred, target), bk)
+def _target_of(pred: Tensor, target, op: str) -> np.ndarray:
+    """``target`` as an array of ``pred``'s dtype and shape."""
+    t = np.asarray(target, dtype=pred.data.dtype)
+    if t.shape != pred.data.shape:
+        raise ShapeError(f"{op} shapes {pred.shape} vs {t.shape}")
+    return t

@@ -4,8 +4,9 @@ Three hierarchy levels are matched, each as a mean of squared differences
 over its own element count: whole pyramid maps (the ``(P2, P3, P4, P5)``
 tuples of both nets; dense, low weight), cropped region features at the
 student's proposals, and the per-box activations feeding the final
-classifier. Gradients flow into the student side only; teacher operands are
-detached on entry.
+classifier. Each term is ``autodiff.sq_error_sum`` of a student tensor
+against the teacher's values: the teacher side is an array, so gradients
+flow into the student side only.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from . import autodiff as ad
-from .autodiff import ShapeError, Tensor
+from .autodiff import Tensor
 
 
 @dataclass(frozen=True)
@@ -52,38 +53,31 @@ class DistillReport:
     total: float = 0.0
 
 
-def _sq_diff_sum(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"distill operands differ in shape: {a.shape} vs {b.shape}")
-    d = ad.sub(a, b.detach())
-    return ad.tsum(ad.mul(d, d))
-
-
 def pyramid_distill_loss(student_pyr, teacher_pyr) -> Tensor:
-    """Squared differences summed across all four levels of the
-    ``(P2, P3, P4, P5)`` pyramids, divided by the total number of pyramid
-    elements."""
+    """Squared differences summed across all four levels of the student's
+    ``(P2, P3, P4, P5)`` pyramid and the teacher's four level arrays, divided
+    by the total number of pyramid elements."""
     total = None
     count = 0
     for s, t in zip(student_pyr, teacher_pyr):
-        term = _sq_diff_sum(s, t)
+        term = ad.sq_error_sum(s, t)
         count += s.data.size
         total = term if total is None else ad.add(total, term)
     return total * (1.0 / count)
 
 
-def region_distill_loss(student_regions: Tensor, teacher_regions: Tensor) -> Tensor:
+def region_distill_loss(student_regions: Tensor, teacher_regions) -> Tensor:
     """Squared differences over all cropped regions [R,C,S,S], divided by the
     total element count; both sides come from the same (student) boxes."""
-    return _sq_diff_sum(student_regions, teacher_regions) * (1.0 / student_regions.data.size)
+    return ad.sq_error_sum(student_regions, teacher_regions) * (1.0 / student_regions.data.size)
 
 
-def logit_distill_loss(student_logits: Tensor, teacher_logits: Tensor) -> Tensor:
+def logit_distill_loss(student_logits: Tensor, teacher_logits) -> Tensor:
     """Per-box mean of squared activation differences over [N,L] stacks,
     averaged over boxes. Normalizing by N*L keeps the value independent of
     the head width.
     """
-    return _sq_diff_sum(student_logits, teacher_logits) * (1.0 / student_logits.data.size)
+    return ad.sq_error_sum(student_logits, teacher_logits) * (1.0 / student_logits.data.size)
 
 
 def total_distill_loss(cfg: DistillConfig, pd: Tensor | None, rd: Tensor | None,

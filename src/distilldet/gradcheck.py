@@ -106,7 +106,7 @@ def op_checks(instances: int = 20):
     """(name, worst_rel_err) for every differentiable op, as a list; fails fast.
 
     Covers conv2d, linear, roi_align_batch in both crop modes, relu,
-    maxpool2x2, concat, cross-entropy, bce, smooth-L1, upsample,
+    maxpool2x2, concat, cross-entropy, bce, smooth-L1, squared error, upsample,
     reshape/transpose, the scatter ops, add and mul. Each op is checked on
     ``instances`` random inputs; ValueError when that is below 1, since a
     check of no input would report a worst error of 0.
@@ -194,7 +194,7 @@ def op_checks(instances: int = 20):
         d = p - t
         near = np.abs(np.abs(d) - 1.0) < 5e-2
         p[near] += np.sign(d[near]) * 0.1
-        return check_gradients(ad.smooth_l1, [p, t], seed=i)
+        return check_gradients(lambda x: ad.smooth_l1(x, t), [p], seed=i)
 
     run("smooth_l1", sl1_case)
 
@@ -237,6 +237,13 @@ def op_checks(instances: int = 20):
         )
 
     run("roi_align_batch_single_level", roi_align_single_level_case)
+
+    def sq_error_case(i):
+        shape = (int(rng.integers(1, 4)), int(rng.integers(1, 5)))
+        t = rng.normal(size=shape)
+        return check_gradients(lambda x: ad.sq_error_sum(x, t), [rng.normal(size=shape)], seed=i)
+
+    run("sq_error_sum", sq_error_case)
 
     return results
 

@@ -325,7 +325,7 @@ def rpn_loss(rpn_out, anchors, gt_boxes: np.ndarray, rng: np.random.Generator) -
     if len(pos_idx):
         pred = ad.take_rows(deltas, pos_idx)
         gt = np.asarray(gt_boxes).reshape(-1, 4)[matched[pos_idx]]
-        target = Tensor(encode_deltas(anchors[pos_idx], gt).astype(pred.data.dtype))
+        target = encode_deltas(anchors[pos_idx], gt)
         reg = ad.tsum(ad.smooth_l1(pred, target)) * (1.0 / len(pos_idx))
         loss = ad.add(loss, reg)
     return loss
@@ -401,7 +401,7 @@ def detection_loss(class_scores: Tensor, box_deltas: Tensor, roi_labels,
     pos = np.where(labels == 1)[0]
     if len(pos):
         pred = ad.take_rows(box_deltas, pos)
-        target = Tensor(np.asarray(roi_targets, dtype=pred.data.dtype)[pos])
+        target = np.asarray(roi_targets)[pos]
         loss = ad.add(loss, ad.tsum(ad.smooth_l1(pred, target)) * (1.0 / len(pos)))
     return loss
 

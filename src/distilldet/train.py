@@ -65,8 +65,8 @@ class TrainConfig:
     distill: DistillConfig = field(default_factory=DistillConfig)
 
     def __post_init__(self):
-        if list(self.lr_decay_epochs) != sorted(self.lr_decay_epochs):
-            raise ValueError("lr_decay_epochs must be ascending")
+        if any(a >= b for a, b in zip(self.lr_decay_epochs, self.lr_decay_epochs[1:])):
+            raise ValueError(f"lr_decay_epochs must be strictly ascending, got {self.lr_decay_epochs}")
         if any(e < 1 for e in self.lr_decay_epochs):
             raise ValueError(f"lr_decay_epochs entries must be at least 1, got {self.lr_decay_epochs}")
         if any(e > self.epochs for e in self.lr_decay_epochs):
@@ -77,6 +77,8 @@ class TrainConfig:
             raise ValueError(f"base_lr must be finite and positive, got {self.base_lr}")
         if not (math.isfinite(self.clip_grad_norm) and self.clip_grad_norm >= 0):
             raise ValueError(f"clip_grad_norm must be finite and nonnegative, got {self.clip_grad_norm}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass
@@ -177,19 +179,19 @@ class _TeacherContext:
         dcfg = self.dcfg
         pd_on, rd_on, ld_on = dcfg.lambda_pd > 0, dcfg.lambda_rd > 0, dcfg.lambda_ld > 0
         t_pyr = self.pyramid(scene_index, flipped, image4)
-        pd = pyramid_distill_loss(pyr, t_pyr) if pd_on else None
+        pd = pyramid_distill_loss(pyr, [t.data for t in t_pyr]) if pd_on else None
         rd = ld = None
         if len(proposals) and (rd_on or ld_on):
             s_reg = roi_ops.extract_region_batch(pyr, proposals, self.student_cfg.pyramid_roi)
             if rd_on:
                 t_reg = roi_ops.extract_region_batch(t_pyr, proposals, self.student_cfg.pyramid_roi)
-                rd = region_distill_loss(s_reg, t_reg)
+                rd = region_distill_loss(s_reg, t_reg.data)
             if ld_on:
                 s_logits, _, _ = nets.head_forward_batch(s_reg, self.student_cfg, params)
                 if not (rd_on and self._ld_reuses_rd_crop):
                     t_reg = roi_ops.extract_region_batch(t_pyr, proposals, self.cfg.pyramid_roi)
                 t_logits, _, _ = nets.head_forward_batch(t_reg, self.cfg, self.params)
-                ld = logit_distill_loss(s_logits, t_logits)
+                ld = logit_distill_loss(s_logits, t_logits.data)
         return total_distill_loss(dcfg, pd, rd, ld)
 
 

@@ -17,8 +17,10 @@ test), with join_rpn_levels, which lays per-level RPN outputs and anchors
 out as the library joins them; relu_where,
 iou_where and maxpool2x2_backward_where, the earlier np.where forms of three
 elementwise steps, kept as bit-for-bit references in float32 and float64;
-and mse, a test loss composed from library ops, which the detector never
-runs.
+sq_error_sum_chain, the earlier sub -> mul -> tsum graph of the
+squared-error sum replayed in numpy, kept as a bit-for-bit reference for
+the one-op sq_error_sum; and mse, a test loss composed from library ops,
+which the detector never runs.
 """
 
 import math
@@ -397,7 +399,23 @@ def maxpool2x2_backward_where(x, g):
 
 
 def mse(a, b):
-    """Mean of elementwise squared differences of two tensors, as a graph
-    of library ops (sub, mul, tsum and a scale)."""
-    d = ad.sub(a, b)
-    return ad.mul(ad.tsum(ad.mul(d, d)), 1.0 / d.data.size)
+    """Mean of the elementwise squared differences of tensor ``a`` and
+    array ``b``, as a graph of library ops (sq_error_sum and a scale)."""
+    return ad.mul(ad.sq_error_sum(a, b), 1.0 / a.data.size)
+
+
+def sq_error_sum_chain(pred, target, g):
+    """(value, pred gradient) of the earlier sub -> mul -> tsum graph of the
+    squared-error sum, replayed rule by rule in numpy for an incoming 0-d
+    gradient ``g``: tsum spreads ``g`` in ``pred``'s dtype, mul returns
+    ``G * d`` once per operand (the first kept as d's gradient after
+    ``+= 0.0``, the second added into it), and sub hands d's gradient on,
+    which pred copies into zeros."""
+    d = pred - target
+    sq = d * d
+    value = np.asarray(sq.sum())
+    spread = np.full_like(sq, float(g))
+    grad_d = spread * d
+    grad_d += 0.0
+    grad_d += spread * d
+    return value, np.zeros_like(pred) + grad_d

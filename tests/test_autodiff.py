@@ -12,7 +12,7 @@ import pytest
 import distilldet.autodiff as ad
 from distilldet import SGD, ShapeError, Tape, TapeError, Tensor, backward, imageops, roi
 from distilldet.train import MOMENTUM, TrainConfig
-from oracles import mse
+from oracles import mse, sq_error_sum_chain
 
 
 class TestTensorBasics:
@@ -61,7 +61,7 @@ class TestTensorBasics:
             t = Tensor(value)
             assert t.shape == () and t.data.dtype == dtype and t.item() == float(value)
 
-    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
+    @pytest.mark.parametrize("op", [ad.add, ad.mul])
     def test_elementwise_ops_do_not_broadcast_a_single_element(self, op):
         for a, b in (((), (1,)), ((1,), ()), ((1,), (3,)), ((), (2, 2))):
             with pytest.raises(ShapeError):
@@ -85,7 +85,7 @@ class TestBackward:
         # mean of squares: grad = 2x / len(x)
         vals = np.array([1.0, -2.0, 0.5, 3.0])
         x = Tensor(vals, requires_grad=True)
-        backward(mse(x, Tensor(np.zeros(4))))
+        backward(mse(x, np.zeros(4)))
         assert np.allclose(x.grad, 2 * vals / 4, atol=1e-15)
 
     def test_non_scalar_loss_rejected(self):
@@ -127,7 +127,7 @@ class TestBackward:
 
         def losses(x):
             y = ad.linear(x, Tensor(w), Tensor(np.zeros(2)))
-            return mse(y, Tensor(np.zeros((4, 2)))), ad.tsum(ad.relu(y))
+            return mse(y, np.zeros((4, 2))), ad.tsum(ad.relu(y))
 
         x1 = Tensor(base, requires_grad=True)
         l1, l2 = losses(x1)
@@ -206,26 +206,30 @@ class TestGraphIsFreed:
         with pytest.raises(TapeError):
             Tape(z)
 
-    @pytest.mark.parametrize("op", [
-        lambda x, w, b: imageops.conv2d(x, w, b),  # im2col columns: 1.1 MB
-        lambda x, w, b: ad.relu(x),                        # a bool mask: 30 KB
-    ], ids=["conv2d", "relu"])
-    def test_recording_an_op_keeps_little_more_than_its_output(self, op):
+    @pytest.mark.parametrize("op, saves_an_input_sized_array", [
+        (lambda x, w, b, t: imageops.conv2d(x, w, b), False),  # im2col columns: 1.1 MB
+        (lambda x, w, b, t: ad.relu(x), False),                # a bool mask: 30 KB
+        (lambda x, w, b, t: ad.sq_error_sum(x, t), True),      # the difference: 123 KB
+    ], ids=["conv2d", "relu", "sq_error_sum"])
+    def test_recording_an_op_keeps_little_more_than_its_output(self, op, saves_an_input_sized_array):
         r = np.random.default_rng(5)
         x = Tensor(r.normal(size=(1, 32, 24, 40)).astype(np.float32), requires_grad=True)
         w = Tensor(r.normal(size=(32, 32, 3, 3)).astype(np.float32), requires_grad=True)
         b = Tensor(np.zeros(32, dtype=np.float32), requires_grad=True)
+        t = r.normal(size=x.shape).astype(np.float32)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            out = op(x, w, b)
+            out = op(x, w, b, t)
             alive = tracemalloc.get_traced_memory()[0] - start
         finally:
             tracemalloc.stop()
         assert out._backward is not None
         # The output, its Tensor and the rule's closure: about 1.8 KB beyond
-        # the output's data.
-        assert alive <= out.data.nbytes + 8192
+        # the output's data, plus the one array the rule saves: sq_error_sum's
+        # difference, the size of its input.
+        saved = x.data.nbytes if saves_an_input_sized_array else 0
+        assert alive <= out.data.nbytes + saved + 8192
 
     def test_train_steps_never_hold_two_graphs(self, tiny_scenes, tiny_student_cfg):
         # The same scene twice: the second step differs from the first only
@@ -255,9 +259,9 @@ _KEEPING_OPS = {
     "maxpool2x2": (imageops.maxpool2x2, [True]),
     "upsample2x": (imageops.upsample2x, [True]),
     "mul": (ad.mul, [True, True]),
-    "sub": (ad.sub, [False, True]),
     "tsum": (ad.tsum, [True]),
-    "smooth_l1": (ad.smooth_l1, [True, True]),
+    "smooth_l1": (lambda p: ad.smooth_l1(p, np.full(p.shape, 0.25, p.data.dtype)), [True]),
+    "sq_error_sum": (lambda p: ad.sq_error_sum(p, np.full(p.shape, 0.25, p.data.dtype)), [True]),
 }
 
 
@@ -329,13 +333,13 @@ class TestGradientHandOff:
 
     @pytest.mark.parametrize("build", [
         lambda a, b: [ad.add(a, b)], lambda a, b: [ad.add(a, a)],
-        lambda a, b: [a * b], lambda a, b: [ad.sub(a, b)],
+        lambda a, b: [a * b],
         lambda a, b: [ad.linear(a, b, Tensor(np.zeros(3)))],
         lambda a, b: [ad.reshape(a, (9,))],
         lambda a, b: [ad.transpose(a, (1, 0)) * b],
         lambda a, b: [ad.concat([a, b], axis=1)],
         _held_intermediate,
-    ], ids=["a+b", "a+a", "a*b", "a-b", "linear", "reshape", "transpose", "concat", "held"])
+    ], ids=["a+b", "a+a", "a*b", "linear", "reshape", "transpose", "concat", "held"])
     def test_leaf_gradients_are_their_own_arrays(self, build):
         a = Tensor(np.full((3, 3), 2.0), requires_grad=True)
         b = Tensor(np.full((3, 3), 5.0), requires_grad=True)
@@ -407,7 +411,7 @@ class TestDeterminism:
             r = np.random.default_rng(seed)
             x = Tensor(r.normal(size=(3, 5)), requires_grad=True)
             w = Tensor(r.normal(size=(5, 4)), requires_grad=True)
-            loss = mse(ad.relu(ad.linear(x, w, Tensor(np.zeros(4)))), Tensor(np.zeros((3, 4))))
+            loss = mse(ad.relu(ad.linear(x, w, Tensor(np.zeros(4)))), np.zeros((3, 4)))
             backward(loss)
             return loss.item(), x.grad.copy(), w.grad.copy()
 
@@ -466,19 +470,23 @@ class TestSgdStep:
 
 class TestOpExamples:
     def test_smooth_l1_at_half(self):
-        v = ad.smooth_l1(Tensor([0.5, -0.5]), Tensor([0.0, 0.0]))
+        v = ad.smooth_l1(Tensor([0.5, -0.5]), [0.0, 0.0])
         assert np.allclose(v.data, [0.125, 0.125])
 
     def test_smooth_l1_linear_branch(self):
-        v = ad.smooth_l1(Tensor([2.0]), Tensor([0.0]))
+        v = ad.smooth_l1(Tensor([2.0]), [0.0])
         assert np.allclose(v.data, [1.5])
 
-    @pytest.mark.parametrize("op", [ad.sub, ad.smooth_l1])
-    def test_a_constant_second_operand_gets_none_from_the_rule(self, op):
-        # a detached teacher map in PD/RD/LD, a regression target in the losses
-        out = op(Tensor(np.ones((2, 3)), requires_grad=True), Tensor(np.zeros((2, 3))))
-        ga, gb = out._backward(np.ones((2, 3)))
-        assert ga.shape == (2, 3) and gb is None
+    @pytest.mark.parametrize("op", [ad.smooth_l1, ad.sq_error_sum])
+    def test_a_loss_target_is_an_array_and_no_parent(self, op):
+        # a teacher map in PD/RD/LD, a regression target in the losses
+        pred = Tensor(np.ones((2, 3)), requires_grad=True)
+        out = op(pred, np.zeros((2, 3)))
+        assert out._parents == (pred,) and len(out._backward(np.ones_like(out.data))) == 1
+        with pytest.raises(ShapeError):
+            op(pred, np.zeros((3, 2)))
+        with pytest.raises(TypeError):
+            op(pred, Tensor(np.zeros((2, 3))))
 
     def test_softmax_rows_sum_to_one(self, rng):
         # exp(-CE(z, k)) is softmax(z)[k], the probability the fused op uses
@@ -519,6 +527,45 @@ class TestOpExamples:
         assert np.array_equal(x.grad, [[1.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
 
 
+class TestSqErrorSum:
+    """``sq_error_sum`` against the sub -> mul -> tsum graph it replaced."""
+
+    @staticmethod
+    def _operands(r, dtype, top):
+        """Random pred and target with signed zeros and magnitudes from
+        1e-20 to 10**top."""
+        def draw(shape):
+            vals = r.choice([-1.0, 1.0], size=shape) * 10.0 ** r.uniform(-20, top, size=shape)
+            vals.reshape(-1)[r.integers(0, vals.size, size=3)] = r.choice([0.0, -0.0], size=3)
+            return vals.astype(dtype)
+
+        shape = tuple(int(n) for n in r.integers(1, 5, size=int(r.integers(1, 4))))
+        return draw(shape), draw(shape)
+
+    # float32 stops at 1e18, where a sum of squares still fits, since
+    # backward refuses an infinite loss.
+    @pytest.mark.parametrize("dtype, top", [(np.float32, 18), (np.float64, 20)])
+    def test_value_and_gradient_bytes_match_the_earlier_graph(self, dtype, top):
+        r = np.random.default_rng(21)
+        for _ in range(2000):
+            pred, target = self._operands(r, dtype, top)
+            scale = 10.0 ** r.uniform(-6, 2)
+            x = Tensor(pred, requires_grad=True)
+            out = ad.sq_error_sum(x, target)
+            backward(out * scale)
+            value, grad = sq_error_sum_chain(pred, target, np.ones((), dtype) * scale)
+            assert out.data.dtype == dtype and out.data.tobytes() == value.tobytes()
+            assert x.grad.tobytes() == grad.tobytes()
+
+    def test_a_nan_target_gives_a_nan_loss_that_backward_refuses(self):
+        x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        out = ad.sq_error_sum(x, np.array([0.0, np.nan, 1.0]))
+        assert np.isnan(out.item())
+        with pytest.raises(ValueError, match="non-finite loss"):
+            backward(out)
+        assert x.grad is None
+
+
 def _leaf(shape, needs_grad, seed=0):
     return Tensor(np.random.default_rng(seed).normal(size=shape), requires_grad=needs_grad)
 
@@ -528,7 +575,6 @@ def _leaf(shape, needs_grad, seed=0):
 _OPS = {
     "add": lambda rg: ad.add(_leaf((2, 3), rg), _leaf((2, 3), rg, 1)),
     "add_scalar": lambda rg: ad.add(_leaf((2, 3), rg), 1.5),
-    "sub": lambda rg: ad.sub(_leaf((2, 3), rg), _leaf((2, 3), rg, 1)),
     "mul": lambda rg: ad.mul(_leaf((2, 3), rg), _leaf((2, 3), rg, 1)),
     "mul_scalar": lambda rg: ad.mul(_leaf((2, 3), rg), 1.5),
     "relu": lambda rg: ad.relu(_leaf((2, 3), rg)),
@@ -541,7 +587,8 @@ _OPS = {
     "linear": lambda rg: ad.linear(_leaf((2, 3), rg), _leaf((3, 4), rg, 1), _leaf((4,), rg, 2)),
     "softmax_cross_entropy": lambda rg: ad.softmax_cross_entropy(_leaf((2, 3), rg), [0, 2]),
     "bce_with_logits": lambda rg: ad.bce_with_logits(_leaf((2, 3), rg), np.ones((2, 3))),
-    "smooth_l1": lambda rg: ad.smooth_l1(_leaf((2, 3), rg), _leaf((2, 3), rg, 1)),
+    "smooth_l1": lambda rg: ad.smooth_l1(_leaf((2, 3), rg), _leaf((2, 3), False, 1).data),
+    "sq_error_sum": lambda rg: ad.sq_error_sum(_leaf((2, 3), rg), _leaf((2, 3), False, 1).data),
     "conv2d": lambda rg: imageops.conv2d(_leaf((1, 2, 4, 4), rg), _leaf((3, 2, 3, 3), rg, 1),
                                          _leaf((3,), rg, 2)),
     "maxpool2x2": lambda rg: imageops.maxpool2x2(_leaf((1, 2, 4, 4), rg)),

@@ -75,12 +75,26 @@ def test_eval_on_bad_detection_file_exits_2_naming_the_line(tmp_path, capsys, ba
 @pytest.mark.parametrize("command, line, message", [
     ("ablate", "student.roi_size = 7", "unknown key 'student.roi_size'"),
     ("train-teacher", "train.lr_decay_epochs = 0", "lr_decay_epochs entries must be at least 1"),
+    ("gen-data", "seed = -1", "seed must be nonnegative"),
 ])
 def test_bad_config_exits_2_naming_the_key_before_any_output(tmp_path, capsys, command, line, message):
     config, out = tmp_path / "run.cfg", tmp_path / "run"
     config.write_text(line + "\n")
     assert main([command, "--config", str(config), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train-teacher", "distill", "ablate"])
+def test_negative_seed_exits_2_naming_it_before_any_scene_or_output(tmp_path, capsys, monkeypatch,
+                                                                    command):
+    def fail(cfg):
+        raise AssertionError("build_dataset called with a negative seed")
+
+    monkeypatch.setattr(experiments, "build_dataset", fail)
+    out = tmp_path / "run"
+    assert main([command, "--seed", "-1", "--out", str(out)]) == 2
+    assert "seed must be nonnegative, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -94,7 +108,7 @@ def test_gradcheck_with_no_instances_exits_2_and_checks_nothing(capsys, instance
 _GRADCHECK_OPS = {
     "conv2d", "linear", "roi_align_batch", "relu", "maxpool2x2", "concat", "softmax_cross_entropy",
     "bce_with_logits", "smooth_l1", "upsample2x", "reshape", "transpose", "take_rows", "gather",
-    "add", "mul", "roi_align_batch_single_level",
+    "add", "mul", "roi_align_batch_single_level", "sq_error_sum",
 }
 
 

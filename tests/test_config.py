@@ -110,9 +110,10 @@ def run_configs(draw):
                       image_width=32 * draw(st.integers(1, 64)))
     distill = section(DistillConfig, lambda_pd=draw(nonneg), lambda_rd=draw(nonneg),
                       lambda_ld=draw(nonneg))
-    train = section(TrainConfig, epochs=epochs, distill=distill,
-                    lr_decay_epochs=tuple(sorted(draw(st.lists(st.integers(1, epochs), max_size=4)))),
-                    base_lr=draw(positive_float), clip_grad_norm=draw(nonneg))
+    decay_epochs = draw(st.lists(st.integers(1, epochs), max_size=4, unique=True))
+    train = section(TrainConfig, epochs=epochs, distill=distill, lr_decay_epochs=tuple(sorted(decay_epochs)),
+                    base_lr=draw(positive_float), clip_grad_norm=draw(nonneg),
+                    seed=draw(st.integers(0, 10**9)))
     teacher, student = (section(NetConfig, widths=draw(stage), blocks=draw(stage),
                                 pyramid_width=draw(positive), head_hidden=draw(positive))
                         for _ in range(2))
@@ -162,6 +163,9 @@ def test_count_below_one_is_a_config_error(line):
     ("train.clip_grad_norm = inf", "clip_grad_norm must be finite and nonnegative"),
     ("train.lr_decay_epochs = 0", "lr_decay_epochs entries must be at least 1"),
     ("train.lr_decay_epochs = -3,0", "lr_decay_epochs entries must be at least 1"),
+    ("train.lr_decay_epochs = 4,4", "lr_decay_epochs must be strictly ascending"),
+    ("train.lr_decay_epochs = 5,4", "lr_decay_epochs must be strictly ascending"),
+    ("seed = -1", "seed must be nonnegative"),
     ("distill.lambda_pd = nan", "lambda_pd must be finite and nonnegative"),
     ("distill.lambda_rd = inf", "lambda_rd must be finite and nonnegative"),
     ("distill.lambda_ld = -1", "lambda_ld must be finite and nonnegative"),

@@ -187,21 +187,20 @@ def test_distill_losses_random_vs_loop_oracle(rng):
         s_lv = [rng.normal(size=s) for s in shapes]
         t_lv = [rng.normal(size=s) for s in shapes]
         pyr_s = tuple(Tensor(a, requires_grad=True) for a in s_lv)
-        pyr_t = tuple(Tensor(a) for a in t_lv)
-        got = pyramid_distill_loss(pyr_s, pyr_t).item()
+        got = pyramid_distill_loss(pyr_s, t_lv).item()
         want = sq_mean_loops(list(zip(s_lv, t_lv)))
         assert abs(got - want) < 1e-12
 
         n = int(rng.integers(1, 5))
         sr = rng.normal(size=(n, 3, 4, 4))
         tr = rng.normal(size=(n, 3, 4, 4))
-        got = region_distill_loss(Tensor(sr, requires_grad=True), Tensor(tr)).item()
+        got = region_distill_loss(Tensor(sr, requires_grad=True), tr).item()
         want = sq_mean_loops([(sr, tr)])
         assert abs(got - want) < 1e-12
 
         sl = rng.normal(size=(n, 6))
         tl = rng.normal(size=(n, 6))
-        got = logit_distill_loss(Tensor(sl, requires_grad=True), Tensor(tl)).item()
+        got = logit_distill_loss(Tensor(sl, requires_grad=True), tl).item()
         want = sq_mean_loops([(sl, tl)])
         assert abs(got - want) < 1e-12
 
@@ -210,6 +209,6 @@ def test_region_batch_tensor_matches_list_form(rng):
     """The [R,C,S,S] loss equals the loop oracle summed region by region."""
     sr = rng.normal(size=(4, 3, 2, 2))
     tr = rng.normal(size=(4, 3, 2, 2))
-    batch = region_distill_loss(Tensor(sr), Tensor(tr)).item()
+    batch = region_distill_loss(Tensor(sr), tr).item()
     lists = sq_mean_loops(list(zip(sr, tr)))
     assert abs(batch - lists) < 1e-12

@@ -7,12 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from distilldet import Tensor, nets, roi, train
+from distilldet import Tape, Tensor, nets, roi, train
 from distilldet.distill import DistillConfig, DistillReport
 from distilldet.boxes import box_array
 from distilldet.config import RunConfig
+from distilldet.data import SceneParams, generate_dataset
 from distilldet.experiments import ABLATION_ROWS, row_config, row_tag
 from distilldet.train import (
+    DivergenceError,
     StepRecord,
     TrainConfig,
     distill_student,
@@ -30,6 +32,15 @@ def test_lr_schedule_decays_tenfold_at_epochs_4_and_6_by_default():
     for epoch in (0, cfg.epochs + 1):
         with pytest.raises(ValueError, match=f"epoch {epoch} outside"):
             lr_schedule(epoch, cfg)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"seed": -1}, "seed must be nonnegative, got -1"),
+    ({"lr_decay_epochs": (4, 4)}, "lr_decay_epochs must be strictly ascending"),
+], ids=["negative-seed", "repeated-decay-epoch"])
+def test_train_config_rejects_a_negative_seed_and_repeated_decay_epochs(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**kwargs)
 
 
 def test_epoch_mean_averages_one_epochs_records_and_is_nan_for_none():
@@ -141,7 +152,7 @@ def test_ld_target_is_the_teacher_head_on_its_own_crop(monkeypatch, tiny_scenes,
     own, _, _ = nets.head_forward_batch(roi.extract_region_batch(t_pyr, boxes, teacher_roi),
                                         teacher_cfg, t_params)
     assert len(targets) == 1
-    assert targets[0].data.tobytes() == own.data.tobytes()
+    assert targets[0].tobytes() == own.data.tobytes()
 
 
 @pytest.mark.parametrize("teacher_roi, student_roi", CROP_MODES)
@@ -203,3 +214,42 @@ def test_distill_student_names_a_teacher_whose_meta_is_not_a_net_config(tmp_path
         distill_student(tiny_scenes[0], teacher, TrainConfig(epochs=1, lr_decay_epochs=()), student,
                         student_cfg=tiny_student_cfg)
     assert not student.exists()
+
+
+class _FirstBackward(Exception):
+    """Stops ``train_detector`` at its first ``backward``."""
+
+
+def test_ops_recorded_by_one_default_size_step_per_row(monkeypatch):
+    """A change in the ops a training step records shows up here as a
+    deliberate diff. Seed 1's first step crops boxes of three pyramid
+    levels, so the single-level rows record the ops of every cropped level."""
+    scenes, _ = generate_dataset(SceneParams(n_train=4, n_test=1), seed=1)
+    base = RunConfig(train=TrainConfig(epochs=1, lr_decay_epochs=(), seed=1))
+    t_params = nets.init_params(base.teacher, seed=0)
+    counts = []
+
+    def first_backward(loss):
+        counts.append(len(Tape(loss)))
+        raise _FirstBackward
+
+    monkeypatch.setattr(train, "backward", first_backward)
+    for row in ABLATION_ROWS:
+        cfg = row_config(base, row)
+        matcher = (train._TeacherContext(cfg.teacher, t_params, cfg.student, cfg.train.distill)
+                   if cfg.train.distill.any_enabled else None)
+        with pytest.raises(_FirstBackward):
+            train_detector(scenes, cfg.student, cfg.train, teacher=matcher)
+    assert counts == [80, 81, 96, 89, 91, 100, 108, 110]
+
+
+def test_a_nan_matching_target_stops_the_step_before_backward(monkeypatch, tiny_scenes,
+                                                              tiny_teacher_cfg, tiny_student_cfg):
+    matcher = train._TeacherContext(tiny_teacher_cfg, nets.init_params(tiny_teacher_cfg, seed=0),
+                                    tiny_student_cfg, DistillConfig())
+    loss = train.logit_distill_loss
+    monkeypatch.setattr(train, "logit_distill_loss", lambda s, t: loss(s, np.full_like(t, np.nan)))
+    monkeypatch.setattr(train, "backward", lambda loss: pytest.fail("backward on a NaN loss"))
+    with pytest.raises(DivergenceError, match="dist=nan"):
+        train_detector(tiny_scenes[0], tiny_student_cfg, TrainConfig(epochs=1, lr_decay_epochs=()),
+                       teacher=matcher)
