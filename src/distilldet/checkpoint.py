@@ -20,6 +20,7 @@ with ``OSError``.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -33,27 +34,36 @@ from .autodiff import BLOCK, COMPUTE_DTYPE, Tensor
 _MAGIC = b"distilldet-ckpt v1 "
 
 
-def save_checkpoint(path, params: dict, meta: dict | None = None):
-    """Writes a temporary file beside ``path``, then renames it over ``path``,
-    so a save that fails part way leaves an earlier file there as it was."""
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Yields a file opened on a temporary name beside ``path`` and renames
+    it over ``path`` when the block ends; a block that raises removes the
+    temporary file and leaves an earlier file at ``path`` as it was."""
     tmp = f"{os.fspath(path)}.tmp{os.getpid()}"
-    block = np.empty(BLOCK, dtype="<f8")
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(_MAGIC + json.dumps(meta or {}, sort_keys=True).encode() + b"\n")
-            for name in sorted(params):
-                arr = params[name].data
-                dims = " ".join(str(d) for d in arr.shape)
-                fh.write(f"{name} {arr.ndim} {dims}".rstrip().encode() + b"\n")
-                flat = arr.reshape(-1)
-                for start in range(0, flat.size, BLOCK):
-                    part = block[:min(BLOCK, flat.size - start)]
-                    np.copyto(part, flat[start:start + len(part)])
-                    fh.write(part)
+        with open(tmp, mode) as fh:
+            yield fh
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def save_checkpoint(path, params: dict, meta: dict | None = None):
+    """Writes ``path`` through ``atomic_write``, so a save that fails part
+    way leaves an earlier file there as it was."""
+    block = np.empty(BLOCK, dtype="<f8")
+    with atomic_write(path, "wb") as fh:
+        fh.write(_MAGIC + json.dumps(meta or {}, sort_keys=True).encode() + b"\n")
+        for name in sorted(params):
+            arr = params[name].data
+            dims = " ".join(str(d) for d in arr.shape)
+            fh.write(f"{name} {arr.ndim} {dims}".rstrip().encode() + b"\n")
+            flat = arr.reshape(-1)
+            for start in range(0, flat.size, BLOCK):
+                part = block[:min(BLOCK, flat.size - start)]
+                np.copyto(part, flat[start:start + len(part)])
+                fh.write(part)
 
 
 def load_checkpoint(path):

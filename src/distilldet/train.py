@@ -26,7 +26,7 @@ from . import nets
 from . import roi as roi_ops
 from .autodiff import Tensor, backward
 from .boxes import box_array
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
 from .data import SyntheticScene
 from .distill import (
     DistillConfig,
@@ -288,18 +288,20 @@ def load_detector(path) -> tuple[NetConfig, dict]:
 
 def _fit(scenes, net_cfg: NetConfig, tcfg: TrainConfig, ckpt_path, log_path, teacher=None):
     """Train ``net_cfg`` on ``scenes``, logging each step to ``log_path`` when
-    given, and save it to ``ckpt_path``; returns (params, records). The
-    teacher phase passes no ``teacher``; see ``distill_student`` for when a
-    teacher is read."""
+    given, and save it to ``ckpt_path``; returns (params, records). The log
+    is written beside its path and renamed over it once the checkpoint is
+    saved, so a run that raises leaves an earlier log and checkpoint as they
+    were. The teacher phase passes no ``teacher``; see ``distill_student``
+    for when a teacher is read."""
     if not scenes:
         raise ValueError("empty training set")
     matcher = None
     if teacher is not None and tcfg.distill.any_enabled:
         t_cfg, t_params = teacher if isinstance(teacher, tuple) else load_detector(teacher)
         matcher = _TeacherContext(t_cfg, t_params, net_cfg, tcfg.distill)
-    with open(log_path, "w") if log_path else contextlib.nullcontext() as log_fh:
+    with atomic_write(log_path) if log_path else contextlib.nullcontext() as log_fh:
         params, records = train_detector(scenes, net_cfg, tcfg, teacher=matcher, log_fh=log_fh)
-    save_checkpoint(ckpt_path, params, meta=_cfg_meta(net_cfg))
+        save_checkpoint(ckpt_path, params, meta=_cfg_meta(net_cfg))
     return params, records
 
 

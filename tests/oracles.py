@@ -19,8 +19,10 @@ iou_where and maxpool2x2_backward_where, the earlier np.where forms of three
 elementwise steps, kept as bit-for-bit references in float32 and float64;
 sq_error_sum_chain, the earlier sub -> mul -> tsum graph of the
 squared-error sum replayed in numpy, kept as a bit-for-bit reference for
-the one-op sq_error_sum; and mse, a test loss composed from library ops,
-which the detector never runs.
+the one-op sq_error_sum; smooth_field, the earlier per-channel scene
+background, kept as a bit-for-bit reference for the cached upsampling plan;
+and mse, a test loss composed from library ops, which the detector never
+runs.
 """
 
 import math
@@ -419,3 +421,21 @@ def sq_error_sum_chain(pred, target, g):
     grad_d += 0.0
     grad_d += spread * d
     return value, np.zeros_like(pred) + grad_d
+
+
+def smooth_field(rng, h, w, cells=8, lo=0.3, hi=0.7):
+    """The earlier scene background, one channel: a coarse random grid
+    bilinearly interpolated, with the weights rebuilt on every call."""
+    gh, gw = cells + 1, cells + 1
+    grid = rng.uniform(lo, hi, size=(gh, gw))
+    ys = np.linspace(0, gh - 1, h)
+    xs = np.linspace(0, gw - 1, w)
+    y0 = np.minimum(ys.astype(int), gh - 2)
+    x0 = np.minimum(xs.astype(int), gw - 2)
+    fy = (ys - y0)[:, None]
+    fx = (xs - x0)[None, :]
+    g00 = grid[y0][:, x0]
+    g01 = grid[y0][:, x0 + 1]
+    g10 = grid[y0 + 1][:, x0]
+    g11 = grid[y0 + 1][:, x0 + 1]
+    return (1 - fy) * (1 - fx) * g00 + (1 - fy) * fx * g01 + fy * (1 - fx) * g10 + fy * fx * g11

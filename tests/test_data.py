@@ -1,6 +1,15 @@
 """Synthetic scene generation."""
 
+import dataclasses
+import hashlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from distilldet import data
+from oracles import smooth_field
 
 
 def test_small_images_skip_figures_too_tall_to_fit():
@@ -48,3 +57,44 @@ def test_ground_truth_boxes_lie_inside_the_image_with_visibility_in_0_1():
         assert 0 <= g.x1 < g.x2 <= params.image_width and 0 <= g.y1 < g.y2 <= params.image_height
         assert 0 < g.visibility <= 1
     assert any(g.visibility < 1 for g in gts)  # occluders do occur
+
+
+@pytest.mark.parametrize("params, seed, image_sha, gts_sha", [
+    (data.SceneParams(n_train=4, n_test=2), 0,
+     "468430955f0bf5533baa37a37588ffb006fb663ee5ba565c4c975bb0ad0e8f19",
+     "38eefcf095f05a9fadcbe00225798e1f60db2f1ff4b35176a458595a9095a845"),
+    (data.SceneParams(n_train=6, n_test=3, image_height=64, image_width=96), 7,
+     "90b369053ebe56e567926d19ec66f48fad9f4f3f92e5c7a08c76e2b1aff94650",
+     "52791d46d8b5ad179671c0efac2761d73c83de8f20cf71635cbdc592f71d0bdd"),
+], ids=["96x160-seed0", "64x96-seed7"])
+def test_scene_bytes_and_boxes_are_pinned(params, seed, image_sha, gts_sha):
+    # any generator edit that moves a pixel, a box or a random draw fails here
+    train, test = data.generate_dataset(params, seed)
+    scenes = train + test
+    assert hashlib.sha256(b"".join(s.image.data.tobytes() for s in scenes)).hexdigest() == image_sha
+    gts = repr([[dataclasses.astuple(g) for g in s.gts] for s in scenes])
+    assert hashlib.sha256(gts.encode()).hexdigest() == gts_sha
+
+
+sides = st.integers(1, 8).map(lambda k: 32 * k)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(sides, sides, st.integers(0, 2**32 - 1))
+def test_background_is_byte_equal_to_three_oracle_fields_and_draws_alike(h, w, seed):
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    img = data._background(rng, h, w)
+    expected = np.stack([smooth_field(oracle_rng, h, w) for _ in range(3)])
+    assert img.dtype == expected.dtype and img.shape == (3, h, w)
+    assert img.tobytes() == expected.tobytes()
+    assert rng.random(4).tobytes() == oracle_rng.random(4).tobytes()
+
+
+def test_the_cached_plan_is_read_only_and_under_a_megabyte():
+    weights, idx = data._field_plan(96, 160)
+    assert data._field_plan(96, 160)[0] is weights
+    assert weights.shape == (4, 96, 160) and idx.shape == (96, 160)
+    assert weights.nbytes + idx.nbytes <= 1 << 20
+    for arr in (weights, idx):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 0

@@ -243,6 +243,29 @@ def test_ops_recorded_by_one_default_size_step_per_row(monkeypatch):
     assert counts == [80, 81, 96, 89, 91, 100, 108, 110]
 
 
+def test_a_diverging_rerun_keeps_the_earlier_log_and_checkpoint(monkeypatch, tmp_path, save_teacher,
+                                                                tiny_scenes, tiny_teacher_cfg,
+                                                                tiny_student_cfg):
+    teacher = save_teacher(tiny_teacher_cfg)
+    ckpt, log = tmp_path / "student.ckpt", tmp_path / "student_log.jsonl"
+    tcfg = TrainConfig(epochs=1, lr_decay_epochs=())
+
+    def run():
+        distill_student(tiny_scenes[0][:2], teacher, tcfg, ckpt, student_cfg=tiny_student_cfg,
+                        log_path=log)
+
+    run()
+    before = ckpt.read_bytes(), log.read_bytes()
+    assert len(before[1].splitlines()) == 2
+    loss = train.logit_distill_loss
+    monkeypatch.setattr(train, "logit_distill_loss", lambda s, t: loss(s, np.full_like(t, np.nan)))
+    with pytest.raises(DivergenceError, match="dist=nan"):
+        run()
+    assert (ckpt.read_bytes(), log.read_bytes()) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["student.ckpt", "student_log.jsonl",
+                                                          "teacher.ckpt"]
+
+
 def test_a_nan_matching_target_stops_the_step_before_backward(monkeypatch, tiny_scenes,
                                                               tiny_teacher_cfg, tiny_student_cfg):
     matcher = train._TeacherContext(tiny_teacher_cfg, nets.init_params(tiny_teacher_cfg, seed=0),
