@@ -60,8 +60,8 @@ import numpy as np
 # The one dtype the detector trains and detects in.
 COMPUTE_DTYPE = np.float32
 
-# Values per block wherever a whole-tensor temporary would be large: the
-# non-finite check of a new tensor and each checkpoint read or write.
+# Values per block of a new tensor's non-finite check, so that its
+# one-byte-per-value mask stays small for a large tensor.
 BLOCK = 1 << 16
 
 

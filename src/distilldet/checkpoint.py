@@ -1,21 +1,19 @@
 """Flat binary checkpoints: a JSON meta line followed by named tensors.
 
-Each entry is a text header `name ndim d0 d1 ...` and the raw little-endian
-float64 buffer. Tensors load in ``COMPUTE_DTYPE`` (float32): float32 params
-widen to float64 exactly, so they round-trip bit for bit and hash
-reproducibly, and a file written from float64 params still loads, each
-value rounded to the nearest float32 (``-0.0`` stays ``-0.0``; a value
-beyond the float32 range raises ValueError).
+Each entry is a text header `name ndim d0 d1 ...` and the tensor's raw
+little-endian float32 bytes: the ``COMPUTE_DTYPE`` the detector trains and
+runs in, so a tensor round-trips bit for bit and a checkpoint hashes
+reproducibly. A save writes each array as it is, with no copy, and refuses
+a tensor of any other dtype; a load reads each tensor straight into its
+result. A ``distilldet-ckpt v1`` file, which held float64 values, is
+refused.
 
-Tensor data moves through one float64 block of ``autodiff.BLOCK`` values
-(512 KB), so a save or a load holds no whole-tensor float64 or ``bytes``
-copy: a save converts and writes block by block, and a load checks that the
-bytes left in the file cover the header's shape before it allocates the
-float32 result, then fills it block by block. A header whose shape the
-file cannot hold, however large, fails as a truncated tensor without
-allocating anything. That check reads the file's size and position, so a
-load needs a seekable regular file: a pipe such as ``/dev/stdin`` is refused
-with ``OSError``.
+A load checks that the bytes left in the file cover the header's shape
+before it allocates the result, so a header whose shape the file cannot
+hold, however large, fails as a truncated tensor without allocating
+anything. That check reads the file's size and position, so a load needs a
+seekable regular file: a pipe such as ``/dev/stdin`` is refused with
+``OSError``.
 """
 
 from __future__ import annotations
@@ -29,9 +27,11 @@ import os
 
 import numpy as np
 
-from .autodiff import BLOCK, COMPUTE_DTYPE, Tensor
+from .autodiff import Tensor
 
-_MAGIC = b"distilldet-ckpt v1 "
+_MAGIC = b"distilldet-ckpt v2 "
+_V1_MAGIC = b"distilldet-ckpt v1 "
+_DTYPE = np.dtype("<f4")
 
 
 @contextlib.contextmanager
@@ -51,30 +51,30 @@ def atomic_write(path, mode: str = "w"):
 
 def save_checkpoint(path, params: dict, meta: dict | None = None):
     """Writes ``path`` through ``atomic_write``, so a save that fails part
-    way leaves an earlier file there as it was."""
-    block = np.empty(BLOCK, dtype="<f8")
+    way leaves an earlier file there as it was. A tensor that is not
+    float32 raises ValueError naming it."""
     with atomic_write(path, "wb") as fh:
         fh.write(_MAGIC + json.dumps(meta or {}, sort_keys=True).encode() + b"\n")
         for name in sorted(params):
             arr = params[name].data
+            if arr.dtype != _DTYPE:
+                raise ValueError(f"{path}: tensor {name!r} is {arr.dtype}, not float32")
             dims = " ".join(str(d) for d in arr.shape)
             fh.write(f"{name} {arr.ndim} {dims}".rstrip().encode() + b"\n")
-            flat = arr.reshape(-1)
-            for start in range(0, flat.size, BLOCK):
-                part = block[:min(BLOCK, flat.size - start)]
-                np.copyto(part, flat[start:start + len(part)])
-                fh.write(part)
+            fh.write(arr)
 
 
 def load_checkpoint(path):
-    """Returns (meta, params) with freshly allocated no-grad
-    ``COMPUTE_DTYPE`` tensors. A name that appears twice raises
-    ValueError, since either entry could be the one meant; so does a meta
-    line that is not UTF-8 JSON. Every ValueError names ``path``."""
+    """Returns (meta, params) with freshly allocated no-grad float32
+    tensors. A name that appears twice raises ValueError, since either
+    entry could be the one meant; so does a meta line that is not UTF-8
+    JSON, and a v1 file. Every ValueError names ``path``."""
     params: dict[str, Tensor] = {}
-    block = np.empty(BLOCK, dtype="<f8")
     with open(path, "rb") as fh:
         head = fh.readline()
+        if head.startswith(_V1_MAGIC):
+            raise ValueError(f"{path} is a distilldet-ckpt v1 (float64) checkpoint, which this "
+                             "version no longer reads; train it again")
         if not head.startswith(_MAGIC):
             raise ValueError(f"{path} is not a checkpoint file")
         try:
@@ -95,21 +95,15 @@ def load_checkpoint(path):
                 raise ValueError(f"{path}: entry {entry}: bad shape in tensor header {header!r}")
             if name in params:
                 raise ValueError(f"{path}: entry {entry}: duplicate tensor name {name!r}")
-            count = math.prod(shape)
-            if count * 8 > os.fstat(fh.fileno()).st_size - fh.tell():
+            if math.prod(shape) * _DTYPE.itemsize > os.fstat(fh.fileno()).st_size - fh.tell():
                 raise ValueError(f"{path}: truncated tensor {name!r}")
-            arr = np.empty(count, dtype=COMPUTE_DTYPE)
-            for start in range(0, count, BLOCK):
-                part = block[:min(BLOCK, count - start)]
-                if fh.readinto(part) != part.nbytes:
-                    raise ValueError(f"{path}: truncated tensor {name!r}")
-                with np.errstate(over="ignore"):  # out-of-range values become inf, rejected below
-                    arr[start:start + len(part)] = part
-            arr = arr.reshape(shape)
+            arr = np.empty(shape, dtype=_DTYPE)
+            if fh.readinto(arr) != arr.nbytes:
+                raise ValueError(f"{path}: truncated tensor {name!r}")
             try:
                 params[name] = Tensor(arr)
             except ValueError:
-                raise ValueError(f"{path}: tensor {name!r} is not finite in float32") from None
+                raise ValueError(f"{path}: tensor {name!r} is not finite") from None
     return meta, params
 
 

@@ -272,6 +272,21 @@ def propose(image4: Tensor, cfg: NetConfig, params: dict):
 # ---- RPN training targets -------------------------------------------------
 
 
+def _subsample(pos_mask, neg_mask, batch: int, pos_frac: float, rng: np.random.Generator):
+    """(positive, negative) indices of a training batch of at most ``batch``:
+    at most ``int(batch * pos_frac)`` positives, then negatives fill the
+    rest. A side with more candidates than places keeps a random sorted
+    subset, positives drawn first; both stages sample through this."""
+    pos_idx, neg_idx = np.flatnonzero(pos_mask), np.flatnonzero(neg_mask)
+    n_pos = min(len(pos_idx), int(batch * pos_frac))
+    if len(pos_idx) > n_pos:
+        pos_idx = np.sort(rng.choice(pos_idx, size=n_pos, replace=False))
+    n_neg = min(len(neg_idx), batch - n_pos)
+    if len(neg_idx) > n_neg:
+        neg_idx = np.sort(rng.choice(neg_idx, size=n_neg, replace=False))
+    return pos_idx, neg_idx
+
+
 def assign_rpn_anchors(anchors: np.ndarray, gt_boxes: np.ndarray):
     """Anchor labels (1 pos / 0 neg / -1 ignore) and matched-GT indices.
 
@@ -308,15 +323,7 @@ def rpn_loss(rpn_out, anchors, gt_boxes: np.ndarray, rng: np.random.Generator) -
     """
     labels, matched = assign_rpn_anchors(anchors, np.asarray(gt_boxes).reshape(-1, 4))
 
-    pos_idx = np.where(labels == 1)[0]
-    neg_idx = np.where(labels == 0)[0]
-    n_pos = min(len(pos_idx), int(RPN_BATCH * RPN_POS_FRAC))
-    if len(pos_idx) > n_pos:
-        pos_idx = np.sort(rng.choice(pos_idx, size=n_pos, replace=False))
-    n_neg = min(len(neg_idx), RPN_BATCH - n_pos)
-    if len(neg_idx) > n_neg:
-        neg_idx = np.sort(rng.choice(neg_idx, size=n_neg, replace=False))
-
+    pos_idx, neg_idx = _subsample(labels == 1, labels == 0, RPN_BATCH, RPN_POS_FRAC, rng)
     logits, deltas = rpn_out
     sample_idx = np.concatenate([pos_idx, neg_idx]).astype(np.intp)
     sample_targets = np.concatenate([np.ones(len(pos_idx)), np.zeros(len(neg_idx))])
@@ -353,14 +360,7 @@ def sample_rois(proposals: np.ndarray, gt_boxes: np.ndarray, rng: np.random.Gene
     else:
         best = np.zeros(len(cand))
         arg = np.zeros(len(cand), dtype=np.int64)
-    pos_idx = np.where(best >= ROI_POS_IOU)[0]
-    neg_idx = np.where(best < ROI_POS_IOU)[0]
-    n_pos = min(len(pos_idx), int(ROI_BATCH * ROI_POS_FRAC))
-    if len(pos_idx) > n_pos:
-        pos_idx = np.sort(rng.choice(pos_idx, size=n_pos, replace=False))
-    n_neg = min(len(neg_idx), ROI_BATCH - len(pos_idx))
-    if len(neg_idx) > n_neg:
-        neg_idx = np.sort(rng.choice(neg_idx, size=n_neg, replace=False))
+    pos_idx, neg_idx = _subsample(best >= ROI_POS_IOU, best < ROI_POS_IOU, ROI_BATCH, ROI_POS_FRAC, rng)
     picks = np.concatenate([pos_idx, neg_idx]).astype(np.intp)
 
     rois = cand[picks]

@@ -4,9 +4,9 @@ fast, as does a student that is not lighter than its teacher; it writes its
 test detections in the file format `eval` reads, and the same student files
 as `ablate`'s row of its config; `eval` exits 2 on a bad detection file,
 `ablate` on a zero matching weight or a reused teacher of another
-architecture, `gradcheck` when asked for no instances, `train-teacher` on a
-diverging run, and every command on a bad config; `gradcheck` exits 1 on a
-wrong gradient rule."""
+architecture, `distill` and `ablate` on a float64 (v1) teacher, `gradcheck`
+when asked for no instances, `train-teacher` on a diverging run, and every
+command on a bad config; `gradcheck` exits 1 on a wrong gradient rule."""
 
 import json
 
@@ -217,6 +217,33 @@ def test_ablate_exits_2_naming_a_reused_teacher_of_another_architecture(tmp_path
     out, err = capsys.readouterr()
     assert str(teacher) in err and "architecture" in err and out == ""
     assert not (tmp_path / "ablation.tsv").exists()
+
+
+def _write_v1_checkpoint(path, cfg):
+    """An untrained ``cfg`` detector in the float64 v1 format of earlier
+    versions: the same headers, each followed by little-endian float64."""
+    params = nets.init_params(cfg, seed=0)
+    with open(path, "wb") as fh:
+        fh.write(b"distilldet-ckpt v1 " + json.dumps(train._cfg_meta(cfg), sort_keys=True).encode() + b"\n")
+        for name in sorted(params):
+            arr = params[name].data
+            fh.write(f"{name} {arr.ndim} {' '.join(map(str, arr.shape))}".rstrip().encode() + b"\n")
+            fh.write(arr.astype("<f8").tobytes())
+
+
+@pytest.mark.parametrize("command", ["distill", "ablate"])
+def test_a_v1_teacher_exits_2_naming_it_before_any_student_is_written(tmp_path, capsys, command):
+    config, out = tmp_path / "run.cfg", tmp_path / "run"
+    config.write_text(TINY_ABLATION)  # the teacher file has the run's architecture
+    out.mkdir()
+    # distill reads --teacher; ablate reuses <out>/teacher.ckpt
+    teacher = tmp_path / "old.ckpt" if command == "distill" else out / "teacher.ckpt"
+    _write_v1_checkpoint(teacher, load_config(config).teacher)
+    argv = [command, "--config", str(config), "--out", str(out)]
+    assert main(argv + (["--teacher", str(teacher)] if command == "distill" else [])) == 2
+    printed, err = capsys.readouterr()
+    assert str(teacher) in err and "v1" in err and printed == ""
+    assert not list(out.glob("student_*"))
 
 
 def test_ablate_exits_2_naming_a_zero_weight_before_any_output(tmp_path, capsys):

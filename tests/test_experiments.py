@@ -109,7 +109,7 @@ def test_ablation_with_a_zero_weight_fails_naming_it_before_generating_scenes(tm
 
 def test_evaluate_checkpoint_names_a_file_whose_meta_is_not_a_config(tmp_path, tiny_scenes):
     path = tmp_path / "student.ckpt"
-    save_checkpoint(path, {"w": Tensor(np.ones(2))}, meta={})
+    save_checkpoint(path, {"w": Tensor(np.ones(2, dtype=np.float32))}, meta={})
     with pytest.raises(ValueError, match="missing fields") as info:
         experiments.evaluate_checkpoint(path, tiny_scenes[1])
     assert str(path) in str(info.value)
