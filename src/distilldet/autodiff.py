@@ -13,7 +13,8 @@ shapes and never broadcast; a Python number as the second operand of
 as an array of its prediction's shape, never as a tensor, so a target has
 no gradient and is no parent of the loss: ``softmax_cross_entropy`` integer
 labels, ``bce_with_logits``, ``smooth_l1`` and ``sq_error_sum`` arrays cast
-to the prediction's dtype.
+to the prediction's dtype. The losses pick their sampled rows with
+``take``, the one indexing op: rows of a tensor, or elements of a 1-D one.
 
 A ``Tensor`` holds ``data``, ``grad`` and ``requires_grad`` and offers
 ``shape``, ``item()``, ``detach()``, ``t * other`` (``mul``) and
@@ -43,8 +44,8 @@ that records nothing computes no mask); ``softmax_cross_entropy`` the
 per-row log-sum-exp and the labels; ``bce_with_logits`` the targets;
 ``smooth_l1`` the difference ``pred - target`` and the mask of its
 quadratic part; ``sq_error_sum`` that difference alone, not its square;
-``take_rows`` and ``gather`` their indices; every other rule in this module
-nothing but shapes and scalars. The ``imageops`` docstring lists its ops.
+``take`` its indices; every other rule in this module nothing but shapes
+and scalars. The ``imageops`` docstring lists its ops.
 
 Finite-value policy: constructing a leaf tensor from non-finite data raises
 immediately. Outputs of recorded operations and loss targets are not
@@ -326,11 +327,11 @@ def concat(tensors, axis: int = 0):
     return Tensor._from_op(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bk)
 
 
-def take_rows(a: Tensor, indices):
-    """Select rows of a 2-D tensor; gradient scatter-adds back."""
+def take(a: Tensor, indices):
+    """Rows ``indices`` of ``a`` (elements, for a 1-D tensor); the gradient
+    scatter-adds back, so a repeated index adds into one row. The gradient
+    buffer has the layout of ``a.data``."""
     idx = np.asarray(indices, dtype=np.intp)
-    if a.data.ndim != 2:
-        raise ShapeError("take_rows expects a 2-D tensor")
 
     def bk(g):
         ga = np.zeros_like(a.data)
@@ -338,19 +339,6 @@ def take_rows(a: Tensor, indices):
         return (ga,)
 
     return Tensor._from_op(a.data[idx], (a,), bk)
-
-
-def gather(a: Tensor, flat_indices):
-    """Pick elements of the row-major flattened tensor."""
-    idx = np.asarray(flat_indices, dtype=np.intp)
-
-    def bk(g):
-        # a C-order buffer, since reshaping a strided array's gradient copies
-        ga = np.zeros(a.data.size, dtype=a.data.dtype)
-        np.add.at(ga, idx, g)
-        return (ga.reshape(a.data.shape),)
-
-    return Tensor._from_op(a.data.reshape(-1)[idx], (a,), bk)
 
 
 # ---- linear algebra -------------------------------------------------------

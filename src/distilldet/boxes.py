@@ -82,19 +82,19 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float,
     return keep
 
 
+def _center_size(boxes: np.ndarray):
+    """(cx, cy, w, h) of the rows of a box array, each a float64 [N] array."""
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    w = boxes[:, 2] - boxes[:, 0]
+    h = boxes[:, 3] - boxes[:, 1]
+    return boxes[:, 0] + 0.5 * w, boxes[:, 1] + 0.5 * h, w, h
+
+
 def encode_deltas(boxes: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Box -> target as (dx, dy, dw, dh): center shift relative to the box
     size plus log-scale size change."""
-    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-    targets = np.asarray(targets, dtype=np.float64).reshape(-1, 4)
-    bw = boxes[:, 2] - boxes[:, 0]
-    bh = boxes[:, 3] - boxes[:, 1]
-    bx = boxes[:, 0] + 0.5 * bw
-    by = boxes[:, 1] + 0.5 * bh
-    tw = targets[:, 2] - targets[:, 0]
-    th = targets[:, 3] - targets[:, 1]
-    tx = targets[:, 0] + 0.5 * tw
-    ty = targets[:, 1] + 0.5 * th
+    bx, by, bw, bh = _center_size(boxes)
+    tx, ty, tw, th = _center_size(targets)
     return np.stack(
         [(tx - bx) / bw, (ty - by) / bh, np.log(tw / bw), np.log(th / bh)], axis=1
     )
@@ -105,12 +105,8 @@ _DELTA_CLIP = 4.0  # keeps exp() sane on wild regressions
 
 def decode_deltas(boxes: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """Inverse of encode_deltas; zero deltas reproduce the input boxes."""
-    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    bx, by, bw, bh = _center_size(boxes)
     deltas = np.asarray(deltas, dtype=np.float64).reshape(-1, 4)
-    bw = boxes[:, 2] - boxes[:, 0]
-    bh = boxes[:, 3] - boxes[:, 1]
-    bx = boxes[:, 0] + 0.5 * bw
-    by = boxes[:, 1] + 0.5 * bh
     cx = bx + deltas[:, 0] * bw
     cy = by + deltas[:, 1] * bh
     w = bw * np.exp(np.clip(deltas[:, 2], -_DELTA_CLIP, _DELTA_CLIP))

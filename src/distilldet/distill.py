@@ -66,18 +66,16 @@ def pyramid_distill_loss(student_pyr, teacher_pyr) -> Tensor:
     return total * (1.0 / count)
 
 
-def region_distill_loss(student_regions: Tensor, teacher_regions) -> Tensor:
-    """Squared differences over all cropped regions [R,C,S,S], divided by the
-    total element count; both sides come from the same (student) boxes."""
-    return ad.sq_error_sum(student_regions, teacher_regions) * (1.0 / student_regions.data.size)
+def _mean_sq_error(student: Tensor, teacher) -> Tensor:
+    """Squared differences of a student tensor and the teacher's array of
+    its shape, divided by the element count. RD matches cropped regions
+    [R,C,S,S], both sides from the same (student) boxes; LD matches the
+    head's [N,L] activations, where dividing by N*L keeps the value
+    independent of the head width."""
+    return ad.sq_error_sum(student, teacher) * (1.0 / student.data.size)
 
 
-def logit_distill_loss(student_logits: Tensor, teacher_logits) -> Tensor:
-    """Per-box mean of squared activation differences over [N,L] stacks,
-    averaged over boxes. Normalizing by N*L keeps the value independent of
-    the head width.
-    """
-    return ad.sq_error_sum(student_logits, teacher_logits) * (1.0 / student_logits.data.size)
+region_distill_loss = logit_distill_loss = _mean_sq_error
 
 
 def total_distill_loss(cfg: DistillConfig, pd: Tensor | None, rd: Tensor | None,

@@ -210,12 +210,8 @@ def op_checks(instances: int = 20):
         lambda t: ad.transpose(t, (1, 0, 2)), [rng.normal(size=(2, 3, 4))], seed=i
     ))
 
-    run("take_rows", lambda i: check_gradients(
-        lambda t: ad.take_rows(t, [0, 2, 2, 1]), [rng.normal(size=(4, 3))], seed=i
-    ))
-
-    run("gather", lambda i: check_gradients(
-        lambda t: ad.gather(t, [0, 5, 3, 5]), [rng.normal(size=(2, 4))], seed=i
+    run("take", lambda i: check_gradients(
+        lambda t: ad.take(t, [0, 2, 2, 1]), [rng.normal(size=(4, 3))], seed=i
     ))
 
     run("add", lambda i: check_gradients(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,22 +99,18 @@ def _name_rng(seed: int, name: str) -> np.random.Generator:
 _PREDICTION_STD = 0.01  # near-zero logits/deltas at the start of training
 
 
-def _conv_param(params, name, k, c, kh, kw, seed, std=None):
+def _param(params, name, shape, seed, std=None):
+    """Weight ``name.w`` of ``shape``, N(0, std) with std sqrt(2 / fan-in)
+    by default, and a zero bias ``name.b``. A conv weight [K,C,kh,kw] has
+    fan-in C*kh*kw and K biases; an FC weight [D_in,D_out] has fan-in D_in
+    and D_out biases."""
     rng = _name_rng(seed, name)
+    fan_in, n_out = (math.prod(shape[1:]), shape[0]) if len(shape) == 4 else shape
     if std is None:
-        std = np.sqrt(2.0 / (c * kh * kw))
-    params[name + ".w"] = Tensor(rng.normal(0.0, std, size=(k, c, kh, kw)).astype(COMPUTE_DTYPE),
+        std = np.sqrt(2.0 / fan_in)
+    params[name + ".w"] = Tensor(rng.normal(0.0, std, size=shape).astype(COMPUTE_DTYPE),
                                  requires_grad=True)
-    params[name + ".b"] = Tensor(np.zeros(k, dtype=COMPUTE_DTYPE), requires_grad=True)
-
-
-def _fc_param(params, name, d_in, d_out, seed, std=None):
-    rng = _name_rng(seed, name)
-    if std is None:
-        std = np.sqrt(2.0 / d_in)
-    params[name + ".w"] = Tensor(rng.normal(0.0, std, size=(d_in, d_out)).astype(COMPUTE_DTYPE),
-                                 requires_grad=True)
-    params[name + ".b"] = Tensor(np.zeros(d_out, dtype=COMPUTE_DTYPE), requires_grad=True)
+    params[name + ".b"] = Tensor(np.zeros(n_out, dtype=COMPUTE_DTYPE), requires_grad=True)
 
 
 def init_params(cfg: NetConfig, seed: int) -> dict:
@@ -122,24 +119,24 @@ def init_params(cfg: NetConfig, seed: int) -> dict:
     variants comparable."""
     p: dict[str, Tensor] = {}
     w = cfg.widths
-    _conv_param(p, "bb.stem", w[0], 3, 3, 3, seed)
+    _param(p, "bb.stem", (w[0], 3, 3, 3), seed)
     for s in range(4):
         c_in = w[max(s - 1, 0)] if s > 0 else w[0]
         for blk in range(cfg.blocks[s]):
             cin = c_in if blk == 0 else w[s]
-            _conv_param(p, f"bb.s{s + 1}.c{blk}", w[s], cin, 3, 3, seed)
+            _param(p, f"bb.s{s + 1}.c{blk}", (w[s], cin, 3, 3), seed)
     d = cfg.pyramid_width
     for lvl, cw in zip((2, 3, 4, 5), w):
-        _conv_param(p, f"fpn.lat{lvl}", d, cw, 1, 1, seed)
+        _param(p, f"fpn.lat{lvl}", (d, cw, 1, 1), seed)
     for lvl in (2, 3, 4):
-        _conv_param(p, f"fpn.smooth{lvl}", d, d, 3, 3, seed)
-    _conv_param(p, "rpn.conv", d, d, 3, 3, seed)
-    _conv_param(p, "rpn.obj", 1, d, 1, 1, seed, std=_PREDICTION_STD)
-    _conv_param(p, "rpn.box", 4, d, 1, 1, seed, std=_PREDICTION_STD)
-    _fc_param(p, "head.fc1", cfg.head_input_width, cfg.head_hidden, seed)
-    _fc_param(p, "head.fc2", cfg.head_hidden, LOGIT_WIDTH, seed)
-    _fc_param(p, "head.cls", LOGIT_WIDTH, 2, seed, std=_PREDICTION_STD)
-    _fc_param(p, "head.box", LOGIT_WIDTH, 4, seed, std=_PREDICTION_STD)
+        _param(p, f"fpn.smooth{lvl}", (d, d, 3, 3), seed)
+    _param(p, "rpn.conv", (d, d, 3, 3), seed)
+    _param(p, "rpn.obj", (1, d, 1, 1), seed, std=_PREDICTION_STD)
+    _param(p, "rpn.box", (4, d, 1, 1), seed, std=_PREDICTION_STD)
+    _param(p, "head.fc1", (cfg.head_input_width, cfg.head_hidden), seed)
+    _param(p, "head.fc2", (cfg.head_hidden, LOGIT_WIDTH), seed)
+    _param(p, "head.cls", (LOGIT_WIDTH, 2), seed, std=_PREDICTION_STD)
+    _param(p, "head.box", (LOGIT_WIDTH, 4), seed, std=_PREDICTION_STD)
     return p
 
 
@@ -230,28 +227,37 @@ def pyramid_anchors(pyr: tuple) -> np.ndarray:
     return _anchor_grid(tuple(level.data.shape[-2:] for level in pyr))
 
 
+def _select_boxes(ref, deltas, scores, img_w, img_h, iou, max_keep=None):
+    """The selection both stages end in: decode ``deltas`` [N,4] onto the
+    reference boxes ``ref`` [N,4], clip them to the image, drop degenerate
+    boxes, rank the best ``RPN_PRE_NMS_K`` by ``scores`` [N] (stable, so a
+    tie keeps row order) and keep at most ``max_keep`` by NMS at ``iou``.
+
+    Returns (boxes [K,4], scores [K]) in descending score order; K is 0
+    when every decoded box is degenerate.
+    """
+    boxes = clip_boxes(decode_deltas(ref, deltas), img_w, img_h)
+    valid = (boxes[:, 2] - boxes[:, 0] > 1e-3) & (boxes[:, 3] - boxes[:, 1] > 1e-3)
+    boxes, scores = boxes[valid], scores[valid]
+    order = np.argsort(-scores, kind="stable")[:RPN_PRE_NMS_K]
+    boxes, scores = boxes[order], scores[order]
+    keep = nms(boxes, scores, iou, max_keep=max_keep)
+    return boxes[keep], scores[keep]
+
+
 def generate_proposals(rpn_out, anchors, img_w: float, img_h: float) -> np.ndarray:
-    """Decode deltas onto anchors, clip, rank the best ``RPN_PRE_NMS_K``,
-    and keep at most ``RPN_POST_NMS_K`` by NMS at ``RPN_NMS_IOU``.
+    """The [K,4] proposals, at most ``RPN_POST_NMS_K``, that ``_select_boxes``
+    keeps at ``RPN_NMS_IOU`` from the objectness sigmoids.
 
     ``rpn_out`` is ``rpn_forward``'s (logits [A], deltas [A,4]) and
     ``anchors`` the matching [A,4] array, so one sigmoid, one decode and
     one clip run over all levels at once; each is elementwise, so the boxes
     and scores are the per-level ones bit for bit.
-    Returns the kept boxes as a [K,4] array in descending score order;
-    K is 0 when every decoded box is degenerate.
     """
     logits, deltas = rpn_out
-    scores = sigmoid(logits.data)
-    boxes = clip_boxes(decode_deltas(anchors, deltas.data), img_w, img_h)
-    valid = (boxes[:, 2] - boxes[:, 0] > 1e-3) & (boxes[:, 3] - boxes[:, 1] > 1e-3)
-    boxes, scores = boxes[valid], scores[valid]
-    if len(scores) == 0:
-        return np.zeros((0, 4))
-    order = np.argsort(-scores, kind="stable")[:RPN_PRE_NMS_K]
-    boxes, scores = boxes[order], scores[order]
-    keep = nms(boxes, scores, RPN_NMS_IOU, max_keep=RPN_POST_NMS_K)
-    return boxes[keep]
+    boxes, _ = _select_boxes(anchors, deltas.data, sigmoid(logits.data), img_w, img_h,
+                             RPN_NMS_IOU, RPN_POST_NMS_K)
+    return boxes
 
 
 def forward_pyramid(image: Tensor, cfg: NetConfig, params: dict) -> tuple:
@@ -321,21 +327,25 @@ def rpn_loss(rpn_out, anchors, gt_boxes: np.ndarray, rng: np.random.Generator) -
     ``anchors`` the matching [A,4] array; the loss picks its anchors' rows
     from them directly.
     """
-    labels, matched = assign_rpn_anchors(anchors, np.asarray(gt_boxes).reshape(-1, 4))
-
+    gt_boxes = np.asarray(gt_boxes).reshape(-1, 4)
+    labels, matched = assign_rpn_anchors(anchors, gt_boxes)
     pos_idx, neg_idx = _subsample(labels == 1, labels == 0, RPN_BATCH, RPN_POS_FRAC, rng)
     logits, deltas = rpn_out
     sample_idx = np.concatenate([pos_idx, neg_idx]).astype(np.intp)
     sample_targets = np.concatenate([np.ones(len(pos_idx)), np.zeros(len(neg_idx))])
-    loss = ad.bce_with_logits(ad.gather(logits, sample_idx), sample_targets)
+    loss = ad.bce_with_logits(ad.take(logits, sample_idx), sample_targets)
+    targets = encode_deltas(anchors[pos_idx], gt_boxes[matched[pos_idx]])
+    return _add_box_loss(loss, deltas, pos_idx, targets)
 
-    if len(pos_idx):
-        pred = ad.take_rows(deltas, pos_idx)
-        gt = np.asarray(gt_boxes).reshape(-1, 4)[matched[pos_idx]]
-        target = encode_deltas(anchors[pos_idx], gt)
-        reg = ad.tsum(ad.smooth_l1(pred, target)) * (1.0 / len(pos_idx))
-        loss = ad.add(loss, reg)
-    return loss
+
+def _add_box_loss(loss: Tensor, deltas: Tensor, pos, targets) -> Tensor:
+    """``loss`` plus smooth-L1 of the positives' rows ``pos`` of ``deltas``
+    against ``targets`` [P,4], summed per box and averaged over the
+    positives; ``loss`` itself when there are none."""
+    if len(pos) == 0:
+        return loss
+    reg = ad.tsum(ad.smooth_l1(ad.take(deltas, pos), targets)) * (1.0 / len(pos))
+    return ad.add(loss, reg)
 
 
 # ---- second stage ---------------------------------------------------------
@@ -397,13 +407,9 @@ def detection_loss(class_scores: Tensor, box_deltas: Tensor, roi_labels,
     """Cross-entropy over all sampled boxes plus smooth-L1 regression on the
     positives (coordinate sum per box, averaged over positives)."""
     labels = np.asarray(roi_labels, dtype=np.int64)
-    loss = ad.softmax_cross_entropy(class_scores, labels)
     pos = np.where(labels == 1)[0]
-    if len(pos):
-        pred = ad.take_rows(box_deltas, pos)
-        target = np.asarray(roi_targets)[pos]
-        loss = ad.add(loss, ad.tsum(ad.smooth_l1(pred, target)) * (1.0 / len(pos)))
-    return loss
+    return _add_box_loss(ad.softmax_cross_entropy(class_scores, labels), box_deltas, pos,
+                         np.asarray(roi_targets)[pos])
 
 
 # ---- inference ------------------------------------------------------------
@@ -412,7 +418,11 @@ def detection_loss(class_scores: Tensor, box_deltas: Tensor, roi_labels,
 def detect(image: Tensor, cfg: NetConfig, params: dict) -> list[Detection]:
     """Full two-stage inference on one [1,3,H,W] image. It works on
     detached views of the params, which copy no data, so no op records a
-    gradient rule or keeps its buffers alive."""
+    gradient rule or keeps its buffers alive.
+
+    The head's boxes scoring above ``DET_SCORE_THRESH`` go through
+    ``_select_boxes`` at ``DET_NMS_IOU`` with no cap. The proposals passed
+    its ``RPN_PRE_NMS_K`` rank already, so here that rank drops none."""
     params = {name: p.detach() for name, p in params.items()}
     h, w = image.data.shape[2:]
     pyr, _, _, proposals = propose(image, cfg, params)
@@ -423,11 +433,6 @@ def detect(image: Tensor, cfg: NetConfig, params: dict) -> list[Detection]:
     z = cls.data.astype(np.float64)  # scores, like boxes, are scored in float64
     probs = np.exp(z - z.max(axis=1, keepdims=True))
     probs /= probs.sum(axis=1, keepdims=True)
-    scores = probs[:, 1]
-    boxes = clip_boxes(decode_deltas(proposals, box.data), w, h)
-    ok = (scores > DET_SCORE_THRESH) & (boxes[:, 2] - boxes[:, 0] > 1e-3) & (boxes[:, 3] - boxes[:, 1] > 1e-3)
-    boxes, scores = boxes[ok], scores[ok]
-    if len(scores) == 0:
-        return []
-    keep = nms(boxes, scores, DET_NMS_IOU)
-    return [Detection(*(float(v) for v in boxes[i]), score=float(scores[i])) for i in keep]
+    ok = probs[:, 1] > DET_SCORE_THRESH
+    boxes, scores = _select_boxes(proposals[ok], box.data[ok], probs[ok, 1], w, h, DET_NMS_IOU)
+    return [Detection(*(float(v) for v in b), score=float(s)) for b, s in zip(boxes, scores)]

@@ -14,7 +14,10 @@ operators, all-level crop and proposal stage, kept as bit-for-bit
 references for the one-call crop and the one-pass proposals (the last uses
 the library's box helpers, since only its per-level batching is under
 test), with join_rpn_levels, which lays per-level RPN outputs and anchors
-out as the library joins them; relu_where,
+out as the library joins them; detect_tail, the earlier end of detect after
+the head, kept as a bit-for-bit reference for the box selection it now
+shares with the proposal stage (it too uses the library's box helpers);
+relu_where,
 iou_where and maxpool2x2_backward_where, the earlier np.where forms of three
 elementwise steps, kept as bit-for-bit references in float32 and float64;
 sq_error_sum_chain, the earlier sub -> mul -> tsum graph of the
@@ -356,6 +359,26 @@ def generate_proposals_per_level(rpn_out, anchors, pre_nms_k, post_nms_k, nms_io
     order = np.argsort(-scores, kind="stable")[:pre_nms_k]
     boxes, scores = boxes[order], scores[order]
     return boxes[nms(boxes, scores, nms_iou, max_keep=post_nms_k)]
+
+
+def detect_tail(proposals, class_scores, box_deltas, img_w, img_h, score_thresh, nms_iou):
+    """The earlier end of detect: float64 softmax scores of the head's [R,2]
+    class outputs, box deltas [R,4] decoded onto the [R,4] proposals and
+    clipped, one mask for a score above ``score_thresh`` and a box that is
+    not degenerate, then NMS at ``nms_iou`` with no rank cut and no cap."""
+    from distilldet.boxes import Detection, clip_boxes, decode_deltas, nms
+
+    z = class_scores.astype(np.float64)
+    probs = np.exp(z - z.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    scores = probs[:, 1]
+    boxes = clip_boxes(decode_deltas(proposals, box_deltas), img_w, img_h)
+    ok = (scores > score_thresh) & (boxes[:, 2] - boxes[:, 0] > 1e-3) & (boxes[:, 3] - boxes[:, 1] > 1e-3)
+    boxes, scores = boxes[ok], scores[ok]
+    if len(scores) == 0:
+        return []
+    keep = nms(boxes, scores, nms_iou)
+    return [Detection(*(float(v) for v in boxes[i]), score=float(scores[i])) for i in keep]
 
 
 def join_rpn_levels(rpn_out, anchors):

@@ -512,19 +512,37 @@ class TestOpExamples:
         assert np.allclose(a.grad, 2.0)
         assert np.allclose(b.grad, 2.0)
 
-    def test_gather_scatters_back(self):
+
+
+class TestTake:
+    """``take``, the one row-pick op: its values and the scatter-add of its
+    gradient."""
+
+    def test_1d_picks_elements_and_repeats_add_into_one(self):
         t = Tensor(np.arange(6.0), requires_grad=True)
-        g = ad.gather(t, [0, 0, 5])
+        g = ad.take(t, [0, 0, 5])
         assert np.array_equal(g.data, [0.0, 0.0, 5.0])
         backward(ad.tsum(g))
         assert np.array_equal(t.grad, [2.0, 0, 0, 0, 0, 1.0])
 
-    def test_gather_from_a_strided_tensor_scatters_back(self):
-        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        g = ad.gather(ad.transpose(x, (1, 0)), [0, 1, 4])
-        assert np.array_equal(g.data, [0.0, 3.0, 2.0])
-        backward(ad.tsum(g))
-        assert np.array_equal(x.grad, [[1.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    def test_2d_picks_rows_and_repeats_add_into_one_row(self):
+        t = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+        g = ad.take(t, [2, 0, 2])
+        assert np.array_equal(g.data, [[6.0, 7.0, 8.0], [0.0, 1.0, 2.0], [6.0, 7.0, 8.0]])
+        backward(ad.tsum(ad.mul(g, Tensor(np.array([[1.0], [2.0], [3.0]]).repeat(3, axis=1)))))
+        assert np.array_equal(t.grad, [[2.0] * 3, [0.0] * 3, [4.0] * 3, [0.0] * 3])
+
+    def test_a_transposed_input_gets_a_gradient_of_its_own_layout(self):
+        # rpn_forward's deltas are such a view; its rule's buffer keeps the
+        # F layout, which the rest of the backward pass reads in that order
+        x = Tensor(np.arange(12.0, dtype=np.float32).reshape(3, 4), requires_grad=True)
+        xt = ad.transpose(x, (1, 0))
+        assert xt.data.flags.f_contiguous and not xt.data.flags.c_contiguous
+        picked = ad.take(xt, [3, 1, 3])
+        (ga,) = picked._backward(np.ones_like(picked.data))
+        assert ga.flags.f_contiguous and not ga.flags.c_contiguous and ga.dtype == np.float32
+        backward(ad.tsum(picked))
+        assert np.array_equal(x.grad, [[0.0, 1.0, 0.0, 2.0]] * 3)
 
 
 class TestSqErrorSum:
@@ -582,8 +600,8 @@ _OPS = {
     "reshape": lambda rg: ad.reshape(_leaf((2, 3), rg), (3, 2)),
     "transpose": lambda rg: ad.transpose(_leaf((2, 3), rg), (1, 0)),
     "concat": lambda rg: ad.concat([_leaf((2, 3), rg), _leaf((1, 3), rg, 1)]),
-    "take_rows": lambda rg: ad.take_rows(_leaf((4, 3), rg), [2, 0]),
-    "gather": lambda rg: ad.gather(_leaf((2, 3), rg), [5, 0, 5]),
+    "take": lambda rg: ad.take(_leaf((4, 3), rg), [2, 0]),
+    "take_1d": lambda rg: ad.take(_leaf((6,), rg), [5, 0, 5]),
     "linear": lambda rg: ad.linear(_leaf((2, 3), rg), _leaf((3, 4), rg, 1), _leaf((4,), rg, 2)),
     "softmax_cross_entropy": lambda rg: ad.softmax_cross_entropy(_leaf((2, 3), rg), [0, 2]),
     "bce_with_logits": lambda rg: ad.bce_with_logits(_leaf((2, 3), rg), np.ones((2, 3))),

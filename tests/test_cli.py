@@ -107,7 +107,7 @@ def test_gradcheck_with_no_instances_exits_2_and_checks_nothing(capsys, instance
 
 _GRADCHECK_OPS = {
     "conv2d", "linear", "roi_align_batch", "relu", "maxpool2x2", "concat", "softmax_cross_entropy",
-    "bce_with_logits", "smooth_l1", "upsample2x", "reshape", "transpose", "take_rows", "gather",
+    "bce_with_logits", "smooth_l1", "upsample2x", "reshape", "transpose", "take",
     "add", "mul", "roi_align_batch_single_level", "sq_error_sum",
 }
 

@@ -10,7 +10,7 @@ import distilldet.autodiff as ad
 from distilldet import Tensor, backward, nets, roi
 from distilldet.boxes import decode_deltas, encode_deltas, iou_matrix, level_anchors
 from distilldet.imageops import conv2d
-from oracles import iou_scalar, join_rpn_levels
+from oracles import detect_tail, iou_scalar, join_rpn_levels
 
 
 def _per_level(rpn_out, pyr):
@@ -473,3 +473,78 @@ def test_detect_with_trainable_params_records_no_graph(monkeypatch, tiny_student
     dets = nets.detect(image4, tiny_student_cfg, params)
     assert made and not any(t.requires_grad or t._backward is not None for t in made)
     assert dets and dets == nets.detect(image4, tiny_student_cfg, {k: p.detach() for k, p in params.items()})
+
+
+def _det_bytes(dets):
+    return np.array([[d.x1, d.y1, d.x2, d.y2, d.score] for d in dets], dtype="<f8").tobytes()
+
+
+class TestDetectSelection:
+    """``detect``'s selection, shared with the proposal stage, gives the
+    bytes of the earlier detect tail (``oracles.detect_tail``)."""
+
+    def _tail(self, image4, proposals, cls, box):
+        h, w = image4.data.shape[2:]
+        return detect_tail(proposals, cls, box, w, h, nets.DET_SCORE_THRESH, nets.DET_NMS_IOU)
+
+    def _detect_on(self, monkeypatch, image4, proposals, cls, box):
+        """``detect`` with its proposals and head outputs replaced."""
+        monkeypatch.setattr(nets, "propose", lambda *args: (None, None, None, proposals))
+        monkeypatch.setattr(roi, "extract_region_batch", lambda *args: None)
+        monkeypatch.setattr(nets, "head_forward_batch",
+                            lambda *args: (None, Tensor(cls), Tensor(box)))
+        return nets.detect(image4, nets.NetConfig(), {})
+
+    @pytest.mark.parametrize("pyramid_roi", [True, False])
+    def test_tiny_nets_on_tiny_scenes(self, tiny_student_cfg, tiny_teacher_cfg, tiny_scenes,
+                                      pyramid_roi):
+        for cfg in (tiny_student_cfg, tiny_teacher_cfg):
+            cfg = replace(cfg, pyramid_roi=pyramid_roi)
+            for seed in (0, 1):
+                params = nets.init_params(cfg, seed)
+                for scene in tiny_scenes[1]:
+                    image4 = scene.image.reshape((1, *scene.image.shape))
+                    pyr, _, _, proposals = nets.propose(image4, cfg, params)
+                    regions = roi.extract_region_batch(pyr, proposals, cfg.pyramid_roi)
+                    _, cls, box = nets.head_forward_batch(regions, cfg, params)
+                    want = self._tail(image4, proposals, cls.data, box.data)
+                    got = nets.detect(image4, cfg, params)
+                    assert want and _det_bytes(got) == _det_bytes(want)
+
+    def test_random_boxes_with_ties_zero_scores_and_boxes_off_the_image(self, monkeypatch, rng):
+        image4 = Tensor(np.zeros((1, 3, 64, 96), dtype=np.float32))
+        kept = 0
+        for _ in range(40):
+            n = int(rng.integers(1, nets.RPN_POST_NMS_K + 1))
+            xy = rng.uniform(-30.0, [106.0, 74.0], size=(n, 2))  # some wholly off the image
+            wh = rng.uniform(-2.0, [60.0, 50.0], size=(n, 2))  # some degenerate or inverted
+            proposals = np.concatenate([xy, xy + wh], axis=1)
+            cls = np.zeros((n, 2), dtype=np.float32)
+            cls[:, 1] = rng.choice([-1000.0, -1.0, 0.0, 0.5], size=n)  # ties; -1000 scores 0.0
+            box = (rng.normal(size=(n, 4)) * rng.choice([0.01, 1.0, 5.0])).astype(np.float32)
+            got = self._detect_on(monkeypatch, image4, proposals, cls, box)
+            assert _det_bytes(got) == _det_bytes(self._tail(image4, proposals, cls, box))
+            assert all(d.score > 0.0 and 0.0 <= d.x1 < d.x2 <= 96.0 for d in got)
+            kept += len(got)
+        assert kept
+
+    def test_tied_scores_keep_the_earlier_row(self, monkeypatch):
+        image4 = Tensor(np.zeros((1, 3, 64, 96), dtype=np.float32))
+        proposals = np.array([[10.0, 10.0, 30.0, 50.0], [11.0, 10.0, 31.0, 50.0],
+                              [10.0, 10.0, 30.0, 50.0], [60.0, 5.0, 80.0, 45.0]])
+        cls = np.tile(np.array([0.0, 0.3], dtype=np.float32), (4, 1))
+        box = np.zeros((4, 4), dtype=np.float32)
+        got = self._detect_on(monkeypatch, image4, proposals, cls, box)
+        assert _det_bytes(got) == _det_bytes(self._tail(image4, proposals, cls, box))
+        assert [(d.x1, d.x2) for d in got] == [(10.0, 30.0), (60.0, 80.0)]
+
+    def test_zero_scores_and_degenerate_boxes_leave_no_detection(self, monkeypatch):
+        image4 = Tensor(np.zeros((1, 3, 64, 96), dtype=np.float32))
+        proposals = np.array([[10.0, 10.0, 30.0, 50.0],    # scores exactly 0.0
+                              [10.0, 10.0, 10.0005, 50.0],  # too narrow
+                              [100.0, 10.0, 120.0, 50.0],   # right of the image
+                              [10.0, -40.0, 30.0, -5.0]])   # above it
+        cls = np.array([[0.0, -1000.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]], dtype=np.float32)
+        box = np.zeros((4, 4), dtype=np.float32)
+        assert self._tail(image4, proposals, cls, box) == []
+        assert self._detect_on(monkeypatch, image4, proposals, cls, box) == []

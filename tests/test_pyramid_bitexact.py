@@ -139,6 +139,14 @@ class TestOnePassProposals:
             assert got.dtype == want.dtype == np.float64
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
+    def test_zero_score_proposals_are_kept(self, rng, dtype):
+        rpn_out, anchors = _rpn_out(rng, dtype)
+        for obj, _ in rpn_out[:3]:  # sigmoid is exactly 0.0 off P5's 15 locations,
+            obj.data[...] = -1000.0   # so most of the 32 kept boxes score 0.0
+        got = nets.generate_proposals(*join_rpn_levels(rpn_out, anchors), IMG_W, IMG_H)
+        want = generate_proposals_per_level(rpn_out, anchors, 200, 32, 0.7, IMG_W, IMG_H)
+        assert got.shape == want.shape == (32, 4) and got.tobytes() == want.tobytes()
+
     def test_all_degenerate_gives_the_same_empty_array(self, rng, dtype):
         rpn_out, anchors = _rpn_out(rng, dtype)
         for _, box in rpn_out:

@@ -36,7 +36,7 @@ def test_every_ablation_row_checkpoint_sha256_repeats(tmp_path, tiny_scenes, tin
 def test_row_digests_tool_prints_nine_digests_that_repeat(tmp_path):
     """tools/row_digests.py, the default-size form of this gate, runs and
     repeats: the teacher, then every ablation row in order, each with a
-    checkpoint and a step-log digest."""
+    checkpoint, a step-log and a detections digest."""
     path = Path(__file__).resolve().parents[1] / "tools" / "row_digests.py"
     spec = importlib.util.spec_from_file_location("row_digests", path)
     tool = importlib.util.module_from_spec(spec)
@@ -45,7 +45,8 @@ def test_row_digests_tool_prints_nine_digests_that_repeat(tmp_path):
     for run in ("a", "b"):
         (tmp_path / run).mkdir()
         runs.append(tool.row_digests(tmp_path / run))
-    assert [name for name, _, _ in runs[0]] == ["teacher"] + [row_tag(row) for row in ABLATION_ROWS]
-    for column in (1, 2):
+    assert [name for name, *_ in runs[0]] == ["teacher"] + [row_tag(row) for row in ABLATION_ROWS]
+    assert all(len(digests) == 4 for digests in runs[0])
+    for column in (1, 2, 3):
         assert all(re.fullmatch("[0-9a-f]{64}", digests[column]) for digests in runs[0])
         assert [d[column] for d in runs[0]] == [d[column] for d in runs[1]]
