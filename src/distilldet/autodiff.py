@@ -2,9 +2,13 @@
 
 The detector computes in ``COMPUTE_DTYPE`` (float32): its parameters, scene
 images and loaded checkpoints are made in it, and every op allocates in its
-operands' dtype, so a float32 graph stays float32 end to end. Float64
-tensors work the same way and stay float64; the finite-difference gradient
-checks and the test oracles run in float64.
+operands' dtype, so every array of more than one element in a training step
+is float32. One scalar is not: ``distill.total_distill_loss`` seeds its sum
+with the float64 ``Tensor(0.0)``, and ``add`` promotes, so the loss total of
+a step that matches against a teacher is a 0-d float64. Float64 tensors work
+the same way and stay float64; the finite-difference checks in
+``tests/test_gradients.py`` and the reference code in ``tests/oracles.py``
+run in float64.
 
 Shapes: a tensor keeps the shape of the data it is made from, so a Python
 number is a 0-d tensor. Elementwise ops between two tensors take equal

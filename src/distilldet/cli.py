@@ -1,7 +1,7 @@
 """Command-line entry points tying the library into reproducible runs.
 
-Commands: gradcheck, gen-data, train-teacher, distill, eval, ablate. Every
-command accepts --config/--out/--seed; outputs land under the run directory.
+Commands: gen-data, train-teacher, distill, eval, ablate. Every command but
+`eval` accepts --config/--out/--seed; outputs land under the run directory.
 `distill` trains one student, `ablate` one per ablation row, and both write
 the same four files for each student, named by its row's tag: the checkpoint
 `student_<tag>.ckpt`, the step log `student_<tag>_log.jsonl`, the test
@@ -21,7 +21,6 @@ from .config import ConfigError, RunConfig, load_config, save_config
 from .data import annotations_by_image
 from .evalmr import (SUBSETS, EvalError, evaluate, read_detections, read_ground_truth, write_curve,
                      write_ground_truth)
-from .gradcheck import run_suite
 from .train import DivergenceError, epoch_mean, load_detector
 
 
@@ -38,10 +37,6 @@ def _add_common(p):
     p.add_argument("--config", help="run configuration file (defaults used if omitted)")
     p.add_argument("--out", help="output directory (overrides config)")
     p.add_argument("--seed", type=int, help="seed (overrides config)")
-
-
-def cmd_gradcheck(args) -> int:
-    return 0 if run_suite(instances=args.instances) else 1
 
 
 def cmd_gen_data(args) -> int:
@@ -80,6 +75,7 @@ def cmd_distill(args) -> int:
     # lighter than the teacher fails here, before it trains.
     ratio = nets.compression_ratio(t_params, nets.init_params(cfg.student, seed=cfg.seed))
     train, test = experiments.build_dataset(cfg)
+    experiments.check_test_subsets(test)
     ckpt, params, records, mrs = experiments.run_student_variant(
         cfg, experiments.config_row(cfg), (t_cfg, t_params), train, test)
     print(f"teacher parameters: {nets.parameter_count(t_params)}")
@@ -128,10 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Teacher/student pedestrian detector with hierarchical feature matching",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gradcheck", help="finite-difference check of every differentiable op")
-    p.add_argument("--instances", type=int, default=20)
-    p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("gen-data", help="generate the synthetic dataset and annotation files")
     _add_common(p)

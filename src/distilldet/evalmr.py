@@ -171,11 +171,14 @@ def log_average_miss_rate(curve: EvalCurve) -> float:
 
 def evaluate(dets_by_image: dict, gts_by_image: dict, subset: str) -> EvalCurve:
     """Subset-filtered curve over the union of image ids in both maps; an
-    id absent from one map has no detections or no ground truth there."""
+    id absent from one map has no detections or no ground truth there. An
+    ``EvalError`` names the subset."""
     ids = sorted(set(dets_by_image) | set(gts_by_image))
-    return mr_fppi_curve(
-        (dets_by_image.get(i, []), subset_filter(gts_by_image.get(i, []), subset)) for i in ids
-    )
+    images = [(dets_by_image.get(i, []), subset_filter(gts_by_image.get(i, []), subset)) for i in ids]
+    try:
+        return mr_fppi_curve(images)
+    except EvalError as exc:
+        raise EvalError(f"subset {subset!r}: {exc}") from None
 
 
 # ---- text file formats ------------------------------------------------------

@@ -21,7 +21,7 @@ from .checkpoint import load_checkpoint
 from .config import RunConfig
 from .data import annotations_by_image, generate_dataset
 from .distill import DistillConfig
-from .evalmr import SUBSETS, evaluate, write_curve, write_detections
+from .evalmr import SUBSETS, evaluate, subset_member, write_curve, write_detections
 from .train import _cfg_from_meta, distill_student, load_detector, train_teacher
 
 # (PD, RD, LD, PyRoIAlign) in report order; row 2 is the no-matching
@@ -68,6 +68,15 @@ def row_tag(row) -> str:
 
 def build_dataset(cfg: RunConfig):
     return generate_dataset(cfg.dataset, cfg.seed)
+
+
+def check_test_subsets(test_scenes):
+    """ValueError naming each subset with no box in ``test_scenes``: its miss
+    rate is undefined, so a run would train and then fail to score."""
+    empty = [s for s in SUBSETS if not any(subset_member(g, s) for scene in test_scenes for g in scene.gts)]
+    if empty:
+        raise ValueError(f"the {len(test_scenes)} test scenes hold no {' or '.join(empty)} box, so "
+                         "their miss rate is undefined; change the seed or dataset.n_test")
 
 
 def evaluate_params(net_cfg, params, test_scenes):
@@ -136,13 +145,16 @@ def run_ablation(cfg: RunConfig, progress=None):
     ValueError names each matching weight of ``cfg`` that is 0, since every
     row that turns that term on would train without it. A ValueError naming
     the file is raised, before any student trains, when a reused
-    ``<out>/teacher.ckpt`` has another architecture than ``cfg.teacher``."""
+    ``<out>/teacher.ckpt`` has another architecture than ``cfg.teacher``,
+    and one naming the subset, before any training, when the test scenes
+    hold no box of a subset (``check_test_subsets``)."""
     zero = [f"distill.{name}" for name in ("lambda_pd", "lambda_rd", "lambda_ld")
             if getattr(cfg.train.distill, name) == 0]
     if zero:
         raise ValueError(f"{', '.join(zero)} = 0: each ablation row that turns a term on "
                          "takes its weight from the config, so all three must be positive")
     train_scenes, test_scenes = build_dataset(cfg)
+    check_test_subsets(test_scenes)
     # Read once: every matching row distills from this same pair.
     path = ensure_teacher(cfg, train_scenes)
     teacher = load_detector(path)

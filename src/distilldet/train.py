@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -49,34 +48,33 @@ FLIP_PROB = 0.5
 LR_DECAY_FACTOR = 0.1
 # SGD multiplies each parameter's velocity by this before adding its gradient.
 MOMENTUM = 0.9
+# The learning rate before the first decay epoch.
+BASE_LR = 0.002
+# SGD rescales a step's gradients whose global L2 norm exceeds this to it.
+CLIP_GRAD_NORM = 10.0
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """The schedule and optimiser of one training phase; the flip rate, the
-    learning-rate decay factor and SGD's momentum are the constants
-    ``FLIP_PROB``, ``LR_DECAY_FACTOR`` and ``MOMENTUM``."""
+    """The schedule of one training phase; the base learning rate, its
+    decay factor, the flip rate, SGD's momentum and its gradient-norm clip
+    are the constants ``BASE_LR``, ``LR_DECAY_FACTOR``, ``FLIP_PROB``,
+    ``MOMENTUM`` and ``CLIP_GRAD_NORM``."""
 
     epochs: int = 6
-    base_lr: float = 0.002
     lr_decay_epochs: tuple = (4, 6)
-    clip_grad_norm: float = 10.0  # 0 disables clipping
     seed: int = 0
     distill: DistillConfig = field(default_factory=DistillConfig)
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be positive, got {self.epochs}")
         if any(a >= b for a, b in zip(self.lr_decay_epochs, self.lr_decay_epochs[1:])):
             raise ValueError(f"lr_decay_epochs must be strictly ascending, got {self.lr_decay_epochs}")
         if any(e < 1 for e in self.lr_decay_epochs):
             raise ValueError(f"lr_decay_epochs entries must be at least 1, got {self.lr_decay_epochs}")
         if any(e > self.epochs for e in self.lr_decay_epochs):
             raise ValueError("lr_decay_epochs must not exceed epochs")
-        if self.epochs < 1:
-            raise ValueError("epochs must be positive")
-        if not (math.isfinite(self.base_lr) and self.base_lr > 0):
-            raise ValueError(f"base_lr must be finite and positive, got {self.base_lr}")
-        if not (math.isfinite(self.clip_grad_norm) and self.clip_grad_norm >= 0):
-            raise ValueError(f"clip_grad_norm must be finite and nonnegative, got {self.clip_grad_norm}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
@@ -99,11 +97,11 @@ class StepRecord:
 
 
 def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
-    """base_lr scaled by ``LR_DECAY_FACTOR`` once per decay epoch reached."""
+    """``BASE_LR`` scaled by ``LR_DECAY_FACTOR`` once per decay epoch reached."""
     if not 1 <= epoch <= cfg.epochs:
         raise ValueError(f"epoch {epoch} outside [1, {cfg.epochs}]")
     hits = sum(1 for e in cfg.lr_decay_epochs if e <= epoch)
-    return cfg.base_lr * LR_DECAY_FACTOR ** hits
+    return BASE_LR * LR_DECAY_FACTOR ** hits
 
 
 def horizontal_flip(image: Tensor, boxes: np.ndarray):
@@ -215,7 +213,7 @@ def train_detector(scenes: list[SyntheticScene], net_cfg: NetConfig, tcfg: Train
                    log_fh=None) -> tuple[dict, list[StepRecord]]:
     """Core seeded loop shared by both phases; ``teacher`` is the matcher."""
     params = nets.init_params(net_cfg, seed=tcfg.seed)
-    opt = SGD(params, clip_grad_norm=tcfg.clip_grad_norm)
+    opt = SGD(params, clip_grad_norm=CLIP_GRAD_NORM)
     rng = np.random.default_rng([int(tcfg.seed), 104729])
     gt_arrays = [box_array(scene.gts) for scene in scenes]
     records: list[StepRecord] = []

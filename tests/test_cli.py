@@ -4,18 +4,20 @@ fast, as does a student that is not lighter than its teacher; it writes its
 test detections in the file format `eval` reads, and the same student files
 as `ablate`'s row of its config; `eval` exits 2 on a bad detection file,
 `ablate` on a zero matching weight or a reused teacher of another
-architecture, `distill` and `ablate` on a float64 (v1) teacher, `gradcheck`
-when asked for no instances, `train-teacher` on a diverging run, and every
-command on a bad config; `gradcheck` exits 1 on a wrong gradient rule."""
+architecture, `distill` and `ablate` on a float64 (v1) teacher or on test
+scenes with no box of a subset, before any training, `train-teacher` on a
+diverging run, and every command on a bad config. The command set is
+pinned."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from distilldet import experiments, gradcheck, nets, train
+from distilldet import experiments, nets, train
 from distilldet.checkpoint import _MAGIC
-from distilldet.cli import main
+from distilldet.cli import build_parser, main
 from distilldet.config import load_config
 from distilldet.data import annotations_by_image
 from distilldet.evalmr import GTBox, read_detections, write_ground_truth
@@ -76,6 +78,7 @@ def test_eval_on_bad_detection_file_exits_2_naming_the_line(tmp_path, capsys, ba
     ("ablate", "student.roi_size = 7", "unknown key 'student.roi_size'"),
     ("train-teacher", "train.lr_decay_epochs = 0", "lr_decay_epochs entries must be at least 1"),
     ("gen-data", "seed = -1", "seed must be nonnegative"),
+    ("distill", "train.epochs = 0", "epochs must be positive, got 0"),
 ])
 def test_bad_config_exits_2_naming_the_key_before_any_output(tmp_path, capsys, command, line, message):
     config, out = tmp_path / "run.cfg", tmp_path / "run"
@@ -98,42 +101,17 @@ def test_negative_seed_exits_2_naming_it_before_any_scene_or_output(tmp_path, ca
     assert not out.exists()
 
 
-@pytest.mark.parametrize("instances", ["0", "-3"])
-def test_gradcheck_with_no_instances_exits_2_and_checks_nothing(capsys, instances):
-    assert main(["gradcheck", "--instances", instances]) == 2
-    out, err = capsys.readouterr()
-    assert "at least 1 instance" in err and "worst rel err" not in out
+def test_commands_are_exactly_these():
+    """A new command shows up here as a deliberate diff."""
+    sub, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == ["ablate", "distill", "eval", "gen-data", "train-teacher"]
 
 
-_GRADCHECK_OPS = {
-    "conv2d", "linear", "roi_align_batch", "relu", "maxpool2x2", "concat", "softmax_cross_entropy",
-    "bce_with_logits", "smooth_l1", "upsample2x", "reshape", "transpose", "take",
-    "add", "mul", "roi_align_batch_single_level", "sq_error_sum",
-}
-
-
-def test_gradcheck_prints_one_line_per_op_and_a_summary(capsys):
-    assert main(["gradcheck", "--instances", "1"]) == 0
-    *op_lines, summary = capsys.readouterr().out.splitlines()
-    assert {line.split()[0] for line in op_lines} == _GRADCHECK_OPS
-    assert len(op_lines) == len(_GRADCHECK_OPS) and all("worst rel err" in line for line in op_lines)
-    assert summary.startswith(f"gradient suite: {len(_GRADCHECK_OPS)} ops x 1 instances in ")
-
-
-def test_gradcheck_exits_1_on_a_wrong_gradient_rule(capsys, monkeypatch):
-    relu = gradcheck.ad.relu
-
-    def doubled_relu(a):
-        out = relu(a)
-        if out._backward is not None:
-            rule = out._backward
-            out._backward = lambda g: tuple(2.0 * gi for gi in rule(g))
-        return out
-
-    monkeypatch.setattr(gradcheck.ad, "relu", doubled_relu)
-    assert main(["gradcheck", "--instances", "1"]) == 1
-    out = capsys.readouterr().out
-    assert out.startswith("FAIL gradient mismatch") and "gradient suite" not in out
+def test_gradcheck_is_an_unknown_command(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["gradcheck"])
+    assert info.value.code == 2
+    assert "invalid choice: 'gradcheck'" in capsys.readouterr().err
 
 
 TINY_RUN = """\
@@ -244,6 +222,34 @@ def test_a_v1_teacher_exits_2_naming_it_before_any_student_is_written(tmp_path, 
     printed, err = capsys.readouterr()
     assert str(teacher) in err and "v1" in err and printed == ""
     assert not list(out.glob("student_*"))
+
+
+# Default-size scenes whose two test scenes hold no reasonable box.
+NO_REASONABLE_BOX = """\
+dataset.n_train = 2
+dataset.n_test = 2
+train.epochs = 1
+train.lr_decay_epochs =
+seed = 4
+"""
+
+
+@pytest.mark.parametrize("command", ["distill", "ablate"])
+def test_test_scenes_without_a_subset_box_exit_2_naming_it_before_training(tmp_path, capsys, monkeypatch,
+                                                                           save_teacher, command):
+    def train_detector(*args, **kwargs):
+        raise AssertionError("a detector trained on test scenes that cannot be scored")
+
+    monkeypatch.setattr(train, "train_detector", train_detector)
+    config, out = tmp_path / "run.cfg", tmp_path / "run"
+    config.write_text(NO_REASONABLE_BOX)
+    argv = [command, "--config", str(config), "--out", str(out)]
+    if command == "distill":
+        argv += ["--teacher", str(save_teacher(nets.default_teacher_config()))]
+    assert main(argv) == 2
+    printed, err = capsys.readouterr()
+    assert "the 2 test scenes hold no reasonable box" in err and printed == ""
+    assert not out.exists()
 
 
 def test_ablate_exits_2_naming_a_zero_weight_before_any_output(tmp_path, capsys):

@@ -17,10 +17,10 @@ from distilldet.train import TrainConfig, _cfg_from_meta, distill_student
 
 # Region and logit matching always run on proposals, the student's crop mode
 # is student.pyramid_roi alone, a matching term is on when its weight is
-# positive, the scene recipe, flip rate, decay factor and momentum are
-# constants, the teacher and the student share one detector's anchors,
-# proposal NMS, crop and logit width, and the teacher's pyramids are always
-# cached.
+# positive, the scene recipe, base learning rate, its decay factor, flip
+# rate, momentum and gradient-norm clip are constants, the teacher and the
+# student share one detector's anchors, proposal NMS, crop and logit width,
+# and the teacher's pyramids are always cached.
 _SHARED_DETECTOR = ["logit_width", "roi_size", "roi_samples", "canonical", "anchor_base",
                     "anchor_aspect", "pre_nms_k", "post_nms_k", "nms_iou"]
 REMOVED_KEYS = [
@@ -29,6 +29,7 @@ REMOVED_KEYS = [
     "dataset.min_figures", "dataset.max_figures", "dataset.occlusion_rate", "dataset.distractors",
     "dataset.noise_sigma", "dataset.figure_aspect", "dataset.small_band_frac",
     "train.flip_prob", "train.lr_decay_factor", "train.cache_teacher", "train.momentum",
+    "train.base_lr", "train.clip_grad_norm",
     *(f"{role}.{name}" for role in ("teacher", "student") for name in _SHARED_DETECTOR),
 ]
 
@@ -40,11 +41,11 @@ def test_config_keys_are_exactly_these():
     assert sorted(config._KEYS) == sorted([
         "dataset.image_height", "dataset.image_width", "dataset.n_test", "dataset.n_train",
         *net_keys,
-        "train.base_lr", "train.clip_grad_norm", "train.epochs", "train.lr_decay_epochs",
+        "train.epochs", "train.lr_decay_epochs",
         "distill.lambda_ld", "distill.lambda_pd", "distill.lambda_rd",
         "out_dir", "seed",
     ])
-    assert len(config._KEYS) == 23
+    assert len(config._KEYS) == 21
 
 
 def test_every_settable_field_has_a_type_the_parser_converts():
@@ -103,7 +104,6 @@ def run_configs(draw):
     stage = st.tuples(*[st.integers(1, 10**6)] * 4)
     nonneg = st.floats(min_value=0.0, allow_infinity=False)
     positive = st.integers(1, 10**9)
-    positive_float = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
     epochs = draw(st.integers(1, 100))
     dataset = section(SceneParams, n_train=draw(positive), n_test=draw(positive),
                       image_height=32 * draw(st.integers(1, 64)),
@@ -112,7 +112,6 @@ def run_configs(draw):
                       lambda_ld=draw(nonneg))
     decay_epochs = draw(st.lists(st.integers(1, epochs), max_size=4, unique=True))
     train = section(TrainConfig, epochs=epochs, distill=distill, lr_decay_epochs=tuple(sorted(decay_epochs)),
-                    base_lr=draw(positive_float), clip_grad_norm=draw(nonneg),
                     seed=draw(st.integers(0, 10**9)))
     teacher, student = (section(NetConfig, widths=draw(stage), blocks=draw(stage),
                                 pyramid_width=draw(positive), head_hidden=draw(positive))
@@ -154,13 +153,6 @@ def test_count_below_one_is_a_config_error(line):
 
 
 @pytest.mark.parametrize("line, message", [
-    ("train.base_lr = -1", "base_lr must be finite and positive"),
-    ("train.base_lr = 0", "base_lr must be finite and positive"),
-    ("train.base_lr = nan", "base_lr must be finite and positive"),
-    ("train.base_lr = inf", "base_lr must be finite and positive"),
-    ("train.clip_grad_norm = -5", "clip_grad_norm must be finite and nonnegative"),
-    ("train.clip_grad_norm = nan", "clip_grad_norm must be finite and nonnegative"),
-    ("train.clip_grad_norm = inf", "clip_grad_norm must be finite and nonnegative"),
     ("train.lr_decay_epochs = 0", "lr_decay_epochs entries must be at least 1"),
     ("train.lr_decay_epochs = -3,0", "lr_decay_epochs entries must be at least 1"),
     ("train.lr_decay_epochs = 4,4", "lr_decay_epochs must be strictly ascending"),

@@ -179,6 +179,12 @@ class TestCurve:
         with pytest.raises(EvalError):
             mr_fppi_curve([([], [_gt(0, 0, 5, 10, ignore=True)])])
 
+    def test_evaluate_names_a_subset_with_no_box(self):
+        gts = {0: [_gt(0, 0, 6, 16)]}  # reasonable, not small
+        assert evaluate({}, gts, "reasonable").log_avg_mr == 1.0
+        with pytest.raises(EvalError, match="subset 'small': no non-ignore ground truth"):
+            evaluate({}, gts, "small")
+
     def test_monotonicity_along_threshold_sweep(self, rng):
         for _ in range(100):
             images = []

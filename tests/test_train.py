@@ -14,6 +14,7 @@ from distilldet.config import RunConfig
 from distilldet.data import SceneParams, generate_dataset
 from distilldet.experiments import ABLATION_ROWS, row_config, row_tag
 from distilldet.train import (
+    BASE_LR,
     DivergenceError,
     StepRecord,
     TrainConfig,
@@ -26,7 +27,7 @@ from distilldet.train import (
 
 def test_lr_schedule_decays_tenfold_at_epochs_4_and_6_by_default():
     cfg = TrainConfig()
-    b = cfg.base_lr
+    b = BASE_LR
     assert cfg.lr_decay_epochs == (4, 6)
     assert [lr_schedule(e, cfg) for e in range(1, 7)] == [b, b, b, b * 0.1, b * 0.1, b * 0.1 ** 2]
     for epoch in (0, cfg.epochs + 1):
