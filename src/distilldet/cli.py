@@ -76,8 +76,7 @@ def cmd_distill(args) -> int:
     ratio = nets.compression_ratio(t_params, nets.init_params(cfg.student, seed=cfg.seed))
     train, test = experiments.build_dataset(cfg)
     experiments.check_test_subsets(test)
-    ckpt, params, records, mrs = experiments.run_student_variant(
-        cfg, experiments.config_row(cfg), (t_cfg, t_params), train, test)
+    ckpt, params, records, mrs = experiments.run_student_variant(cfg, (t_cfg, t_params), train, test)
     print(f"teacher parameters: {nets.parameter_count(t_params)}")
     print(f"student parameters: {nets.parameter_count(params)}")
     print(f"compression ratio: {ratio:.2f}x")

@@ -12,8 +12,8 @@ rather than from pixels.
 
 Figure heights are drawn from two bands so that, at the fixed occlusion
 rate, both evaluation subsets stay well populated. Everything about a scene
-but its size is a module constant; ``SceneParams`` holds only the set sizes
-and the image size.
+is a module constant, its size (``IMAGE_HEIGHT`` x ``IMAGE_WIDTH``) too;
+``SceneParams`` holds only the set sizes.
 
 Each background channel is a 9x9 random grid, bilinearly upsampled. The
 upsampling's shape-only part (corner weights and grid indices, 0.6 MB at
@@ -32,22 +32,22 @@ from .autodiff import COMPUTE_DTYPE, Tensor
 from .evalmr import GTBox
 
 
+# Every scene's size in pixels: the figure bands below fit it, and the
+# evaluation subsets are rescaled for it (``evalmr.SUBSET_SCALE``).
+IMAGE_HEIGHT, IMAGE_WIDTH = 96, 160
+
+
 @dataclass(frozen=True)
 class SceneParams:
-    """How many train and test scenes to draw, and their size in pixels."""
+    """How many train and test scenes to draw."""
 
     n_train: int = 200
     n_test: int = 80
-    image_height: int = 96
-    image_width: int = 160
 
     def __post_init__(self):
         for name in ("n_train", "n_test"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        h, w = self.image_height, self.image_width
-        if min(h, w) < 32 or h % 32 or w % 32:
-            raise ValueError(f"image sides must be positive multiples of 32, got {h}x{w}")
 
 
 @dataclass
@@ -127,29 +127,27 @@ def _draw_figure(img: np.ndarray, x1: int, y1: int, w: int, h: int,
     img[:, y_legs : y1 + h, x1 + w - leg_w : x1 + w] = legs_c[:, None, None]
 
 
-def _place_box(rng, placed, w, h, fw, fh, tries: int = 40):
+def _place_box(rng, placed, fw, fh, tries: int = 40):
     """A free (x1, y1, x2, y2) at least one pixel inside the image, or None
-    when the box is too big for the image or every try overlaps."""
-    if fw > w - 3 or fh > h - 3:
-        return None
+    when every try overlaps. Every box the generator draws fits: the tallest
+    figure or pole is 72 px high and at most 30 wide, the widest slab 51."""
     for _ in range(tries):
-        x1, y1 = int(rng.integers(1, w - fw - 1)), int(rng.integers(1, h - fh - 1))
+        x1, y1 = int(rng.integers(1, IMAGE_WIDTH - fw - 1)), int(rng.integers(1, IMAGE_HEIGHT - fh - 1))
         cand = (x1, y1, x1 + fw, y1 + fh)
         if not any(_boxes_overlap(cand, p) for p in placed):
             return cand
     return None
 
 
-def generate_scene(params: SceneParams, rng: np.random.Generator, index: int = 0) -> SyntheticScene:
-    h, w = params.image_height, params.image_width
-    img = _background(rng, h, w)
+def generate_scene(rng: np.random.Generator, index: int) -> SyntheticScene:
+    img = _background(rng, IMAGE_HEIGHT, IMAGE_WIDTH)
     placed: list[tuple] = []
 
     # wide low-contrast slabs (vehicle-like)
     for _ in range(int(rng.integers(0, _DISTRACTORS + 1))):
         dh = int(rng.integers(5, 14))
-        dw = min(int(rng.integers(2 * dh, 4 * dh)), w - 3)
-        box = _place_box(rng, placed, w, h, dw, dh, tries=15)
+        dw = int(rng.integers(2 * dh, 4 * dh))
+        box = _place_box(rng, placed, dw, dh, tries=15)
         if box is None:
             continue
         shade = rng.uniform(-0.18, 0.18) + rng.uniform(-0.04, 0.04, size=3)
@@ -162,7 +160,7 @@ def generate_scene(params: SceneParams, rng: np.random.Generator, index: int = 0
     for _ in range(int(rng.integers(0, 4))):
         ph = int(rng.integers(_SMALL_BAND[0], _TALL_BAND[1] + 1))
         pw = max(2, int(round(rng.uniform(0.26, 0.41) * ph)))
-        box = _place_box(rng, placed, w, h, pw, ph, tries=15)
+        box = _place_box(rng, placed, pw, ph, tries=15)
         if box is None:
             continue
         img[:, box[1] : box[3], box[0] : box[2]] = _contrast_color(rng)[:, None, None]
@@ -174,7 +172,7 @@ def generate_scene(params: SceneParams, rng: np.random.Generator, index: int = 0
         lo, hi = _SMALL_BAND if small_band else _TALL_BAND
         fh = int(rng.integers(lo, hi + 1))
         fw = max(2, int(round(_FIGURE_ASPECT * fh)))
-        box = _place_box(rng, placed, w, h, fw, fh)
+        box = _place_box(rng, placed, fw, fh)
         if box is None:
             continue
         placed.append(box)
@@ -199,7 +197,7 @@ def generate_dataset(params: SceneParams, seed: int):
     """Deterministic (train, test) scene lists; per-scene derived seeds make
     generation order-independent."""
     def build(start, count):
-        return [generate_scene(params, np.random.default_rng([int(seed), 7919, i]), index=i)
+        return [generate_scene(np.random.default_rng([int(seed), 7919, i]), i)
                 for i in range(start, start + count)]
 
     train, test = build(0, params.n_train), build(params.n_train, params.n_test)

@@ -122,12 +122,12 @@ def ensure_teacher(cfg: RunConfig, train_scenes):
     return path
 
 
-def run_student_variant(cfg: RunConfig, row, teacher, train_scenes, test_scenes):
-    """Train the student of one row of ``cfg`` (``row_config``), score it on
+def run_student_variant(cfg: RunConfig, teacher, train_scenes, test_scenes):
+    """Train ``cfg.student``, the run of row ``config_row(cfg)``, score it on
     ``test_scenes`` and write its four files (see the module docstring);
     returns (checkpoint path, params, records, MR per subset). ``teacher``
     is what ``distill_student`` takes: a checkpoint path or a loaded pair."""
-    cfg, tag = row_config(cfg, row), row_tag(row)
+    tag = row_tag(config_row(cfg))
     os.makedirs(cfg.out_dir, exist_ok=True)
     ckpt = os.path.join(cfg.out_dir, f"student_{tag}.ckpt")
     params, records, _ = distill_student(train_scenes, teacher, cfg.train, ckpt,
@@ -143,7 +143,8 @@ def run_ablation(cfg: RunConfig, progress=None):
     """Train and score all eight configurations; returns table rows of
     (flags, mr_reasonable, mr_small). Before any scene is generated, a
     ValueError names each matching weight of ``cfg`` that is 0, since every
-    row that turns that term on would train without it. A ValueError naming
+    row that turns that term on would train without it, and one names both
+    pyramid widths when they differ. A ValueError naming
     the file is raised, before any student trains, when a reused
     ``<out>/teacher.ckpt`` has another architecture than ``cfg.teacher``,
     and one naming the subset, before any training, when the test scenes
@@ -153,6 +154,9 @@ def run_ablation(cfg: RunConfig, progress=None):
     if zero:
         raise ValueError(f"{', '.join(zero)} = 0: each ablation row that turns a term on "
                          "takes its weight from the config, so all three must be positive")
+    if cfg.teacher.pyramid_width != cfg.student.pyramid_width:
+        raise ValueError(f"teacher.pyramid_width = {cfg.teacher.pyramid_width} but student.pyramid_width = "
+                         f"{cfg.student.pyramid_width}: the rows that match the teacher need equal widths")
     train_scenes, test_scenes = build_dataset(cfg)
     check_test_subsets(test_scenes)
     # Read once: every matching row distills from this same pair.
@@ -166,7 +170,7 @@ def run_ablation(cfg: RunConfig, progress=None):
         if progress:
             progress(f"training student variant {row_tag(row)} "
                      f"(PD={row[0]} RD={row[1]} LD={row[2]} PyRoIAlign={row[3]})")
-        *_, mrs = run_student_variant(cfg, row, teacher, train_scenes, test_scenes)
+        *_, mrs = run_student_variant(row_config(cfg, row), teacher, train_scenes, test_scenes)
         rows.append((row, mrs["reasonable"], mrs["small"]))
     return rows
 

@@ -35,8 +35,8 @@ def tiny_teacher_cfg():
 
 @pytest.fixture(scope="session")
 def tiny_scenes():
-    """A handful of 64x96 scenes shared across training tests."""
-    params = data.SceneParams(n_train=6, n_test=3, image_height=64, image_width=96)
+    """A handful of scenes shared across training tests."""
+    params = data.SceneParams(n_train=6, n_test=3)
     return data.generate_dataset(params, seed=7)
 
 

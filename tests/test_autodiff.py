@@ -11,7 +11,7 @@ import pytest
 
 import distilldet.autodiff as ad
 from distilldet import SGD, ShapeError, Tape, TapeError, Tensor, backward, imageops, roi
-from distilldet.train import MOMENTUM, TrainConfig
+from distilldet.train import CLIP_GRAD_NORM, MOMENTUM, TrainConfig
 from oracles import mse, sq_error_sum_chain
 
 
@@ -425,7 +425,8 @@ class TestDeterminism:
 class TestSgdStep:
     """train.SGD's first step, from zero velocity, is plain
     p <- p - lr * grad; each later step first scales the velocity by
-    ``MOMENTUM``."""
+    ``MOMENTUM``. Gradients of global L2 norm above ``CLIP_GRAD_NORM`` are
+    first scaled down to it."""
 
     def test_basic_arithmetic(self):
         p = Tensor([1.0], requires_grad=True)
@@ -455,6 +456,21 @@ class TestSgdStep:
         SGD({"p": p, "q": q}).step(lr=0.1)
         assert np.array_equal(p.data, [1.0])
         assert np.allclose(q.data, [1.9])
+
+    def test_gradients_above_the_clip_norm_are_scaled_down_to_it(self):
+        p, q, r = (Tensor([1.0], requires_grad=True) for _ in range(3))
+        p.grad, q.grad = np.array([12.0]), np.array([16.0])  # global norm 20
+        SGD({"p": p, "q": q, "r": r}).step(lr=1.0)
+        assert CLIP_GRAD_NORM == 10.0
+        assert p.data.tolist() == [1.0 - 6.0] and q.data.tolist() == [1.0 - 8.0]
+        assert r.data.tolist() == [1.0] and r.grad is None
+
+    @pytest.mark.parametrize("grads", [(3.0, 4.0), (6.0, 8.0)], ids=["norm-5", "norm-10"])
+    def test_gradients_not_above_the_clip_norm_are_kept(self, grads):
+        p, q = (Tensor([1.0], requires_grad=True) for _ in range(2))
+        p.grad, q.grad = np.array([grads[0]]), np.array([grads[1]])
+        SGD({"p": p, "q": q}).step(lr=1.0)
+        assert p.data.tolist() == [1.0 - grads[0]] and q.data.tolist() == [1.0 - grads[1]]
 
     def test_quadratic_convergence(self):
         # minimize (x-3)^2 with lr 0.1; momentum 0.9 shrinks the error by

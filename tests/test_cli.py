@@ -2,15 +2,17 @@
 config before any scene is generated, so a bad or missing teacher fails
 fast, as does a student that is not lighter than its teacher; it writes its
 test detections in the file format `eval` reads, and the same student files
-as `ablate`'s row of its config; `eval` exits 2 on a bad detection file,
-`ablate` on a zero matching weight or a reused teacher of another
-architecture, `distill` and `ablate` on a float64 (v1) teacher or on test
+as `ablate`'s row of its config; `gen-data` writes ground truth and a config
+that read back to its scenes and run; `eval` exits 2 on a bad detection file,
+`ablate` on a zero matching weight, unequal pyramid widths or a reused
+teacher of another architecture, `distill` and `ablate` on a float64 (v1) teacher or on test
 scenes with no box of a subset, before any training, `train-teacher` on a
 diverging run, and every command on a bad config. The command set is
 pinned."""
 
 import argparse
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from distilldet.checkpoint import _MAGIC
 from distilldet.cli import build_parser, main
 from distilldet.config import load_config
 from distilldet.data import annotations_by_image
-from distilldet.evalmr import GTBox, read_detections, write_ground_truth
+from distilldet.evalmr import GTBox, read_detections, read_ground_truth, write_ground_truth
 
 
 # The default teacher's meta as checkpoints recorded it before the shared
@@ -117,8 +119,6 @@ def test_gradcheck_is_an_unknown_command(capsys):
 TINY_RUN = """\
 dataset.n_train = 2
 dataset.n_test = 6
-dataset.image_height = 64
-dataset.image_width = 96
 student.widths = 4,8,8,16
 student.pyramid_width = 8
 student.head_hidden = 16
@@ -189,8 +189,10 @@ def test_ablate_exits_2_naming_a_reused_teacher_of_another_architecture(tmp_path
         raise AssertionError("a student trained before the teacher was checked")
 
     monkeypatch.setattr(experiments, "distill_student", distill_student)
-    config, teacher = tmp_path / "run.cfg", save_teacher(tiny_teacher_cfg)  # the run's teacher is the default
-    config.write_text(_positive(TINY_RUN))  # ablate refuses a zero weight before it reads the teacher
+    config, teacher = tmp_path / "run.cfg", save_teacher(replace(tiny_teacher_cfg, head_hidden=16))
+    # the run's teacher has head_hidden 32; ablate refuses a zero weight or
+    # unequal pyramid widths before it reads the teacher
+    config.write_text(TINY_ABLATION)
     assert main(["ablate", "--config", str(config), "--out", str(tmp_path)]) == 2
     out, err = capsys.readouterr()
     assert str(teacher) in err and "architecture" in err and out == ""
@@ -259,6 +261,34 @@ def test_ablate_exits_2_naming_a_zero_weight_before_any_output(tmp_path, capsys)
     captured = capsys.readouterr()
     assert "distill.lambda_rd = 0" in captured.err and captured.out == ""
     assert not out.exists()
+
+
+def test_ablate_exits_2_naming_unequal_pyramid_widths_before_any_scene_or_output(tmp_path, capsys,
+                                                                              monkeypatch):
+    def fail(cfg):
+        raise AssertionError("build_dataset called before the pyramid widths were compared")
+
+    monkeypatch.setattr(experiments, "build_dataset", fail)
+    config, out = tmp_path / "run.cfg", tmp_path / "run"
+    config.write_text(TINY_ABLATION.replace("teacher.pyramid_width = 8", "teacher.pyramid_width = 16"))
+    assert main(["ablate", "--config", str(config), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "teacher.pyramid_width = 16" in captured.err and "student.pyramid_width = 8" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_gen_data_writes_ground_truth_and_a_config_that_read_back_to_the_run(tmp_path, capsys):
+    config, out = tmp_path / "run.cfg", tmp_path / "run"
+    config.write_text(TINY_RUN)
+    assert main(["gen-data", "--config", str(config), "--out", str(out)]) == 0
+    cfg = load_config(config).with_out_dir(str(out))
+    for name, scenes in zip(("gt_train.txt", "gt_test.txt"), experiments.build_dataset(cfg)):
+        want = {i: gts for i, gts in annotations_by_image(scenes).items() if gts}  # no box, no line
+        assert want and read_ground_truth(out / name) == want, name
+    assert load_config(out / "run_config.txt") == cfg
+    assert len((out / "run_config.txt").read_text().splitlines()) == 19
+    assert f"-> {out}" in capsys.readouterr().out
 
 
 def test_distill_and_ablate_write_one_students_files_alike(tmp_path, capsys):

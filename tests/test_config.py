@@ -17,10 +17,10 @@ from distilldet.train import TrainConfig, _cfg_from_meta, distill_student
 
 # Region and logit matching always run on proposals, the student's crop mode
 # is student.pyramid_roi alone, a matching term is on when its weight is
-# positive, the scene recipe, base learning rate, its decay factor, flip
-# rate, momentum and gradient-norm clip are constants, the teacher and the
-# student share one detector's anchors, proposal NMS, crop and logit width,
-# and the teacher's pyramids are always cached.
+# positive, the scene recipe and size, base learning rate, its decay factor,
+# flip rate, momentum and gradient-norm clip are constants, the teacher and
+# the student share one detector's anchors, proposal NMS, crop and logit
+# width, and the teacher's pyramids are always cached.
 _SHARED_DETECTOR = ["logit_width", "roi_size", "roi_samples", "canonical", "anchor_base",
                     "anchor_aspect", "pre_nms_k", "post_nms_k", "nms_iou"]
 REMOVED_KEYS = [
@@ -28,6 +28,7 @@ REMOVED_KEYS = [
     "distill.enable_pd", "distill.enable_rd", "distill.enable_ld",
     "dataset.min_figures", "dataset.max_figures", "dataset.occlusion_rate", "dataset.distractors",
     "dataset.noise_sigma", "dataset.figure_aspect", "dataset.small_band_frac",
+    "dataset.image_height", "dataset.image_width",
     "train.flip_prob", "train.lr_decay_factor", "train.cache_teacher", "train.momentum",
     "train.base_lr", "train.clip_grad_norm",
     *(f"{role}.{name}" for role in ("teacher", "student") for name in _SHARED_DETECTOR),
@@ -39,13 +40,13 @@ def test_config_keys_are_exactly_these():
     net_keys = [f"{role}.{name}" for role in ("student", "teacher")
                 for name in ("blocks", "head_hidden", "pyramid_roi", "pyramid_width", "widths")]
     assert sorted(config._KEYS) == sorted([
-        "dataset.image_height", "dataset.image_width", "dataset.n_test", "dataset.n_train",
+        "dataset.n_test", "dataset.n_train",
         *net_keys,
         "train.epochs", "train.lr_decay_epochs",
         "distill.lambda_ld", "distill.lambda_pd", "distill.lambda_rd",
         "out_dir", "seed",
     ])
-    assert len(config._KEYS) == 21
+    assert len(config._KEYS) == 19
 
 
 def test_every_settable_field_has_a_type_the_parser_converts():
@@ -105,9 +106,7 @@ def run_configs(draw):
     nonneg = st.floats(min_value=0.0, allow_infinity=False)
     positive = st.integers(1, 10**9)
     epochs = draw(st.integers(1, 100))
-    dataset = section(SceneParams, n_train=draw(positive), n_test=draw(positive),
-                      image_height=32 * draw(st.integers(1, 64)),
-                      image_width=32 * draw(st.integers(1, 64)))
+    dataset = section(SceneParams, n_train=draw(positive), n_test=draw(positive))
     distill = section(DistillConfig, lambda_pd=draw(nonneg), lambda_rd=draw(nonneg),
                       lambda_ld=draw(nonneg))
     decay_epochs = draw(st.lists(st.integers(1, epochs), max_size=4, unique=True))
@@ -161,8 +160,6 @@ def test_count_below_one_is_a_config_error(line):
     ("distill.lambda_pd = nan", "lambda_pd must be finite and nonnegative"),
     ("distill.lambda_rd = inf", "lambda_rd must be finite and nonnegative"),
     ("distill.lambda_ld = -1", "lambda_ld must be finite and nonnegative"),
-    ("dataset.image_height = 0", "positive multiples of 32"),
-    ("dataset.image_width = -32", "positive multiples of 32"),
 ])
 def test_value_out_of_range_is_a_config_error(line, message):
     with pytest.raises(ConfigError, match=message):

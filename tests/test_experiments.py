@@ -81,7 +81,7 @@ def test_ablation_reads_the_teacher_once(tmp_path, monkeypatch, tiny_teacher_cfg
 
     real_load_checkpoint = train.load_checkpoint
     monkeypatch.setattr(train, "load_checkpoint", load_checkpoint)
-    cfg = RunConfig(dataset=SceneParams(n_train=1, n_test=6, image_height=64, image_width=96),
+    cfg = RunConfig(dataset=SceneParams(n_train=1, n_test=6),
                     teacher=tiny_teacher_cfg, student=tiny_student_cfg,
                     train=TrainConfig(epochs=1, lr_decay_epochs=(), seed=1), out_dir=str(tmp_path / "run"))
     rows = experiments.run_ablation(cfg)
