@@ -1,6 +1,7 @@
 """Run-configuration parsing."""
 
-from dataclasses import fields
+import re
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from distilldet import config
 from distilldet.checkpoint import load_checkpoint
-from distilldet.config import ConfigError, RunConfig, dump_config, parse_config
+from distilldet.config import ConfigError, RunConfig, dump_config, load_config, parse_config
 from distilldet.data import SceneParams
 from distilldet.distill import DistillConfig
 from distilldet.nets import NetConfig
@@ -47,6 +48,62 @@ def test_config_keys_are_exactly_these():
         "out_dir", "seed",
     ])
     assert len(config._KEYS) == 19
+
+
+DEFAULT_DUMP = """\
+dataset.n_train = 200
+dataset.n_test = 80
+teacher.widths = 16,32,64,128
+teacher.blocks = 2,2,2,2
+teacher.pyramid_width = 32
+teacher.head_hidden = 256
+teacher.pyramid_roi = true
+student.widths = 8,16,32,64
+student.blocks = 1,1,1,1
+student.pyramid_width = 32
+student.head_hidden = 48
+student.pyramid_roi = true
+train.epochs = 6
+train.lr_decay_epochs = 4,6
+distill.lambda_pd = 0.5
+distill.lambda_rd = 30.0
+distill.lambda_ld = 30.0
+seed = 0
+out_dir = runs/default
+"""
+
+
+def test_dump_of_the_default_config_is_these_lines():
+    """The file every run writes as run_config.txt: sections in RunConfig
+    order, then seed and out_dir."""
+    assert dump_config(RunConfig()) == DEFAULT_DUMP
+
+
+@pytest.mark.parametrize("text, message", [
+    ("seed = 1\nteacher.widths\n", "line 2: expected `key = value`"),
+    ("train.epochs = two\n", "line 1: bad value for train.epochs"),
+    ("seed = 1\n\ndistill.lambda_pd = half\n", "line 3: bad value for distill.lambda_pd"),
+    ("student.pyramid_roi = maybe\n", "line 1: bad value for student.pyramid_roi"),
+    ("teacher.widths = 16,x,64,128\n", "line 1: bad value for teacher.widths"),
+], ids=["no-equals", "int", "float", "bool", "tuple"])
+def test_a_malformed_line_is_a_config_error_naming_it(text, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(text)
+
+
+def test_a_missing_file_is_a_config_error_naming_it(tmp_path):
+    path = tmp_path / "absent.cfg"
+    with pytest.raises(ConfigError, match=re.escape(f"cannot read config {path}")):
+        load_config(path)
+
+
+def test_comments_and_blank_lines_are_ignored():
+    text = "# a run\n\n   \nseed = 3  # after a value\n  # indented\ndataset.n_train = 5#tight\n"
+    assert parse_config(text) == replace(RunConfig().with_seed(3), dataset=SceneParams(n_train=5))
+
+
+def test_a_value_may_hold_an_equals_sign():
+    assert parse_config("out_dir = a=b\n").out_dir == "a=b"
 
 
 def test_every_settable_field_has_a_type_the_parser_converts():
