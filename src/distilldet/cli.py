@@ -21,7 +21,7 @@ from .config import ConfigError, RunConfig, load_config, save_config
 from .data import annotations_by_image
 from .evalmr import (SUBSETS, EvalError, evaluate, read_detections, read_ground_truth, write_curve,
                      write_ground_truth)
-from .train import DivergenceError, epoch_mean, load_detector
+from .train import DivergenceError, check_pyramid_widths, epoch_mean, load_detector
 
 
 def _load(args) -> RunConfig:
@@ -71,6 +71,8 @@ def cmd_distill(args) -> int:
         return 2
     # Read the teacher and its config before generating any scene, so a bad file fails fast.
     t_cfg, t_params = load_detector(teacher_ckpt)
+    if cfg.train.distill.any_enabled:
+        check_pyramid_widths(t_cfg, cfg.student, f"teacher checkpoint {teacher_ckpt} has pyramid_width")
     # Parameter counts depend only on the configs: a student that is not
     # lighter than the teacher fails here, before it trains.
     ratio = nets.compression_ratio(t_params, nets.init_params(cfg.student, seed=cfg.seed))

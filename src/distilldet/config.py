@@ -2,17 +2,23 @@
 experiment (dataset, both network configs, training schedule, matching
 weights, output directory).
 
+The keys come from ``RunConfig``'s own fields: each is a section and a field
+name (``teacher.widths``, ``distill.lambda_pd`` for ``train.distill``), but
+the seed is ``seed`` and the output directory ``out_dir``. Each value is
+parsed by its field's type.
+
 Format: `key = value` lines, `#` comments, blank lines ignored. Integer
-tuples are comma-separated; booleans are true/false. Unknown keys, and a
-key given twice, are rejected so typos fail loudly.
+tuples are comma-separated, an empty value being the empty tuple; booleans
+are true/false. Unknown keys, a key given twice, an empty tuple item and a
+file that is not UTF-8 are rejected, so typos fail loudly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import reduce
 
 from .data import SceneParams
-from .distill import DistillConfig
 from .nets import NetConfig, default_student_config, default_teacher_config
 from .train import TrainConfig
 
@@ -57,42 +63,46 @@ def _parse_bool(s: str) -> bool:
 
 
 def _parse_int_tuple(s: str) -> tuple:
-    return tuple(int(p) for p in s.split(",") if p.strip() != "")
+    return tuple(int(p) for p in s.split(",")) if s else ()
 
 
-_SECTION_TYPES = {
-    "dataset": SceneParams,
-    "teacher": NetConfig,
-    "student": NetConfig,
-    "train": TrainConfig,
-    "distill": DistillConfig,
-}
-
-# key -> (section, field name). "distill" keys live inside train.distill.
-_KEYS: dict[str, tuple[str, str]] = {}
-for _sec, _cls in _SECTION_TYPES.items():
-    for _f in fields(_cls):
-        if _f.name == "distill":
-            continue  # nested section
-        _KEYS[f"{_sec}.{_f.name}"] = (_sec, _f.name)
-_KEYS["seed"] = ("train", "seed")
-_KEYS["out_dir"] = ("", "out_dir")
-del _KEYS["train.seed"]
+# Field annotations are strings (``from __future__ import annotations``).
+_PARSERS = {"int": int, "float": float, "bool": _parse_bool, "tuple": _parse_int_tuple, "str": str}
 
 
-# Section fields' annotations are strings (``from __future__ import annotations``).
-_PARSERS = {"int": int, "float": float, "bool": _parse_bool, "tuple": _parse_int_tuple}
+def _leaves(obj, path=()):
+    """(attribute path, annotation) of each non-dataclass field under obj."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _leaves(value, path + (f.name,))
+        else:
+            yield path + (f.name,), f.type
 
 
-def _convert(raw: str, annotation: str):
-    if annotation not in _PARSERS:
-        raise ValueError(f"unsupported config type {annotation!r}")
-    return _PARSERS[annotation](raw)
+# key -> (attribute path from RunConfig, annotation). A key is the field's
+# section and name ("distill.lambda_pd" lives in train.distill); seed and
+# out_dir go bare and last.
+_KEYS = {".".join(path[-2:]): (path, ann) for path, ann in _leaves(RunConfig())}
+_KEYS["seed"] = _KEYS.pop("train.seed")
+_KEYS["out_dir"] = _KEYS.pop("out_dir")
+
+
+def _rebuild(obj, values: dict, path=()):
+    """obj with each field whose path is in ``values`` set, one replace per
+    dataclass, so a section's cross-field checks see all of its values."""
+    changes = {}
+    for f in fields(obj):
+        value, sub = getattr(obj, f.name), path + (f.name,)
+        if is_dataclass(value):
+            changes[f.name] = _rebuild(value, values, sub)
+        elif sub in values:
+            changes[f.name] = values[sub]
+    return replace(obj, **changes)
 
 
 def parse_config(text: str) -> RunConfig:
-    values: dict[str, dict] = {sec: {} for sec in _SECTION_TYPES}
-    top: dict[str, str] = {}
+    values: dict[tuple, object] = {}
     first_line: dict[str, int] = {}
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -107,37 +117,24 @@ def parse_config(text: str) -> RunConfig:
         if key in first_line:
             raise ConfigError(f"line {ln}: key {key!r} given twice, on lines {first_line[key]} and {ln}")
         first_line[key] = ln
-        section, fname = _KEYS[key]
-        if section == "":
-            top[fname] = val
-            continue
-        cls = _SECTION_TYPES[section]
-        ann = {f.name: f.type for f in fields(cls)}[fname]
+        path, ann = _KEYS[key]
         try:
-            values[section][fname] = _convert(val, ann)
+            values[path] = _PARSERS[ann](val)
         except ValueError as exc:
             raise ConfigError(f"line {ln}: bad value for {key}: {exc}") from exc
-
     try:
-        dataset = SceneParams(**values["dataset"])
-        teacher = replace(default_teacher_config(), **values["teacher"])
-        student = replace(default_student_config(), **values["student"])
-        distill = DistillConfig(**values["distill"])
-        train = TrainConfig(**{**values["train"], "distill": distill})
-        return RunConfig(
-            dataset=dataset, teacher=teacher, student=student, train=train,
-            out_dir=top.get("out_dir", "runs/default"),
-        )
-    except (ValueError, TypeError) as exc:
+        return _rebuild(RunConfig(), values)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def load_config(path) -> RunConfig:
     try:
-        with open(path) as fh:
-            return parse_config(fh.read())
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return parse_config(text)
 
 
 def _fmt(value) -> str:
@@ -150,22 +147,9 @@ def _fmt(value) -> str:
 
 def dump_config(cfg: RunConfig) -> str:
     """Serialize; parse(dump(cfg)) reproduces cfg."""
-    sections = {
-        "dataset": cfg.dataset,
-        "teacher": cfg.teacher,
-        "student": cfg.student,
-        "train": cfg.train,
-        "distill": cfg.train.distill,
-    }
-    lines = []
-    for key, (section, fname) in _KEYS.items():
-        if section == "":
-            lines.append(f"{key} = {cfg.out_dir}")
-        else:
-            lines.append(f"{key} = {_fmt(getattr(sections[section], fname))}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {_fmt(reduce(getattr, path, cfg))}\n" for key, (path, _) in _KEYS.items())
 
 
 def save_config(cfg: RunConfig, path):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(dump_config(cfg))

@@ -22,7 +22,7 @@ from .config import RunConfig
 from .data import annotations_by_image, generate_dataset
 from .distill import DistillConfig
 from .evalmr import SUBSETS, evaluate, subset_member, write_curve, write_detections
-from .train import _cfg_from_meta, distill_student, load_detector, train_teacher
+from .train import _cfg_from_meta, check_pyramid_widths, distill_student, load_detector, train_teacher
 
 # (PD, RD, LD, PyRoIAlign) in report order; row 2 is the no-matching
 # baseline, row 8 the full configuration.
@@ -154,9 +154,7 @@ def run_ablation(cfg: RunConfig, progress=None):
     if zero:
         raise ValueError(f"{', '.join(zero)} = 0: each ablation row that turns a term on "
                          "takes its weight from the config, so all three must be positive")
-    if cfg.teacher.pyramid_width != cfg.student.pyramid_width:
-        raise ValueError(f"teacher.pyramid_width = {cfg.teacher.pyramid_width} but student.pyramid_width = "
-                         f"{cfg.student.pyramid_width}: the rows that match the teacher need equal widths")
+    check_pyramid_widths(cfg.teacher, cfg.student)
     train_scenes, test_scenes = build_dataset(cfg)
     check_test_subsets(test_scenes)
     # Read once: every matching row distills from this same pair.

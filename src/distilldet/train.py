@@ -139,6 +139,16 @@ class SGD:
             p.grad = None
 
 
+def check_pyramid_widths(teacher_cfg: NetConfig, student_cfg: NetConfig,
+                         teacher: str = "teacher.pyramid_width"):
+    """Raise a ValueError when the two pyramid widths differ, since the
+    matching terms compare teacher and student features channel for channel.
+    ``teacher`` names where the teacher's width comes from."""
+    if teacher_cfg.pyramid_width != student_cfg.pyramid_width:
+        raise ValueError(f"{teacher} = {teacher_cfg.pyramid_width} but student.pyramid_width = "
+                         f"{student_cfg.pyramid_width}: the matching terms need equal pyramid widths")
+
+
 class _TeacherContext:
     """Teacher matcher: the frozen teacher, its pyramid cache keyed by
     (scene, flipped), and the PD/RD/LD terms against one student config.
@@ -149,9 +159,7 @@ class _TeacherContext:
     cache_enabled = True
 
     def __init__(self, cfg: NetConfig, params: dict, student_cfg: NetConfig, dcfg: DistillConfig):
-        if cfg.pyramid_width != student_cfg.pyramid_width:
-            raise ValueError(f"teacher/student pyramid widths differ ({cfg.pyramid_width} and "
-                             f"{student_cfg.pyramid_width}); matching losses need equal widths")
+        check_pyramid_widths(cfg, student_cfg)
         self.cfg = cfg
         self.params = {k: v.detach() for k, v in params.items()}
         self.student_cfg = student_cfg

@@ -1,6 +1,7 @@
 """Command-line behaviour: `distill` reads its teacher and the teacher's
 config before any scene is generated, so a bad or missing teacher fails
-fast, as does a student that is not lighter than its teacher; it writes its
+fast, as does a student that is not lighter than its teacher or, when a
+matching term is on, one of another pyramid width; it writes its
 test detections in the file format `eval` reads, and the same student files
 as `ablate`'s row of its config; `gen-data` writes ground truth and a config
 that read back to its scenes and run; `eval` exits 2 on a bad detection file,
@@ -87,6 +88,14 @@ def test_bad_config_exits_2_naming_the_key_before_any_output(tmp_path, capsys, c
     config.write_text(line + "\n")
     assert main([command, "--config", str(config), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_config_file_that_is_not_utf8_exits_2_naming_it_before_any_output(tmp_path, capsys):
+    config, out = tmp_path / "bad.cfg", tmp_path / "run"
+    config.write_bytes(b"seed = 1\nout_dir = caf\xe9\n")  # Latin-1, not UTF-8
+    assert main(["gen-data", "--config", str(config), "--out", str(out)]) == 2
+    assert f"error: cannot read config {config}: " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -276,6 +285,32 @@ def test_ablate_exits_2_naming_unequal_pyramid_widths_before_any_scene_or_output
     assert "teacher.pyramid_width = 16" in captured.err and "student.pyramid_width = 8" in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_distill_exits_2_naming_unequal_pyramid_widths_before_any_scene_or_output(
+        tmp_path, capsys, monkeypatch, tiny_teacher_cfg, save_teacher):
+    def fail(cfg):
+        raise AssertionError("build_dataset called before the pyramid widths were compared")
+
+    monkeypatch.setattr(experiments, "build_dataset", fail)
+    config, out = tmp_path / "run.cfg", tmp_path / "run"
+    teacher = save_teacher(replace(tiny_teacher_cfg, pyramid_width=16))
+    config.write_text(TINY_RUN.replace("distill.lambda_rd = 0\n", ""))  # RD on
+    assert main(["distill", "--config", str(config), "--out", str(out), "--teacher", str(teacher)]) == 2
+    captured = capsys.readouterr()
+    assert (f"teacher checkpoint {teacher} has pyramid_width = 16 but student.pyramid_width = 8"
+            in captured.err)
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_distill_with_every_weight_0_trains_against_a_teacher_of_another_pyramid_width(
+        tmp_path, tiny_teacher_cfg, save_teacher):
+    config, out = tmp_path / "run.cfg", tmp_path / "run"
+    teacher = save_teacher(replace(tiny_teacher_cfg, pyramid_width=16))
+    config.write_text(TINY_RUN)
+    assert main(["distill", "--config", str(config), "--out", str(out), "--teacher", str(teacher)]) == 0
+    assert (out / "student_0001.ckpt").exists()
 
 
 def test_gen_data_writes_ground_truth_and_a_config_that_read_back_to_the_run(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import re
 from dataclasses import fields, replace
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -106,20 +107,22 @@ def test_a_value_may_hold_an_equals_sign():
     assert parse_config("out_dir = a=b\n").out_dir == "a=b"
 
 
+@pytest.mark.parametrize("line", ["teacher.widths = 16,32,,64,128", "teacher.widths = 16,32,64,128,",
+                                  "teacher.widths = 16, ,32,64", "train.lr_decay_epochs = ,"])
+def test_an_empty_tuple_item_is_a_bad_value(line):
+    key = line.split()[0]
+    with pytest.raises(ConfigError, match=re.escape(f"line 1: bad value for {key}")):
+        parse_config(line + "\n")
+
+
 def test_every_settable_field_has_a_type_the_parser_converts():
-    """Section fields are annotated by name, and each name is one the parser
-    converts, so a field of a new type fails here rather than when a config
-    file first sets it."""
-    defaults = RunConfig()
-    sections = {"dataset": defaults.dataset, "teacher": defaults.teacher, "student": defaults.student,
-                "train": defaults.train, "distill": defaults.train.distill}
-    for key, (section, name) in config._KEYS.items():
-        if not section:
-            continue  # out_dir is read as written
-        annotation = {f.name: f.type for f in fields(config._SECTION_TYPES[section])}[name]
+    """Every key's field is annotated by a type name the parser converts,
+    and the dump of its default value parses back to that value, so a field
+    of a new type fails here rather than when a config file first sets it."""
+    for key, (path, annotation) in config._KEYS.items():
         assert annotation in config._PARSERS, key
-        value = getattr(sections[section], name)
-        assert config._convert(config._fmt(value), annotation) == value, key
+        value = reduce(getattr, path, RunConfig())
+        assert config._PARSERS[annotation](config._fmt(value)) == value, key
 
 
 @pytest.mark.parametrize("key", REMOVED_KEYS)

@@ -62,7 +62,7 @@ def test_distill_student_rejects_teacher_of_other_width(tmp_path, tiny_scenes, t
     student = tmp_path / "student.ckpt"
     log = tmp_path / "student_log.jsonl"
     train_scenes, _ = tiny_scenes
-    with pytest.raises(ValueError, match=r"widths differ \(16 and 8\)"):
+    with pytest.raises(ValueError, match="teacher.pyramid_width = 16 but student.pyramid_width = 8"):
         distill_student(train_scenes, save_teacher(teacher_cfg), TrainConfig(epochs=1, lr_decay_epochs=()),
                         student, student_cfg=tiny_student_cfg, log_path=log)
     assert not student.exists()
