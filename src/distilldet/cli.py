@@ -21,7 +21,7 @@ from .config import ConfigError, RunConfig, load_config, save_config
 from .data import annotations_by_image
 from .evalmr import (SUBSETS, EvalError, evaluate, read_detections, read_ground_truth, write_curve,
                      write_ground_truth)
-from .train import DivergenceError, check_pyramid_widths, epoch_mean, load_detector
+from .train import DivergenceError, FrozenTeacher, check_pyramid_widths, epoch_mean, load_detector
 
 
 def _load(args) -> RunConfig:
@@ -78,7 +78,8 @@ def cmd_distill(args) -> int:
     ratio = nets.compression_ratio(t_params, nets.init_params(cfg.student, seed=cfg.seed))
     train, test = experiments.build_dataset(cfg)
     experiments.check_test_subsets(test)
-    ckpt, params, records, mrs = experiments.run_student_variant(cfg, (t_cfg, t_params), train, test)
+    teacher = FrozenTeacher(t_cfg, t_params, train)
+    ckpt, params, records, mrs = experiments.run_student_variant(cfg, teacher, train, test)
     print(f"teacher parameters: {nets.parameter_count(t_params)}")
     print(f"student parameters: {nets.parameter_count(params)}")
     print(f"compression ratio: {ratio:.2f}x")

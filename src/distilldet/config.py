@@ -7,14 +7,17 @@ name (``teacher.widths``, ``distill.lambda_pd`` for ``train.distill``), but
 the seed is ``seed`` and the output directory ``out_dir``. Each value is
 parsed by its field's type.
 
-Format: `key = value` lines, `#` comments, blank lines ignored. Integer
-tuples are comma-separated, an empty value being the empty tuple; booleans
-are true/false. Unknown keys, a key given twice, an empty tuple item and a
-file that is not UTF-8 are rejected, so typos fail loudly.
+Format: `key = value` lines, `#` comments, blank lines ignored. Integers
+are ASCII digits with an optional sign, and other numbers ASCII decimals
+with an optional exponent. Integer tuples are comma-separated, an empty
+value being the empty tuple; booleans are true/false. Unknown keys, a key
+given twice, an empty tuple item, a digit-group underscore, a non-ASCII
+digit and a file that is not UTF-8 are rejected, so typos fail loudly.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import reduce
 
@@ -62,12 +65,32 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
+def _ascii_number(pattern: str, convert, what: str):
+    """A parser of the values that fully match ``pattern`` in ASCII, so the
+    digit-group underscores and non-ASCII digits that ``int`` and ``float``
+    also take are bad values."""
+    regex = re.compile(pattern, re.ASCII | re.IGNORECASE)
+
+    def parse(s: str):
+        if not regex.fullmatch(s):
+            raise ValueError(f"not {what}: {s!r}")
+        return convert(s)
+    return parse
+
+
+_parse_int = _ascii_number(r"[+-]?[0-9]+", int, "an integer")
+# inf and nan parse, so that the range check names them.
+_parse_float = _ascii_number(r"[+-]?(([0-9]+\.?[0-9]*|\.[0-9]+)(e[+-]?[0-9]+)?|inf|infinity|nan)",
+                             float, "a number")
+
+
 def _parse_int_tuple(s: str) -> tuple:
-    return tuple(int(p) for p in s.split(",")) if s else ()
+    return tuple(_parse_int(p.strip()) for p in s.split(",")) if s else ()
 
 
 # Field annotations are strings (``from __future__ import annotations``).
-_PARSERS = {"int": int, "float": float, "bool": _parse_bool, "tuple": _parse_int_tuple, "str": str}
+_PARSERS = {"int": _parse_int, "float": _parse_float, "bool": _parse_bool, "tuple": _parse_int_tuple,
+            "str": str}
 
 
 def _leaves(obj, path=()):

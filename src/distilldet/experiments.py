@@ -22,7 +22,7 @@ from .config import RunConfig
 from .data import annotations_by_image, generate_dataset
 from .distill import DistillConfig
 from .evalmr import SUBSETS, evaluate, subset_member, write_curve, write_detections
-from .train import _cfg_from_meta, check_pyramid_widths, distill_student, load_detector, train_teacher
+from .train import FrozenTeacher, _cfg_from_meta, check_pyramid_widths, distill_student, train_teacher
 
 # (PD, RD, LD, PyRoIAlign) in report order; row 2 is the no-matching
 # baseline, row 8 the full configuration.
@@ -126,7 +126,8 @@ def run_student_variant(cfg: RunConfig, teacher, train_scenes, test_scenes):
     """Train ``cfg.student``, the run of row ``config_row(cfg)``, score it on
     ``test_scenes`` and write its four files (see the module docstring);
     returns (checkpoint path, params, records, MR per subset). ``teacher``
-    is what ``distill_student`` takes: a checkpoint path or a loaded pair."""
+    is what ``distill_student`` takes: a checkpoint path or a ``FrozenTeacher``
+    built for ``train_scenes``."""
     tag = row_tag(config_row(cfg))
     os.makedirs(cfg.out_dir, exist_ok=True)
     ckpt = os.path.join(cfg.out_dir, f"student_{tag}.ckpt")
@@ -157,11 +158,12 @@ def run_ablation(cfg: RunConfig, progress=None):
     check_pyramid_widths(cfg.teacher, cfg.student)
     train_scenes, test_scenes = build_dataset(cfg)
     check_test_subsets(test_scenes)
-    # Read once: every matching row distills from this same pair.
+    # Read once: every matching row distills from this teacher and shares its
+    # pyramid cache, which goes when this call returns.
     path = ensure_teacher(cfg, train_scenes)
-    teacher = load_detector(path)
-    if teacher[0] != cfg.teacher:
-        raise ValueError(f"{path}: teacher checkpoint has architecture {teacher[0]}, "
+    teacher = FrozenTeacher.load(path, train_scenes)
+    if teacher.cfg != cfg.teacher:
+        raise ValueError(f"{path}: teacher checkpoint has architecture {teacher.cfg}, "
                          f"but the run's teacher is {cfg.teacher}; remove it or use another --out")
     rows = []
     for row in ABLATION_ROWS:

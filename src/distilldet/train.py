@@ -10,6 +10,11 @@ A step runs named stages in order: propose, RPN loss, sample, crop and head
 on the pyramids, RD and LD on crops of the student's proposals), then
 backward and SGD. The matcher exists only when some matching term is on, so
 with every term off the student phase is plain supervised training, bit for bit.
+
+The teacher's pyramids are cached in its ``FrozenTeacher``, not in a
+matcher or the module: the matchers of every student trained against one
+such object share its cache, which is freed with the object. A checkpoint
+path given to ``distill_student`` builds one that lives for that run alone.
 """
 
 from __future__ import annotations
@@ -135,7 +140,8 @@ class SGD:
             v = self.velocity[name]
             v *= MOMENTUM
             v += p.grad
-            p.data -= lr * v
+            np.multiply(v, lr, out=p.grad)
+            p.data -= p.grad
             p.grad = None
 
 
@@ -149,24 +155,54 @@ def check_pyramid_widths(teacher_cfg: NetConfig, student_cfg: NetConfig,
                          f"{student_cfg.pyramid_width}: the matching terms need equal pyramid widths")
 
 
+class FrozenTeacher:
+    """The frozen teacher: its config, its detached params and the cache of
+    its (P2, P3, P4, P5) pyramids, keyed by (scene index, flipped).
+
+    A pyramid depends only on the teacher's weights and its input, so every
+    student that matches against this teacher reads and fills one cache.
+    Its keys name scenes by index, so it serves only the training-scene list
+    it was built for (``check_scenes``). It lives as long as the object:
+    ``experiments.run_ablation`` builds one per call and drops it on return."""
+
+    def __init__(self, cfg: NetConfig, params: dict, scenes):
+        self.cfg = cfg
+        self.params = {k: v.detach() for k, v in params.items()}
+        self.scenes = tuple(scenes)
+        self.pyramids: dict = {}
+
+    @classmethod
+    def load(cls, path, scenes) -> "FrozenTeacher":
+        """The teacher of checkpoint ``path`` for ``scenes``; see ``load_detector``."""
+        return cls(*load_detector(path), scenes)
+
+    def check_scenes(self, scenes):
+        """Raise a ValueError unless ``scenes`` are the scenes, in order,
+        that this teacher's cache was built for."""
+        if len(scenes) != len(self.scenes) or any(a is not b for a, b in zip(scenes, self.scenes)):
+            raise ValueError(f"this teacher's pyramid cache serves the {len(self.scenes)} training "
+                             f"scenes it was built for, not another list of {len(scenes)}")
+
+
 class _TeacherContext:
-    """Teacher matcher: the frozen teacher, its pyramid cache keyed by
-    (scene, flipped), and the PD/RD/LD terms against one student config.
+    """Teacher matcher: a ``FrozenTeacher``, whose pyramid cache it reads and
+    fills, and the PD/RD/LD terms against one student config.
 
     The cache is always on; ``cache_enabled`` stays for tools that read it
-    (``perfbench/probe.py`` counts cache hits from it and ``_cache``)."""
+    (``perfbench/probe.py`` counts cache hits from it and ``_cache``, the
+    teacher's shared mapping)."""
 
     cache_enabled = True
 
-    def __init__(self, cfg: NetConfig, params: dict, student_cfg: NetConfig, dcfg: DistillConfig):
-        check_pyramid_widths(cfg, student_cfg)
-        self.cfg = cfg
-        self.params = {k: v.detach() for k, v in params.items()}
+    def __init__(self, teacher: FrozenTeacher, student_cfg: NetConfig, dcfg: DistillConfig):
+        check_pyramid_widths(teacher.cfg, student_cfg)
+        self.cfg = teacher.cfg
+        self.params = teacher.params
         self.student_cfg = student_cfg
         self.dcfg = dcfg
-        self._cache: dict = {}
+        self._cache = teacher.pyramids
         # LD may reuse RD's teacher crop only when it is the crop the teacher's head takes.
-        self._ld_reuses_rd_crop = cfg.pyramid_roi == student_cfg.pyramid_roi
+        self._ld_reuses_rd_crop = teacher.cfg.pyramid_roi == student_cfg.pyramid_roi
 
     def pyramid(self, scene_index: int, flipped: bool, image: Tensor) -> tuple:
         """The teacher's (P2, P3, P4, P5) for one scene, as no-grad tensors."""
@@ -300,8 +336,10 @@ def _fit(scenes, net_cfg: NetConfig, tcfg: TrainConfig, ckpt_path, log_path, tea
         raise ValueError("empty training set")
     matcher = None
     if teacher is not None and tcfg.distill.any_enabled:
-        t_cfg, t_params = teacher if isinstance(teacher, tuple) else load_detector(teacher)
-        matcher = _TeacherContext(t_cfg, t_params, net_cfg, tcfg.distill)
+        if not isinstance(teacher, FrozenTeacher):
+            teacher = FrozenTeacher.load(teacher, scenes)
+        teacher.check_scenes(scenes)
+        matcher = _TeacherContext(teacher, net_cfg, tcfg.distill)
     with atomic_write(log_path) if log_path else contextlib.nullcontext() as log_fh:
         params, records = train_detector(scenes, net_cfg, tcfg, teacher=matcher, log_fh=log_fh)
         save_checkpoint(ckpt_path, params, meta=_cfg_meta(net_cfg))
@@ -318,14 +356,14 @@ def distill_student(scenes, teacher, tcfg: TrainConfig, ckpt_path,
                     student_cfg: NetConfig, log_path=None):
     """Phase two: train the student against the frozen teacher.
 
-    ``teacher`` is a checkpoint path or the ``(NetConfig, params)`` pair
-    that ``load_detector`` returns, so a caller that already holds the
-    teacher does not read it again. The student's crop mode is
-    ``student_cfg.pyramid_roi``. The teacher checkpoint is read, and the
-    teacher matcher built before the log is opened, only when some matching
-    term is on: with every term off no teacher tensor is used, so a path is
-    not opened. A ValueError is raised when the checkpoint's meta is not a
-    detector config or the teacher's pyramid width differs from the
-    student's.
+    ``teacher`` is a checkpoint path or a ``FrozenTeacher`` built for
+    ``scenes``, so a caller that already holds the teacher neither reads it
+    again nor recomputes the pyramids its cache holds. The student's crop
+    mode is ``student_cfg.pyramid_roi``. The teacher checkpoint is read, and
+    the teacher matcher built before the log is opened, only when some
+    matching term is on: with every term off no teacher tensor is used, so
+    a path is not opened. A ValueError is raised when the checkpoint's meta
+    is not a detector config, the teacher's pyramid width differs from the
+    student's, or a ``FrozenTeacher`` was built for other scenes.
     """
     return (*_fit(scenes, student_cfg, tcfg, ckpt_path, log_path, teacher), student_cfg)

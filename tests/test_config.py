@@ -107,6 +107,22 @@ def test_a_value_may_hold_an_equals_sign():
     assert parse_config("out_dir = a=b\n").out_dir == "a=b"
 
 
+@pytest.mark.parametrize("line", ["teacher.widths = 1_6,32,64,128", "seed = \u0663",
+                                  "distill.lambda_pd = 0_5", "dataset.n_train = \uff14",
+                                  "distill.lambda_rd = 3\u0660.0"],
+                         ids=["underscore-tuple-item", "arabic-indic-int", "underscore-float",
+                              "fullwidth-int", "arabic-indic-float"])
+def test_a_number_in_other_than_ascii_digits_is_a_bad_value(line):
+    """``int`` and ``float`` read these as 16, 3, 5, 4 and 30.0."""
+    key = line.split()[0]
+    with pytest.raises(ConfigError, match=re.escape(f"line 1: bad value for {key}")):
+        parse_config(line + "\n")
+
+
+def test_the_default_dump_parses_back_to_the_default_config():
+    assert parse_config(dump_config(RunConfig())) == RunConfig()
+
+
 @pytest.mark.parametrize("line", ["teacher.widths = 16,32,,64,128", "teacher.widths = 16,32,64,128,",
                                   "teacher.widths = 16, ,32,64", "train.lr_decay_epochs = ,"])
 def test_an_empty_tuple_item_is_a_bad_value(line):

@@ -1,14 +1,17 @@
 """Experiment plumbing: the ablation rows' matching weights and run configs,
-row tags, the table text, the reuse of a trained teacher, and the check that
-an ablation's base weights are all positive."""
+row tags, the table text, the reuse of a trained teacher, the teacher
+pyramid cache the rows of one ablation share, and the check that an
+ablation's base weights are all positive."""
 
+import gc
 import os
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from distilldet import Tensor, experiments, train
+from distilldet import Tensor, experiments, nets, train
 from distilldet.checkpoint import checkpoint_hash, save_checkpoint
 from distilldet.config import RunConfig
 from distilldet.data import SceneParams
@@ -87,6 +90,71 @@ def test_ablation_reads_the_teacher_once(tmp_path, monkeypatch, tiny_teacher_cfg
     rows = experiments.run_ablation(cfg)
     assert len(rows) == len(ABLATION_ROWS)
     assert reads == [experiments.teacher_ckpt_path(cfg.out_dir)]
+
+
+def _tiny_ablation(tmp_path, tiny_teacher_cfg, tiny_student_cfg, name="run"):
+    """Three train scenes over two epochs, so the matching rows look up
+    pyramids that earlier rows put in the shared cache."""
+    return RunConfig(dataset=SceneParams(n_train=3, n_test=6),
+                     teacher=tiny_teacher_cfg, student=tiny_student_cfg,
+                     train=TrainConfig(epochs=2, lr_decay_epochs=(), seed=1), out_dir=str(tmp_path / name))
+
+
+def test_each_ablation_row_is_the_bytes_of_the_row_trained_alone(tmp_path, tiny_teacher_cfg,
+                                                                 tiny_student_cfg):
+    """The rows share one teacher pyramid cache; each row trained alone from
+    the teacher checkpoint fills its own, and writes the same bytes."""
+    cfg = _tiny_ablation(tmp_path, tiny_teacher_cfg, tiny_student_cfg)
+    experiments.run_ablation(cfg)
+    train_scenes, _ = experiments.build_dataset(cfg)
+    teacher = experiments.teacher_ckpt_path(cfg.out_dir)
+    for row in ABLATION_ROWS:
+        row_cfg, tag = row_config(cfg, row), row_tag(row)
+        alone = tmp_path / f"alone_{tag}.ckpt"
+        log = tmp_path / f"alone_{tag}_log.jsonl"
+        train.distill_student(train_scenes, teacher, row_cfg.train, alone, student_cfg=row_cfg.student,
+                              log_path=log)
+        run = tmp_path / "run"
+        assert alone.read_bytes() == (run / f"student_{tag}.ckpt").read_bytes(), tag
+        assert log.read_bytes() == (run / f"student_{tag}_log.jsonl").read_bytes(), tag
+
+
+def test_an_ablation_runs_the_teacher_once_per_scene_and_flip_and_drops_its_cache(
+        tmp_path, monkeypatch, tiny_teacher_cfg, tiny_student_cfg):
+    cfg = _tiny_ablation(tmp_path, tiny_teacher_cfg, tiny_student_cfg)
+    train_scenes, _ = experiments.build_dataset(cfg)
+    experiments.ensure_teacher(cfg, train_scenes)  # its training runs the teacher's pyramid too
+    forwards, first_cache_sizes, teachers = [], [], []
+    forward = nets.forward_pyramid
+
+    def counted(image, net_cfg, params):
+        forwards.append(net_cfg == cfg.teacher)
+        return forward(image, net_cfg, params)
+
+    class SpyTeacher(train.FrozenTeacher):
+        def __init__(self, *args):
+            super().__init__(*args)
+            teachers.append(weakref.ref(self))
+
+    class SpyMatcher(train._TeacherContext):
+        def __init__(self, teacher, *args):
+            super().__init__(teacher, *args)
+            if len(first_cache_sizes) < len(teachers):
+                first_cache_sizes.append(len(self._cache))
+
+    monkeypatch.setattr(nets, "forward_pyramid", counted)
+    monkeypatch.setattr(experiments, "FrozenTeacher", SpyTeacher)
+    monkeypatch.setattr(train, "_TeacherContext", SpyMatcher)
+    per_run = []
+    for _ in range(2):  # the second run reuses the teacher checkpoint of the first
+        forwards.clear()
+        experiments.run_ablation(cfg)
+        per_run.append(sum(forwards))
+        gc.collect()
+        assert all(ref() is None for ref in teachers)
+    assert 0 < per_run[0] <= 2 * len(train_scenes)
+    assert per_run[1] == per_run[0]
+    assert len(teachers) == 2 and first_cache_sizes == [0, 0]
 
 
 @pytest.mark.parametrize("zero", [("lambda_pd",), ("lambda_rd", "lambda_ld"),

@@ -114,10 +114,28 @@ def test_a_loaded_teacher_trains_the_student_its_path_does(tmp_path, tiny_scenes
     train_scenes, _ = tiny_scenes
     tcfg = TrainConfig(epochs=1, lr_decay_epochs=(), seed=11)
     teacher = save_teacher(tiny_teacher_cfg)
-    by_path, by_pair = tmp_path / "path.ckpt", tmp_path / "pair.ckpt"
+    by_path, by_object = tmp_path / "path.ckpt", tmp_path / "object.ckpt"
     distill_student(train_scenes, teacher, tcfg, by_path, student_cfg=tiny_student_cfg)
-    distill_student(train_scenes, train.load_detector(teacher), tcfg, by_pair, student_cfg=tiny_student_cfg)
-    assert by_pair.read_bytes() == by_path.read_bytes()
+    distill_student(train_scenes, train.FrozenTeacher.load(teacher, train_scenes), tcfg, by_object,
+                    student_cfg=tiny_student_cfg)
+    assert by_object.read_bytes() == by_path.read_bytes()
+
+
+@pytest.mark.parametrize("other", [lambda scenes: scenes[3:5], lambda scenes: scenes[:1],
+                                   lambda scenes: scenes[1::-1]], ids=["other", "fewer", "reordered"])
+def test_a_teacher_cache_serves_only_the_scenes_it_was_built_for(monkeypatch, tmp_path, tiny_scenes,
+                                                                 tiny_teacher_cfg, tiny_student_cfg,
+                                                                 save_teacher, other):
+    """Its pyramids are keyed by scene index, so another scene list could be
+    served the pyramids of other images."""
+    scenes = tiny_scenes[0]
+    teacher = train.FrozenTeacher.load(save_teacher(tiny_teacher_cfg), scenes[:2])
+    monkeypatch.setattr(train, "train_detector", lambda *a, **k: pytest.fail("a step ran"))
+    student = tmp_path / "student.ckpt"
+    with pytest.raises(ValueError, match="training scenes it was built for"):
+        distill_student(other(scenes), teacher, TrainConfig(epochs=1, lr_decay_epochs=()), student,
+                        student_cfg=tiny_student_cfg)
+    assert not student.exists() and not teacher.pyramids
 
 
 # A teacher whose head takes another crop mode than the student's: RD still
@@ -133,7 +151,8 @@ def test_ld_target_is_the_teacher_head_on_its_own_crop(monkeypatch, tiny_scenes,
     student_cfg = replace(tiny_student_cfg, pyramid_roi=student_roi)
     t_params = nets.init_params(teacher_cfg, seed=0)
     s_params = nets.init_params(student_cfg, seed=1)
-    matcher = train._TeacherContext(teacher_cfg, t_params, student_cfg, DistillConfig())
+    matcher = train._TeacherContext(train.FrozenTeacher(teacher_cfg, t_params, tiny_scenes[0]),
+                                    student_cfg, DistillConfig())
     scene = tiny_scenes[0][0]
     image4 = scene.image.reshape((1, *scene.image.data.shape))
     boxes = np.array([[4.0, 6.0, 30.0, 60.0], [40.0, 10.0, 70.0, 50.0], [10.0, 2.0, 90.0, 62.0]])
@@ -171,8 +190,9 @@ def test_full_matching_trains_against_a_teacher_with_its_own_crop(tmp_path, tiny
 
 def test_teacher_pyramid_runs_once_per_scene_and_flip(monkeypatch, tiny_scenes, tiny_teacher_cfg,
                                                       tiny_student_cfg):
-    matcher = train._TeacherContext(tiny_teacher_cfg, nets.init_params(tiny_teacher_cfg, seed=0),
-                                    tiny_student_cfg, DistillConfig())
+    teacher = train.FrozenTeacher(tiny_teacher_cfg, nets.init_params(tiny_teacher_cfg, seed=0),
+                                  tiny_scenes[0])
+    matcher = train._TeacherContext(teacher, tiny_student_cfg, DistillConfig())
     calls = []
     forward = nets.forward_pyramid
 
@@ -227,7 +247,7 @@ def test_ops_recorded_by_one_default_size_step_per_row(monkeypatch):
     levels, so the single-level rows record the ops of every cropped level."""
     scenes, _ = generate_dataset(SceneParams(n_train=4, n_test=1), seed=1)
     base = RunConfig(train=TrainConfig(epochs=1, lr_decay_epochs=(), seed=1))
-    t_params = nets.init_params(base.teacher, seed=0)
+    teacher = train.FrozenTeacher(base.teacher, nets.init_params(base.teacher, seed=0), scenes)
     counts = []
 
     def first_backward(loss):
@@ -237,7 +257,7 @@ def test_ops_recorded_by_one_default_size_step_per_row(monkeypatch):
     monkeypatch.setattr(train, "backward", first_backward)
     for row in ABLATION_ROWS:
         cfg = row_config(base, row)
-        matcher = (train._TeacherContext(cfg.teacher, t_params, cfg.student, cfg.train.distill)
+        matcher = (train._TeacherContext(teacher, cfg.student, cfg.train.distill)
                    if cfg.train.distill.any_enabled else None)
         with pytest.raises(_FirstBackward):
             train_detector(scenes, cfg.student, cfg.train, teacher=matcher)
@@ -269,8 +289,9 @@ def test_a_diverging_rerun_keeps_the_earlier_log_and_checkpoint(monkeypatch, tmp
 
 def test_a_nan_matching_target_stops_the_step_before_backward(monkeypatch, tiny_scenes,
                                                               tiny_teacher_cfg, tiny_student_cfg):
-    matcher = train._TeacherContext(tiny_teacher_cfg, nets.init_params(tiny_teacher_cfg, seed=0),
-                                    tiny_student_cfg, DistillConfig())
+    teacher = train.FrozenTeacher(tiny_teacher_cfg, nets.init_params(tiny_teacher_cfg, seed=0),
+                                  tiny_scenes[0])
+    matcher = train._TeacherContext(teacher, tiny_student_cfg, DistillConfig())
     loss = train.logit_distill_loss
     monkeypatch.setattr(train, "logit_distill_loss", lambda s, t: loss(s, np.full_like(t, np.nan)))
     monkeypatch.setattr(train, "backward", lambda loss: pytest.fail("backward on a NaN loss"))

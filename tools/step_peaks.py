@@ -71,8 +71,8 @@ def main() -> int:
     scenes, _ = generate_dataset(SceneParams(n_train=4, n_test=1), seed=0)
     cfg = row_config(RunConfig(train=train.TrainConfig(epochs=1, lr_decay_epochs=(), seed=0)),
                      ABLATION_ROWS[-1])
-    matcher = train._TeacherContext(cfg.teacher, init_params(cfg.teacher, seed=0), cfg.student,
-                                    cfg.train.distill)
+    teacher = train.FrozenTeacher(cfg.teacher, init_params(cfg.teacher, seed=0), scenes)
+    matcher = train._TeacherContext(teacher, cfg.student, cfg.train.distill)
     runs = (("teacher", cfg.teacher, cfg.train, None),
             ("student", cfg.student, cfg.train, matcher))
     print("run      " + "".join(f"{p:>10}" for p in PHASES) + "   (MB, highest over steps)")
