@@ -33,7 +33,16 @@ A rule maps the output's gradient ``g`` to one gradient per parent, in
 parent order: an array, or ``None`` for a parent that needs none. It may
 return ``g`` or views of it, never an array it keeps (a saved buffer), as
 ``backward`` may keep a returned array as the parent's ``grad`` and write
-into it. No rule touches ``grad``: ``backward`` alone adds or keeps.
+into it. No rule touches ``grad``, nor writes into ``g``: ``backward`` alone
+adds or keeps.
+
+Kept views: a parent that is itself an op output keeps a pass-through
+gradient, a C-contiguous view of its consumer's ``grad`` such as ``add``,
+``reshape`` and ``concat`` along the first axis return, as its own ``grad``
+with no copy, and is marked as holding a view. A later gradient for such a
+parent is added into a new array, never through the view, so the
+consumer's ``grad`` and every other holder of that memory keep their
+values. Leaves always own their ``grad``, since ``SGD.step`` writes into it.
 The recorded graph is single-use: differentiating through an already-consumed
 operation raises ``TapeError``, so each optimization step must rebuild its
 forward graph. ``backward`` releases each operation's rule, the buffers its
@@ -91,7 +100,7 @@ class Tensor:
     optimization steps.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_consumed")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_consumed", "_grad_is_view")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -109,6 +118,7 @@ class Tensor:
         self._parents = ()
         self._backward = None
         self._consumed = False
+        self._grad_is_view = False
 
     @classmethod
     def _from_op(cls, data, parents, rule):
@@ -126,6 +136,7 @@ class Tensor:
         out.data = data
         out.grad = None
         out._consumed = False
+        out._grad_is_view = False
         if any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
@@ -243,22 +254,35 @@ def _hand_off(node: Tensor, grads):
     """Give each parent of ``node`` its gradient from ``grads``, what
     ``node``'s rule returned. Its own function, so no gradient outlives it.
 
-    A parent that has a gradient adds into it. Otherwise it keeps the array
-    when that is an ``ndarray`` (not a numpy scalar) of its dtype and shape,
-    both C-contiguous, sharing no memory with ``node.grad`` or with an array
-    kept before from this rule. An in-place ``+= 0.0`` turns -0.0 into
-    +0.0, as ``zeros + g`` does, so a kept array has the copying path's
-    bits. Anything else is added into a zeroed buffer.
+    A parent that has a gradient adds into it: in place when it owns that
+    array, into a new array when it holds a kept view. Otherwise the array
+    is kept when it is an ``ndarray`` (not a numpy scalar) of the parent's
+    dtype and shape, both C-contiguous, and either
+    - a view of ``node.grad`` and the parent an op output, not a leaf: it is
+      kept as is and marked as a view. ``node.grad`` holds no -0.0, so the
+      view needs no clearing; or
+    - an array that shares no memory with ``node.grad`` or with an array
+      kept before from this rule: an in-place ``+= 0.0`` turns its -0.0
+      into +0.0, as ``zeros + g`` does, so it has the copying path's bits.
+    Anything else is added into a zeroed buffer.
     """
     kept = []
     for p, g in zip(node._parents, grads, strict=True):
         if g is None or not p.requires_grad:
             continue
         if p.grad is not None:
-            p.grad += g
-        elif (isinstance(g, np.ndarray) and g.dtype == p.data.dtype and g.shape == p.data.shape
-              and g.flags.c_contiguous and p.data.flags.c_contiguous
-              and not any(np.may_share_memory(g, o) for o in (node.grad, *kept))):
+            if p._grad_is_view:
+                p.grad = np.add(p.grad, g, out=np.empty_like(p.grad))
+                p._grad_is_view = False
+            else:
+                p.grad += g
+            continue
+        fits = (isinstance(g, np.ndarray) and g.dtype == p.data.dtype and g.shape == p.data.shape
+                and g.flags.c_contiguous and p.data.flags.c_contiguous)
+        if fits and p._parents and np.may_share_memory(g, node.grad):
+            p.grad = g
+            p._grad_is_view = True
+        elif fits and not any(np.may_share_memory(g, o) for o in (node.grad, *kept)):
             g += 0.0
             p.grad = g
             kept.append(g)

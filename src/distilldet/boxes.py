@@ -145,11 +145,10 @@ def level_anchors(level: int, hi: int, wi: int) -> np.ndarray:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function in float64, whatever the dtype of ``z``."""
+    """Logistic function in float64, whatever the dtype of ``z``: 1/(1+e) for
+    z >= 0 and e/(1+e) below, with e = exp(-|z|), so no exponential
+    overflows. e is taken as ``exp(minimum(z, -z))``, not ``exp(-abs(z))``,
+    so that a NaN keeps its sign bit and gives the bytes of ``exp(z)``."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    e = np.exp(z[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))

@@ -24,7 +24,7 @@ earlier per-channel code; the per-pixel noise draw is now the largest cost.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,6 +55,10 @@ class SyntheticScene:
     index: int
     image: Tensor  # [3,H,W] in [0,1], COMPUTE_DTYPE; drawn in float64, then cast
     gts: list
+    # What training derives from the scene alone, per flip (False, True), on
+    # first use: the RPN anchor assignment (``train``). Not part of the
+    # scene's value; it goes when the scene goes.
+    rpn_targets: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 # Height bands in scaled pixels: the lower band sits inside the "small"

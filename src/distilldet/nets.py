@@ -294,13 +294,13 @@ def _subsample(pos_mask, neg_mask, batch: int, pos_frac: float, rng: np.random.G
 
 
 def assign_rpn_anchors(anchors: np.ndarray, gt_boxes: np.ndarray):
-    """Anchor labels (1 pos / 0 neg / -1 ignore) and matched-GT indices.
+    """Anchor labels (1 pos / 0 neg / -1 ignore, int8) and matched-GT indices.
 
     Positive: IoU >= RPN_POS_IOU with any GT, or best anchor for a GT (ties
     all count). Negative: max IoU <= RPN_NEG_IOU. Everything else is ignored.
     """
     m = anchors.shape[0]
-    labels = np.full(m, -1, dtype=np.int64)
+    labels = np.full(m, -1, dtype=np.int8)
     matched = np.zeros(m, dtype=np.int64)
     if gt_boxes.size == 0:
         labels[:] = 0
@@ -319,16 +319,18 @@ def assign_rpn_anchors(anchors: np.ndarray, gt_boxes: np.ndarray):
     return labels, matched
 
 
-def rpn_loss(rpn_out, anchors, gt_boxes: np.ndarray, rng: np.random.Generator) -> Tensor:
+def rpn_loss(rpn_out, anchors, gt_boxes: np.ndarray, rng: np.random.Generator,
+             assigned=None) -> Tensor:
     """Binary cross-entropy on a sampled anchor batch plus smooth-L1 on the
     positives' deltas (per-anchor coordinate sum, averaged over positives).
 
     ``rpn_out`` is ``rpn_forward``'s (logits [A], deltas [A,4]) and
     ``anchors`` the matching [A,4] array; the loss picks its anchors' rows
-    from them directly.
+    from them directly. ``assigned`` is ``assign_rpn_anchors(anchors,
+    gt_boxes)`` when the caller already holds it; it is computed otherwise.
     """
     gt_boxes = np.asarray(gt_boxes).reshape(-1, 4)
-    labels, matched = assign_rpn_anchors(anchors, gt_boxes)
+    labels, matched = assign_rpn_anchors(anchors, gt_boxes) if assigned is None else assigned
     pos_idx, neg_idx = _subsample(labels == 1, labels == 0, RPN_BATCH, RPN_POS_FRAC, rng)
     logits, deltas = rpn_out
     sample_idx = np.concatenate([pos_idx, neg_idx]).astype(np.intp)
@@ -382,13 +384,10 @@ def sample_rois(proposals: np.ndarray, gt_boxes: np.ndarray, rng: np.random.Gene
     return rois, labels, targets
 
 
-def head_forward_batch(regions: Tensor, cfg: NetConfig, params: dict):
-    """Run the two FC layers and siblings on region features [R,C,S,S].
-
-    Returns (logits [R,L], class_scores [R,2], box_deltas [R,4]); the logit
-    rows are the activations of the second FC layer, the tensors the
-    matching loss operates on.
-    """
+def head_logits(regions: Tensor, cfg: NetConfig, params: dict) -> Tensor:
+    """The head's logits [R,L] of region features [R,C,S,S]: the two FC
+    layers, each followed by a relu, and not the siblings. These are the
+    activations the logit matching term compares."""
     r = regions.data.shape[0]
     x = regions.reshape((r, regions.data.size // r))
     if x.data.shape[1] != cfg.head_input_width:
@@ -396,7 +395,16 @@ def head_forward_batch(regions: Tensor, cfg: NetConfig, params: dict):
             f"region width {x.data.shape[1]} does not match head input {cfg.head_input_width}"
         )
     h1 = ad.relu(ad.linear(x, params["head.fc1.w"], params["head.fc1.b"]))
-    logit = ad.relu(ad.linear(h1, params["head.fc2.w"], params["head.fc2.b"]))
+    return ad.relu(ad.linear(h1, params["head.fc2.w"], params["head.fc2.b"]))
+
+
+def head_forward_batch(regions: Tensor, cfg: NetConfig, params: dict):
+    """Run the two FC layers (``head_logits``) and the siblings on region
+    features [R,C,S,S].
+
+    Returns (logits [R,L], class_scores [R,2], box_deltas [R,4]).
+    """
+    logit = head_logits(regions, cfg, params)
     cls = ad.linear(logit, params["head.cls.w"], params["head.cls.b"])
     box = ad.linear(logit, params["head.box.w"], params["head.box.b"])
     return logit, cls, box

@@ -18,11 +18,18 @@ crops are byte-equal to per-level crops joined by ``concat`` (all levels)
 or put back in box order (single level). float32 crops match the earlier
 per-channel crop (kept in tests/oracles.py) to rounding, not bit for bit;
 the interpolation operators are byte-equal.
+
+The operators and each box's level depend on the boxes and the maps' sizes
+and dtype alone, never on feature values. ``crop_plan`` (``region_plan`` for
+a pyramid) builds them as a ``CropPlan``, so a caller that crops one box
+array from several pyramids of one size, as the teacher matcher does,
+builds them once and passes the plan to each crop.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,8 +122,74 @@ def _interp_operators(boxes: np.ndarray, strides, shapes, out_size: int, samples
     ]
 
 
+class CropPlan(NamedTuple):
+    """The part of a crop that reads no feature value: for each level it
+    reads, the level's index, its (ay [n,S,H], ax [n,S,W]) operators and
+    the rows of its ``n`` boxes (a slice or an index array). ``stacked`` is
+    the all-level mode. A plan depends on the boxes, the levels' (H, W)
+    ``shapes`` and ``dtype`` alone, so one plan crops its boxes from every
+    pyramid of those shapes and dtype: the student's and the teacher's.
+    """
+
+    crops: tuple
+    n_roi: int
+    out_size: int
+    stacked: bool
+    shapes: tuple
+    dtype: np.dtype
+
+
+def crop_plan(features, rois, strides, out_size: int = ROI_SIZE, samples: int = ROI_SAMPLES,
+              box_levels=None) -> CropPlan:
+    """The plan of ``roi_align_batch(features, rois, strides, out_size,
+    samples, box_levels)``; of ``features`` it reads the map shapes and
+    dtypes only. The all-level operators come from one ``bincount``;
+    single-level operators from one per level that has boxes.
+    """
+    if out_size < 1 or samples < 1:
+        raise ShapeError(f"roi_align_batch needs out_size and samples >= 1, got {out_size}, {samples}")
+    n_lvl = len(features)
+    if not n_lvl or n_lvl != len(strides):
+        raise ShapeError(f"roi_align_batch needs one stride per level, got {n_lvl} levels "
+                         f"and {len(strides)} strides")
+    boxes = np.asarray(rois, np.float64).reshape(-1, 4)
+    n_roi = boxes.shape[0]
+    if n_roi == 0:
+        raise ShapeError("roi_align_batch on an empty box array")
+    shapes = tuple(f.data.shape[-2:] for f in features)
+    if box_levels is None:
+        dtype = np.result_type(*(f.data for f in features))
+        ops = _interp_operators(boxes, strides, shapes, out_size, samples, dtype)
+        crops = tuple((k, op, slice(None)) for k, op in enumerate(ops))
+        return CropPlan(crops, n_roi, out_size, True, shapes, dtype)
+    box_levels = np.asarray(box_levels, np.intp)
+    counts = (np.bincount(box_levels, minlength=n_lvl)
+              if box_levels.shape == (n_roi,) and box_levels.min() >= 0 else ())
+    if len(counts) != n_lvl:
+        raise ShapeError(f"box_levels must name one of {n_lvl} levels for each of {n_roi} boxes")
+    named = np.flatnonzero(counts)  # a level no box names is never read
+    dtype = np.result_type(*(features[k].data for k in named))
+    crops = []
+    for k in named:
+        # every box on one level: slices, no row copies
+        rows = slice(None) if len(named) == 1 else np.flatnonzero(box_levels == k)
+        op = _interp_operators(boxes[rows], [strides[k]], [shapes[k]], out_size, samples, dtype)[0]
+        crops.append((k, op, rows))
+    return CropPlan(tuple(crops), n_roi, out_size, False, shapes, dtype)
+
+
+def _check_plan(plan: CropPlan, features, rois):
+    """Raise a ShapeError unless ``plan`` was built for ``rois``' box count
+    and for maps of ``features``' shapes and dtype."""
+    shapes = tuple(f.data.shape[-2:] for f in features)
+    if shapes != plan.shapes or np.result_type(*(features[k].data for k, _, _ in plan.crops)) != plan.dtype:
+        raise ShapeError(f"a crop plan for {plan.dtype} maps of {plan.shapes} does not fit these maps")
+    if np.asarray(rois).size != 4 * plan.n_roi:
+        raise ShapeError(f"a crop plan for {plan.n_roi} boxes does not fit {np.shape(rois)} boxes")
+
+
 def roi_align_batch(features, rois, strides, out_size: int = ROI_SIZE, samples: int = ROI_SAMPLES,
-                    box_levels=None) -> Tensor:
+                    box_levels=None, plan=None) -> Tensor:
     """Average-of-bilinear-samples crop of the boxes ``rois`` [R,4] from the
     levels in ``features`` (one stride each), in one graph node.
 
@@ -126,6 +199,8 @@ def roi_align_batch(features, rois, strides, out_size: int = ROI_SIZE, samples: 
     (levels of equal width C), each box is cropped from its level only: the
     output is [R, C, S, S]. Rows are ordered like ``rois`` in both modes. A
     level that no box names is not read and not a parent of the output.
+    ``plan`` is ``crop_plan`` of the same arguments, for a caller that crops
+    one box array from several pyramids; it is built here otherwise.
 
     Boxes map to feature coordinates by dividing by the level's stride (no
     rounding, no half-pixel shift); each of the S^2 bins averages samples^2
@@ -139,52 +214,30 @@ def roi_align_batch(features, rois, strides, out_size: int = ROI_SIZE, samples: 
     [S*C, W] x [W, S] GEMM per box applies its Ax^T, and the transposed
     result is written straight into the boxes' rows of the level's channel
     block. The backward mirrors it per level: one [S*C, S] x [S, W] GEMM
-    per box, then one [H, n*S] x [n*S, C*W] GEMM. The all-level operators
-    come from one ``bincount``; single-level operators from one per level
-    that has boxes. So crops and gradients are byte-equal to cropping each
-    level's boxes alone (tests/oracles.py keeps that crop, with the levels
-    joined by ``concat``). float64 crops match the per-channel reference there
-    to ~1e-16; float32 crops match it to rounding, not bit for bit, since a
-    different GEMM shape sums in a different order.
+    per box, then one [H, n*S] x [n*S, C*W] GEMM. So crops and gradients
+    are byte-equal to cropping each level's boxes alone (tests/oracles.py
+    keeps that crop, with the levels joined by ``concat``). float64 crops
+    match the per-channel reference there to ~1e-16; float32 crops match it
+    to rounding, not bit for bit, since a different GEMM shape sums in a
+    different order.
     """
-    if out_size < 1 or samples < 1:
-        raise ShapeError(f"roi_align_batch needs out_size and samples >= 1, got {out_size}, {samples}")
-    n_lvl = len(features)
-    if not n_lvl or n_lvl != len(strides):
-        raise ShapeError(f"roi_align_batch needs one stride per level, got {n_lvl} levels "
-                         f"and {len(strides)} strides")
-    boxes = np.asarray(rois, np.float64).reshape(-1, 4)
-    n_roi = boxes.shape[0]
-    if n_roi == 0:
-        raise ShapeError("roi_align_batch on an empty box array")
-    s = out_size
+    if plan is None:
+        plan = crop_plan(features, rois, strides, out_size, samples, box_levels)
+    else:
+        _check_plan(plan, features, rois)
+    levels = [_as_chw(features[k]) for k, _, _ in plan.crops]
+    s = plan.out_size
     # One (level, (ay, ax), rows of its boxes, first output channel) per crop.
-    if box_levels is None:
-        levels = [_as_chw(f) for f in features]
-        dtype = np.result_type(*(f.data for f in levels))
+    if plan.stacked:
         offsets = np.cumsum([0] + [f.data.shape[0] for f in levels])
-        ops = _interp_operators(boxes, strides, [f.data.shape[1:] for f in levels], s, samples, dtype)
-        crops = [(f, op, slice(None), c0) for f, op, c0 in zip(levels, ops, offsets)]
         width = offsets[-1]
     else:
-        box_levels = np.asarray(box_levels, np.intp)
-        counts = (np.bincount(box_levels, minlength=n_lvl)
-                  if box_levels.shape == (n_roi,) and box_levels.min() >= 0 else ())
-        if len(counts) != n_lvl:
-            raise ShapeError(f"box_levels must name one of {n_lvl} levels for each of {n_roi} boxes")
-        named = np.flatnonzero(counts)
-        levels = [_as_chw(features[k]) for k in named]  # a level no box names is never read
         width = levels[0].data.shape[0]
         if any(f.data.shape[0] != width for f in levels):
             raise ShapeError("a single-level crop needs levels of equal width")
-        dtype = np.result_type(*(f.data for f in levels))
-        crops = []
-        for k, f in zip(named, levels):
-            # every box on one level: slices, no row copies
-            rows = slice(None) if len(named) == 1 else np.flatnonzero(box_levels == k)
-            op = _interp_operators(boxes[rows], [strides[k]], [f.data.shape[1:]], s, samples, dtype)[0]
-            crops.append((f, op, rows, 0))
-    out_data = np.empty((n_roi, width, s, s), dtype)
+        offsets = [0] * len(levels)
+    crops = [(f, op, rows, c0) for f, (_, op, rows), c0 in zip(levels, plan.crops, offsets)]
+    out_data = np.empty((plan.n_roi, width, s, s), plan.dtype)
 
     # t1[(r,i),(c,w)] = sum_h ay[r,i,h] f[c,h,w]; then out[r,c,i,j] = sum_w t1[r,i,c,w] ax[r,j,w].
     for f, (ay, ax), rows, c0 in crops:
@@ -209,18 +262,31 @@ def roi_align_batch(features, rois, strides, out_size: int = ROI_SIZE, samples: 
     return Tensor._from_op(out_data, tuple(f for f, *_ in crops), bk)
 
 
-def extract_region_batch(pyramid, rois, use_pyramid: bool, out_size: int = ROI_SIZE) -> Tensor:
+def region_plan(pyramid, rois, use_pyramid: bool, out_size: int = ROI_SIZE) -> CropPlan:
+    """The crop plan of ``extract_region_batch(pyramid, rois, use_pyramid,
+    out_size)``, to crop one box array from several pyramids of one map
+    size: single-level mode maps each box to its level here, once."""
+    rois = np.asarray(rois, np.float64).reshape(-1, 4)
+    if len(rois) == 0:
+        raise ShapeError("extract_region_batch on an empty box array")
+    box_levels = None if use_pyramid else [assign_level(r) - PYRAMID_LEVELS[0] for r in rois]
+    return crop_plan(pyramid, rois, PYRAMID_STRIDES, out_size, box_levels=box_levels)
+
+
+def extract_region_batch(pyramid, rois, use_pyramid: bool, out_size: int = ROI_SIZE,
+                         plan=None) -> Tensor:
     """Region features for a box array [R,4] in the given crop mode, cropped
     from the ``(P2, P3, P4, P5)`` tuple ``pyramid`` by one
-    ``roi_align_batch`` call; rows ordered like ``rois``.
+    ``roi_align_batch`` call; rows ordered like ``rois``. ``plan`` is
+    ``region_plan`` of the same arguments; it is built here otherwise.
 
     All-level mode (``use_pyramid``) returns [R, 4d, S, S]: channel block
     [i*d, (i+1)*d) holds the crop of level 2+i. Single-level mode maps each
     box to one level by its area (``assign_level``) and returns [R, d, S, S].
     """
-    rois = np.asarray(rois, np.float64).reshape(-1, 4)
-    if len(rois) == 0:
-        raise ShapeError("extract_region_batch on an empty box array")
-    box_levels = None if use_pyramid else [assign_level(r) - PYRAMID_LEVELS[0] for r in rois]
-    return roi_align_batch(pyramid, rois, PYRAMID_STRIDES, out_size=out_size,
-                           box_levels=box_levels)
+    if plan is None:
+        plan = region_plan(pyramid, rois, use_pyramid, out_size)
+    elif (plan.stacked, plan.out_size) != (bool(use_pyramid), out_size):
+        raise ValueError(f"a crop plan for stacked={plan.stacked}, out_size={plan.out_size} does not "
+                         f"fit use_pyramid={use_pyramid}, out_size={out_size}")
+    return roi_align_batch(pyramid, rois, PYRAMID_STRIDES, plan=plan)

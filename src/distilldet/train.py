@@ -7,9 +7,12 @@ only, never gradients.
 
 A step runs named stages in order: propose, RPN loss, sample, crop and head
 (``supervised_step``), then in phase two the teacher matcher's ``match`` (PD
-on the pyramids, RD and LD on crops of the student's proposals), then
-backward and SGD. The matcher exists only when some matching term is on, so
-with every term off the student phase is plain supervised training, bit for bit.
+on the pyramids, RD and LD on crops of the student's proposals, which share
+one crop plan per crop mode), then backward and SGD. The matcher exists only
+when some matching term is on, so with every term off the student phase is
+plain supervised training, bit for bit. Each scene keeps its RPN anchor
+assignment per flip (``SyntheticScene.rpn_targets``), so the teacher and
+every student trained on one scene list compute it once per (scene, flip).
 
 The teacher's pyramids are cached in its ``FrozenTeacher``, not in a
 matcher or the module: the matchers of every student trained against one
@@ -221,25 +224,40 @@ class _TeacherContext:
         pd = pyramid_distill_loss(pyr, [t.data for t in t_pyr]) if pd_on else None
         rd = ld = None
         if len(proposals) and (rd_on or ld_on):
-            s_reg = roi_ops.extract_region_batch(pyr, proposals, self.student_cfg.pyramid_roi)
+            # The proposals' crop operators, built once for every crop of their mode.
+            mode = self.student_cfg.pyramid_roi
+            plan = roi_ops.region_plan(pyr, proposals, mode)
+            s_reg = roi_ops.extract_region_batch(pyr, proposals, mode, plan=plan)
             if rd_on:
-                t_reg = roi_ops.extract_region_batch(t_pyr, proposals, self.student_cfg.pyramid_roi)
+                t_reg = roi_ops.extract_region_batch(t_pyr, proposals, mode, plan=plan)
                 rd = region_distill_loss(s_reg, t_reg.data)
             if ld_on:
-                s_logits, _, _ = nets.head_forward_batch(s_reg, self.student_cfg, params)
+                s_logits = nets.head_logits(s_reg, self.student_cfg, params)
                 if not (rd_on and self._ld_reuses_rd_crop):
-                    t_reg = roi_ops.extract_region_batch(t_pyr, proposals, self.cfg.pyramid_roi)
-                t_logits, _, _ = nets.head_forward_batch(t_reg, self.cfg, self.params)
+                    t_mode = self.cfg.pyramid_roi
+                    t_plan = plan if t_mode == mode else roi_ops.region_plan(t_pyr, proposals, t_mode)
+                    t_reg = roi_ops.extract_region_batch(t_pyr, proposals, t_mode, plan=t_plan)
+                t_logits = nets.head_logits(t_reg, self.cfg, self.params)
                 ld = logit_distill_loss(s_logits, t_logits.data)
         return total_distill_loss(dcfg, pd, rd, ld)
 
 
 def supervised_step(image4: Tensor, gt_arr: np.ndarray, cfg: NetConfig, params: dict,
-                    rng: np.random.Generator):
+                    rng: np.random.Generator, rpn_targets: dict, key):
     """(pyramid, proposals, loss_det, loss_rpn, total) of one [1,3,H,W] image
-    against its [G,4] ground truth; ``rpn_loss``, then ``sample_rois``, draw from ``rng``."""
+    against its [G,4] ground truth; ``rpn_loss``, then ``sample_rois``, draw from ``rng``.
+
+    The image's RPN anchor assignment is ``rpn_targets[key]``, computed and
+    stored there on first use: it depends on the boxes and the anchors
+    alone, and every detector has the same anchors on one image size. It is
+    kept read-only, its matched-box indices in the smallest unsigned type."""
     pyr, rpn_out, anchors, proposals = nets.propose(image4, cfg, params)
-    loss_rpn = nets.rpn_loss(rpn_out, anchors, gt_arr, rng)
+    if key not in rpn_targets:
+        anchor_labels, matched = nets.assign_rpn_anchors(anchors, gt_arr)
+        matched = matched.astype(np.min_scalar_type(len(gt_arr)))
+        anchor_labels.flags.writeable = matched.flags.writeable = False
+        rpn_targets[key] = anchor_labels, matched
+    loss_rpn = nets.rpn_loss(rpn_out, anchors, gt_arr, rng, rpn_targets[key])
     rois, labels, targets = nets.sample_rois(proposals, gt_arr, rng)
     if not len(rois):
         return pyr, proposals, Tensor(0.0), loss_rpn, loss_rpn
@@ -269,7 +287,8 @@ def train_detector(scenes: list[SyntheticScene], net_cfg: NetConfig, tcfg: Train
             image, gt_arr = horizontal_flip(scene.image, gt_arr) if flipped else (scene.image, gt_arr)
             image4 = image.reshape((1, *image.data.shape))
 
-            pyr, proposals, loss_det, loss_rpn, total = supervised_step(image4, gt_arr, net_cfg, params, rng)
+            pyr, proposals, loss_det, loss_rpn, total = supervised_step(image4, gt_arr, net_cfg, params, rng,
+                                                                        scene.rpn_targets, flipped)
             report = DistillReport()
             if teacher is not None:
                 loss_dist, report = teacher.match(scene.index, flipped, image4, pyr, proposals, params)

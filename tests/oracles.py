@@ -20,6 +20,8 @@ shares with the proposal stage (it too uses the library's box helpers);
 relu_where,
 iou_where and maxpool2x2_backward_where, the earlier np.where forms of three
 elementwise steps, kept as bit-for-bit references in float32 and float64;
+sigmoid_masked, the earlier boolean-mask logistic, kept as a bit-for-bit
+reference for the one-pass sigmoid;
 sq_error_sum_chain, the earlier sub -> mul -> tsum graph of the
 squared-error sum replayed in numpy, kept as a bit-for-bit reference for
 the one-op sq_error_sum; smooth_field, the earlier per-channel scene
@@ -394,6 +396,18 @@ def join_rpn_levels(rpn_out, anchors):
 def relu_where(x):
     """The earlier relu forward: x where x > 0, else 0.0."""
     return np.where(x > 0.0, x, 0.0)
+
+
+def sigmoid_masked(z):
+    """The earlier boxes.sigmoid: 1/(1+exp(-z)) on the boolean-indexed
+    z >= 0, exp(z)/(1+exp(z)) on the rest, in float64."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    e = np.exp(z[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
 
 
 def iou_where(a, b):

@@ -268,7 +268,8 @@ _KEEPING_OPS = {
 class TestGradientHandOff:
     """``backward`` alone applies the gradients a rule returns: it adds into
     an existing ``grad``, keeps a new array as a first gradient with the
-    copying path's bits, and copies anything shared, cast or broadcast."""
+    copying path's bits, lets an op output keep a view of its consumer's
+    gradient, and copies anything else that is shared, cast or broadcast."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_linear_gradients_match_the_copying_path(self, dtype):
@@ -403,6 +404,65 @@ class TestGradientHandOff:
         _backward_through([t], lambda _: (gt,))
         assert not np.shares_memory(t.grad, gt) and t.grad.flags.c_contiguous
         assert np.array_equal(t.grad, gt)
+
+    def test_an_op_output_keeps_a_pass_through_gradient_as_a_view(self):
+        a = Tensor(np.full((2, 3), 2.0), requires_grad=True)
+        h = a * 3.0
+        r = ad.reshape(h, (6,))
+        backward(ad.tsum(r * Tensor(np.arange(6.0))))
+        assert np.shares_memory(h.grad, r.grad)
+        assert np.array_equal(h.grad, np.arange(6.0).reshape(2, 3))
+        assert not np.shares_memory(a.grad, h.grad) and np.array_equal(a.grad, 3.0 * h.grad)
+
+    @pytest.mark.parametrize("view_first", [True, False])
+    def test_a_later_gradient_for_a_kept_view_leaves_the_held_consumers_gradient(self, view_first):
+        """``h`` keeps a view of ``m.grad`` when ``m``'s rule runs first; the
+        gradient ``relu`` hands on later is then added into a new array."""
+        a = Tensor(np.array([1.0, -2.0, 0.5, 4.0]), requires_grad=True)
+        h = a * 3.0
+        m = ad.add(h, 1.0)
+        c = Tensor(np.array([0.5, -1.5, 2.0, -0.0]))
+        terms = [ad.tsum(m * c), ad.tsum(ad.relu(h))]
+        views = []
+        real_hand_off = ad._hand_off
+
+        def spy(node, grads):
+            if node is m:
+                views.append(h.grad is None)
+            real_hand_off(node, grads)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ad, "_hand_off", spy)
+            backward(ad.add(*terms) if view_first else ad.add(*terms[::-1]))
+        held = (np.zeros(4) + c.data).tobytes()
+        assert views == [view_first] and m.grad.tobytes() == held
+        assert np.array_equal(h.grad, c.data + (h.data > 0)) and not np.shares_memory(h.grad, m.grad)
+        assert np.array_equal(a.grad, 3.0 * h.grad)
+
+    def test_adding_an_op_output_to_itself_hands_on_twice_the_gradient(self):
+        a = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        x = a * 2.0
+        y = ad.add(x, x)
+        c = Tensor(np.array([0.5, -1.5, 2.0]))
+        backward(ad.tsum(y * c))
+        assert np.array_equal(y.grad, c.data)
+        assert np.array_equal(x.grad, 2.0 * c.data) and not np.shares_memory(x.grad, y.grad)
+        assert np.array_equal(a.grad, 4.0 * c.data)
+
+    def test_no_leaf_gradient_shares_memory_with_another_tensors(self):
+        r = np.random.default_rng(2)
+        a, b, c = (Tensor(r.normal(size=(3, 4)), requires_grad=True) for _ in range(3))
+        h = a * b
+        flat = ad.reshape(h, (12,))
+        joined = ad.concat([flat, ad.reshape(b, (12,)), ad.reshape(ad.transpose(a, (1, 0)), (12,)),
+                            ad.reshape(c, (12,))])
+        shifted = ad.add(joined, 1.0)
+        backward(ad.tsum(shifted * Tensor(r.normal(size=48))))
+        tensors = [a, b, c, h, flat, joined, shifted]
+        assert np.shares_memory(h.grad, joined.grad)  # op outputs keep views
+        for leaf in (a, b, c):
+            for t in tensors:
+                assert t is leaf or not np.shares_memory(leaf.grad, t.grad)
 
 
 class TestDeterminism:

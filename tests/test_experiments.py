@@ -1,7 +1,7 @@
 """Experiment plumbing: the ablation rows' matching weights and run configs,
 row tags, the table text, the reuse of a trained teacher, the teacher
-pyramid cache the rows of one ablation share, and the check that an
-ablation's base weights are all positive."""
+pyramid cache and the RPN anchor assignments the rows of one ablation
+share, and the check that an ablation's base weights are all positive."""
 
 import gc
 import os
@@ -155,6 +155,31 @@ def test_an_ablation_runs_the_teacher_once_per_scene_and_flip_and_drops_its_cach
     assert 0 < per_run[0] <= 2 * len(train_scenes)
     assert per_run[1] == per_run[0]
     assert len(teachers) == 2 and first_cache_sizes == [0, 0]
+
+
+def test_an_ablation_assigns_rpn_anchors_once_per_scene_and_flip(tmp_path, monkeypatch, tiny_teacher_cfg,
+                                                                  tiny_student_cfg):
+    """The teacher and all eight rows train on one scene list; each scene
+    keeps its RPN anchor assignment per flip, so it is computed on the first
+    step that draws that (scene, flip) and never again."""
+    cfg = _tiny_ablation(tmp_path, tiny_teacher_cfg, tiny_student_cfg)
+    assigned, steps = [], []
+    assign, step = nets.assign_rpn_anchors, train.supervised_step
+
+    def counted_assign(*args):
+        assigned.append(args)
+        return assign(*args)
+
+    def counted_step(*args):
+        *_, rpn_targets, flipped = args
+        steps.append((id(rpn_targets), flipped))
+        return step(*args)
+
+    monkeypatch.setattr(nets, "assign_rpn_anchors", counted_assign)
+    monkeypatch.setattr(train, "supervised_step", counted_step)
+    experiments.run_ablation(cfg)
+    assert len(steps) == (1 + len(ABLATION_ROWS)) * cfg.train.epochs * cfg.dataset.n_train
+    assert len(assigned) == len(set(steps)) <= 2 * cfg.dataset.n_train
 
 
 @pytest.mark.parametrize("zero", [("lambda_pd",), ("lambda_rd", "lambda_ld"),

@@ -1,5 +1,6 @@
 """Bit-for-bit equality of conv2d and maxpool2x2 with their original
-implementations (oracles.conv2d_im2col, oracles.maxpool2x2_argmax).
+implementations (oracles.conv2d_im2col, oracles.maxpool2x2_argmax), and of
+upsample2x with its earlier ``repeat`` forward and ``sum`` gradient.
 
 Tolerance-based checks against the loop references live in
 test_oracle_equivalence.py; these compare raw bytes of the forward output
@@ -8,10 +9,11 @@ of a zero fails here.
 """
 
 import numpy as np
+import pytest
 
 from distilldet import Tensor
 from distilldet.autodiff import backward, mul, tsum
-from distilldet.imageops import conv2d, maxpool2x2
+from distilldet.imageops import conv2d, maxpool2x2, upsample2x
 from oracles import conv2d_im2col, maxpool2x2_argmax
 
 N_INSTANCES = 60
@@ -111,3 +113,26 @@ def test_maxpool2x2_signed_zero_tie_keeps_first_element():
     out, (gx,) = _run(maxpool2x2, [x], np.array([[[[5.0]]]]))
     assert np.signbit(out[0, 0, 0, 0])
     np.testing.assert_array_equal(gx[0, 0], [[5.0, 0.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_upsample2x_matches_repeat_and_sum_bitwise_for_widths_from_two(dtype):
+    """The forward is the two ``repeat``s' bytes. The gradient rule adds the
+    four strided views of ``g`` pairwise, the order numpy's sum over the
+    [N,C,H,2,W,2] view uses for W >= 2: after the hand-off, which turns
+    -0.0 into 0.0, the bytes are equal. Gradients span six decades, so a
+    different add order would round differently."""
+    rng = np.random.default_rng(1910)
+    for _ in range(200):
+        n, c, h = (int(v) for v in rng.integers(1, 4, size=3))
+        c = int(rng.integers(16, 40)) if rng.random() < 0.2 else c
+        w = int(rng.integers(2, 24))
+        x = _with_signed_zeros(rng, (n, c, h, w)).astype(dtype)
+        out = upsample2x(Tensor(x, requires_grad=True))
+        assert out.data.tobytes() == x.repeat(2, axis=2).repeat(2, axis=3).tobytes()
+        g = _with_signed_zeros(rng, (n, c, 2 * h, 2 * w)) * 10.0 ** rng.integers(-3, 4, size=(n, c, 2 * h, 2 * w))
+        g = g.astype(dtype)
+        (got,) = out._backward(g)
+        want = g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))
+        assert got.dtype == dtype
+        assert _stored(got).tobytes() == _stored(want).tobytes(), (n, c, h, w)

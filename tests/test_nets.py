@@ -8,9 +8,9 @@ import pytest
 
 import distilldet.autodiff as ad
 from distilldet import Tensor, backward, nets, roi
-from distilldet.boxes import decode_deltas, encode_deltas, iou_matrix, level_anchors
+from distilldet.boxes import decode_deltas, encode_deltas, iou_matrix, level_anchors, sigmoid
 from distilldet.imageops import conv2d
-from oracles import detect_tail, iou_scalar, join_rpn_levels
+from oracles import detect_tail, iou_scalar, join_rpn_levels, sigmoid_masked
 
 
 def _per_level(rpn_out, pyr):
@@ -437,6 +437,22 @@ class TestDetectionLoss:
             m = max(cls_z[i])
             ce += m + math.log(sum(math.exp(v - m) for v in cls_z[i])) - cls_z[i][0]
         assert abs(got - ce / 3) < 1e-12
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_has_the_bytes_of_the_masked_form(dtype):
+    """Signed zeros, both infinities, NaNs of either sign and values past
+    exp's overflow keep the earlier form's bytes, in either input dtype."""
+    rng = np.random.default_rng(1909)
+    z = rng.normal(scale=8.0, size=4000) * 10.0 ** rng.integers(-6, 3, size=4000)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0, 36.7, -36.7,
+               np.finfo(dtype).max, -np.finfo(dtype).max, np.finfo(dtype).tiny, -np.finfo(dtype).tiny]
+    z = np.concatenate([z, special]).astype(dtype)
+    rng.shuffle(z)
+    for shape in ((z.size,), (40, z.size // 40)):
+        got = sigmoid(z[: math.prod(shape)].reshape(shape))
+        assert got.dtype == np.float64
+        assert got.tobytes() == sigmoid_masked(z[: math.prod(shape)].reshape(shape)).tobytes()
 
 
 class TestBoxCodec:

@@ -205,6 +205,33 @@ class TestBoxLevels:
             roi.roi_align_batch(levels, _boxes((1, 1, 9, 9), (2, 2, 12, 12)), [4, 8], box_levels=[0, 1])
 
 
+class TestCropPlan:
+    """One plan crops its boxes from every pyramid of the maps' sizes and
+    dtype, and only from those."""
+
+    @pytest.mark.parametrize("use_pyramid", [True, False])
+    def test_a_plan_crops_another_pyramid_as_a_fresh_crop_does(self, rng, use_pyramid):
+        boxes = _boxes((0.0, 0.0, 100.0, 90.0), (2.0, 2.0, 16.0, 15.0), (3.0, 4.0, 40.0, 30.0))
+        plan = roi.region_plan(_pyramid(rng), boxes, use_pyramid, out_size=3)
+        other = _pyramid(rng)
+        got = roi.extract_region_batch(other, boxes, use_pyramid, out_size=3, plan=plan)
+        assert got.data.tobytes() == roi.extract_region_batch(other, boxes, use_pyramid, out_size=3).data.tobytes()
+
+    def test_a_plan_for_other_maps_boxes_or_mode_is_refused(self, rng):
+        boxes = _boxes((0.0, 0.0, 100.0, 90.0), (2.0, 2.0, 16.0, 15.0))
+        pyr = _pyramid(rng)
+        plan = roi.region_plan(pyr, boxes, True, out_size=3)
+        with pytest.raises(ShapeError, match="does not fit"):
+            roi.extract_region_batch(_pyramid(rng, h=64), boxes, True, out_size=3, plan=plan)
+        with pytest.raises(ShapeError, match="does not fit"):
+            roi.extract_region_batch(tuple(Tensor(f.data.astype(np.float32)) for f in pyr), boxes, True,
+                                     out_size=3, plan=plan)
+        with pytest.raises(ShapeError, match="does not fit"):
+            roi.extract_region_batch(pyr, boxes[:1], True, out_size=3, plan=plan)
+        with pytest.raises(ValueError, match="does not fit"):
+            roi.extract_region_batch(pyr, boxes, False, out_size=3, plan=plan)
+
+
 def _random_case(rng):
     """A random level, box array and crop shape: R in 1-64, stride 1-32,
     out_size 1-7, samples 1-3, maps down to 1 pixel wide, and boxes that

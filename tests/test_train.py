@@ -188,6 +188,42 @@ def test_full_matching_trains_against_a_teacher_with_its_own_crop(tmp_path, tiny
     assert any(r.distill.ld > 0 for r in records)
 
 
+@pytest.mark.parametrize("row", [row for row in ABLATION_ROWS if row[1] or row[2]], ids=row_tag)
+def test_a_matching_step_builds_the_proposals_crop_operators_once_per_crop_mode(
+        monkeypatch, tiny_scenes, tiny_teacher_cfg, tiny_student_cfg, row):
+    """The student's crop and every teacher crop in the same mode (the RD
+    pair; the LD pair when RD is off) share one plan; only a teacher head
+    of another crop mode has its own."""
+    cfg = row_config(RunConfig(teacher=tiny_teacher_cfg, student=tiny_student_cfg), row)
+    teacher = train.FrozenTeacher(cfg.teacher, nets.init_params(cfg.teacher, seed=0), tiny_scenes[0])
+    matcher = train._TeacherContext(teacher, cfg.student, cfg.train.distill)
+    s_params = nets.init_params(cfg.student, seed=1)
+    built, used = [], []
+    crop_plan, roi_align_batch = roi.crop_plan, roi.roi_align_batch
+
+    def counted_plan(*args, **kwargs):
+        built.append(crop_plan(*args, **kwargs))
+        return built[-1]
+
+    def spy_crop(*args, plan=None, **kwargs):
+        used.append(plan)
+        return roi_align_batch(*args, plan=plan, **kwargs)
+
+    monkeypatch.setattr(roi, "crop_plan", counted_plan)
+    monkeypatch.setattr(roi, "roi_align_batch", spy_crop)
+    scene = tiny_scenes[0][0]
+    image4 = scene.image.reshape((1, *scene.image.data.shape))
+    pyr = nets.forward_pyramid(image4, cfg.student, s_params)
+    boxes = np.array([[4.0, 6.0, 30.0, 60.0], [40.0, 10.0, 70.0, 50.0], [10.0, 2.0, 90.0, 62.0],
+                      [50.0, 20.0, 58.0, 40.0]])
+    matcher.match(scene.index, False, image4, pyr, boxes, s_params)
+    s_mode, t_mode = cfg.student.pyramid_roi, cfg.teacher.pyramid_roi
+    own_ld_crop = row[2] and not (row[1] and t_mode == s_mode)
+    assert len(used) == 1 + row[1] + own_ld_crop
+    assert len(built) == 1 + (own_ld_crop and t_mode != s_mode)
+    assert all(any(p is b for b in built) for p in used)
+
+
 def test_teacher_pyramid_runs_once_per_scene_and_flip(monkeypatch, tiny_scenes, tiny_teacher_cfg,
                                                       tiny_student_cfg):
     teacher = train.FrozenTeacher(tiny_teacher_cfg, nets.init_params(tiny_teacher_cfg, seed=0),
